@@ -1,12 +1,28 @@
 GO ?= go
 
-.PHONY: build test race race-serve chaos-smoke bench bench-exec bench-store bench-store-smoke bench-pick bench-pick-smoke bench-cluster bench-cluster-smoke bench-ingest bench-ingest-smoke serve-bench vet fmt-check lint verify
+.PHONY: build test test-procs test-bench race race-serve chaos-smoke bench bench-exec bench-store bench-store-smoke bench-pick bench-pick-smoke bench-cluster bench-cluster-smoke bench-ingest bench-ingest-smoke serve-bench vet fmt-check lint verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Tier-1 at one, two and the host's own processor count: what a test observes
+# (which worker claims a partition before a deadline fires, which goroutine
+# wins a single-flight) depends on GOMAXPROCS, and a contract that holds at
+# one setting only is not a contract. -count=1 defeats the test cache, which
+# does not key on GOMAXPROCS.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
+	$(GO) test -count=1 ./...
+
+# The serving benchmark (bench/, BENCHMARK.json) is a module of its own that
+# `go test ./...` here does not reach: compile it and run its unit tests and
+# its test-size pass over every workload, answers verified.
+test-bench:
+	cd bench && $(GO) test ./...
 
 # Race pass over the parallel execution surface: the scan engine, every
 # layer that fans out onto it, and the concurrent serving layer.

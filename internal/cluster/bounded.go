@@ -74,6 +74,7 @@ type kmScratch struct {
 	oldView [][]float64 // row views into old
 	counts  []int
 	move    []float64 // per-center movement since last sweep
+	moved   []int     // centers with move > 0, ascending
 	ccHalf  []float64 // k*k: half inter-center distances, row-major
 	half    []float64 // s(c): min over ccHalf row c
 	ub      []float64 // per-point upper bound on d(p, center[label])
@@ -99,6 +100,7 @@ func getKMScratch(n, k, dim int) *kmScratch {
 		sc.oldView = make([][]float64, k)
 		sc.counts = make([]int, k)
 		sc.move = make([]float64, k)
+		sc.moved = make([]int, 0, k)
 		sc.half = make([]float64, k)
 	}
 	sc.views = sc.views[:k]
@@ -222,7 +224,9 @@ func KMeansBounded(points [][]float64, k int, rng *rand.Rand, o KMeansOpts) Assi
 			}
 		}
 		if prune && !seeded {
-			computeHalfDists(centers, sc.ccHalf, sc.half)
+			// Iteration 1 fills the whole matrix; later ones refresh only the
+			// rows of centers the previous update moved.
+			updateHalfDists(centers, sc.ccHalf, sc.half, sc.move, iter == 1)
 		}
 		if !seeded {
 			exec.ForEach(blocks, eo, func(b int) {
@@ -333,16 +337,22 @@ func KMeansBounded(points [][]float64, k int, rng *rand.Rand, o KMeansOpts) Assi
 		// moving by m can shrink its point's distance by at most m (upper
 		// bound grows), and center c moving by move[c] can approach any
 		// point by at most move[c] (its lower bounds shrink).
+		// A center whose membership did not change is recomputed from the
+		// same points in the same order, so its movement is exactly zero:
+		// late iterations move few centers, and only those touch the bounds
+		// (and, next sweep, the half-distance matrix).
+		sc.moved = sc.moved[:0]
 		for c := range centers {
 			sc.move[c] = math.Sqrt(sqDist(sc.oldView[c], centers[c]))
+			if sc.move[c] > 0 {
+				sc.moved = append(sc.moved, c)
+			}
 		}
 		for i := range labels {
 			sc.ub[i] += sc.move[labels[i]]
 			lbRow := sc.lb[i*k : (i+1)*k]
-			for c, m := range sc.move {
-				if m > 0 {
-					lbRow[c] -= m
-				}
+			for _, c := range sc.moved {
+				lbRow[c] -= sc.move[c]
 			}
 		}
 		boundsValid = true
@@ -353,27 +363,34 @@ func KMeansBounded(points [][]float64, k int, rng *rand.Rand, o KMeansOpts) Assi
 	return Assignment{Labels: labels, K: k}
 }
 
-// computeHalfDists fills ccHalf (k×k row-major) with half the pairwise
-// center distances and half[c] with the row minimum over other centers
-// (Elkan's s(c)): a point within s(c) of its assigned center c cannot be
-// closer to any other center.
-func computeHalfDists(centers [][]float64, ccHalf, half []float64) {
+// updateHalfDists maintains ccHalf (k×k row-major), half the pairwise
+// center distances, and half[c], the row minimum over other centers (Elkan's
+// s(c)): a point within s(c) of its assigned center c cannot be closer to
+// any other center. A pair is recomputed when either end moved since the
+// last call (move > 0), or unconditionally when all is set (the first call,
+// before which ccHalf holds nothing). An unmoved pair's stored value is the
+// one a full recomputation would produce bit for bit, so the matrix — and
+// the row minima, a min over the same values — equals the full
+// recomputation's.
+func updateHalfDists(centers [][]float64, ccHalf, half, move []float64, all bool) {
 	k := len(centers)
-	for c := range half {
-		half[c] = math.Inf(1)
-	}
 	for a := 0; a < k; a++ {
 		ccHalf[a*k+a] = 0
 		for b := a + 1; b < k; b++ {
-			h := 0.5 * math.Sqrt(sqDist(centers[a], centers[b]))
-			ccHalf[a*k+b] = h
-			ccHalf[b*k+a] = h
-			if h < half[a] {
-				half[a] = h
-			}
-			if h < half[b] {
-				half[b] = h
+			if all || move[a] > 0 || move[b] > 0 {
+				h := 0.5 * math.Sqrt(sqDist(centers[a], centers[b]))
+				ccHalf[a*k+b] = h
+				ccHalf[b*k+a] = h
 			}
 		}
+	}
+	for c := range half {
+		h := math.Inf(1)
+		for o, v := range ccHalf[c*k : (c+1)*k] {
+			if o != c && v < h {
+				h = v
+			}
+		}
+		half[c] = h
 	}
 }

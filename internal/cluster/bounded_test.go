@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -323,4 +324,86 @@ func BenchmarkKMeans(b *testing.B) {
 		}
 		b.ReportMetric(st.SkippedFrac(), "skipped-dist-frac")
 	})
+}
+
+// TestSqDistKernels pins the contract the nearest-center searches rely on:
+// sqDistBounded takes the same d < bound branch as sqDist, returns exactly
+// sqDist when it does not abandon, and an abandoned call's partial sum lies
+// in [bound, sqDist]. Dimensions straddle the 4-lane groups and the
+// 8-dimension abandon checkpoint.
+func TestSqDistKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for _, dim := range []int{0, 1, 3, 4, 7, 8, 9, 16, 88, 245} {
+		for trial := 0; trial < 200; trial++ {
+			a, b := make([]float64, dim), make([]float64, dim)
+			for j := range a {
+				a[j], b[j] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			full := sqDist(a, b)
+			if got := sqDistBounded(a, b, math.Inf(1)); got != full {
+				t.Fatalf("dim %d: unbounded sqDistBounded = %v, sqDist = %v", dim, got, full)
+			}
+			// Bounds below, at and above the full sum, plus the exact edge.
+			for _, bound := range []float64{0, full * rng.Float64(), full, math.Nextafter(full, math.Inf(1)), full * (1 + rng.Float64())} {
+				got := sqDistBounded(a, b, bound)
+				if (got < bound) != (full < bound) {
+					t.Fatalf("dim %d bound %v: sqDistBounded = %v takes a different branch than sqDist = %v", dim, bound, got, full)
+				}
+				if got < bound && got != full {
+					t.Fatalf("dim %d bound %v: un-abandoned sqDistBounded = %v, sqDist = %v", dim, bound, got, full)
+				}
+				if got >= bound && got > full {
+					t.Fatalf("dim %d bound %v: abandoned partial sum %v exceeds the full sum %v", dim, bound, got, full)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSqDist measures the distance kernel alone at a small dimension,
+// the adhoc-pick serving average (88 active columns) and the full feature
+// width.
+func BenchmarkSqDist(b *testing.B) {
+	for _, dim := range []int{16, 88, 245} {
+		points := benchFixture(2, dim, 5)
+		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += sqDist(points[0], points[1])
+			}
+			sqDistSink = sink
+		})
+	}
+}
+
+var sqDistSink float64
+
+// TestUpdateHalfDistsIncrementalMatchesFull: refreshing only the rows of
+// moved centers must leave exactly the matrix and row minima a full
+// recomputation produces.
+func TestUpdateHalfDistsIncrementalMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const k, dim = 9, 13
+	centers := benchFixture(k, dim, 22)
+	cc, half := make([]float64, k*k), make([]float64, k)
+	wantCC, wantHalf := make([]float64, k*k), make([]float64, k)
+	move := make([]float64, k)
+	updateHalfDists(centers, cc, half, move, true)
+	for round := 0; round < 50; round++ {
+		for c := range centers {
+			move[c] = 0
+			if rng.Intn(3) == 0 { // round 0 may move none, later ones any subset
+				old := append([]float64(nil), centers[c]...)
+				for j := range centers[c] {
+					centers[c][j] += rng.NormFloat64() * 0.1
+				}
+				move[c] = math.Sqrt(sqDist(old, centers[c]))
+			}
+		}
+		updateHalfDists(centers, cc, half, move, false)
+		updateHalfDists(centers, wantCC, wantHalf, nil, true)
+		if !reflect.DeepEqual(cc, wantCC) || !reflect.DeepEqual(half, wantHalf) {
+			t.Fatalf("round %d: incremental half-distances differ from a full recomputation", round)
+		}
+	}
 }

@@ -20,13 +20,33 @@ func medianVector(points [][]float64, members []int, med, col []float64) {
 		for i, m := range members {
 			c[i] = points[m][j]
 		}
-		slices.Sort(c)
+		sortSmall(c)
 		n := len(c)
 		if n%2 == 1 {
 			med[j] = c[n/2]
 		} else {
 			med[j] = (c[n/2-1] + c[n/2]) / 2
 		}
+	}
+}
+
+// sortSmall sorts c ascending. Median columns are one cluster's members —
+// about ten values at serving budgets — where a plain insertion sort beats
+// the general sort's dispatch; longer columns take slices.Sort. On NaN-free
+// columns both leave the same sorted values, so the medians do not depend
+// on which ran.
+func sortSmall(c []float64) {
+	if len(c) > 64 {
+		slices.Sort(c)
+		return
+	}
+	for i := 1; i < len(c); i++ {
+		v := c[i]
+		j := i
+		for ; j > 0 && c[j-1] > v; j-- {
+			c[j] = c[j-1]
+		}
+		c[j] = v
 	}
 }
 

@@ -32,40 +32,86 @@ func (a Assignment) Members() [][]int {
 	return out
 }
 
+// sqDist is the squared Euclidean distance, summed in four independent
+// lanes: element i accumulates into lane i%4 (the ≤ 3 elements past the last
+// full group of four go to lane 0) and the lanes combine as
+// (s0+s1)+(s2+s3). One serial chain of floating adds — add latency per
+// dimension — was the price of every distance; four chains overlap. The
+// loop takes two groups per pass, the shape sqDistBounded shares.
 func sqDist(a, b []float64) float64 {
-	var s float64
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	for len(a) >= 8 && len(b) >= 8 {
+		d0, d1, d2, d3 := a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		d0, d1, d2, d3 = a[4]-b[4], a[5]-b[5], a[6]-b[6], a[7]-b[7]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		a, b = a[8:], b[8:]
+	}
+	if len(a) >= 4 && len(b) >= 4 {
+		d0, d1, d2, d3 := a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		a, b = a[4:], b[4:]
+	}
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s0 += d * d
 	}
-	return s
+	return (s0 + s1) + (s2 + s3)
 }
 
-// sqDistBounded is sqDist with early abandoning: once the partial sum
-// reaches bound, it returns immediately. The accumulation order is
-// identical to sqDist, and adding non-negative terms is monotone
-// non-decreasing under IEEE round-to-nearest, so "partial ≥ bound ⇒ full
-// sum ≥ bound" holds exactly: a caller testing d < bound takes the same
-// branch as with the full distance, making this a bit-exact drop-in for
-// nearest-neighbor searches. The bound check runs every 8 dimensions to
-// keep the common case cheap.
+// sqDistBounded is sqDist with early abandoning: every 8 dimensions it
+// combines the lanes and returns the partial sum if that reached bound. The
+// lane assignment and combine are exactly sqDist's, so a call that never
+// abandons returns sqDist(a, b) bit for bit. Each lane only ever adds
+// non-negative terms and so is monotone non-decreasing under IEEE
+// round-to-nearest, and a rounded sum is monotone in each operand, so the
+// combine of the partial lanes never exceeds the combine of the full lanes:
+// "partial ≥ bound ⇒ full sum ≥ bound" holds exactly. A caller testing
+// d < bound takes the same branch as with the full distance, making this a
+// bit-exact drop-in for nearest-neighbor searches; an abandoned call returns
+// a value in [bound, sqDist(a, b)].
 func sqDistBounded(a, b []float64, bound float64) float64 {
-	var s float64
-	i := 0
-	for i < len(a) {
-		end := i + 8
-		if end > len(a) {
-			end = len(a)
-		}
-		for ; i < end; i++ {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		if s >= bound {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	for len(a) >= 8 && len(b) >= 8 {
+		d0, d1, d2, d3 := a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		d0, d1, d2, d3 = a[4]-b[4], a[5]-b[5], a[6]-b[6], a[7]-b[7]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		a, b = a[8:], b[8:]
+		if s := (s0 + s1) + (s2 + s3); s >= bound {
 			return s
 		}
 	}
-	return s
+	if len(a) >= 4 && len(b) >= 4 {
+		d0, d1, d2, d3 := a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		a, b = a[4:], b[4:]
+	}
+	for i := range a {
+		d := a[i] - b[i]
+		s0 += d * d
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // seedKMeansPP fills centers (k rows, each len(points[0]) wide) with the

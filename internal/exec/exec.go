@@ -67,7 +67,12 @@ func ForEachWith[W any](n int, o Options, newW func() W, fn func(w W, i int)) {
 // index and before running it: an item that started always completes (the
 // scan kernels hold no interior cancellation points), and the pool stops
 // claiming new items once the context is done. Returns ctx.Err() when at
-// least one claimed item was skipped, nil when every index ran.
+// least one claimed item was skipped, nil when every index ran — even if
+// the context expired while the last items were running. The pool reports
+// only incomplete work; the deadline contract ("a request whose context is
+// done when the scan joins never returns success") belongs to the caller
+// that owns the request, which re-checks ctx after the join
+// (query.EstimateCtx).
 func forEachCtx[W any](ctx context.Context, n int, o Options, newW func() W, fn func(w W, i int)) error {
 	workers := o.Workers(n)
 	if workers == 1 {

@@ -1,8 +1,10 @@
 package picker
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -61,10 +63,12 @@ type pickScratch struct {
 	preds  []float64
 	gather [][]float64
 	// Cluster-preparation scratch: the per-pick excluded-slot mask, the
-	// active-slot list of the group being clustered, and the compact
-	// normalized matrix handed to the clustering algorithm.
+	// active-slot list of the group being clustered, its normalized
+	// selectivity columns (4 per row), and the compact normalized matrix
+	// handed to the clustering algorithm.
 	excluded []bool
 	active   []int32
+	selNorm  []float64
 	normBuf  []float64
 	normRows [][]float64
 	// Funnel scratch: the per-pick masked-slot lookup and one specialized
@@ -114,6 +118,19 @@ func getPickScratch(n, m int) *pickScratch {
 }
 
 func putPickScratch(sc *pickScratch) { pickScratchPool.Put(sc) }
+
+// setMasks rebuilds the per-pick slot masks (scratch is pooled across
+// pickers): the feature-selection exclusion set and the query's masked
+// columns.
+func (sc *pickScratch) setMasks(p *Picker, plan *stats.FeaturePlan) {
+	for j, meta := range p.TS.Space.Meta {
+		sc.excluded[j] = p.Excluded[meta.Kind]
+		sc.masked[j] = false
+	}
+	for _, j := range plan.MaskSlots() {
+		sc.masked[j] = true
+	}
+}
 
 // Pick runs Algorithm 1: outliers → importance funnel → α-decayed budget
 // allocation → per-group clustering selection. features is the raw N×M
@@ -188,16 +205,7 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 	m := plan.Dim()
 	sc := getPickScratch(total, m)
 	defer putPickScratch(sc)
-	// Slot masks (scratch is pooled across pickers, so both are rebuilt per
-	// pick): the feature-selection exclusion set and the query's masked
-	// columns.
-	for j, meta := range p.TS.Space.Meta {
-		sc.excluded[j] = p.Excluded[meta.Kind]
-		sc.masked[j] = false
-	}
-	for _, j := range plan.MaskSlots() {
-		sc.masked[j] = true
-	}
+	sc.setMasks(p, plan)
 	blocks := (total + pickFillBlock - 1) / pickFillBlock
 	exec.ForEach(blocks, eo, func(b int) {
 		lo := b * pickFillBlock
@@ -365,11 +373,11 @@ func (p *Picker) findOutliers(q *query.Query, total int) (outliers, rest []int) 
 		}
 		pairs[i] = sigPart{sig, i}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].sig != pairs[b].sig {
-			return pairs[a].sig < pairs[b].sig
+	slices.SortFunc(pairs, func(a, b sigPart) int {
+		if c := cmp.Compare(a.sig, b.sig); c != 0 {
+			return c
 		}
-		return pairs[a].part < pairs[b].part
+		return cmp.Compare(a.part, b.part)
 	})
 	type span struct{ lo, hi int } // pairs[lo:hi] is one signature group
 	var groups []span
@@ -392,12 +400,11 @@ func (p *Picker) findOutliers(q *query.Query, total int) (outliers, rest []int) 
 			outGroups = append(outGroups, g)
 		}
 	}
-	sort.Slice(outGroups, func(a, b int) bool {
-		na, nb := outGroups[a].hi-outGroups[a].lo, outGroups[b].hi-outGroups[b].lo
-		if na != nb {
-			return na < nb
+	slices.SortFunc(outGroups, func(a, b span) int {
+		if c := cmp.Compare(a.hi-a.lo, b.hi-b.lo); c != 0 {
+			return c
 		}
-		return pairs[outGroups[a].lo].part < pairs[outGroups[b].lo].part
+		return cmp.Compare(pairs[a.lo].part, pairs[b.lo].part)
 	})
 	isOutlier := make([]bool, total)
 	for _, g := range outGroups {
@@ -571,10 +578,15 @@ func allocateSamples(groups [][]int, budget int, alpha float64) []int {
 	return alloc
 }
 
-// compressActive drops feature dimensions that are zero across all rows
-// (masked columns, excluded kinds). Euclidean distances are unchanged, but
-// clustering cost shrinks from the full feature dimension to the handful of
-// columns the query actually uses.
+// compressActive drops feature dimensions that hold one value across all
+// rows: masked columns and excluded kinds (all zero), and statistics the
+// group happens to share. A constant column adds exactly zero to every
+// point-to-point distance (seeding, re-seeds) and to every distance from a
+// member to its cluster's median, and at most a rounding residue to
+// distances from Lloyd means, so the clustering is the same while its cost
+// shrinks to the columns that tell the group's partitions apart.
+// clusterSelectFast applies the same test to the same normalized values;
+// the two must keep dropping the same columns.
 func compressActive(rows [][]float64) [][]float64 {
 	if len(rows) == 0 {
 		return rows
@@ -582,8 +594,8 @@ func compressActive(rows [][]float64) [][]float64 {
 	m := len(rows[0])
 	var active []int
 	for j := 0; j < m; j++ {
-		for _, r := range rows {
-			if r[j] != 0 {
+		for _, r := range rows[1:] {
+			if r[j] != rows[0][j] {
 				active = append(active, j)
 				break
 			}
@@ -640,27 +652,55 @@ func (p *Picker) clusterSelect(features [][]float64, group []int, ni int, exclud
 // clusterSelectFast is clusterSelect fused into one scratch-backed pass. It
 // exploits two invariants of rows produced by a FeaturePlan: masked slots
 // are exactly zero in every row (so they can never be active), and every
-// non-selectivity slot equals the partition's base feature (so its
+// other non-selectivity slot equals the partition's base feature (so its
 // normalized value is a lookup in the precomputed TableStats.NormBase
 // matrix instead of a transform + division). The compact matrix it hands to
 // the clustering algorithm is bit-identical to the reference pipeline's:
-// active-slot detection on raw values matches detection on normalized
-// values because the transform is zero exactly at zero — and in the
-// underflow corner where a normalized value rounds to zero while its raw
-// value is not, the cached NormBase entry rounds identically, contributing
-// an all-zero column that no distance or median can observe.
+// NormBase and NormalizeValue produce Normalize's values bit for bit, and a
+// column is active exactly when compressActive keeps it — some row's
+// normalized value differs from the first row's.
 func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rng *rand.Rand, sc *pickScratch, eo exec.Options, ks *cluster.KMeansStats) []query.WeightedPartition {
 	m := p.TS.Space.Dim()
+	nb := p.TS.NormBase()
+	upper, indep, minS, maxS := p.TS.Space.SelectivitySlots()
+	selSlots := [4]int{upper, indep, minS, maxS}
+	// The four selectivity columns are per-query values: normalize them once
+	// (a cube root each), for the constancy test and the fill below.
+	if cap(sc.selNorm) < 4*len(group) {
+		sc.selNorm = make([]float64, 4*len(group))
+	}
+	selNorm := sc.selNorm[:4*len(group)]
+	for k, g := range group {
+		for s, j := range selSlots {
+			selNorm[4*k+s] = p.TS.Space.NormalizeValue(j, features[g][j])
+		}
+	}
 	active := sc.active[:0]
+	var selBuf [4][2]int
+	selActive := selBuf[:0] // (position in active, selectivity index)
 	for j := 0; j < m; j++ {
-		if sc.excluded[j] {
+		if sc.excluded[j] || sc.masked[j] {
 			continue
 		}
-		for _, g := range group {
-			if features[g][j] != 0 {
-				active = append(active, int32(j))
-				break
+		varies := false
+		if s := slices.Index(selSlots[:], j); s >= 0 {
+			for k := 1; k < len(group) && !varies; k++ {
+				varies = selNorm[4*k+s] != selNorm[s]
 			}
+			if varies {
+				selActive = append(selActive, [2]int{len(active), s})
+			}
+		} else {
+			first := nb[group[0]*m+j]
+			for _, g := range group[1:] {
+				if nb[g*m+j] != first {
+					varies = true
+					break
+				}
+			}
+		}
+		if varies {
+			active = append(active, int32(j))
 		}
 	}
 	sc.active = active
@@ -673,18 +713,14 @@ func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rn
 		sc.normRows = make([][]float64, len(group))
 	}
 	rows := sc.normRows[:len(group)]
-	nb := p.TS.NormBase()
-	upper, indep, minS, maxS := p.TS.Space.SelectivitySlots()
 	for k, g := range group {
 		row := buf[k*na : (k+1)*na : (k+1)*na]
-		raw := features[g]
 		base := nb[g*m : (g+1)*m]
 		for a, j := range active {
-			if int(j) == upper || int(j) == indep || int(j) == minS || int(j) == maxS {
-				row[a] = p.TS.Space.NormalizeValue(int(j), raw[j])
-			} else {
-				row[a] = base[j]
-			}
+			row[a] = base[j]
+		}
+		for _, as := range selActive {
+			row[as[0]] = selNorm[4*k+as[1]]
 		}
 		rows[k] = row
 	}

@@ -26,6 +26,25 @@ type testEnv struct {
 // the categorical column "g" has a rare group confined to one partition.
 func newTestEnv(t testing.TB, parts, rowsPer int, cfg Config) *testEnv {
 	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	return newEnvFromRows(t, parts, rowsPer, cfg, func(part, i int) (v, w float64, g string) {
+		v = float64(part+1) * (1 + rng.Float64()) // increasing with partition
+		w = rng.NormFloat64()
+		g = "common"
+		if part == parts-1 && i%4 == 0 {
+			g = "rare"
+		} else if i%2 == 0 {
+			g = "even"
+		}
+		return v, w, g
+	})
+}
+
+// newEnvFromRows builds the (v, w, g) table row by row from gen (part is the
+// row's partition, i its table-wide index), its statistics, 25 generated
+// training queries and a trained picker.
+func newEnvFromRows(t testing.TB, parts, rowsPer int, cfg Config, gen func(part, i int) (v, w float64, g string)) *testEnv {
+	t.Helper()
 	schema := table.MustSchema(
 		table.Column{Name: "v", Kind: table.Numeric, Positive: true},
 		table.Column{Name: "w", Kind: table.Numeric},
@@ -35,18 +54,8 @@ func newTestEnv(t testing.TB, parts, rowsPer int, cfg Config) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	total := parts * rowsPer
-	for i := 0; i < total; i++ {
-		part := i / rowsPer
-		v := float64(part+1) * (1 + rng.Float64()) // increasing with partition
-		w := rng.NormFloat64()
-		g := "common"
-		if part == parts-1 && i%4 == 0 {
-			g = "rare"
-		} else if i%2 == 0 {
-			g = "even"
-		}
+	for i := 0; i < parts*rowsPer; i++ {
+		v, w, g := gen(i/rowsPer, i)
 		if err := b.Append([]float64{v, w, 0}, []string{"", "", g}); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +66,7 @@ func newTestEnv(t testing.TB, parts, rowsPer int, cfg Config) *testEnv {
 		t.Fatal(err)
 	}
 
-	gen, err := query.NewGenerator(query.Workload{
+	qgen, err := query.NewGenerator(query.Workload{
 		GroupableCols: []string{"g"},
 		PredicateCols: []string{"v", "w", "g"},
 		AggCols:       []string{"v", "w"},
@@ -66,7 +75,7 @@ func newTestEnv(t testing.TB, parts, rowsPer int, cfg Config) *testEnv {
 		t.Fatal(err)
 	}
 	var exs []Example
-	for _, q := range gen.SampleN(25) {
+	for _, q := range qgen.SampleN(25) {
 		c, err := query.Compile(q, tbl)
 		if err != nil {
 			t.Fatal(err)

@@ -596,10 +596,15 @@ func (c *Compiled) Estimate(src table.PartitionSource, sel []WeightedPartition) 
 	return c.EstimateCtx(context.Background(), src, sel)
 }
 
-// EstimateCtx is Estimate under a context: the scan pool stops claiming
-// partitions once ctx is done and returns ctx.Err(), so a request deadline
-// bounds scan work at partition granularity. On the nil-error path the
-// answer is bit-identical to Estimate.
+// EstimateCtx is Estimate under a context. The deadline contract: a request
+// whose context is done when the scan joins never returns success. The scan
+// pool stops claiming partitions once ctx is done, and ctx is checked once
+// more after the pool joins, so a scan whose every partition was claimed
+// before the deadline but finished after it (few partitions, several
+// workers, slow reads) reports ctx.Err() exactly like one that was cut
+// short — whether a blown deadline is reported does not depend on worker or
+// partition count. A read error still wins over the context error. On the
+// nil-error path the answer is bit-identical to Estimate.
 func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, sel []WeightedPartition) (*Answer, error) {
 	parts, err := exec.MapErrWithCtx(ctx, len(sel), c.Exec,
 		func() *scratch { return &scratch{} },
@@ -610,6 +615,9 @@ func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, s
 			}
 			return c.evalPartition(p, sc), nil
 		})
+	if err == nil && ctx != nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ END {
     printf "{\n"
     printf "  \"benchmark\": \"bench-cluster\",\n"
     printf "  \"recorded\": \"%s\",\n", date
-    printf "  \"host\": \"%s (single vCPU, shared; expect double-digit run-to-run variance)\",\n", cpu
+    printf "  \"host\": \"%s (shared VM; expect double-digit run-to-run variance)\",\n", cpu
     printf "  \"go\": \"%s\",\n", gover
     printf "  \"command\": \"make bench-cluster\",\n"
     printf "  \"results\": {\n"
@@ -68,7 +68,8 @@ END {
     printf "  \"notes\": [\n"
     printf "    \"pick_budget10pct_speedup comes from the /paired sub-benchmark, which times one reference and one batch pick back to back per iteration so both see the same host load; it is the number to trust on this shared box.\",\n"
     printf "    \"The separate /reference and /batch ns/op readings drift apart by double digits run to run (the reference allocates ~20x more per op and inflates more under memory pressure), so their ratio over- or under-states the paired measurement.\",\n"
-    printf "    \"Remaining pick time is split between the GBT funnel (Predict + FillRow, zero-alloc since the flattened-inference change) and the bounded clustering tail; the skipped-dist-frac metric reports how many point-center distance computations the triangle-inequality bounds eliminated.\"\n"
+    printf "    \"Remaining pick time is split between the GBT funnel (Predict + FillRow, zero-alloc since the flattened-inference change) and the bounded clustering tail; the skipped-dist-frac metric reports how many point-center distance computations the triangle-inequality bounds eliminated.\",\n"
+    printf "    \"Reference and bounded k-means share one distance kernel pair (four-lane sqDist/sqDistBounded since PR 12), so a kernel change moves both sides of each ratio; what the clustering tail costs a served query is read from the serving benchmark (bench/, adhoc-pick: cluster.kmeans_ms, query_p50_ms), not from these ratios.\"\n"
     printf "  ]\n"
     printf "}\n"
 }
