@@ -25,9 +25,10 @@ test-bench:
 	cd bench && $(GO) test ./...
 
 # Race pass over the parallel execution surface: the scan engine, every
-# layer that fans out onto it, and the concurrent serving layer.
+# layer that fans out onto it, the concurrent serving layer, and the one
+# cache (internal/lru) under its compiled-query, pick and block memos.
 race:
-	$(GO) test -race -count=1 ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/
+	$(GO) test -race -count=1 ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/ ./internal/lru/
 
 # Serving-layer race tests alone: N goroutines on one snapshot-restored
 # system — resident and store-backed with a thrashing partition cache —
@@ -78,7 +79,9 @@ bench-store-smoke:
 # contract of the steady path is asserted by tests
 # (TestPredictBatchZeroAllocs, TestFillRowZeroAllocs,
 # TestBatchScorerZeroAllocsAfterBind), not just observed in -benchmem.
-# BENCH_pick.json records the baseline numbers.
+# Nothing is recorded from this target: the recorded pick figures are the
+# paired 10 %-budget speedup in BENCH_cluster.json (make bench-cluster) and
+# the served adhoc-pick workload in bench/baseline.json.
 bench-pick:
 	$(GO) test -bench 'BenchmarkPick|BenchmarkPickInference' -benchmem -run '^$$' ./internal/picker/
 	$(GO) test -bench 'BenchmarkPredictBatch' -benchmem -run '^$$' ./internal/gbt/

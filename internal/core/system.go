@@ -309,16 +309,7 @@ func (s *System) Run(q *query.Query, budgetFrac float64) (*Result, error) {
 // lives in per-call (or pooled per-worker) buffers. On a store-backed
 // system the picked partitions are faulted in through the page cache.
 func (s *System) RunCompiled(c *query.Compiled, budgetFrac float64) (*Result, error) {
-	sel, pickStats, err := s.PickWithStats(c.Q, budgetFrac)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.RunSelection(c, sel)
-	if err != nil {
-		return nil, err
-	}
-	res.PickTime = pickStats.Total
-	return res, nil
+	return s.RunCompiledCtx(context.Background(), c, budgetFrac)
 }
 
 // RunSelection scans an already-picked weighted partition sample and combines

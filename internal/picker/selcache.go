@@ -1,19 +1,18 @@
 package picker
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"ps3/internal/lru"
 	"ps3/internal/query"
 )
 
 // SelectionKey identifies one cached pick decision: the canonical query text
 // (query.Query.String(), which the picker's randomness is also derived from)
-// and the resolved partition budget. The third key component — which trained
-// snapshot produced the selection — is the cache's internal version, bumped
-// by Invalidate, so entries from a replaced snapshot can never be returned.
+// and the resolved partition budget. Which trained snapshot produced the
+// selection is not part of the key: a cache belongs to one snapshot and is
+// invalidated with it.
 type SelectionKey struct {
 	Query string
 	N     int
@@ -31,57 +30,20 @@ type SelectionCacheStats struct {
 	AvgHitAgeMs float64 `json:"avg_hit_age_ms"`
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (s SelectionCacheStats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
-// SelectionCache memoizes pick results — the weighted partition selections
-// the picker computes for (query, budget) — across requests. Picking is
-// deterministic per (system seed, query text, budget), so a cached selection
-// is byte-identical to what a cold pick would return; the cache only saves
-// the work, never changes an answer.
-//
-// Concurrency: lookups are single-flight. The first request for a missing
-// key becomes the leader and computes; concurrent requests for the same key
-// wait for the leader and share its result (counted as hits) instead of
-// duplicating the pick. Capacity is bounded with LRU eviction over completed
-// entries (in-flight computations are not evictable). Invalidate atomically
-// empties the cache and bumps the version: selections computed against a
-// replaced snapshot are dropped even when their computation is still in
-// flight, and waiters re-run against the new version rather than adopt a
-// stale result.
-//
-// Cached selections are shared, not copied: callers must treat them as
-// immutable.
+// SelectionCache memoizes pick results — the weighted selections the picker
+// computes for (query, budget) — in an entry-count lru.Cache (package lru has
+// the contract) and tracks how old its hits are. Picking is deterministic per
+// (system seed, query text, budget), so a cached selection is byte-identical
+// to a cold pick: the cache saves the work, never changes an answer.
 type SelectionCache struct {
-	capacity int
-
-	mu      sync.Mutex
-	version int64
-	entries map[SelectionKey]*selEntry
-	recency *list.List // completed entries only; front = most recently used
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
-	hitAgeNs      atomic.Int64
+	c        *lru.Cache[SelectionKey, stampedSelection]
+	hitAgeNs atomic.Int64
 }
 
-// selEntry is one cache slot. done closes when the leader's computation
-// finishes; sel/err are written before the close and only read after it.
-type selEntry struct {
-	key     SelectionKey
-	version int64
-	born    time.Time
-	sel     []query.WeightedPartition
-	err     error
-	done    chan struct{}
-	el      *list.Element // non-nil once completed and resident
+// stampedSelection is a cached selection and when its pick began.
+type stampedSelection struct {
+	sel  []query.WeightedPartition
+	born time.Time
 }
 
 // NewSelectionCache returns a cache holding at most capacity completed
@@ -90,109 +52,39 @@ func NewSelectionCache(capacity int) *SelectionCache {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &SelectionCache{
-		capacity: capacity,
-		entries:  make(map[SelectionKey]*selEntry, capacity),
-		recency:  list.New(),
-	}
+	return &SelectionCache{c: lru.New[SelectionKey, stampedSelection](int64(capacity), nil)}
 }
 
 // GetOrCompute returns the cached selection for key, computing it via
 // compute on a miss. hit reports whether the selection came from the cache
-// (including joining another request's in-flight computation). A compute
-// error is returned to the leader and every waiter of that flight, and
-// nothing is cached.
+// (including joining another request's in-flight computation).
 func (c *SelectionCache) GetOrCompute(key SelectionKey, compute func() ([]query.WeightedPartition, error)) (sel []query.WeightedPartition, hit bool, err error) {
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			if e.el != nil {
-				// Completed entry: serve it.
-				c.recency.MoveToFront(e.el)
-				age := time.Since(e.born)
-				c.mu.Unlock()
-				c.hits.Add(1)
-				c.hitAgeNs.Add(int64(age))
-				return e.sel, true, nil
-			}
-			c.mu.Unlock()
-			// In-flight: wait for the leader. Adopt its result only if no
-			// invalidation happened since the flight began — a selection
-			// computed against a replaced snapshot must not be served, so
-			// retry (and likely become the new leader) instead. Leader
-			// errors propagate to every waiter of the flight.
-			<-e.done
-			c.mu.Lock()
-			stale := c.version != e.version
-			c.mu.Unlock()
-			if stale {
-				continue
-			}
-			if e.err != nil {
-				return nil, false, e.err
-			}
-			c.hits.Add(1)
-			c.hitAgeNs.Add(int64(time.Since(e.born)))
-			return e.sel, true, nil
-		}
-
-		// Miss: become the leader for this key.
-		e := &selEntry{key: key, version: c.version, born: time.Now(), done: make(chan struct{})}
-		c.entries[key] = e
-		c.mu.Unlock()
-		c.misses.Add(1)
-
-		e.sel, e.err = compute()
-
-		c.mu.Lock()
-		if c.entries[key] == e {
-			if e.err != nil || c.version != e.version {
-				// Failed, or invalidated mid-flight: never cache.
-				delete(c.entries, key)
-			} else {
-				e.el = c.recency.PushFront(e)
-				if c.recency.Len() > c.capacity {
-					last := c.recency.Back()
-					c.recency.Remove(last)
-					delete(c.entries, last.Value.(*selEntry).key)
-					c.evictions.Add(1)
-				}
-			}
-		}
-		c.mu.Unlock()
-		close(e.done)
-		return e.sel, false, e.err
+	s, hit, err := c.c.GetOrCompute(key, func() (stampedSelection, error) {
+		born := time.Now()
+		sel, err := compute()
+		return stampedSelection{sel: sel, born: born}, err
+	})
+	if hit {
+		c.hitAgeNs.Add(int64(time.Since(s.born)))
 	}
+	return s.sel, hit, err
 }
 
-// Invalidate atomically empties the cache and bumps the version. Selections
-// still being computed when Invalidate runs are discarded on completion
-// (their version no longer matches), so after Invalidate returns no lookup
-// can ever observe a pre-invalidation selection. Called on snapshot swap.
-func (c *SelectionCache) Invalidate() {
-	c.mu.Lock()
-	c.version++
-	clear(c.entries)
-	c.recency.Init()
-	c.mu.Unlock()
-	c.invalidations.Add(1)
-}
+// Invalidate empties the cache, in-flight picks included (on snapshot swap).
+func (c *SelectionCache) Invalidate() { c.c.Invalidate() }
 
 // Len returns the number of completed resident entries.
-func (c *SelectionCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recency.Len()
-}
+func (c *SelectionCache) Len() int { return c.c.Stats().Entries }
 
 // Stats snapshots the counters.
 func (c *SelectionCache) Stats() SelectionCacheStats {
+	st := c.c.Stats()
 	s := SelectionCacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-		Entries:       c.Len(),
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Evictions:     st.Evictions,
+		Invalidations: st.Invalidations,
+		Entries:       st.Entries,
 	}
 	if s.Hits > 0 {
 		s.AvgHitAgeMs = float64(c.hitAgeNs.Load()) / float64(s.Hits) / float64(time.Millisecond)

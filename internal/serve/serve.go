@@ -9,13 +9,11 @@
 // The server adds what sustained concurrent traffic needs on top of
 // System.Run:
 //
-//   - a compiled-query cache keyed by canonical query text (an LRU), so hot
-//     queries skip SQL parsing's downstream compilation work;
-//   - a pick-result cache (picker.SelectionCache): partition selection is
-//     deterministic per (system seed, query text, budget), so repeated
-//     queries reuse the weighted selection instead of re-running
-//     featurization, the funnel and clustering — with single-flight
-//     population so a burst of one hot query picks once;
+//   - a compiled-query cache keyed by canonical query text and a
+//     pick-result cache (picker.SelectionCache; selection is deterministic
+//     per system seed, query text and budget), both lru.Cache instances: a
+//     hot query skips compilation, featurization, the funnel and clustering,
+//     and a burst of it compiles once and picks once;
 //   - per-request randomness: each request derives its own RNG from the
 //     system seed and a hash of the query text (core.System.Pick), so
 //     concurrent requests never share a randomness stream and answers stay
@@ -33,7 +31,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -44,6 +41,7 @@ import (
 	"time"
 
 	"ps3/internal/core"
+	"ps3/internal/lru"
 	"ps3/internal/picker"
 	"ps3/internal/query"
 	"ps3/internal/sql"
@@ -121,17 +119,13 @@ func (c Config) withDefaults() Config {
 // for its entire lifetime, and no request can pair a new system with a stale
 // cache entry or vice versa.
 type snapState struct {
-	sys   *core.System
-	picks *picker.SelectionCache // nil when pick caching is disabled
+	sys      *core.System
+	compiled *lru.Cache[string, *query.Compiled] // by canonical query text
+	picks    *picker.SelectionCache              // nil when pick caching is disabled
 	// version numbers the installed snapshot: 1 for the system the server
 	// started with, incremented by every Swap. Responses carry it so a
 	// client (or a test) can tell which snapshot answered.
 	version int64
-
-	// mu guards the compiled-query LRU (entries map + recency list).
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	recency *list.List // front = most recently used
 }
 
 // Server is a concurrency-safe query service over one trained System. All
@@ -178,19 +172,12 @@ type Server struct {
 	appendNs       atomic.Int64
 }
 
-// cacheEntry is one LRU slot.
-type cacheEntry struct {
-	key string
-	c   *query.Compiled
-}
-
 // newSnapState builds the per-snapshot bundle.
 func newSnapState(sys *core.System, cfg Config, version int64) *snapState {
 	st := &snapState{
-		sys:     sys,
-		version: version,
-		entries: make(map[string]*list.Element, cfg.CacheSize),
-		recency: list.New(),
+		sys:      sys,
+		compiled: lru.New[string, *query.Compiled](int64(cfg.CacheSize), nil),
+		version:  version,
 	}
 	if cfg.PickCacheSize >= 0 {
 		st.picks = picker.NewSelectionCache(cfg.PickCacheSize)
@@ -361,7 +348,7 @@ type Response struct {
 	Aggs      []string `json:"aggs"`
 	PartsRead int      `json:"parts_read"`
 	FracRead  float64  `json:"frac_read"`
-	Cached    bool     `json:"cached"`
+	Cached    bool     `json:"cached"` // compiled-query cache hit, or a joined in-flight compile
 	// SnapshotVersion identifies the installed snapshot that answered: 1
 	// for the boot system, +1 per Swap.
 	SnapshotVersion int64 `json:"snapshot_version"`
@@ -469,10 +456,15 @@ func (s *Server) QueryCtx(ctx context.Context, q *query.Query, budget float64) (
 	}
 	st := s.state.Load()
 	key := q.String()
-	c, cached, err := s.compiled(st, key, q)
+	c, cached, err := st.compiled.GetOrCompute(key, func() (*query.Compiled, error) { return st.sys.Compile(q) })
 	if err != nil {
 		s.failures.Add(1)
 		return nil, err
+	}
+	if cached {
+		s.cacheHits.Add(1)
+	} else {
+		s.cacheMisses.Add(1)
 	}
 
 	// Bound in-flight work: a burst beyond MaxInFlight queues here, bounded
@@ -559,49 +551,8 @@ func (s *Server) QueryCtx(ctx context.Context, q *query.Query, budget float64) (
 	return resp, nil
 }
 
-// compiled resolves q through the state's LRU, compiling on miss. When two
-// requests race on the same uncached query, the second insert loses and
-// adopts the winner's compilation, so the cache never holds duplicate keys.
-func (s *Server) compiled(st *snapState, key string, q *query.Query) (c *query.Compiled, hit bool, err error) {
-	st.mu.Lock()
-	if el, ok := st.entries[key]; ok {
-		st.recency.MoveToFront(el)
-		c = el.Value.(*cacheEntry).c
-		st.mu.Unlock()
-		s.cacheHits.Add(1)
-		return c, true, nil
-	}
-	st.mu.Unlock()
-
-	// Compile outside the lock: compilation cost must not serialize cache
-	// hits of other queries.
-	c, err = st.sys.Compile(q)
-	if err != nil {
-		return nil, false, err
-	}
-	s.cacheMisses.Add(1)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if el, ok := st.entries[key]; ok {
-		st.recency.MoveToFront(el)
-		return el.Value.(*cacheEntry).c, false, nil
-	}
-	st.entries[key] = st.recency.PushFront(&cacheEntry{key: key, c: c})
-	if st.recency.Len() > s.cfg.CacheSize {
-		last := st.recency.Back()
-		st.recency.Remove(last)
-		delete(st.entries, last.Value.(*cacheEntry).key)
-	}
-	return c, false, nil
-}
-
 // CacheLen returns the number of cached compiled queries.
-func (s *Server) CacheLen() int {
-	st := s.state.Load()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.recency.Len()
-}
+func (s *Server) CacheLen() int { return s.state.Load().compiled.Stats().Entries }
 
 // PickCacheStats snapshots the current snapshot's pick-result cache counters
 // (zero value when pick caching is disabled).
@@ -680,7 +631,9 @@ type Metrics struct {
 	EncodedKernelEvals int64 `json:"encoded_kernel_evals"`
 }
 
-// Stats snapshots the counters. Averages are over successful requests.
+// Stats snapshots the counters; averages are over successful requests. Every
+// per-snapshot figure (cache_len, pick_cache, snapshot_version, the store
+// blocks) comes from one loaded state, so a racing Swap cannot mix snapshots.
 func (s *Server) Stats() Metrics {
 	st := s.state.Load()
 	m := Metrics{
@@ -688,7 +641,7 @@ func (s *Server) Stats() Metrics {
 		Failures:    s.failures.Load(),
 		CacheHits:   s.cacheHits.Load(),
 		CacheMisses: s.cacheMisses.Load(),
-		CacheLen:    s.CacheLen(),
+		CacheLen:    st.compiled.Stats().Entries,
 		PartsRead:   s.partsRead.Load(),
 		InFlight:    s.inFlight.Load(),
 		Queued:      s.queued.Load(),

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ps3/internal/core"
@@ -654,8 +655,8 @@ func TestServePickCacheHitsAreIdentical(t *testing.T) {
 	if m.PickCache == nil {
 		t.Fatal("metrics missing pick-cache counters")
 	}
-	if m.PickCache.Hits != 6 || m.PickCache.Misses != 6 {
-		t.Fatalf("pick cache counters: %+v, want 6 hits / 6 misses", *m.PickCache)
+	if m.PickCache.Hits != 6 || m.PickCache.Misses != 6 || m.PickCache.Entries != 6 {
+		t.Fatalf("pick cache counters: %+v, want 6 hits / 6 misses / 6 entries", *m.PickCache)
 	}
 	if m.PickCache.AvgHitAgeMs < 0 {
 		t.Fatalf("negative hit age: %+v", *m.PickCache)
@@ -795,6 +796,40 @@ func TestServeSwap(t *testing.T) {
 	}
 	if m := srv.Stats(); m.Swaps != 1 {
 		t.Fatalf("swaps counter = %d, want 1", m.Swaps)
+	}
+}
+
+// TestStatsDescribeOneSnapshot: one Stats() reading never pairs two snapshots'
+// figures. Every snapshot is warmed (one compile, one pick) before its version
+// is announced, so a reading that reports an announced version must report
+// that snapshot's warm caches, not its successor's empty ones.
+func TestStatsDescribeOneSnapshot(t *testing.T) {
+	sys, queries := restoredSystem(t, 15)
+	srv, err := New(sys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const swaps = 400
+	var warmed atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := int64(0); v < swaps; v = warmed.Load() {
+			if m := srv.Stats(); m.SnapshotVersion == v && (m.CacheLen != 1 || m.PickCache.Misses != 1) {
+				t.Errorf("snapshot_version %d reported with cache_len %d, pick_cache %+v", v, m.CacheLen, *m.PickCache)
+				return
+			}
+		}
+	}()
+	for v := int64(1); v <= swaps && err == nil; v++ {
+		if _, err = srv.Query(queries[0], 0.1); err == nil {
+			warmed.Store(v)
+			err = srv.Swap(sys)
+		}
+	}
+	warmed.Store(swaps)
+	if <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

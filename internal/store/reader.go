@@ -13,6 +13,7 @@ import (
 
 	"ps3/internal/exec"
 	"ps3/internal/fault"
+	"ps3/internal/lru"
 	"ps3/internal/table"
 )
 
@@ -32,14 +33,10 @@ type Options struct {
 }
 
 func (o Options) budget() int64 {
-	switch {
-	case o.CacheBytes == 0:
+	if o.CacheBytes == 0 {
 		return DefaultCacheBytes
-	case o.CacheBytes < 0:
-		return 0 // partCache treats <=0 as unbounded
-	default:
-		return o.CacheBytes
 	}
+	return max(o.CacheBytes, 0) // negative is unbounded, which lru.Cache spells 0
 }
 
 // Reader serves partitions from a store file on demand. It implements
@@ -63,7 +60,9 @@ type Reader struct {
 	// perRow is the decoded bytes per row under the schema.
 	perRow int64
 
-	cache *partCache
+	// cache holds decoded partitions by index, charged EncodedSizeBytes: a
+	// compressed partition takes a proportionally smaller bite of the budget.
+	cache *lru.Cache[int, *table.Partition]
 	// decStats counts lazy materializations of encoded columns across every
 	// partition this reader has served.
 	decStats table.DecodeStats
@@ -172,7 +171,7 @@ func NewReaderAt(src io.ReaderAt, size int64, o Options) (*Reader, error) {
 		dict:    dict,
 		blocks:  footer.Blocks,
 		version: version,
-		cache:   newPartCache(o.budget()),
+		cache:   lru.New[int](o.budget(), func(p *table.Partition) int64 { return int64(p.EncodedSizeBytes()) }),
 	}
 	// perRow is hoisted out of the loop: a corrupt footer can declare
 	// thousands of columns and thousands of blocks, and re-walking the
@@ -245,16 +244,8 @@ func (r *Reader) Read(i int) (*table.Partition, error) {
 	}
 	r.readCount.Add(1)
 	r.readBytes.Add(r.perRow * r.blocks[i].Rows)
-	return r.cache.get(i, func() (*table.Partition, int64, error) {
-		p, err := r.loadBlockRetry(i)
-		if err != nil {
-			return nil, 0, err
-		}
-		// The cache charges the resident-encoded footprint, not the decoded
-		// width: a compressed partition takes a proportionally smaller bite
-		// out of the budget, which is the point of encoding.
-		return p, int64(p.EncodedSizeBytes()), nil
-	})
+	p, _, err := r.cache.GetOrCompute(i, func() (*table.Partition, error) { return r.loadBlockRetry(i) })
+	return p, err
 }
 
 // ReadUncached returns partition i without touching the partition cache,
@@ -341,9 +332,43 @@ func (r *Reader) IOStats() (parts int64, bytes int64) {
 	return r.readCount.Load(), r.readBytes.Load()
 }
 
-// CacheStats snapshots the partition cache counters: physical loads,
-// hits, evictions and resident bytes.
-func (r *Reader) CacheStats() CacheStats { return r.cache.stats() }
+// CacheStats is a point-in-time snapshot of the partition cache counters.
+type CacheStats struct {
+	// Hits counts reads served from resident partitions, including reads
+	// that coalesced onto another request's in-flight load (they waited,
+	// but cost no extra disk I/O).
+	Hits int64 `json:"hits"`
+	// Misses counts reads that went to disk.
+	Misses int64 `json:"misses"`
+	// Evictions counts partitions dropped to stay inside the byte budget.
+	Evictions int64 `json:"evictions"`
+	// LoadedBytes is the cumulative admitted (resident-encoded) bytes
+	// faulted in from disk — the physical footprint the cache paid for, as
+	// opposed to the logical decoded-width reads the Reader's IOStats
+	// accountant charges. For raw (v1) stores the two coincide; for encoded
+	// stores LoadedBytes is smaller by the compression ratio. Lazily
+	// decoded columns are tracked by the reader's EncodingStats, not here.
+	LoadedBytes int64 `json:"loaded_bytes"`
+	// ResidentBytes and ResidentParts describe what the cache holds now.
+	ResidentBytes int64 `json:"resident_bytes"`
+	ResidentParts int   `json:"resident_parts"`
+	// BudgetBytes is the configured budget (0 = unbounded).
+	BudgetBytes int64 `json:"budget_bytes"`
+}
+
+// CacheStats snapshots the partition cache counters.
+func (r *Reader) CacheStats() CacheStats {
+	st := r.cache.Stats()
+	return CacheStats{
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Evictions:     st.Evictions,
+		LoadedBytes:   st.AdmittedCost,
+		ResidentBytes: st.ResidentCost,
+		ResidentParts: st.Entries,
+		BudgetBytes:   st.Budget,
+	}
+}
 
 // EncodingStats describes how much the store's block encodings compress the
 // dataset and how often encoded columns had to be materialized anyway.
