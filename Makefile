@@ -28,7 +28,7 @@ test-bench:
 # layer that fans out onto it, the concurrent serving layer, and the one
 # cache (internal/lru) under its compiled-query, pick and block memos.
 race:
-	$(GO) test -race -count=1 ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/ ./internal/lru/
+	$(GO) test -race -count=1 ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/ ./internal/lru/ ./cmd/ps3serve/
 
 # Serving-layer race tests alone: N goroutines on one snapshot-restored
 # system — resident and store-backed with a thrashing partition cache —
@@ -49,9 +49,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 # Vectorized execution engine: selection-vector kernels vs the retained
-# row-at-a-time reference evaluator.
+# row-at-a-time reference evaluator, and the grouped weighted scan (flat
+# partial answers vs one Answer map per partition, /paired, with allocs).
 bench-exec:
-	$(GO) test -bench 'BenchmarkEvalPartition|BenchmarkSelectivity' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkEvalPartition|BenchmarkSelectivity|BenchmarkEstimateGrouped' -benchmem -run '^$$' .
 
 # Paged partition store: cold scan (disk + CRC + decode per partition) raw
 # vs encoded per dataset, cache hit rate at fixed byte budgets, warm scan,

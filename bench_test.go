@@ -12,8 +12,10 @@
 package ps3
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -24,6 +26,8 @@ import (
 	"ps3/internal/experiments"
 	"ps3/internal/picker"
 	"ps3/internal/query"
+	"ps3/internal/store"
+	"ps3/internal/table"
 )
 
 // benchCfg is deliberately small: each artifact regenerates in seconds. Use
@@ -430,6 +434,118 @@ func BenchmarkEvalPartition(b *testing.B) {
 		vecPer := b.Elapsed() / time.Duration(b.N)
 		b.ReportMetric(float64(refPer)/float64(vecPer), "speedup")
 	})
+}
+
+// BenchmarkEstimateGrouped measures the grouped weighted scan — Estimate
+// over a picked selection, the second half of every served query — with 0,
+// 1 and 2 GROUP BY columns, at the two partition shapes the serving
+// benchmark (bench/) uses: 500-row aria and 4 500-row kdd partitions, read
+// raw from a resident table and encoded from a warm store-v2 reader. All
+// runs are sequential (Parallelism 1) so the figures compare code, not
+// scheduling.
+//
+// Per case, the plain sub-benchmark is Estimate; "/paired" interleaves it
+// with the combine Estimate used before partial answers were flat — one
+// Answer map per partition through EvalPartition, folded with AddWeighted —
+// and reports the per-op speedup and each side's allocations. Both sides of
+// the pair run today's kernels, so the ratio prices the per-partition maps
+// and strings alone; the whole change is read off bench/ (repeat-zipf).
+func BenchmarkEstimateGrouped(b *testing.B) {
+	for _, fx := range []struct {
+		name, dataset string
+		rowsPerPart   int
+	}{{"aria500", "aria", 500}, {"kdd4500", "kdd", 4500}} {
+		const parts = 20 // one 5 %-budget selection of the 400-partition fixture
+		ds, err := dataset.ByName(fx.dataset, dataset.Config{Rows: fx.rowsPerPart * parts, Parts: parts, Seed: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(b.TempDir(), "t.ps3")
+		if _, err := store.WriteFile(path, ds.Table); err != nil {
+			b.Fatal(err)
+		}
+		reader, err := store.Open(path, store.Options{CacheBytes: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer reader.Close()
+		sel := make([]query.WeightedPartition, parts)
+		for i := range sel {
+			sel[i] = query.WeightedPartition{Part: i, Weight: 1 + float64(i%7)/4}
+		}
+		wl := ds.Workload
+		for _, form := range []struct {
+			name string
+			src  table.PartitionSource
+		}{{"raw", ds.Table}, {"encoded", reader}} {
+			for groups := 0; groups <= 2; groups++ {
+				c, err := query.Compile(&query.Query{
+					GroupBy: wl.GroupableCols[:groups],
+					Pred:    &query.Clause{Col: wl.AggCols[0], Op: query.OpGe, Num: 0},
+					Aggs: []query.Aggregate{
+						{Kind: query.Sum, Expr: query.Col(wl.AggCols[0])},
+						{Kind: query.Avg, Expr: query.Col(wl.AggCols[1])},
+						{Kind: query.Count},
+					},
+				}, form.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Exec = exec.Options{Parallelism: 1}
+				flat := func() *query.Answer {
+					ans, err := c.Estimate(form.src, sel)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return ans
+				}
+				perPartitionMaps := func() *query.Answer {
+					ans := c.NewAnswer()
+					for _, wp := range sel {
+						p, err := form.src.Read(wp.Part)
+						if err != nil {
+							b.Fatal(err)
+						}
+						ans.AddWeighted(c.EvalPartition(p), wp.Weight)
+					}
+					return ans
+				}
+				name := fmt.Sprintf("%s/%s/groupby%d", fx.name, form.name, groups)
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						flat()
+					}
+				})
+				b.Run(name+"/paired", func(b *testing.B) {
+					// Interleaved A/B, as BenchmarkPick/paired: both sides see
+					// the same machine noise; ns/op is the cost of the pair.
+					var oldNs, newNs int64
+					var oldAllocs, newAllocs uint64
+					var m0, m1, m2 runtime.MemStats
+					for i := 0; i < b.N; i++ {
+						runtime.ReadMemStats(&m0)
+						t0 := time.Now()
+						perPartitionMaps()
+						t1 := time.Now()
+						runtime.ReadMemStats(&m1)
+						t2 := time.Now()
+						flat()
+						newNs += int64(time.Since(t2))
+						runtime.ReadMemStats(&m2)
+						oldNs += int64(t1.Sub(t0))
+						oldAllocs += m1.Mallocs - m0.Mallocs
+						newAllocs += m2.Mallocs - m1.Mallocs
+					}
+					if newNs > 0 {
+						b.ReportMetric(float64(oldNs)/float64(newNs), "speedup")
+						b.ReportMetric(float64(oldAllocs)/float64(b.N), "old-allocs/op")
+						b.ReportMetric(float64(newAllocs)/float64(b.N), "new-allocs/op")
+					}
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkSelectivity compares predicate evaluation row-at-a-time vs as

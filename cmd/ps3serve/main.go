@@ -24,6 +24,12 @@
 // fresh snapshot in — queries keep the trained picker over the growing
 // dataset without retraining. -loadgen -appendevery N mixes one append
 // batch into every N operations to exercise serving under write traffic.
+//
+// -pprof <addr> additionally serves net/http/pprof on a listener of its own
+// (off by default, never on the query port):
+//
+//	ps3serve ... -pprof localhost:6060
+//	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
 package main
 
 import (
@@ -31,7 +37,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -58,6 +66,7 @@ func main() {
 		maxQueue   = flag.Int("maxqueue", 0, "queries queued beyond -maxinflight before shedding with 503 (0 = 4×maxinflight, negative = unbounded)")
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request serving deadline; exceeded requests return 504 (0 = none)")
 		drainWait  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for draining in-flight queries on SIGTERM/SIGINT")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address, a listener of its own (e.g. localhost:6060); empty = off")
 
 		pickCache = flag.Int("pickcache", 0, "pick-result cache entries (0 = default 512, negative = disabled)")
 
@@ -81,6 +90,14 @@ func main() {
 	flag.Parse()
 	if *tblPath == "" || *snapPath == "" {
 		fatal(fmt.Errorf("-table and -snapshot are required"))
+	}
+	if *pprofAddr != "" {
+		bound, stop, err := servePprof(*pprofAddr)
+		if err != nil {
+			fatal(err)
+		}
+		defer stop()
+		fmt.Printf("pprof on http://%s/debug/pprof/\n", bound)
 	}
 
 	t0 := time.Now()
@@ -254,6 +271,33 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
+}
+
+// servePprof starts the opt-in profiling endpoint: the net/http/pprof
+// handlers on a mux and listener of their own, so profiles are never
+// reachable through the query port. stop closes the listener and waits for
+// its goroutine.
+func servePprof(addr string) (bound net.Addr, stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pprof listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ps := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	done := make(chan struct{})
+	go func() { //lint:nakedgo-ok listener lifecycle goroutine, joined by stop
+		defer close(done)
+		_ = ps.Serve(ln) // returns http.ErrServerClosed once stop closes it
+	}()
+	return ln.Addr(), func() {
+		_ = ps.Close() // profiling requests have nothing to drain
+		<-done
+	}, nil
 }
 
 // batchSource cycles rows out of the base table as append batches: batch

@@ -62,11 +62,7 @@ func (s *System) RunSelectionCtx(ctx context.Context, c *query.Compiled, sel []q
 	for {
 		ans, err := c.EstimateCtx(ctx, s.Source, cur)
 		if err == nil {
-			vals := c.FinalValues(ans)
-			labels := make(map[string]string, len(vals))
-			for g := range vals { //lint:mapiter-ok independent per-key map-to-map transform; order-free
-				labels[g] = c.GroupLabel(g)
-			}
+			vals, labels := finalize(c, ans)
 			sort.Ints(skipped)
 			return &Result{
 				Values:       vals,
@@ -136,17 +132,23 @@ func (s *System) RunExactCtx(ctx context.Context, q *query.Query) (*Result, erro
 			return nil, err
 		}
 	}
-	vals := c.FinalValues(total)
-	labels := make(map[string]string, len(vals))
-	for g := range vals { //lint:mapiter-ok independent per-key map-to-map transform; order-free
-		labels[g] = c.GroupLabel(g)
-	}
+	vals, labels := finalize(c, total)
 	return &Result{
 		Values:    vals,
 		Labels:    labels,
 		PartsRead: s.Source.NumParts(),
 		FracRead:  1,
 	}, nil
+}
+
+// finalize turns a scan's answer into a Result's Values and Labels.
+func finalize(c *query.Compiled, ans *query.Answer) (map[string][]float64, map[string]string) {
+	vals := c.FinalValues(ans)
+	labels := make(map[string]string, len(vals))
+	for g := range vals { //lint:mapiter-ok independent per-key map-to-map transform; order-free
+		labels[g] = c.GroupLabel(g)
+	}
+	return vals, labels
 }
 
 // healthReporter is the optional capability a source offers for reporting

@@ -44,18 +44,20 @@ func (o Options) Workers(n int) int {
 }
 
 // ForEach calls fn(i) for every i in [0, n) from at most o.Workers(n)
-// goroutines. Indices are handed out dynamically, so uneven per-item cost
-// does not idle workers. fn must be safe for concurrent invocation. A panic
-// in any fn is re-raised on the caller's goroutine after all workers stop.
+// goroutines, the caller's among them. Indices are handed out dynamically,
+// so uneven per-item cost does not idle workers. fn must be safe for
+// concurrent invocation. A panic in any fn is re-raised on the caller's
+// goroutine after all workers stop.
 func ForEach(n int, o Options, fn func(i int)) {
 	ForEachWith(n, o, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
 }
 
-// ForEachWith is ForEach with per-worker state: every worker goroutine
-// creates one W via newW and passes it to each fn call it executes, so
-// scratch buffers are allocated once per worker instead of once per item.
-// fn owns w exclusively for the worker's lifetime and never needs to lock
-// it; newW and fn must be safe for concurrent invocation across workers.
+// ForEachWith is ForEach with per-worker state: every worker (the calling
+// goroutine is one of them) creates one W via newW and passes it to each fn
+// call it executes, so scratch buffers are allocated once per worker instead
+// of once per item — newW runs at most o.Workers(n) times. fn owns w
+// exclusively for the worker's lifetime and never needs to lock it; newW and
+// fn must be safe for concurrent invocation across workers.
 func ForEachWith[W any](n int, o Options, newW func() W, fn func(w W, i int)) {
 	forEachCtx(nil, n, o, newW, fn)
 }
@@ -93,32 +95,40 @@ func forEachCtx[W any](ctx context.Context, n int, o Options, newW func() W, fn 
 		once      sync.Once
 		pval      any
 	)
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { pval = r })
-					panicked.Store(true)
-				}
-			}()
-			st := newW()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || panicked.Load() {
-					return
-				}
-				if ctx != nil && ctx.Err() != nil {
-					// Claimed but not run: the caller must learn the scan
-					// is incomplete.
-					cancelled.Store(true)
-					return
-				}
-				fn(st, i)
+	worker := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				once.Do(func() { pval = r })
+				panicked.Store(true)
 			}
 		}()
+		st := newW()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || panicked.Load() {
+				return
+			}
+			if ctx != nil && ctx.Err() != nil {
+				// Claimed but not run: the caller must learn the scan
+				// is incomplete.
+				cancelled.Store(true)
+				return
+			}
+			fn(st, i)
+		}
 	}
+	// The calling goroutine is worker 0: it would otherwise park until the
+	// pool joins, so running the claim loop on it saves one spawn and one
+	// wake-up per call. Its panic is caught like any worker's and re-raised
+	// below, after the others have stopped.
+	wg.Add(workers - 1)
+	for k := 1; k < workers; k++ {
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
 	wg.Wait()
 	if panicked.Load() {
 		panic(pval)

@@ -225,3 +225,28 @@ func TestForEachWithSequentialSingleState(t *testing.T) {
 		t.Fatalf("visited %d indices, want 10", len(seen))
 	}
 }
+
+// TestForEachCallerIsWorker: a pool of w workers is the calling goroutine
+// plus w-1 spawned ones. Every item waits until all w are running, so the
+// goroutine count read at that moment (and before any worker may leave) is
+// the pool's whole footprint.
+func TestForEachCallerIsWorker(t *testing.T) {
+	const par = 4
+	base := runtime.NumGoroutine()
+	var running, counted sync.WaitGroup
+	running.Add(par)
+	counted.Add(par)
+	spawned := make([]int, par)
+	ForEach(par, Options{Parallelism: par}, func(i int) {
+		running.Done()
+		running.Wait()
+		spawned[i] = runtime.NumGoroutine() - base
+		counted.Done()
+		counted.Wait()
+	})
+	for i, s := range spawned {
+		if s != par-1 {
+			t.Fatalf("item %d saw %d goroutines beyond the caller's, want %d", i, s, par-1)
+		}
+	}
+}

@@ -1,0 +1,634 @@
+package query
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"ps3/internal/exec"
+	"ps3/internal/table"
+)
+
+// groupedFixture is one randomly drawn dataset for the grouped-scan tests: a
+// table over a random schema plus the same partitions in other physical
+// forms, all readable through one source.
+type groupedFixture struct {
+	tbl        *table.Table
+	cats, nums []string
+	// src lists every partition form: the table's raw partitions, their
+	// store-style encoded copies, an empty partition, and corrupted copies
+	// carrying dictionary codes the table never assigned.
+	src *table.Table
+	// clean is the number of leading src partitions free of rogue codes.
+	clean int
+}
+
+// newGroupedFixture draws a schema of 1–4 categorical and 2–3 numeric
+// columns. Each categorical column has its own value pool; pool sizes are
+// drawn so the shared dictionary ranges from a handful of codes (direct
+// group table) to thousands (hashed table, wide packing slots).
+func newGroupedFixture(t *testing.T, seed int64) *groupedFixture {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	f := &groupedFixture{}
+	var cols []table.Column
+	pools := []int{2, 5, 40, 600, 3000}
+	var poolOf []int
+	for j := 0; j < 1+rng.Intn(4); j++ {
+		name := fmt.Sprintf("c%d", j)
+		f.cats = append(f.cats, name)
+		cols = append(cols, table.Column{Name: name, Kind: table.Categorical})
+		poolOf = append(poolOf, pools[rng.Intn(len(pools))])
+	}
+	for j := 0; j < 2+rng.Intn(2); j++ {
+		name := fmt.Sprintf("n%d", j)
+		f.nums = append(f.nums, name)
+		cols = append(cols, table.Column{Name: name, Kind: table.Numeric})
+	}
+	schema := table.MustSchema(cols...)
+	rowsPerPart := 20 + rng.Intn(200)
+	b, err := table.NewBuilder(schema, rowsPerPart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rowsPerPart*(4+rng.Intn(5)); r++ {
+		num := make([]float64, len(cols))
+		cat := make([]string, len(cols))
+		for j := range f.cats {
+			// Squared draw: a few hot values, a long tail.
+			v := int(float64(poolOf[j]) * rng.Float64() * rng.Float64())
+			cat[j] = fmt.Sprintf("%s_v%d", f.cats[j], v)
+		}
+		for j := range f.nums {
+			at := len(f.cats) + j
+			if j == 0 {
+				num[at] = float64(rng.Intn(7)) // coarse integers: a groupable numeric
+			} else {
+				num[at] = rng.NormFloat64() * math.Exp(rng.NormFloat64()*4)
+			}
+		}
+		if err := b.Append(num, cat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.tbl = b.Finish()
+
+	parts := append([]*table.Partition(nil), f.tbl.Parts...)
+	for _, p := range f.tbl.Parts {
+		parts = append(parts, encodedCopy(t, schema, p))
+	}
+	parts = append(parts, table.NewPartition(schema))
+	f.clean = len(parts)
+	dictLen := uint32(f.tbl.Dict.Len())
+	for i, rogue := range []uint32{dictLen, dictLen + 5, 1 << 31, math.MaxUint32} {
+		parts = append(parts, rogueCopy(t, schema, f.tbl.Parts[i%len(f.tbl.Parts)], rogue, rng))
+	}
+	f.src = &table.Table{Schema: schema, Dict: f.tbl.Dict, Parts: parts}
+	return f
+}
+
+// bitPack bit-packs vals at width bits per value, least significant bit
+// first — the layout of the store's packed payloads.
+func bitPack(vals []uint64, width uint8) []byte {
+	out := make([]byte, (len(vals)*int(width)+7)/8+8)
+	for r, v := range vals {
+		bit := r * int(width)
+		word := binary.LittleEndian.Uint64(out[bit>>3:])
+		binary.LittleEndian.PutUint64(out[bit>>3:], word|v<<(bit&7))
+	}
+	return out[:len(out)-8]
+}
+
+// encodedCopy re-creates p the way a store-v2 block decodes: categorical
+// columns bit-packed, integer-valued numeric columns frame-of-reference
+// packed, everything else decoded.
+func encodedCopy(t *testing.T, s *table.Schema, p *table.Partition) *table.Partition {
+	t.Helper()
+	rows := p.Rows()
+	num := make([][]float64, s.NumCols())
+	cat := make([][]uint32, s.NumCols())
+	enc := make([]*table.EncodedCol, s.NumCols())
+	for c, col := range s.Cols {
+		vals := make([]uint64, rows)
+		var err error
+		if !col.IsNumeric() {
+			var most uint64
+			for r, code := range p.CatCol(c) {
+				vals[r] = uint64(code)
+				most = max(most, vals[r])
+			}
+			enc[c], err = table.NewBitPackedCol(rows, uint8(bits.Len64(most)), bitPack(vals, uint8(bits.Len64(most))))
+		} else {
+			src := p.NumCol(c)
+			lo, hi, whole := math.Inf(1), math.Inf(-1), true
+			for _, v := range src {
+				lo, hi = min(lo, v), max(hi, v)
+				whole = whole && v == math.Trunc(v)
+			}
+			if !whole || hi-lo > 1<<20 {
+				num[c] = src
+				continue
+			}
+			for r, v := range src {
+				vals[r] = uint64(v - lo)
+			}
+			w := uint8(bits.Len64(uint64(hi - lo)))
+			enc[c], err = table.NewFoRCol(rows, lo, w, bitPack(vals, w))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := table.MakeEncodedPartition(s, p.ID, rows, num, cat, enc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// rogueCopy is p with about a tenth of its categorical cells overwritten by
+// a code the dictionary never assigned: what a corrupted block looks like
+// once it is past the store's checks.
+func rogueCopy(t *testing.T, s *table.Schema, p *table.Partition, rogue uint32, rng *rand.Rand) *table.Partition {
+	t.Helper()
+	num, cat := p.DecodedCols()
+	cat = append([][]uint32(nil), cat...)
+	for c, col := range s.Cols {
+		if col.IsNumeric() {
+			continue
+		}
+		cat[c] = append([]uint32(nil), cat[c]...)
+		for r := range cat[c] {
+			if rng.Intn(10) == 0 {
+				cat[c][r] = rogue
+			}
+		}
+	}
+	out, err := table.MakePartition(s, p.ID, p.Rows(), num, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// queries draws n queries over the fixture: the package generator supplies
+// predicates and aggregates, the GROUP BY is redrawn as 0–3 columns of any
+// kind, and some queries get an all-rejecting predicate or FILTER.
+func (f *groupedFixture) queries(t *testing.T, seed int64, n int) []*Query {
+	t.Helper()
+	all := append(append([]string(nil), f.cats...), f.nums...)
+	gen, err := NewGenerator(Workload{
+		GroupableCols: all, PredicateCols: all, AggCols: f.nums, MaxGroupCols: 3,
+	}, f.tbl, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	never := &Clause{Col: f.nums[0], Op: OpLt, Num: math.Inf(-1)}
+	var out []*Query
+	for i := 0; i < n; i++ {
+		q := gen.Sample()
+		var pool []string
+		switch rng.Intn(3) {
+		case 0:
+			pool = f.cats
+		case 1:
+			pool = f.nums[:1]
+		default:
+			pool = append(append([]string(nil), f.cats...), f.nums[0])
+		}
+		q.GroupBy = nil
+		perm := rng.Perm(len(pool))
+		for _, j := range perm[:min(rng.Intn(4), len(pool))] {
+			q.GroupBy = append(q.GroupBy, pool[j])
+		}
+		switch rng.Intn(8) {
+		case 0:
+			q.Pred = never // empty selection on every partition
+		case 1:
+			q.Aggs[0].Filter = never // groups exist, this aggregate stays zero
+		}
+		out = append(out, q)
+	}
+	return out
+}
+
+// forcedGeneric returns c with the packed path switched off: the byte-key
+// path evaluating the same query, with a scratch pool of its own as every
+// Compiled has.
+func forcedGeneric(c *Compiled) *Compiled {
+	g := *c
+	g.packBits = 0
+	g.scratch = &sync.Pool{New: func() any { return &scratch{} }}
+	return &g
+}
+
+// referenceFold is the oracle for a scan: per-partition reference answers
+// folded by weight in selection order, the way Estimate always has.
+func referenceFold(c *Compiled, src *table.Table, sel []WeightedPartition) *Answer {
+	want := c.NewAnswer()
+	for _, wp := range sel {
+		want.AddWeighted(c.EvalPartitionReference(src.Parts[wp.Part]), wp.Weight)
+	}
+	return want
+}
+
+// TestGroupedPathsBitIdentical is the randomized contract of the grouped
+// scan: on random schemas, data, physical forms and queries, the packed
+// path, the generic byte-key path and the row-at-a-time reference agree bit
+// for bit, per partition and per weighted scan, at every worker count.
+func TestGroupedPathsBitIdentical(t *testing.T) {
+	kinds := map[string]int{}
+	for seed := int64(1); seed <= 12; seed++ {
+		f := newGroupedFixture(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for _, q := range f.queries(t, seed, 30) {
+			c := mustCompile(t, q, f.tbl)
+			generic := forcedGeneric(c)
+			switch {
+			case len(q.GroupBy) == 0:
+				kinds["ungrouped"]++
+			case c.packBits == 0:
+				kinds["generic"]++
+			case c.keyBits() <= directKeyBits:
+				kinds["packed/direct"]++
+			default:
+				kinds["packed/hashed"]++
+			}
+			label := fmt.Sprintf("seed %d, %s", seed, q)
+			for i, p := range f.src.Parts {
+				want := c.EvalPartitionReference(p)
+				requireBitIdentical(t, fmt.Sprintf("%s, partition %d", label, i), c.EvalPartition(p), want)
+				requireBitIdentical(t, fmt.Sprintf("%s, partition %d, generic", label, i), generic.EvalPartition(p), want)
+			}
+			// Weighted scans: over clean partitions only, and with corrupted
+			// ones mixed in (whose byte-keyed partials move a packed query's
+			// whole fold to byte keys).
+			for _, limit := range []int{f.clean, len(f.src.Parts)} {
+				var sel []WeightedPartition
+				for _, i := range rng.Perm(limit)[:1+rng.Intn(limit)] {
+					sel = append(sel, WeightedPartition{Part: i, Weight: 0.5 + 4*rng.Float64()})
+				}
+				want := referenceFold(c, f.src, sel)
+				for _, par := range parallelismLevels() {
+					for _, cc := range []*Compiled{c, generic} {
+						cc.Exec = exec.Options{Parallelism: par}
+						got, err := cc.Estimate(f.src, sel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireBitIdentical(t, fmt.Sprintf("%s, %d-partition scan, par %d", label, len(sel), par), got, want)
+					}
+				}
+			}
+			got, err := c.Estimate(f.src, nil)
+			if err != nil || got.NumGroups() != 0 {
+				t.Fatalf("%s: empty selection gave %d groups, err %v", label, got.NumGroups(), err)
+			}
+		}
+	}
+	t.Logf("queries per group-by path: %v", kinds)
+	for _, kind := range []string{"ungrouped", "generic", "packed/direct", "packed/hashed"} {
+		if kinds[kind] < 10 {
+			t.Errorf("only %d %s queries drawn: the corpus no longer covers that path (%v)", kinds[kind], kind, kinds)
+		}
+	}
+}
+
+// TestOverWideKeysTakeGenericPath: group-by columns whose packing slots add
+// up to more than 64 bits compile to the byte-key path, one column fewer
+// packs, and both agree with the reference.
+func TestOverWideKeysTakeGenericPath(t *testing.T) {
+	var cols []table.Column
+	var names []string
+	for j := 0; j < 5; j++ {
+		names = append(names, fmt.Sprintf("c%d", j))
+		cols = append(cols, table.Column{Name: names[j], Kind: table.Categorical})
+	}
+	cols = append(cols, table.Column{Name: "x", Kind: table.Numeric})
+	b, err := table.NewBuilder(table.MustSchema(cols...), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for r := 0; r < 9000; r++ {
+		cat := make([]string, len(cols))
+		for j := range names {
+			cat[j] = fmt.Sprintf("v%d", rng.Intn(3))
+		}
+		cat[0] = fmt.Sprintf("wide%d", r) // 9000 codes: 14-bit packing slots
+		num := make([]float64, len(cols))
+		num[5] = rng.NormFloat64()
+		if err := b.Append(num, cat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl := b.Finish()
+	for _, tc := range []struct {
+		groupBy []string
+		packed  bool
+	}{{names, false}, {names[1:], true}} {
+		q := &Query{GroupBy: tc.groupBy, Aggs: []Aggregate{{Kind: Sum, Expr: Col("x")}, {Kind: Count}}}
+		c := mustCompile(t, q, tbl)
+		if got := c.packBits > 0; got != tc.packed {
+			t.Fatalf("%d group-by columns over a %d-code dictionary: packed = %v, want %v", len(tc.groupBy), tbl.Dict.Len(), got, tc.packed)
+		}
+		checkQueryEquivalence(t, c, tbl)
+		sel := []WeightedPartition{{Part: 7, Weight: 2.5}, {Part: 0, Weight: 1.5}, {Part: 3, Weight: 9}}
+		got, err := c.Estimate(tbl, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, q.String(), got, referenceFold(c, tbl, sel))
+	}
+}
+
+// TestGroupTable checks the slot table alone: dense first-seen numbering in
+// both modes, growth under load, and an epoch wrap.
+func TestGroupTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, keyBits := range []uint{0, 3, directKeyBits, directKeyBits + 1, 40} {
+		var tab groupTable
+		for round := 0; round < 4; round++ {
+			if round == 2 {
+				tab.epoch = math.MaxUint32 // the next begin wraps
+			}
+			tab.begin(keyBits)
+			keys := make([]uint64, 5000)
+			for i := range keys {
+				keys[i] = rng.Uint64() & (1<<keyBits - 1) >> uint(rng.Intn(int(keyBits)+1))
+			}
+			slots := make([]int32, len(keys))
+			order := tab.resolve(keys[:2500], slots[:2500], nil)
+			order = tab.resolve(keys[2500:], slots[2500:], order)
+			want := map[uint64]int32{}
+			for i, k := range keys {
+				id, ok := want[k]
+				if !ok {
+					id = int32(len(want))
+					want[k] = id
+					if order[id] != k {
+						t.Fatalf("%d-bit keys, round %d: order[%d] = %d, want first-seen key %d", keyBits, round, id, order[id], k)
+					}
+				}
+				if slots[i] != id {
+					t.Fatalf("%d-bit keys, round %d: key %d resolved to slot %d, want %d", keyBits, round, k, slots[i], id)
+				}
+			}
+			if len(order) != len(want) || tab.live != len(want) {
+				t.Fatalf("%d-bit keys, round %d: %d keys in order, %d live, want %d", keyBits, round, len(order), tab.live, len(want))
+			}
+		}
+	}
+}
+
+// TestEstimateGroupedAllocs is the allocation ceiling of a warm grouped
+// scan: what Estimate allocates is the answer — a slab, a map and one key
+// string per final group — plus a constant for the scan, and does not grow
+// with the number of partitions scanned.
+func TestEstimateGroupedAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool sheds pooled scratches at random under -race")
+	}
+	tbl := randomTable(t, 31, 64*100, 100)
+	for _, groupBy := range [][]string{{"city"}, {"cat", "city"}} {
+		q := &Query{
+			GroupBy: groupBy,
+			Aggs:    []Aggregate{{Kind: Sum, Expr: Col("a")}, {Kind: Avg, Expr: Col("b")}, {Kind: Count}},
+			Pred:    &Clause{Col: "d", Op: OpGe, Num: 3},
+		}
+		c := mustCompile(t, q, tbl)
+		c.Exec = exec.Options{Parallelism: 1}
+		allocs := func(parts int) (perRun float64, groups int) {
+			sel := make([]WeightedPartition, parts)
+			for i := range sel {
+				sel[i] = WeightedPartition{Part: i, Weight: 1.5}
+			}
+			run := func() {
+				ans, err := c.Estimate(tbl, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				groups = ans.NumGroups()
+			}
+			run() // warm the pooled scratch
+			return testing.AllocsPerRun(50, run), groups
+		}
+		few, groups := allocs(8)
+		many, manyGroups := allocs(64)
+		if groups != manyGroups {
+			t.Fatalf("%s: %d groups over 8 partitions, %d over 64: the fixture should saturate its groups", q, groups, manyGroups)
+		}
+		// A pooled scratch the GC took is rebuilt once; averaged over the
+		// runs that is under one allocation.
+		if many > few+1 {
+			t.Errorf("%s: %.1f allocs/scan over 64 partitions vs %.1f over 8: allocation grows with partitions scanned", q, many, few)
+		}
+		t.Logf("%s: %.1f allocs/scan over 8 partitions, %.1f over 64, %d groups", q, few, many, groups)
+		if ceiling := float64(groups + 16); many > ceiling {
+			t.Errorf("%s: %.1f allocs/scan for %d final groups, ceiling %.0f", q, many, groups, ceiling)
+		}
+	}
+}
+
+// TestScratchTrim: what goes back to the pool keeps modest arenas and tables
+// for the next scan and gives up what one large scan grew.
+func TestScratchTrim(t *testing.T) {
+	sc := &scratch{}
+	sc.allocAccs(maxPooledAccs / 2)
+	sc.groups.begin(20)
+	sc.trim()
+	if cap(sc.paccs) == 0 || sc.groups.ents == nil {
+		t.Fatal("trim dropped a modest arena or table")
+	}
+	sc.allocAccs(maxPooledAccs)
+	keys := make([]uint64, 1<<directKeyBits)
+	for i := range keys {
+		keys[i] = uint64(i) * 7
+	}
+	sc.pkeys = sc.groups.resolve(keys, make([]int32, len(keys)), sc.pkeys)
+	sc.trim()
+	if sc.paccs != nil || sc.pkeys != nil || sc.groups.ents != nil {
+		t.Fatalf("trim kept %d accumulators, %d keys, %d table entries", cap(sc.paccs), cap(sc.pkeys), len(sc.groups.ents))
+	}
+	sc.groups.begin(20)
+	slots := make([]int32, 3)
+	if order := sc.groups.resolve([]uint64{9, 4, 9}, slots, nil); !slices.Equal(order, []uint64{9, 4}) || !slices.Equal(slots, []int32{0, 1, 0}) {
+		t.Fatalf("table after trim: order %v slots %v", order, slots)
+	}
+}
+
+// TestScratchCleanAfterKernelPanic: a kernel that panics mid-evaluation —
+// after the partition's groups were resolved, so the group table and the
+// arenas are dirty — must not poison later evaluations. The scratch that
+// saw the panic never returns to the pool, and whatever the pool hands out
+// afterwards is idle: no live group slot, no set row mark, no partial.
+func TestScratchCleanAfterKernelPanic(t *testing.T) {
+	tbl := randomTable(t, 37, 2_000, 100)
+	const bad = 3
+	for _, groupBy := range [][]string{{"cat"}, {"cat", "city"}, {"d", "cat"}} {
+		q := &Query{
+			GroupBy: groupBy,
+			Aggs: []Aggregate{
+				{Kind: Sum, Expr: Col("a")},
+				{Kind: Count, Filter: NewOr(&Clause{Col: "b", Op: OpLt, Num: 0}, &Clause{Col: "a", Op: OpGe, Num: 40})},
+			},
+		}
+		c := mustCompile(t, q, tbl)
+		filter := c.slots[1].filterKern
+		c.slots[1].filterKern = func(p *table.Partition, sel []int32, sc *scratch) []int32 {
+			if p.ID == bad {
+				sc.getMarks(p.Rows())[0] = true // a mark buffer taken and never put back
+				panic("kernel boom")
+			}
+			return filter(p, sel, sc)
+		}
+		mustPanic := func(what string, fn func()) {
+			t.Helper()
+			defer func() {
+				if r := recover(); r != "kernel boom" {
+					t.Fatalf("%s: recovered %v, want the kernel's panic", what, r)
+				}
+			}()
+			fn()
+		}
+		var sel, healthy []WeightedPartition
+		for i := range tbl.Parts {
+			sel = append(sel, WeightedPartition{Part: i, Weight: 1 + float64(i)/4})
+			if i != bad {
+				healthy = append(healthy, sel[i])
+			}
+		}
+		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			c.Exec = exec.Options{Parallelism: par}
+			for round := 0; round < 3; round++ {
+				// Warm the pool, then panic through both entry points.
+				if _, err := c.Estimate(tbl, healthy); err != nil {
+					t.Fatal(err)
+				}
+				mustPanic("EvalPartition", func() { c.EvalPartition(tbl.Parts[bad]) })
+				mustPanic("Estimate", func() { c.Estimate(tbl, sel) })
+			}
+			var drawn []*scratch
+			for i := 0; i < 8; i++ {
+				sc := c.scratch.Get().(*scratch)
+				sc.groups.begin(c.keyBits())
+				for _, e := range sc.groups.ents {
+					if e.epoch == sc.groups.epoch {
+						t.Fatalf("%s: pooled scratch holds a live group slot %+v", q, e)
+					}
+				}
+				for _, marks := range sc.markFree {
+					for r, m := range marks[:cap(marks)] {
+						if m {
+							t.Fatalf("%s: pooled scratch holds a set row mark at %d", q, r)
+						}
+					}
+				}
+				drawn = append(drawn, sc)
+			}
+			for _, sc := range drawn {
+				c.scratch.Put(sc)
+			}
+			got, err := c.Estimate(tbl, healthy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, fmt.Sprintf("%s after panics, par %d", q, par), got, referenceFold(c, tbl, healthy))
+			for i, p := range tbl.Parts {
+				if i != bad {
+					requireBitIdentical(t, fmt.Sprintf("%s after panics, partition %d", q, i), c.EvalPartition(p), c.EvalPartitionReference(p))
+				}
+			}
+		}
+	}
+}
+
+// groupLabelFmt is GroupLabel as it was written with fmt: the rendering the
+// strconv version must reproduce byte for byte.
+func groupLabelFmt(c *Compiled, key string) string {
+	if len(c.groupIdx) == 0 {
+		return "<all>"
+	}
+	malformed := fmt.Sprintf("<malformed key: %d bytes for %d group-by column(s)>", len(key), len(c.groupIdx))
+	var parts []string
+	b := []byte(key)
+	for _, gi := range c.groupIdx {
+		col := c.schema.Col(gi)
+		if col.IsNumeric() {
+			if len(b) < 8 {
+				return malformed
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
+			b = b[8:]
+			parts = append(parts, fmt.Sprintf("%s=%g", col.Name, v))
+		} else {
+			if len(b) < 4 {
+				return malformed
+			}
+			code := binary.LittleEndian.Uint32(b[:4])
+			b = b[4:]
+			if int(code) >= c.dict.Len() {
+				parts = append(parts, fmt.Sprintf("%s=<bad code %d>", col.Name, code))
+				continue
+			}
+			parts = append(parts, fmt.Sprintf("%s=%s", col.Name, c.dict.Value(code)))
+		}
+	}
+	if len(b) != 0 {
+		return malformed
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestGroupLabelMatchesFmt pins the fmt-free GroupLabel to the old
+// fmt.Sprintf("%s=%g") / "%s=%s" rendering over the float shapes %g treats
+// specially, every dictionary code including unassigned ones, and every
+// malformed-key diagnostic.
+func TestGroupLabelMatchesFmt(t *testing.T) {
+	tbl := fixture(t, 25)
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 42, 1e6, 123456789, 0.5, -0.25, 1.0 / 3, 2.5e-7, 6.02214076e23,
+		1 << 53, 1<<53 - 1, 1<<53 + 2, 1e20, 1e21, 1e22, -1e21, 99999999999999999999, 1e-4, 1e-5,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 5e-324 * 12345,
+	}
+	codes := []uint32{0, 1, 2, 3, 17, 1 << 16, math.MaxUint32 - 1, math.MaxUint32}
+	for _, groupBy := range [][]string{{"x"}, {"cat"}, {"cat", "x"}, {"x", "cat", "d"}, {"cat", "cat"}} {
+		c := mustCompile(t, &Query{GroupBy: groupBy, Aggs: []Aggregate{{Kind: Count}}}, tbl)
+		var keys []string
+		for _, v := range floats {
+			for _, code := range codes {
+				var key []byte
+				for _, gi := range c.groupIdx {
+					if c.schema.Col(gi).IsNumeric() {
+						key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+					} else {
+						key = binary.LittleEndian.AppendUint32(key, code)
+					}
+				}
+				keys = append(keys, string(key))
+			}
+		}
+		whole := keys[0]
+		for cut := 0; cut < len(whole); cut++ {
+			keys = append(keys, whole[:cut]) // every too-short key
+		}
+		keys = append(keys, whole+"x", whole+whole, strings.Repeat("z", 100))
+		for _, key := range keys {
+			if got, want := c.GroupLabel(key), groupLabelFmt(c, key); got != want {
+				t.Errorf("GROUP BY %v, key %x: label %q, fmt rendered %q", groupBy, key, got, want)
+			}
+		}
+	}
+	c := mustCompile(t, &Query{Aggs: []Aggregate{{Kind: Count}}}, tbl)
+	if got, want := c.GroupLabel(""), groupLabelFmt(c, ""); got != want {
+		t.Errorf("ungrouped label %q, want %q", got, want)
+	}
+}

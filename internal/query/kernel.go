@@ -29,8 +29,8 @@ type kernel func(p *table.Partition, sel []int32, sc *scratch) []int32
 // scratch holds the reusable buffers one partition evaluation needs, so that
 // steady-state scans allocate only the Answer they return. One scratch is
 // owned by one goroutine at a time: parallel scans thread a scratch per
-// worker (exec.MapWith); the public single-partition entry points draw from
-// a sync.Pool on Compiled.
+// worker (exec.MapWith); Estimate and the public single-partition entry
+// points draw theirs from the sync.Pool on Compiled.
 type scratch struct {
 	// sel is the primary selection vector, sized to the partition's rows.
 	sel []int32
@@ -48,18 +48,22 @@ type scratch struct {
 	// aggregate's sub-selection.
 	fsel []int32
 	fidx []int32
-	// keyBuf is the group-by key encoding buffer.
-	keyBuf []byte
-	// lut maps group keys to dense slots (generic GROUP BY path); cleared and
-	// reused across partitions.
-	lut map[string]int32
-	// keys lists group keys in first-seen order (generic path).
-	keys []string
-	// codeLut maps dictionary codes to dense slots (single-categorical
-	// GROUP BY fast path). Invariant: all entries are -1 between evaluations.
-	codeLut []int32
-	// codes lists group dictionary codes in first-seen order (fast path).
-	codes []uint32
+	// keys holds the packed group key of each selected row (packed GROUP BY
+	// path).
+	keys []uint64
+	// groups maps packed keys to dense slots, per partition while a worker
+	// evaluates and per scan while partials fold.
+	groups groupTable
+	// keyBytes is the byte-key encoding buffer and lut the key→slot map of
+	// the generic GROUP BY path; lut is cleared and reused across partitions.
+	keyBytes []byte
+	lut      map[string]int32
+	// pkeys, bkeys and paccs are the arenas partials are carved from: packed
+	// keys, byte keys and accumulators of every partial produced since
+	// resetPartials.
+	pkeys []uint64
+	bkeys []string
+	paccs []float64
 }
 
 // selBuf returns the primary selection buffer, uninitialized — the target a
@@ -129,6 +133,14 @@ func (sc *scratch) gidxBuf(n int) []int32 {
 	return sc.gidx[:n]
 }
 
+// keyBuf returns the per-selected-row packed-key buffer, uninitialized.
+func (sc *scratch) keyBuf(n int) []uint64 {
+	if cap(sc.keys) < n {
+		sc.keys = make([]uint64, n)
+	}
+	return sc.keys[:n]
+}
+
 // filterBufs returns the (rows, group-slots) buffers a FILTER sub-selection
 // compacts into. One pair suffices: slots are processed sequentially and
 // each sub-selection is consumed before the next filter runs.
@@ -148,15 +160,6 @@ func (sc *scratch) groupLut() map[string]int32 {
 	}
 	clear(sc.lut)
 	return sc.lut
-}
-
-// codeLutGrown returns the code→slot table with len >= n, filling new
-// entries with -1. Existing entries keep the all-(-1) invariant.
-func (sc *scratch) codeLutGrown(n int) []int32 {
-	for len(sc.codeLut) < n {
-		sc.codeLut = append(sc.codeLut, -1)
-	}
-	return sc.codeLut
 }
 
 // seedKernel is the "fill" form of a clause kernel: it scans every row of

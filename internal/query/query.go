@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -104,11 +106,16 @@ type Compiled struct {
 	predSeed seedKernel
 	predKern kernel
 	groupIdx []int
+	// packBits > 0 selects the packed GROUP BY path: every group-by column
+	// is categorical and their dictionary codes, packBits each, fit one
+	// uint64 (so does the empty list of an ungrouped query). 0 selects the
+	// generic byte-key path: a numeric column, or too many wide ones.
+	packBits uint
 	slots    []aggSlot
 	comps    int
 
-	// scratch recycles evaluation buffers for the public single-partition
-	// entry points; parallel scans thread one scratch per worker instead.
+	// scratch recycles evaluation buffers: one per call for the public
+	// single-partition entry points, one per worker for Estimate.
 	scratch *sync.Pool
 
 	// Exec configures the parallel scans (GroundTruth, Estimate,
@@ -141,6 +148,11 @@ func Compile(q *Query, src table.PartitionSource) (*Compiled, error) {
 			return nil, fmt.Errorf("query: unknown group-by column %q", g)
 		}
 		c.groupIdx = append(c.groupIdx, gi)
+	}
+	if !slices.ContainsFunc(c.groupIdx, func(gi int) bool { return schema.Col(gi).IsNumeric() }) {
+		if w, ok := packWidth(len(c.groupIdx), dict.Len()); ok {
+			c.packBits = w
+		}
 	}
 	if len(q.Aggs) == 0 {
 		return nil, fmt.Errorf("query: at least one aggregate is required")
@@ -220,18 +232,28 @@ func (a *Answer) Merge(other *Answer) { a.AddWeighted(other, 1) }
 // row-at-a-time EvalPartitionReference (enforced by equivalence tests).
 func (c *Compiled) EvalPartition(p *table.Partition) *Answer {
 	sc := c.scratch.Get().(*scratch)
-	ans := c.evalPartition(p, sc)
+	ans := c.evalAnswer(p, sc)
 	c.scratch.Put(sc)
 	return ans
 }
 
-// evalPartition is EvalPartition with caller-supplied scratch, the entry
-// point parallel scans use with per-worker buffers.
-func (c *Compiled) evalPartition(p *table.Partition, sc *scratch) *Answer {
-	ans := c.NewAnswer()
+// evalAnswer evaluates one partition into the map form, the thin adapter
+// over evalPartition that EvalPartition and GroundTruth share. It resets
+// sc's partials.
+func (c *Compiled) evalAnswer(p *table.Partition, sc *scratch) *Answer {
+	sc.resetPartials()
+	pt := c.evalPartition(p, sc)
+	pt.accs = slices.Clone(pt.accs)
+	return c.answer(pt)
+}
+
+// evalPartition evaluates one partition with caller-supplied scratch into a
+// flat partial carved from the scratch's arenas. There are three group-by
+// paths: none, packed categorical keys, and generic byte keys.
+func (c *Compiled) evalPartition(p *table.Partition, sc *scratch) partial {
 	rows := p.Rows()
 	if rows == 0 {
-		return ans
+		return partial{}
 	}
 	var sel []int32
 	if c.predSeed != nil {
@@ -243,99 +265,19 @@ func (c *Compiled) evalPartition(p *table.Partition, sc *scratch) *Answer {
 		sel = c.predKern(p, sel, sc)
 	}
 	if len(sel) == 0 {
-		return ans
+		return partial{}
 	}
 	switch {
 	case len(c.groupIdx) == 0:
-		// Single-group fast path: no key encoding, one accumulator vector.
-		acc := make([]float64, c.comps)
-		c.accumulate(p, sel, nil, acc, sc)
-		ans.Groups[""] = acc
-	case len(c.groupIdx) == 1 && !c.schema.Col(c.groupIdx[0]).IsNumeric():
-		c.evalSingleCatGroup(p, sel, sc, ans)
+		// Single group: no keys to build, one accumulator vector.
+		accs := sc.allocAccs(c.comps)
+		c.accumulate(p, sel, nil, accs, sc)
+		return partial{packed: ungroupedKey, accs: accs}
+	case c.packBits > 0:
+		return c.evalPackedGroups(p, sel, sc)
 	default:
-		c.evalGenericGroups(p, sel, sc, ans)
+		return c.evalGenericGroups(p, sel, sc)
 	}
-	return ans
-}
-
-// evalSingleCatGroup is the single-categorical-GROUP-BY fast path: group
-// slots are resolved through a dense dictionary-code-indexed table, skipping
-// key encoding and map probes entirely; keys are materialized only once per
-// group when the answer is built.
-func (c *Compiled) evalSingleCatGroup(p *table.Partition, sel []int32, sc *scratch, ans *Answer) {
-	codes := p.CatCol(c.groupIdx[0])
-	lut := sc.codeLutGrown(c.dict.Len())
-	gidx := sc.gidxBuf(len(sel))
-	order := sc.codes[:0]
-	// Codes the dictionary never assigned (possible only on corrupted
-	// partitions) fall back to a map so a huge rogue code can't balloon the
-	// dense table; they still group correctly, matching the reference path.
-	var overflow map[uint32]int32
-	for i, r := range sel {
-		code := codes[r]
-		var id int32
-		if int(code) < len(lut) {
-			id = lut[code]
-			if id < 0 {
-				id = int32(len(order))
-				lut[code] = id
-				order = append(order, code)
-			}
-		} else {
-			var ok bool
-			id, ok = overflow[code]
-			if !ok {
-				if overflow == nil {
-					overflow = make(map[uint32]int32)
-				}
-				id = int32(len(order))
-				overflow[code] = id
-				order = append(order, code)
-			}
-		}
-		gidx[i] = id
-	}
-	flat := make([]float64, len(order)*c.comps)
-	c.accumulate(p, sel, gidx, flat, sc)
-	for g, code := range order {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], code)
-		ans.Groups[string(b[:])] = flat[g*c.comps : (g+1)*c.comps : (g+1)*c.comps]
-		if int(code) < len(lut) {
-			lut[code] = -1 // restore the all-(-1) invariant
-		}
-	}
-	sc.codes = order[:0]
-}
-
-// evalGenericGroups handles arbitrary GROUP BY lists: keys are encoded per
-// selected row (only for rows that survived the predicate) and resolved to
-// dense slots through a reusable map, then accumulation runs column-at-a-time
-// like every other path.
-func (c *Compiled) evalGenericGroups(p *table.Partition, sel []int32, sc *scratch, ans *Answer) {
-	lut := sc.groupLut()
-	gidx := sc.gidxBuf(len(sel))
-	keys := sc.keys[:0]
-	kb := sc.keyBuf
-	for i, r := range sel {
-		kb = c.appendKey(kb[:0], p, int(r))
-		id, ok := lut[string(kb)]
-		if !ok {
-			id = int32(len(keys))
-			key := string(kb)
-			lut[key] = id
-			keys = append(keys, key)
-		}
-		gidx[i] = id
-	}
-	sc.keyBuf = kb
-	flat := make([]float64, len(keys)*c.comps)
-	c.accumulate(p, sel, gidx, flat, sc)
-	for g, key := range keys {
-		ans.Groups[key] = flat[g*c.comps : (g+1)*c.comps : (g+1)*c.comps]
-	}
-	sc.keys = keys[:0]
 }
 
 // accumulate adds each selected row's contribution to its group's
@@ -461,62 +403,77 @@ func (c *Compiled) GroupLabel(key string) string {
 	if len(c.groupIdx) == 0 {
 		return "<all>"
 	}
-	var parts []string
-	b := []byte(key)
-	for _, gi := range c.groupIdx {
+	var buf [96]byte // most labels fit: one allocation, the returned string
+	label := buf[:0]
+	b := key
+	for i, gi := range c.groupIdx {
 		col := c.schema.Col(gi)
+		if i > 0 {
+			label = append(label, ',')
+		}
+		label = append(append(label, col.Name...), '=')
 		if col.IsNumeric() {
 			if len(b) < 8 {
 				return malformedKeyLabel(key, len(c.groupIdx))
 			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
+			v := math.Float64frombits(binary.LittleEndian.Uint64([]byte(b[:8])))
 			b = b[8:]
-			parts = append(parts, fmt.Sprintf("%s=%g", col.Name, v))
+			label = strconv.AppendFloat(label, v, 'g', -1, 64)
 		} else {
 			if len(b) < 4 {
 				return malformedKeyLabel(key, len(c.groupIdx))
 			}
-			code := binary.LittleEndian.Uint32(b[:4])
+			code := binary.LittleEndian.Uint32([]byte(b[:4]))
 			b = b[4:]
 			if int(code) >= c.dict.Len() {
-				parts = append(parts, fmt.Sprintf("%s=<bad code %d>", col.Name, code))
+				label = append(label, "<bad code "...)
+				label = append(strconv.AppendUint(label, uint64(code), 10), '>')
 				continue
 			}
-			parts = append(parts, fmt.Sprintf("%s=%s", col.Name, c.dict.Value(code)))
+			label = append(label, c.dict.Value(code)...)
 		}
 	}
 	if len(b) != 0 {
 		return malformedKeyLabel(key, len(c.groupIdx))
 	}
-	return strings.Join(parts, ",")
+	return string(label)
 }
 
 // malformedKeyLabel is the diagnostic label for group keys whose length does
 // not match the query's group-by encoding.
 func malformedKeyLabel(key string, groupCols int) string {
-	return fmt.Sprintf("<malformed key: %d bytes for %d group-by column(s)>", len(key), groupCols)
+	return "<malformed key: " + strconv.Itoa(len(key)) + " bytes for " + strconv.Itoa(groupCols) + " group-by column(s)>"
 }
 
 // FinalValues converts an answer's accumulators into the d final aggregate
 // values per group (AVG = sum/count; empty AVG groups yield 0).
 func (c *Compiled) FinalValues(a *Answer) map[string][]float64 {
 	out := make(map[string][]float64, len(a.Groups))
+	d := len(c.slots)
+	slab := make([]float64, d*len(a.Groups))
 	//lint:mapiter-ok independent per-key map-to-map transform; no accumulation across keys
 	for g, acc := range a.Groups {
-		vals := make([]float64, len(c.slots))
-		for i, s := range c.slots {
-			switch s.kind {
-			case Sum, Count:
-				vals[i] = acc[s.at]
-			case Avg:
-				if acc[s.at+1] != 0 {
-					vals[i] = acc[s.at] / acc[s.at+1]
-				}
-			}
-		}
+		vals := slab[:d:d]
+		slab = slab[d:]
+		c.finalInto(vals, acc)
 		out[g] = vals
 	}
 	return out
+}
+
+// finalInto writes one group's d final aggregate values from its
+// accumulators.
+func (c *Compiled) finalInto(vals, acc []float64) {
+	for i, s := range c.slots {
+		switch s.kind {
+		case Sum, Count:
+			vals[i] = acc[s.at]
+		case Avg:
+			if acc[s.at+1] != 0 {
+				vals[i] = acc[s.at] / acc[s.at+1]
+			}
+		}
+	}
 }
 
 // GroundTruth evaluates the query exactly over every partition of the table
@@ -530,7 +487,7 @@ func (c *Compiled) GroundTruth(t *table.Table) (total *Answer, perPart []*Answer
 	// bit-identical to a single-threaded scan at any worker count.
 	perPart = exec.MapWith(len(t.Parts), c.Exec,
 		func() *scratch { return &scratch{} },
-		func(sc *scratch, i int) *Answer { return c.evalPartition(t.Parts[i], sc) })
+		func(sc *scratch, i int) *Answer { return c.evalAnswer(t.Parts[i], sc) })
 	total = c.NewAnswer()
 	for _, pa := range perPart {
 		total.Merge(pa)
@@ -606,26 +563,45 @@ func (c *Compiled) Estimate(src table.PartitionSource, sel []WeightedPartition) 
 // partition count. A read error still wins over the context error. On the
 // nil-error path the answer is bit-identical to Estimate.
 func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, sel []WeightedPartition) (*Answer, error) {
-	parts, err := exec.MapErrWithCtx(ctx, len(sel), c.Exec,
-		func() *scratch { return &scratch{} },
-		func(sc *scratch, i int) (*Answer, error) {
+	// Worker scratches come from the pool, one per worker the scan actually
+	// starts, and go back only after the fold: the partials the scan returns
+	// live in their arenas until then.
+	var (
+		mu  sync.Mutex
+		scs []*scratch
+	)
+	take := func() *scratch {
+		sc := c.scratch.Get().(*scratch)
+		sc.resetPartials()
+		mu.Lock()
+		scs = append(scs, sc)
+		mu.Unlock()
+		return sc
+	}
+	parts, err := exec.MapErrWithCtx(ctx, len(sel), c.Exec, take,
+		func(sc *scratch, i int) (partial, error) {
 			p, err := src.Read(sel[i].Part)
 			if err != nil {
-				return nil, err
+				return partial{}, err
 			}
 			return c.evalPartition(p, sc), nil
 		})
 	if err == nil && ctx != nil {
 		err = ctx.Err()
 	}
-	if err != nil {
-		return nil, err
+	var ans *Answer
+	if err == nil {
+		if len(scs) == 0 { // exec starts a worker even over no items; fold must not depend on it
+			take()
+		}
+		ans = c.fold(parts, sel, scs[0])
 	}
-	ans := c.NewAnswer()
-	for i, pa := range parts {
-		ans.AddWeighted(pa, sel[i].Weight)
+	// Not deferred: a scratch whose kernel panicked is dropped, never pooled.
+	for _, sc := range scs {
+		sc.trim()
+		c.scratch.Put(sc)
 	}
-	return ans, nil
+	return ans, err
 }
 
 // WeightedPartition is one (partition, weight) choice in a sample (§2.4).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -193,8 +194,18 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// writeJSON encodes v before it writes the status line, so a value that
+// cannot be encoded answers 500 with an error body instead of the intended
+// status over an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		body.Reset()
+		status = http.StatusInternalServerError
+		// An errorResponse is a string field: this encode cannot fail.
+		_ = json.NewEncoder(&body).Encode(errorResponse{Error: fmt.Sprintf("encoding the %T response: %v", v, err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes()) // a failed write means the client is gone
 }

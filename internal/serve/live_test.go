@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -302,6 +303,131 @@ func TestHTTPAppend(t *testing.T) {
 	body, _ = json.Marshal(map[string]any{"rows": [][]any{nullRow}})
 	if resp, out := post(string(body)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("null numeric cell: status %d: %s", resp.StatusCode, out)
+	}
+}
+
+// TestHTTPNonFiniteAggregates: a JSON null appended into a numeric cell is
+// NaN, so every SUM or AVG over that row is NaN, which encoding/json cannot
+// write. The response must still be a 200 with a decodable body that says
+// null where the aggregate is not a number — not a 200 status line over an
+// empty body — and a value that cannot be encoded at all must be a 500.
+func TestHTTPNonFiniteAggregates(t *testing.T) {
+	sys, num, cat, _ := liveFixture(t)
+	srv, err := New(sys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := ingest.Open(ingest.Config{
+		Dir:         t.TempDir(),
+		RowsPerPart: 400,
+		OnPublish: func(snap *core.System, _ int) {
+			if err := srv.Swap(snap); err != nil {
+				t.Errorf("swap: %v", err)
+			}
+		},
+	}, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	srv.SetAppender(pipe)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(path string, body any) (int, []byte) {
+		t.Helper()
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.Bytes()
+	}
+
+	// One row, its first numeric cell null; remember that column and the
+	// row's value in a groupable one.
+	schema := sys.Source.TableSchema()
+	row := make([]any, len(schema.Cols))
+	nullCol := ""
+	for c, col := range schema.Cols {
+		switch {
+		case !col.IsNumeric():
+			row[c] = cat[0][c]
+		case nullCol == "":
+			nullCol = col.Name
+		default:
+			row[c] = num[0][c]
+		}
+	}
+	const groupCol = "DeviceInfo_NetworkType"
+	rowGroup := groupCol + "=" + cat[0][schema.ColIndex(groupCol)]
+	if status, out := post("/append", map[string]any{"rows": [][]any{row}}); status != http.StatusOK {
+		t.Fatalf("append: status %d: %s", status, out)
+	}
+	if err := pipe.FreezeSource(); err != nil { // flush the one-row tail and swap it in
+		t.Fatal(err)
+	}
+
+	sqlText := fmt.Sprintf("SELECT %s, SUM(%s), AVG(%s), COUNT(*) FROM t GROUP BY %s", groupCol, nullCol, nullCol, groupCol)
+	status, out := post("/query", map[string]any{"sql": sqlText, "budget": 1})
+	if status != http.StatusOK {
+		t.Fatalf("query over a NaN cell: status %d: %s", status, out)
+	}
+	var resp Response
+	if err := json.Unmarshal(out, &resp); err != nil {
+		t.Fatalf("response body does not decode: %v\n%s", err, out)
+	}
+	var wire struct {
+		Groups []struct {
+			Label  string
+			Values []*float64
+		}
+	}
+	if err := json.Unmarshal(out, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire.Groups) < 2 {
+		t.Fatalf("%d groups served, want the NaN row's group beside clean ones: %s", len(wire.Groups), out)
+	}
+	for _, g := range wire.Groups {
+		if len(g.Values) != 3 || g.Values[2] == nil {
+			t.Fatalf("group %q: values %v, want three with a finite COUNT", g.Label, g.Values)
+		}
+		if nan := g.Label == rowGroup; (g.Values[0] == nil) != nan || (g.Values[1] == nil) != nan {
+			t.Errorf("group %q: SUM/AVG null = %v/%v, want %v (only the appended row's group is NaN)",
+				g.Label, g.Values[0] == nil, g.Values[1] == nil, nan)
+		}
+	}
+
+	// Finite values keep encoding/json's rendering, nil and empty included.
+	type plain struct {
+		Label  string    `json:"label"`
+		Values []float64 `json:"values"`
+	}
+	for _, vals := range [][]float64{nil, {}, {0, -1, 42, 0.1, 1e21, 1e-7, 123456789.125, -2.5e-300}} {
+		got, err := json.Marshal(Group{Label: "a=\"b\"", Values: vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(plain{Label: "a=\"b\"", Values: vals}); !bytes.Equal(got, want) {
+			t.Errorf("Group encodes as %s, encoding/json renders the same fields as %s", got, want)
+		}
+	}
+
+	// A body that cannot be encoded is a 500 with a JSON error, not the
+	// intended status over nothing.
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	var fail errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &fail); rec.Code != http.StatusInternalServerError || err != nil || fail.Error == "" {
+		t.Fatalf("unencodable body: status %d, body %q (decode error %v), want 500 with an error message", rec.Code, rec.Body, err)
 	}
 }
 

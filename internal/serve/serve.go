@@ -32,10 +32,14 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -375,6 +379,67 @@ type Group struct {
 	Values []float64 `json:"values"`
 }
 
+// MarshalJSON renders non-finite values as null: a SUM or AVG over a NaN
+// cell (an appended JSON null) is NaN, and encoding/json refuses NaN and
+// ±Inf outright, which would fail the whole response. Everything else is
+// byte for byte what encoding/json writes for the same fields, appended to
+// one buffer per group (an answer may carry a thousand of them).
+func (g Group) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, len(`{"label":"","values":[]}`)+len(g.Label)+24*len(g.Values))
+	b = append(b, `{"label":`...)
+	if plainASCII(g.Label) {
+		b = append(append(append(b, '"'), g.Label...), '"')
+	} else {
+		quoted, err := json.Marshal(g.Label)
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, quoted...)
+	}
+	b = append(b, `,"values":`...)
+	if g.Values == nil {
+		return append(b, "null}"...), nil
+	}
+	b = append(b, '[')
+	for i, v := range g.Values {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, v)
+	}
+	return append(b, "]}"...), nil
+}
+
+// plainASCII reports whether encoding/json would write s between quotes
+// unchanged: printable ASCII with none of the characters it escapes.
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONFloat appends v in encoding/json's float64 format (ES6 number
+// to string: exponent form below 1e-6 and from 1e21), or null if v is not
+// finite.
+func appendJSONFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 → e-9
+		b = b[:n-1]
+	}
+	return b
+}
+
 // QuerySQL parses SQL text, executes it at the budget fraction (0 = the
 // server default) and returns the transport-shaped response.
 func (s *Server) QuerySQL(sqlText string, budget float64) (*Response, error) {
@@ -544,10 +609,11 @@ func (s *Server) QueryCtx(ctx context.Context, q *query.Query, budget float64) (
 	for _, a := range q.Aggs {
 		resp.Aggs = append(resp.Aggs, a.String())
 	}
+	resp.Groups = make([]Group, 0, len(res.Values))
 	for g, vals := range res.Values { //lint:mapiter-ok groups are fully sorted by label immediately below
 		resp.Groups = append(resp.Groups, Group{Label: res.Labels[g], Values: vals})
 	}
-	sort.Slice(resp.Groups, func(a, b int) bool { return resp.Groups[a].Label < resp.Groups[b].Label })
+	slices.SortFunc(resp.Groups, func(a, b Group) int { return strings.Compare(a.Label, b.Label) })
 	return resp, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -956,5 +957,46 @@ func TestLoadGenZipf(t *testing.T) {
 	// Bad exponent is rejected.
 	if _, err := srv.LoadGenZipf(queries[:2], 0.1, 1, 4, 1.0, 7); err == nil {
 		t.Fatal("want error for zipf exponent <= 1")
+	}
+}
+
+// TestGroupMarshalJSON pins the hand-appended encoding to encoding/json's:
+// every finite value and every label must come out byte for byte as the
+// method-less struct does, nil and empty value lists included, and only
+// non-finite values become null.
+func TestGroupMarshalJSON(t *testing.T) {
+	type plain Group
+	values := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 123456789, 1 << 53, 1<<53 + 2,
+		1e-6, 9.99e-7, 1e-7, 1.5e-9, 1e-10, 1e20, 1e21, 1.5e21, 1e22, 1e100, 1e-100,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
+	}
+	labels := []string{
+		"", "a=x", "cat1=v, cat2=w", "n=1.5e-09", `q="quoted"`, `back\slash`, "<bad code 7>", "a&b",
+		"tab\there", "nl\n", "ünïcode=é", "日本=語", "\u2028sep", "bad\xffutf8", "del\x7f",
+	}
+	for _, g := range []Group{{Label: "nil"}, {Label: "empty", Values: []float64{}}, {Label: "all", Values: values}} {
+		labels = append(labels, g.Label)
+		for _, label := range labels {
+			g.Label = label
+			got, err := g.MarshalJSON()
+			if err != nil {
+				t.Fatalf("%q: %v", label, err)
+			}
+			want, err := json.Marshal(plain(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("label %q:\n got %s\nwant %s", label, got, want)
+			}
+		}
+	}
+	got, err := json.Marshal([]Group{{Label: "g", Values: []float64{1, math.NaN(), math.Inf(1), math.Inf(-1), 2.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `[{"label":"g","values":[1,null,null,null,2.5]}]`; string(got) != want {
+		t.Errorf("non-finite values:\n got %s\nwant %s", got, want)
 	}
 }

@@ -66,15 +66,18 @@ func (h *Histogram) Finalize() {
 	var cur *Bucket
 	i := 0
 	for i < n {
-		// Measure the run of equal values starting at i.
+		// Measure the run of equal values starting at i. NaNs (a null cell
+		// appended over HTTP) sort first and compare unequal to themselves:
+		// they count as one run, or the scan would never advance.
 		j := i
 		v := h.buf[i]
-		for j < n && h.buf[j] == v {
+		nan := v != v
+		for j < n && (h.buf[j] == v || nan && h.buf[j] != h.buf[j]) {
 			j++
 		}
 		runLen := j - i
-		if runLen >= depth {
-			// Heavy value: its own singleton bucket.
+		if runLen >= depth || nan {
+			// Heavy value, or the NaNs: its own singleton bucket.
 			h.Buckets = append(h.Buckets, Bucket{Lo: v, Hi: v, Count: int64(runLen)})
 			cur = nil
 		} else {

@@ -142,6 +142,32 @@ func TestHistogramSkewedData(t *testing.T) {
 	}
 }
 
+// TestHistogramNaN: NaN cells (an appended JSON null) must not stall
+// Finalize, and are kept apart from the real values' buckets.
+func TestHistogramNaN(t *testing.T) {
+	h := NewHistogram(10)
+	for i := 0; i < 100; i++ {
+		h.Add(float64(i))
+		if i%25 == 0 {
+			h.Add(math.NaN())
+		}
+	}
+	h.Finalize()
+	if b := h.Buckets[0]; !math.IsNaN(b.Lo) || !math.IsNaN(b.Hi) || b.Count != 4 {
+		t.Fatalf("first bucket %+v, want the 4 NaNs alone", b)
+	}
+	var rows int64
+	for _, b := range h.Buckets[1:] {
+		if math.IsNaN(b.Lo) || math.IsNaN(b.Hi) {
+			t.Fatalf("bucket %+v mixes NaN with values", b)
+		}
+		rows += b.Count
+	}
+	if rows != 100 || h.Total != 104 {
+		t.Fatalf("%d rows in value buckets of %d total, want 100 of 104", rows, h.Total)
+	}
+}
+
 func TestHistogramSingleValue(t *testing.T) {
 	h := NewHistogram(10)
 	for i := 0; i < 50; i++ {
