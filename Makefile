@@ -67,12 +67,13 @@ bench-store:
 	@cat BENCH_store.json
 
 # One-iteration smoke of the store benchmarks plus the encoding acceptance
-# contracts (raw/encoded bit-identity, the no-decode counter proof, and the
-# frozen golden files); wired into CI so the benchmark fixtures and the
-# encoded-kernel counters can never rot.
+# contracts (raw/encoded bit-identity, the no-decode counter proof, the
+# frozen golden files, and the block-load allocation ceiling: one buffer per
+# load, no per-column copies); wired into CI so the benchmark fixtures, the
+# encoded-kernel counters and the one-allocation load can never rot.
 bench-store-smoke:
-	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestGoldenFiles|TestChooserHintConsistency' -v ./internal/store/
-	$(GO) test -bench 'BenchmarkStore' -benchtime 1x -run '^$$' ./internal/store/
+	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce' -v ./internal/store/
+	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
 
 # Pick-time inference: the batched pick path (pooled featurization +
 # flat-ensemble funnel) vs the retained pointer-tree reference, across

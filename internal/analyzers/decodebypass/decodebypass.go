@@ -15,6 +15,17 @@
 // (tests poke representations more than anyone), except inside the functions
 // named in Config.Allowed. Escape hatch: //lint:decodebypass-ok <reason>,
 // for tests that assert the physical representation itself.
+//
+// A second check guards what sits behind the seam. The columns of a partition
+// loaded from a store block are views into one shared buffer — the bytes the
+// reader checksummed — so table.EncodedCol.Packed (and the run lists beside
+// it) may be read anywhere and written nowhere: a write through one column
+// would corrupt its neighbours and un-verify the block. Outside the defining
+// package the analyzer flags every write whose target is rooted at one of
+// Config.ViewFields: an element or slice assignment (plain, compound or
+// ++/--), reassigning the field, and the field as the destination of copy,
+// append or clear. A write through a local alias of the slice is beyond a
+// syntactic check; the fields' documentation carries that part.
 package decodebypass
 
 import (
@@ -37,6 +48,11 @@ type Config struct {
 	// legitimately touch the raw fields: the accessors themselves, the
 	// validated constructors, and the representation-size accounting.
 	Allowed map[string]bool
+	// ViewType names a second struct of the same package whose ViewFields
+	// are slices aliasing a shared immutable buffer: readable everywhere,
+	// written only inside the defining package.
+	ViewType   string
+	ViewFields []string
 }
 
 // DefaultConfig protects table.Partition.Num/Cat, whitelisting only the
@@ -60,6 +76,8 @@ func DefaultConfig() Config {
 			"ps3/internal/table.MakePartition":                 true,
 			"ps3/internal/table.MakeEncodedPartition":          true,
 		},
+		ViewType:   "EncodedCol",
+		ViewFields: []string{"Packed", "RunVals", "RunEnds"},
 	}
 }
 
@@ -70,7 +88,7 @@ var Analyzer = New(DefaultConfig())
 func New(cfg Config) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name:         "decodebypass",
-		Doc:          "flags direct access to table.Partition.Num/Cat outside the whitelisted decode sites (PR-7 lazy-decode seam)",
+		Doc:          "flags direct access to table.Partition.Num/Cat outside the whitelisted decode sites (PR-7 lazy-decode seam), and writes through table.EncodedCol's shared-buffer slices outside package table",
 		IncludeTests: true,
 		Run:          func(pass *analysis.Pass) error { return run(cfg, pass) },
 	}
@@ -81,16 +99,50 @@ func run(cfg Config, pass *analysis.Pass) error {
 	for _, f := range cfg.Fields {
 		protected[f] = true
 	}
+	views := map[string]bool{}
+	for _, f := range cfg.ViewFields {
+		views[f] = true
+	}
+	// checkViewWrite reports target when it is a view field, or an element
+	// or sub-slice of one, outside the package that defines the view type.
+	checkViewWrite := func(target ast.Expr, how string) {
+		sel := viewRoot(target)
+		if sel == nil {
+			return
+		}
+		s, ok := pass.Info.Selections[sel]
+		if !ok || s.Kind() != types.FieldVal || !views[s.Obj().Name()] || !isNamedStruct(cfg.PkgName, cfg.ViewType, s.Recv()) {
+			return
+		}
+		if s.Obj().Pkg() != nil && s.Obj().Pkg().Path() == pass.Pkg.Path() {
+			return
+		}
+		pass.Reportf(sel.Sel.Pos(),
+			"%s %s.%s.%s: the slice is a view into a buffer the partition's other columns share and nothing may write after its checksum; copy it first or justify with //lint:decodebypass-ok",
+			how, cfg.PkgName, cfg.ViewType, s.Obj().Name())
+	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					checkViewWrite(lhs, "assignment through")
+				}
+			case *ast.IncDecStmt:
+				checkViewWrite(n.X, "assignment through")
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) > 0 {
+					if _, builtin := pass.Info.Uses[id].(*types.Builtin); builtin && (id.Name == "copy" || id.Name == "append" || id.Name == "clear") {
+						checkViewWrite(n.Args[0], id.Name+" into")
+					}
+				}
 			case *ast.SelectorExpr:
 				sel, ok := pass.Info.Selections[n]
 				if !ok || sel.Kind() != types.FieldVal {
 					return true
 				}
 				field, ok := sel.Obj().(*types.Var)
-				if !ok || !protected[field.Name()] || !isProtectedStruct(cfg, sel.Recv()) {
+				if !ok || !protected[field.Name()] || !isNamedStruct(cfg.PkgName, cfg.TypeName, sel.Recv()) {
 					return true
 				}
 				if allowedSite(cfg, pass, f, n) {
@@ -101,7 +153,7 @@ func run(cfg Config, pass *analysis.Pass) error {
 					cfg.PkgName, cfg.TypeName, field.Name())
 			case *ast.CompositeLit:
 				t := pass.TypeOf(n)
-				if t == nil || !isProtectedStruct(cfg, t) {
+				if t == nil || !isNamedStruct(cfg.PkgName, cfg.TypeName, t) {
 					return true
 				}
 				if allowedSite(cfg, pass, f, n) {
@@ -127,9 +179,28 @@ func run(cfg Config, pass *analysis.Pass) error {
 	return nil
 }
 
-// isProtectedStruct reports whether t (possibly behind pointers) is the
-// configured struct type.
-func isProtectedStruct(cfg Config, t types.Type) bool {
+// viewRoot strips the indexing, slicing and parentheses off a write target
+// and returns the field selector underneath, if that is what is left.
+func viewRoot(e ast.Expr) *ast.SelectorExpr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x
+		default:
+			return nil
+		}
+	}
+}
+
+// isNamedStruct reports whether t (possibly behind pointers) is the type
+// typeName of a package named pkgName.
+func isNamedStruct(pkgName, typeName string, t types.Type) bool {
 	for {
 		if p, ok := t.Underlying().(*types.Pointer); ok {
 			t = p.Elem()
@@ -142,7 +213,7 @@ func isProtectedStruct(cfg Config, t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == cfg.TypeName && obj.Pkg() != nil && obj.Pkg().Name() == cfg.PkgName
+	return obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Name() == pkgName
 }
 
 // allowedSite reports whether node n sits inside a whitelisted function.

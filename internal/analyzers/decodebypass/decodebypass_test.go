@@ -16,6 +16,8 @@ func TestDecodeBypass(t *testing.T) {
 			"(*table.Partition).NumCol": true,
 			"table.MakePartition":       true,
 		},
+		ViewType:   "EncodedCol",
+		ViewFields: []string{"Packed", "RunVals", "RunEnds"},
 	})
 	analyzertest.Run(t, "testdata", a, "table", "use")
 }

@@ -28,3 +28,20 @@ func MakePartition(num [][]float64, cat [][]uint32) *Partition {
 func RawLit(num [][]float64) *Partition {
 	return &Partition{Num: num} // want `composite literal sets table.Partition.Num`
 }
+
+// EncodedCol mirrors the shared-buffer slices of the real table.EncodedCol:
+// views into one block buffer, written only here.
+type EncodedCol struct {
+	Packed  []byte
+	RunVals []uint32
+	RunEnds []int32
+	Rows    int
+}
+
+// NewCol is inside the defining package: building the view is its job.
+func NewCol(buf []byte) *EncodedCol {
+	e := &EncodedCol{}
+	e.Packed = buf[:len(buf):len(buf)]
+	e.RunEnds = append(e.RunEnds, 1)
+	return e
+}

@@ -30,6 +30,7 @@ func benchStore(b *testing.B, cacheBytes int64) (*Reader, *table.Table) {
 func BenchmarkStoreColdScan(b *testing.B) {
 	r, tbl := benchStore(b, int64(tbl0Size(b)))
 	b.SetBytes(int64(r.TotalBytes()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for pi := 0; pi < r.NumParts(); pi++ {

@@ -277,8 +277,13 @@ func encodeBlockV2(dst []byte, s *table.Schema, p *table.Partition, hint func(co
 // decodeBlockV2 parses one v2 block into a partition, treating the bytes as
 // untrusted input: every payload length, pack width, run structure and
 // dictionary code is validated here so that the partition's lazy
-// materialization is infallible. Compressible columns stay encoded inside
-// the partition; ds (shared per reader) is charged if they are later
+// materialization is infallible. The partition keeps data: bit-packed, FoR
+// and raw numeric columns are views into it (table.NewBitPackedCol and its
+// siblings copy nothing), so the caller must have finished with the bytes —
+// checksummed them — and must never write them again. data needs
+// table.PackPad bytes of capacity beyond its length, which the views of
+// packed columns may load but never interpret; a column fails to construct
+// without them. ds (shared per reader) is charged when a column is later
 // materialized.
 func decodeBlockV2(data []byte, s *table.Schema, dictLen uint32, id, rows int, ds *table.DecodeStats) (*table.Partition, error) {
 	num := make([][]float64, s.NumCols())
@@ -298,11 +303,11 @@ func decodeBlockV2(data []byte, s *table.Schema, dictLen uint32, id, rows int, d
 		payload := data[:plen]
 		data = data[plen:]
 
-		e, decNum, decCat, err := decodeColumn(tag, payload, col, dictLen, rows)
+		var err error
+		enc[c], cat[c], err = decodeColumn(tag, payload, col, dictLen, rows)
 		if err != nil {
 			return nil, fmt.Errorf("store: partition %d column %q: %w", id, col.Name, err)
 		}
-		enc[c], num[c], cat[c] = e, decNum, decCat
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("store: partition %d: %d trailing bytes after last column", id, len(data))
@@ -310,66 +315,76 @@ func decodeBlockV2(data []byte, s *table.Schema, dictLen uint32, id, rows int, d
 	return table.MakeEncodedPartition(s, id, rows, num, cat, enc, ds)
 }
 
-// decodeColumn validates and decodes one tagged column payload. Raw tags
-// decode to slices; packed tags return a validated EncodedCol.
-func decodeColumn(tag uint8, payload []byte, col table.Column, dictLen uint32, rows int) (*table.EncodedCol, []float64, []uint32, error) {
+// maxCodeInDict reports whether every code of a categorical encoding
+// resolves against a dictionary of dictLen values, and the largest code when
+// one does not. A width-bit code is at most Mask(), so a bit-packed column
+// whose mask is inside the dictionary is in range whatever its bytes say and
+// is not scanned: the answer is the unconditional scan's on every input,
+// and the usual block (a few bits per code, a dictionary shared by the whole
+// table) skips the scan.
+func maxCodeInDict(e *table.EncodedCol, dictLen uint32) (uint32, bool) {
+	if e.Rows == 0 || (e.Kind == table.EncBitPack && e.Mask() < uint64(dictLen)) {
+		return 0, true
+	}
+	max := e.MaxCode()
+	return max, max < dictLen
+}
+
+// decodeColumn validates one tagged column payload. Only raw categorical
+// codes are decoded (and range-checked) here; every other tag returns a
+// validated EncodedCol over payload.
+func decodeColumn(tag uint8, payload []byte, col table.Column, dictLen uint32, rows int) (*table.EncodedCol, []uint32, error) {
 	switch tag {
 	case tagRawNum:
 		if !col.IsNumeric() {
-			return nil, nil, nil, fmt.Errorf("numeric payload on a %s column", col.Kind)
+			return nil, nil, fmt.Errorf("numeric payload on a %s column", col.Kind)
 		}
-		if int64(len(payload)) != 8*int64(rows) {
-			return nil, nil, nil, fmt.Errorf("raw numeric payload is %d bytes, %d rows need %d", len(payload), rows, 8*rows)
-		}
-		vals := make([]float64, rows)
-		for r := range vals {
-			vals[r] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*r:]))
-		}
-		return nil, vals, nil, nil
+		e, err := table.NewRawNumCol(rows, payload)
+		return e, nil, err
 
 	case tagRawCat:
 		if col.IsNumeric() {
-			return nil, nil, nil, fmt.Errorf("categorical payload on a %s column", col.Kind)
+			return nil, nil, fmt.Errorf("categorical payload on a %s column", col.Kind)
 		}
 		if int64(len(payload)) != 4*int64(rows) {
-			return nil, nil, nil, fmt.Errorf("raw categorical payload is %d bytes, %d rows need %d", len(payload), rows, 4*rows)
+			return nil, nil, fmt.Errorf("raw categorical payload is %d bytes, %d rows need %d", len(payload), rows, 4*rows)
 		}
 		codes := make([]uint32, rows)
 		for r := range codes {
 			code := binary.LittleEndian.Uint32(payload[4*r:])
 			if code >= dictLen {
-				return nil, nil, nil, fmt.Errorf("row %d has dictionary code %d, dictionary holds %d values", r, code, dictLen)
+				return nil, nil, fmt.Errorf("row %d has dictionary code %d, dictionary holds %d values", r, code, dictLen)
 			}
 			codes[r] = code
 		}
-		return nil, nil, codes, nil
+		return nil, codes, nil
 
 	case tagBitPack:
 		if col.IsNumeric() {
-			return nil, nil, nil, fmt.Errorf("bit-packed codes on a %s column", col.Kind)
+			return nil, nil, fmt.Errorf("bit-packed codes on a %s column", col.Kind)
 		}
 		if len(payload) < 1 {
-			return nil, nil, nil, fmt.Errorf("bit-packed payload missing width byte")
+			return nil, nil, fmt.Errorf("bit-packed payload missing width byte")
 		}
 		e, err := table.NewBitPackedCol(rows, payload[0], payload[1:])
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		if max := e.MaxCode(); rows > 0 && max >= dictLen {
-			return nil, nil, nil, fmt.Errorf("packed dictionary code %d out of range, dictionary holds %d values", max, dictLen)
+		if max, ok := maxCodeInDict(e, dictLen); !ok {
+			return nil, nil, fmt.Errorf("packed dictionary code %d out of range, dictionary holds %d values", max, dictLen)
 		}
-		return e, nil, nil, nil
+		return e, nil, nil
 
 	case tagRLE:
 		if col.IsNumeric() {
-			return nil, nil, nil, fmt.Errorf("RLE codes on a %s column", col.Kind)
+			return nil, nil, fmt.Errorf("RLE codes on a %s column", col.Kind)
 		}
 		if len(payload) < 4 {
-			return nil, nil, nil, fmt.Errorf("RLE payload missing run count")
+			return nil, nil, fmt.Errorf("RLE payload missing run count")
 		}
 		runs := int64(binary.LittleEndian.Uint32(payload))
 		if want := 4 + 8*runs; int64(len(payload)) != want {
-			return nil, nil, nil, fmt.Errorf("RLE payload is %d bytes, %d runs need %d", len(payload), runs, want)
+			return nil, nil, fmt.Errorf("RLE payload is %d bytes, %d runs need %d", len(payload), runs, want)
 		}
 		vals := make([]uint32, runs)
 		ends := make([]int32, runs)
@@ -380,34 +395,31 @@ func decodeColumn(tag uint8, payload []byte, col table.Column, dictLen uint32, r
 		for i := range ends {
 			end := binary.LittleEndian.Uint32(payload[endBase+4*int64(i):])
 			if end > uint32(rows) {
-				return nil, nil, nil, fmt.Errorf("RLE run %d ends at %d, column has %d rows", i, end, rows)
+				return nil, nil, fmt.Errorf("RLE run %d ends at %d, column has %d rows", i, end, rows)
 			}
 			ends[i] = int32(end)
 		}
 		e, err := table.NewRLECol(rows, vals, ends)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		if max := e.MaxCode(); rows > 0 && max >= dictLen {
-			return nil, nil, nil, fmt.Errorf("RLE dictionary code %d out of range, dictionary holds %d values", max, dictLen)
+		if max, ok := maxCodeInDict(e, dictLen); !ok {
+			return nil, nil, fmt.Errorf("RLE dictionary code %d out of range, dictionary holds %d values", max, dictLen)
 		}
-		return e, nil, nil, nil
+		return e, nil, nil
 
 	case tagFoR:
 		if !col.IsNumeric() {
-			return nil, nil, nil, fmt.Errorf("frame-of-reference payload on a %s column", col.Kind)
+			return nil, nil, fmt.Errorf("frame-of-reference payload on a %s column", col.Kind)
 		}
 		if len(payload) < 9 {
-			return nil, nil, nil, fmt.Errorf("FoR payload missing base and width")
+			return nil, nil, fmt.Errorf("FoR payload missing base and width")
 		}
 		min := math.Float64frombits(binary.LittleEndian.Uint64(payload))
 		e, err := table.NewFoRCol(rows, min, payload[8], payload[9:])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return e, nil, nil, nil
+		return e, nil, err
 
 	default:
-		return nil, nil, nil, fmt.Errorf("unknown column encoding tag %d", tag)
+		return nil, nil, fmt.Errorf("unknown column encoding tag %d", tag)
 	}
 }

@@ -71,6 +71,7 @@ func BenchmarkStoreEncodedColdScan(b *testing.B) {
 			b.Run(name+"/"+layout.label, func(b *testing.B) {
 				r := benchOpenFile(b, tbl, layout.raw, partSize)
 				b.SetBytes(int64(r.TotalBytes()))
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for pi := 0; pi < r.NumParts(); pi++ {

@@ -69,7 +69,9 @@ func materialize(t testing.TB, r *Reader) *table.Table {
 // TestEncFixtureCoversAllEncodings guards the equivalence suite against
 // becoming vacuous: the fixture must actually produce raw, FoR, bit-packed
 // and RLE columns, or a chooser regression could silently fall back to raw
-// everywhere and every "equivalence" below would be trivially true.
+// everywhere and every "equivalence" below would be trivially true. A raw
+// numeric column is a view of its block bytes until something touches it,
+// and is charged to the cache at its decoded width either way.
 func TestEncFixtureCoversAllEncodings(t *testing.T) {
 	// 100-row partitions straddle the 64-row run boundaries, so the run
 	// column has 2-3 runs per partition and RLE beats bit-packing; with
@@ -79,6 +81,7 @@ func TestEncFixtureCoversAllEncodings(t *testing.T) {
 	r := openStore(t, writeStore(t, tbl), -1)
 	s := r.TableSchema()
 	kinds := make(map[string]table.EncKind)
+	var charged int64
 	for pi := 0; pi < r.NumParts(); pi++ {
 		p, err := r.loadBlock(pi)
 		if err != nil {
@@ -88,10 +91,28 @@ func TestEncFixtureCoversAllEncodings(t *testing.T) {
 			if e := p.EncCol(c); e != nil {
 				kinds[col.Name] = e.Kind
 			}
+			if p.Decoded(c) {
+				t.Errorf("partition %d column %q is decoded at load; every encoding in this fixture is a view or a run list", pi, col.Name)
+			}
 		}
+		if e := p.EncCol(0); e.EncodedBytes() != 8*p.Rows() {
+			t.Errorf("partition %d: raw numeric view charges %d bytes, its decoded width is %d", pi, e.EncodedBytes(), 8*p.Rows())
+		}
+		before := p.EncodedSizeBytes()
+		requireSamePartition(t, tbl.Parts[pi], p, pi) // touches every column
+		if p.EncodedSizeBytes() != before {
+			t.Errorf("partition %d: materializing its columns moved the cache charge from %d to %d", pi, before, p.EncodedSizeBytes())
+		}
+		charged += int64(before)
 	}
-	if _, ok := kinds["f"]; ok {
-		t.Errorf("fractional column %q should stay raw, got %v", "f", kinds["f"])
+	// What the cache charged for this fixture when raw numeric columns were
+	// decoded at load: the charge is part of the cache's behaviour (budgets,
+	// hit rates), so it is pinned to the byte.
+	if charged != 16544 {
+		t.Errorf("fixture charges the cache %d bytes in all, want 16544", charged)
+	}
+	if kinds["f"] != table.EncRawNum {
+		t.Errorf("fractional column f held as %v, want rawnum", kinds["f"])
 	}
 	if kinds["n"] != table.EncFoR {
 		t.Errorf("column n encoded as %v, want for", kinds["n"])
@@ -449,11 +470,15 @@ func TestCacheAccountingMixedEncodedRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p0.EncCol(0) != nil || !p0.Decoded(0) {
-		t.Fatal("column f must be raw")
+	if e := p0.EncCol(0); e == nil || e.Kind != table.EncRawNum || p0.Decoded(0) {
+		t.Fatal("column f must be raw: a view of its block bytes, charged at decoded width")
 	}
 	if p0.EncCol(1) == nil || p0.EncCol(2) == nil {
 		t.Fatal("columns n and run must be encoded")
+	}
+	// The charge for this fixture when column f was decoded at load.
+	if size != 1810 {
+		t.Fatalf("mixed partition charges the cache %d bytes, want 1810", size)
 	}
 	decoded := int64(p0.SizeBytes())
 	if size >= decoded {
@@ -607,12 +632,20 @@ func v2ColOffsets(t testing.TB, block []byte, numCols int) []int {
 // validation instead of tripping the checksum.
 func corruptBlock(t testing.TB, data []byte, pi int, mutate func(block []byte)) []byte {
 	t.Helper()
+	return resizeBlock(t, data, pi, 0, mutate)
+}
+
+// resizeBlock is corruptBlock over a block whose footer entry is first grown
+// (into the bytes that follow it in the file) or shrunk by delta bytes.
+func resizeBlock(t testing.TB, data []byte, pi int, delta int64, mutate func(block []byte)) []byte {
+	t.Helper()
 	out := append([]byte(nil), data...)
 	probe := openStore(t, data, 0)
 	b := probe.blocks[pi]
+	b.Length += delta
 	mutate(out[b.Offset : b.Offset+b.Length])
 	crc := crc32.Checksum(out[b.Offset:b.Offset+b.Length], crcTable)
-	return rebuildFooter(t, out, func(f *footerWire) { f.Blocks[pi].CRC = crc })
+	return rebuildFooter(t, out, func(f *footerWire) { f.Blocks[pi].Length, f.Blocks[pi].CRC = b.Length, crc })
 }
 
 // TestReadRejectsCorruptV2Blocks drives the per-column structural validation
@@ -625,55 +658,83 @@ func TestReadRejectsCorruptV2Blocks(t *testing.T) {
 	numCols := tbl.Schema.NumCols()
 	// Column order in encFixture: 0 f (raw num), 1 n (FoR), 2 cat (bitpack),
 	// 3 run (RLE); TestEncFixtureCoversAllEncodings guards this layout.
+	// growLast adds n to the last column's declared payload length.
+	growLast := func(n uint32) func(t *testing.T, block []byte) {
+		return func(t *testing.T, block []byte) {
+			at := block[v2ColOffsets(t, block, numCols)[numCols-1]+1:]
+			binary.LittleEndian.PutUint32(at, binary.LittleEndian.Uint32(at)+n)
+		}
+	}
+	intact := func(*testing.T, []byte) {}
 	cases := []struct {
 		name   string
+		resize int64 // bytes added to the block's footer length
 		mutate func(t *testing.T, block []byte)
 		msg    string
 	}{
-		{"unknown tag", func(t *testing.T, block []byte) {
+		{"unknown tag", 0, func(t *testing.T, block []byte) {
 			block[v2ColOffsets(t, block, numCols)[0]] = 99
 		}, "unknown column encoding tag"},
-		{"payload overruns block", func(t *testing.T, block []byte) {
+		{"payload overruns block", 0, func(t *testing.T, block []byte) {
 			off := v2ColOffsets(t, block, numCols)[0]
 			binary.LittleEndian.PutUint32(block[off+1:], 1<<30)
 		}, "overruns block"},
-		{"FoR width over exactness bound", func(t *testing.T, block []byte) {
+		// The buffer a block is read into is PackPad bytes longer than the
+		// block; those bytes are slack for loads, never payload.
+		{"last payload reaches one byte into the tail pad", 0, growLast(1), "overruns block"},
+		{"last payload claims the whole tail pad", 0, growLast(table.PackPad), "overruns block"},
+		{"block one byte short", -1, intact, "overruns block"},
+		{"trailing byte after the last column", 1, intact, "trailing bytes"},
+		{"raw numeric payload one value short", 0, func(t *testing.T, block []byte) {
+			// A raw numeric column is not decoded at load, but its length is
+			// still checked there.
+			off := v2ColOffsets(t, block, numCols)[0]
+			binary.LittleEndian.PutUint32(block[off+1:], binary.LittleEndian.Uint32(block[off+1:])-8)
+		}, "raw numeric payload"},
+		{"FoR width over exactness bound", 0, func(t *testing.T, block []byte) {
 			off := v2ColOffsets(t, block, numCols)[1]
 			block[off+colHeaderSize+8] = 60
 		}, "53-bit"},
-		{"truncated FoR pack", func(t *testing.T, block []byte) {
+		{"truncated FoR pack", 0, func(t *testing.T, block []byte) {
 			// Bump the declared width without growing the payload: the pack
 			// is now too short for rows*width bits.
 			off := v2ColOffsets(t, block, numCols)[1]
 			block[off+colHeaderSize+8]++
 		}, "payload"},
-		{"bit-pack width over 32", func(t *testing.T, block []byte) {
+		{"bit-pack width over 32", 0, func(t *testing.T, block []byte) {
 			off := v2ColOffsets(t, block, numCols)[2]
 			block[off+colHeaderSize] = 40
 		}, "width <= 32"},
-		{"truncated bit pack", func(t *testing.T, block []byte) {
+		{"truncated bit pack", 0, func(t *testing.T, block []byte) {
 			off := v2ColOffsets(t, block, numCols)[2]
 			block[off+colHeaderSize]++
 		}, "payload"},
-		{"RLE code out of dictionary range", func(t *testing.T, block []byte) {
+		{"RLE code out of dictionary range", 0, func(t *testing.T, block []byte) {
 			off := v2ColOffsets(t, block, numCols)[3]
 			// First run value sits right after the run count.
 			binary.LittleEndian.PutUint32(block[off+colHeaderSize+4:], 1<<31)
 		}, "out of range"},
-		{"RLE run overruns rows", func(t *testing.T, block []byte) {
+		{"RLE run overruns rows", 0, func(t *testing.T, block []byte) {
 			off := v2ColOffsets(t, block, numCols)[3]
 			runs := int(binary.LittleEndian.Uint32(block[off+colHeaderSize:]))
 			lastEnd := off + colHeaderSize + 4 + 4*runs + 4*(runs-1)
 			binary.LittleEndian.PutUint32(block[lastEnd:], 1<<20)
 		}, "ends at"},
-		{"RLE run count mismatch", func(t *testing.T, block []byte) {
+		{"RLE run count mismatch", 0, func(t *testing.T, block []byte) {
 			off := v2ColOffsets(t, block, numCols)[3]
 			binary.LittleEndian.PutUint32(block[off+colHeaderSize:], 1<<24)
 		}, "runs need"},
+		{"bit-packed code out of dictionary range", 0, func(t *testing.T, block []byte) {
+			// Widen nothing: at the fixture's 4 bits the mask (15) is past
+			// the 12-value dictionary, so the range scan runs and must find
+			// the one rogue code.
+			off := v2ColOffsets(t, block, numCols)[2]
+			block[off+colHeaderSize+1] |= 0x0f
+		}, "out of range"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			data := corruptBlock(t, valid, 1, func(block []byte) { c.mutate(t, block) })
+			data := resizeBlock(t, valid, 1, c.resize, func(block []byte) { c.mutate(t, block) })
 			r := openStore(t, data, 0)
 			if _, err := r.Read(0); err != nil {
 				t.Fatalf("intact partition: %v", err)

@@ -13,8 +13,9 @@ import (
 // materialization on whatever opens successfully. Any input may fail with an
 // error; none may panic. Seeds cover both format versions and, for v2, the
 // structural hazards of the per-column payloads: truncated packs,
-// out-of-range dictionary codes and RLE overruns (each with a fixed-up block
-// CRC so the corruption reaches decode instead of the checksum).
+// out-of-range dictionary codes, RLE overruns, mis-cut views and FoR values
+// beyond the exactness bound (each with a fixed-up block CRC so the
+// corruption reaches decode instead of the checksum).
 func FuzzOpenStore(f *testing.F) {
 	valid := writeStoreRaw(f, buildTable(f, 90, 30))
 	f.Add(valid)
@@ -77,6 +78,17 @@ func FuzzOpenStore(f *testing.F) {
 	} {
 		f.Add(corruptBlock(f, encValid, 1, mutate))
 	}
+	// Columns are views into the block buffer: seed the places a view could
+	// be cut wrong — a last payload that claims the reader's tail pad, a
+	// block one byte short or long — and a FoR block whose base and width
+	// pass but whose values leave the 2^53 exactness bound.
+	f.Add(corruptBlock(f, encValid, 1, func(block []byte) {
+		at := block[v2ColOffsets(f, block, numCols)[numCols-1]+1:]
+		binary.LittleEndian.PutUint32(at, binary.LittleEndian.Uint32(at)+table.PackPad)
+	}))
+	f.Add(resizeBlock(f, encValid, 1, -1, func([]byte) {}))
+	f.Add(resizeBlock(f, encValid, 1, 1, func([]byte) {}))
+	f.Add(forBeyondBound(f, encValid, 1, numCols))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReaderAt(bytes.NewReader(data), int64(len(data)), Options{CacheBytes: 1 << 20})

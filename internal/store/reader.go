@@ -269,9 +269,16 @@ func (r *Reader) ReadUncached(i int) (*table.Partition, error) {
 // the cache. Failures on bad bytes — CRC mismatch, or a decode error on
 // bytes that matched their checksum — are marked with errCorruptBlock;
 // read errors are not, so transient I/O stays retryable.
+//
+// The buffer is allocated here, once per load, and is never pooled or
+// reused: a v2 partition keeps it (its columns are views into it, see
+// decodeBlockV2), so the bytes scanned are the bytes checksummed, and a
+// retry after a corrupt load reads into a buffer of its own. The
+// table.PackPad bytes past the block are the slack the last packed
+// column's loads may run into.
 func (r *Reader) loadBlock(i int) (*table.Partition, error) {
 	b := r.blocks[i]
-	data := make([]byte, b.Length)
+	data := make([]byte, b.Length+table.PackPad)[:b.Length]
 	if _, err := r.src.ReadAt(data, b.Offset); err != nil {
 		return nil, fmt.Errorf("store: read partition %d: %w", i, err)
 	}

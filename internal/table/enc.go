@@ -14,7 +14,11 @@ import (
 // predicate kernels in internal/query evaluate directly on the encoded
 // representation, so a column used only for filtering is never materialized.
 //
-// Three encodings cover the cheap, exactness-preserving wins:
+// A column loaded from a store block does not own its bytes: Packed is a view
+// into the block buffer the reader checksummed, which every column of the
+// partition shares and nothing writes after the checksum. Three encodings
+// cover the cheap, exactness-preserving wins, and a fourth keeps an
+// incompressible numeric column as the bytes it arrived in:
 //
 //   - EncBitPack (categorical): dictionary codes bit-packed at the width of
 //     the block's largest code. Dictionary codes are dense, so most blocks
@@ -28,6 +32,11 @@ import (
 //     minimum. Under those bounds v - min, min + delta and the packed
 //     comparison constants are all exact in float64, so decoding is
 //     bit-identical to the raw path by construction.
+//   - EncRawNum (numeric): the raw layout itself, rows little-endian float64
+//     bit patterns. Not a compression — it exists so that loading a block
+//     decodes no numeric column the query never names. No kernel runs on it:
+//     a predicate or aggregate materializes it through NumCol like any other
+//     first touch, and any 8 bytes are a float64, so that cannot fail.
 //
 // Exactness argument for EncFoR: min and every value are integers of
 // magnitude <= 2^53, so they are exactly representable; the delta v - min is
@@ -49,6 +58,9 @@ const (
 	// EncFoR stores integral numeric values as bit-packed deltas from the
 	// block minimum (frame of reference).
 	EncFoR
+	// EncRawNum stores numeric values as their little-endian float64 bit
+	// patterns, undecoded until first touched.
+	EncRawNum
 )
 
 func (k EncKind) String() string {
@@ -59,6 +71,8 @@ func (k EncKind) String() string {
 		return "rle"
 	case EncFoR:
 		return "for"
+	case EncRawNum:
+		return "rawnum"
 	default:
 		return fmt.Sprintf("EncKind(%d)", uint8(k))
 	}
@@ -69,9 +83,12 @@ func (k EncKind) String() string {
 // must fit in 64.
 const MaxPackWidth = 56
 
-// packPad is the zero padding appended to packed buffers so At can always
-// load 8 bytes starting at any payload byte.
-const packPad = 8
+// PackPad is the number of readable bytes a packed payload needs after its
+// last byte, so At can always load 8 bytes starting at any payload byte. The
+// bytes need not be zero: At masks off everything beyond the value's width,
+// so inside a block they are simply whatever follows — the next column's
+// header, or the pad the reader allocates past the block's end.
+const PackPad = 8
 
 // EncodedCol is one column of a partition in encoded form. Values are
 // immutable after construction; all methods are safe for concurrent use.
@@ -86,9 +103,12 @@ type EncodedCol struct {
 	// Min is the frame-of-reference base (EncFoR only), an integer with
 	// |Min| <= 2^53.
 	Min float64
-	// Packed holds the bit-packed values (EncBitPack, EncFoR), padded with
-	// at least packPad zero bytes beyond the payload so per-row extraction
-	// is one 8-byte load.
+	// Packed holds the bit-packed values (EncBitPack, EncFoR) followed by
+	// PackPad bytes of arbitrary content, so per-row extraction is one
+	// 8-byte load; for EncRawNum it holds exactly the 8·Rows value bytes.
+	// The slice aliases the buffer the constructor was given — for a store
+	// block, the one buffer all of the partition's columns share — and must
+	// never be written.
 	Packed []byte
 	// RunVals / RunEnds are the RLE runs (EncRLE): RunVals[i] repeats for
 	// rows [RunEnds[i-1], RunEnds[i]). RunEnds is strictly increasing and
@@ -107,16 +127,27 @@ func packedLen(rows int, width uint8) int {
 	return (rows*int(width) + 7) / 8
 }
 
-// padPacked copies payload into a buffer with packPad trailing zero bytes so
-// extraction loads never run past the slice.
-func padPacked(payload []byte) []byte {
-	out := make([]byte, len(payload)+packPad)
-	copy(out, payload)
-	return out
+// packedView validates a packed payload and returns the view At loads
+// through: the payload plus the PackPad bytes after it, capacity capped
+// there so nothing reached through the column extends into a neighbour.
+// packed must hold exactly packedLen(rows, width) bytes and have PackPad
+// bytes of capacity beyond them; nothing is copied.
+func packedView(what string, rows int, width uint8, packed []byte) ([]byte, error) {
+	want := packedLen(rows, width)
+	if len(packed) != want {
+		return nil, fmt.Errorf("table: %s payload is %d bytes, %d rows at %d bits need %d",
+			what, len(packed), rows, width, want)
+	}
+	if cap(packed)-want < PackPad {
+		return nil, fmt.Errorf("table: %s payload has %d bytes of capacity after it, extraction needs %d",
+			what, cap(packed)-want, PackPad)
+	}
+	return packed[: want+PackPad : want+PackPad], nil
 }
 
-// NewBitPackedCol builds a bit-packed categorical column. packed must hold
-// exactly packedLen(rows, width) payload bytes; it is copied.
+// NewBitPackedCol builds a bit-packed categorical column over packed, which
+// it keeps: exactly packedLen(rows, width) payload bytes, with at least
+// PackPad bytes of capacity after them that At may load and mask off.
 func NewBitPackedCol(rows int, width uint8, packed []byte) (*EncodedCol, error) {
 	if rows < 0 {
 		return nil, fmt.Errorf("table: bit-packed column with %d rows", rows)
@@ -124,19 +155,18 @@ func NewBitPackedCol(rows int, width uint8, packed []byte) (*EncodedCol, error) 
 	if width > 32 {
 		return nil, fmt.Errorf("table: bit-packed dictionary codes need width <= 32, got %d", width)
 	}
-	if want := packedLen(rows, width); len(packed) != want {
-		return nil, fmt.Errorf("table: bit-packed payload is %d bytes, %d rows at %d bits need %d",
-			len(packed), rows, width, want)
+	view, err := packedView("bit-packed", rows, width, packed)
+	if err != nil {
+		return nil, err
 	}
-	e := &EncodedCol{
+	return &EncodedCol{
 		Kind:     EncBitPack,
 		Rows:     rows,
 		Width:    width,
-		Packed:   padPacked(packed),
+		Packed:   view,
 		mask:     widthMask(width),
 		encBytes: 1 + len(packed),
-	}
-	return e, nil
+	}, nil
 }
 
 // NewRLECol builds a run-length categorical column. ends must be strictly
@@ -175,10 +205,10 @@ func NewRLECol(rows int, vals []uint32, ends []int32) (*EncodedCol, error) {
 	}, nil
 }
 
-// NewFoRCol builds a frame-of-reference numeric column. min must be an
-// integer with |min| <= 2^53 and width <= 53 so that every delta and
-// reconstruction is exact; packed must hold exactly packedLen(rows, width)
-// payload bytes and is copied.
+// NewFoRCol builds a frame-of-reference numeric column over packed, which it
+// keeps under the same terms as NewBitPackedCol. min must be an integer with
+// |min| <= 2^53, width <= 53 and every min + delta <= 2^53, so that every
+// delta and reconstruction is exact.
 func NewFoRCol(rows int, min float64, width uint8, packed []byte) (*EncodedCol, error) {
 	if rows < 0 {
 		return nil, fmt.Errorf("table: FoR column with %d rows", rows)
@@ -186,23 +216,57 @@ func NewFoRCol(rows int, min float64, width uint8, packed []byte) (*EncodedCol, 
 	if width > 53 {
 		return nil, fmt.Errorf("table: FoR width %d exceeds the 53-bit exactness bound", width)
 	}
-	if min != math.Trunc(min) || math.Abs(min) > 1<<53 {
+	if min != math.Trunc(min) || math.Abs(min) > maxExactInt {
 		return nil, fmt.Errorf("table: FoR base %v is not an integer within 2^53", min)
 	}
-	if want := packedLen(rows, width); len(packed) != want {
-		return nil, fmt.Errorf("table: FoR payload is %d bytes, %d rows at %d bits need %d",
-			len(packed), rows, width, want)
+	view, err := packedView("FoR", rows, width, packed)
+	if err != nil {
+		return nil, err
 	}
-	return &EncodedCol{
+	e := &EncodedCol{
 		Kind:     EncFoR,
 		Rows:     rows,
 		Width:    width,
 		Min:      min,
-		Packed:   padPacked(packed),
+		Packed:   view,
 		mask:     widthMask(width),
 		encBytes: 1 + 8 + len(packed),
+	}
+	// The largest value must stay exact as well: past 2^53 min + delta
+	// rounds, and the materialized column would disagree with the kernels
+	// that compare in delta space. Integer arithmetic, because the float sum
+	// is what rounds. Every delta is <= mask, so the scan for the largest
+	// one runs only when mask itself crosses the bound — the same accept /
+	// reject decision as scanning every block, which a writer's block
+	// (range-checked before it is packed) never pays.
+	if base := int64(min); base+int64(e.mask) > maxExactInt {
+		if top := base + int64(e.maxPacked()); top > maxExactInt {
+			return nil, fmt.Errorf("table: FoR base %v plus delta %d exceeds the 2^53 exactness bound", min, top-base)
+		}
+	}
+	return e, nil
+}
+
+// NewRawNumCol builds a raw numeric column over raw, which it keeps: exactly
+// rows little-endian float64 bit patterns.
+func NewRawNumCol(rows int, raw []byte) (*EncodedCol, error) {
+	if rows < 0 {
+		return nil, fmt.Errorf("table: raw numeric column with %d rows", rows)
+	}
+	if int64(len(raw)) != 8*int64(rows) {
+		return nil, fmt.Errorf("table: raw numeric payload is %d bytes, %d rows need %d", len(raw), rows, 8*int64(rows))
+	}
+	return &EncodedCol{
+		Kind:     EncRawNum,
+		Rows:     rows,
+		Packed:   raw[:len(raw):len(raw)],
+		encBytes: len(raw),
 	}, nil
 }
+
+// maxExactInt is 2^53, the largest magnitude at which float64 represents
+// every integer exactly.
+const maxExactInt = 1 << 53
 
 // widthMask returns a mask of width low bits.
 func widthMask(width uint8) uint64 {
@@ -213,7 +277,7 @@ func widthMask(width uint8) uint64 {
 }
 
 // IsNumeric reports whether the encoding carries numeric (float64) values.
-func (e *EncodedCol) IsNumeric() bool { return e.Kind == EncFoR }
+func (e *EncodedCol) IsNumeric() bool { return e.Kind == EncFoR || e.Kind == EncRawNum }
 
 // EncodedBytes returns the wire-equivalent footprint of the encoded column —
 // what the cache charges for keeping it resident.
@@ -230,9 +294,15 @@ func (e *EncodedCol) At(r int) uint64 {
 	return (word >> (bit & 7)) & e.mask
 }
 
-// DecodeNum materializes an EncFoR column as float64 values.
+// DecodeNum materializes an EncFoR or EncRawNum column as float64 values.
 func (e *EncodedCol) DecodeNum() []float64 {
 	out := make([]float64, e.Rows)
+	if e.Kind == EncRawNum {
+		for r := range out {
+			out[r] = math.Float64frombits(binary.LittleEndian.Uint64(e.Packed[8*r:]))
+		}
+		return out
+	}
 	min := e.Min
 	for r := range out {
 		out[r] = min + float64(e.At(r))
@@ -274,10 +344,17 @@ func (e *EncodedCol) MaxCode() uint32 {
 			}
 		}
 	case EncBitPack:
-		for r := 0; r < e.Rows; r++ {
-			if v := uint32(e.At(r)); v > max {
-				max = v
-			}
+		max = uint32(e.maxPacked())
+	}
+	return max
+}
+
+// maxPacked returns the largest packed value (0 for an empty column).
+func (e *EncodedCol) maxPacked() uint64 {
+	var max uint64
+	for r := 0; r < e.Rows; r++ {
+		if v := e.At(r); v > max {
+			max = v
 		}
 	}
 	return max

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"sync"
@@ -8,10 +9,12 @@ import (
 )
 
 // packValues bit-packs vals at the given width, mirroring the store writer's
-// layout so constructor round-trips can be checked against known inputs.
+// layout so constructor round-trips can be checked against known inputs. The
+// payload it returns has PackPad bytes of capacity after it, as the
+// constructors require.
 func packValues(vals []uint64, width uint8) []byte {
 	n := packedLen(len(vals), width)
-	buf := make([]byte, n+8)
+	buf := make([]byte, n+PackPad)
 	for r, v := range vals {
 		bit := r * int(width)
 		at := bit >> 3
@@ -52,9 +55,73 @@ func TestBitPackedColRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedColsAreViews pins the ownership rule: a packed or raw numeric
+// column keeps the slice it was built over — no copy — and caps its view at
+// what extraction may load, so nothing reached through the column extends
+// into whatever follows it in a shared buffer.
+func TestPackedColsAreViews(t *testing.T) {
+	packed := packValues([]uint64{1, 2, 3, 0, 3, 1, 2, 2}, 2) // 2 payload bytes
+	bp, err := NewBitPackedCol(8, 2, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := NewFoRCol(8, -5, 2, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*EncodedCol{bp, fr} {
+		if &e.Packed[0] != &packed[0] {
+			t.Fatalf("%s column copied its payload", e.Kind)
+		}
+		if want := len(packed) + PackPad; len(e.Packed) != want || cap(e.Packed) != want {
+			t.Fatalf("%s view is len %d cap %d, want both %d", e.Kind, len(e.Packed), cap(e.Packed), want)
+		}
+	}
+	// The bytes after a payload are loaded and masked off, never interpreted:
+	// filling them changes no value.
+	want := bp.DecodeCat()
+	pad := packed[len(packed) : len(packed)+PackPad]
+	for i := range pad {
+		pad[i] = 0xff
+	}
+	for r, v := range bp.DecodeCat() {
+		if v != want[r] {
+			t.Fatalf("row %d reads %d with a dirty pad, %d with a clean one", r, v, want[r])
+		}
+	}
+
+	raw := make([]byte, 3*8, 3*8+5)
+	vals := []float64{1.5, math.Inf(-1), math.Float64frombits(0x7ff8_0000_dead_beef)} // a NaN payload survives too
+	for r, v := range vals {
+		binary.LittleEndian.PutUint64(raw[8*r:], math.Float64bits(v))
+	}
+	rn, err := NewRawNumCol(3, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rn.Packed[0] != &raw[0] || cap(rn.Packed) != len(raw) {
+		t.Fatalf("raw numeric view: cap %d over %d value bytes", cap(rn.Packed), len(raw))
+	}
+	if !rn.IsNumeric() || rn.EncodedBytes() != len(raw) {
+		t.Fatalf("raw numeric column: numeric %v, %d encoded bytes, want true and %d", rn.IsNumeric(), rn.EncodedBytes(), len(raw))
+	}
+	for r, got := range rn.DecodeNum() {
+		if math.Float64bits(got) != math.Float64bits(vals[r]) {
+			t.Fatalf("DecodeNum[%d] = %x, want %x", r, math.Float64bits(got), math.Float64bits(vals[r]))
+		}
+	}
+	if _, err := NewRawNumCol(3, raw[:23]); err == nil || !strings.Contains(err.Error(), "payload") {
+		t.Fatalf("short raw numeric payload: %v", err)
+	}
+	if e, err := NewRawNumCol(0, nil); err != nil || len(e.DecodeNum()) != 0 {
+		t.Fatalf("empty raw numeric column: %v", err)
+	}
+}
+
 func TestBitPackedColZeroWidth(t *testing.T) {
-	// A constant-zero column packs at width 0: no payload at all.
-	e, err := NewBitPackedCol(100, 0, nil)
+	// A constant-zero column packs at width 0: no payload at all, only the
+	// bytes extraction loads and masks to nothing.
+	e, err := NewBitPackedCol(100, 0, make([]byte, 0, PackPad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +147,7 @@ func TestBitPackedColRejects(t *testing.T) {
 		{"width over 32", 4, 33, make([]byte, 17), "width <= 32"},
 		{"payload too short", 8, 8, make([]byte, 7), "payload"},
 		{"payload too long", 8, 8, make([]byte, 9), "payload"},
+		{"nothing readable after the payload", 8, 8, make([]byte, 8, 8+PackPad-1), "capacity"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -181,6 +249,27 @@ func TestFoRColExactAtBounds(t *testing.T) {
 			t.Fatalf("row %d: %v, want %v", r, got, want)
 		}
 	}
+	// The bound is on the values present, not on what the width could hold:
+	// a mask that crosses 2^53 over deltas that do not is a legitimate block.
+	for _, c := range []struct {
+		min    float64
+		width  uint8
+		deltas []uint64
+	}{
+		{1 << 53, 2, []uint64{0, 0, 0}},
+		{1, 53, []uint64{7, 1<<53 - 1}},
+		{1<<53 - 3, 2, []uint64{3, 0}},
+	} {
+		e, err := NewFoRCol(len(c.deltas), c.min, c.width, packValues(c.deltas, c.width))
+		if err != nil {
+			t.Fatalf("min %v width %d deltas %v: %v", c.min, c.width, c.deltas, err)
+		}
+		for r, got := range e.DecodeNum() {
+			if want := float64(int64(c.min) + int64(c.deltas[r])); got != want {
+				t.Fatalf("min %v row %d decodes to %v, want %v", c.min, r, got, want)
+			}
+		}
+	}
 }
 
 func TestFoRColRejects(t *testing.T) {
@@ -198,6 +287,12 @@ func TestFoRColRejects(t *testing.T) {
 		{"base beyond 2^53", 2, float64(1 << 54), 4, make([]byte, 1), "integer"},
 		{"NaN base", 2, math.NaN(), 4, make([]byte, 1), "integer"},
 		{"payload too short", 8, 0, 8, make([]byte, 7), "payload"},
+		{"nothing readable after the payload", 8, 0, 8, make([]byte, 8), "capacity"},
+		// The largest value must stay exact too, and the check must not
+		// itself round: 2^53 + 1 is 2^53 in float64.
+		{"top value beyond 2^53", 2, 1 << 53, 2, packValues([]uint64{0, 1}, 2), "exactness bound"},
+		{"top value beyond 2^53 by one bit", 2, 1 << 53, 1, packValues([]uint64{0, 1}, 1), "exactness bound"},
+		{"top value beyond 2^53 at full width", 2, 5, 53, packValues([]uint64{0, 1<<53 - 1}, 53), "exactness bound"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

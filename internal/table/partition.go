@@ -165,9 +165,10 @@ func (p *Partition) SizeBytes() int {
 }
 
 // EncodedSizeBytes is the resident footprint the partition cache charges:
-// decoded columns at full width plus encoded columns at their wire size.
-// Lazily decoded side-car slices are not re-charged; DecodeStats tracks
-// them separately.
+// decoded columns at full width plus encoded columns at their wire size
+// (for a raw numeric view the two are the same 8 bytes a row). Lazily
+// decoded side-car slices are not re-charged; DecodeStats tracks them
+// separately.
 func (p *Partition) EncodedSizeBytes() int {
 	n := 0
 	for _, col := range p.Num {
