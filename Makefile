@@ -75,25 +75,28 @@ bench-store-smoke:
 	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce' -v ./internal/store/
 	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
 
-# Pick-time inference: the batched pick path (pooled featurization +
-# flat-ensemble funnel) vs the retained pointer-tree reference, across
-# serving budgets, plus the flat predictor micro-benchmarks. The zero-alloc
-# contract of the steady path is asserted by tests
-# (TestPredictBatchZeroAllocs, TestFillRowZeroAllocs,
-# TestBatchScorerZeroAllocsAfterBind), not just observed in -benchmem.
+# Pick-time inference: the batched pick path (pooled selectivity fill +
+# fold-table funnel) vs the retained pointer-tree reference, across serving
+# budgets, plus the flat predictor micro-benchmarks and one funnel stage at
+# the serving benchmark's shape (BenchmarkFunnelStage: the per-binding table
+# build, the per-query bind + sweep, and /paired against the unspecialized
+# PredictBatch sweep over full rows). The zero-alloc contract of the steady
+# path is asserted by tests (TestPredictBatchZeroAllocs,
+# TestFillRowZeroAllocs, TestBatchScorerZeroAllocsAfterBind), not just
+# observed in -benchmem.
 # Nothing is recorded from this target: the recorded pick figures are the
 # paired 10 %-budget speedup in BENCH_cluster.json (make bench-cluster) and
 # the served adhoc-pick workload in bench/baseline.json.
 bench-pick:
 	$(GO) test -bench 'BenchmarkPick|BenchmarkPickInference' -benchmem -run '^$$' ./internal/picker/
-	$(GO) test -bench 'BenchmarkPredictBatch' -benchmem -run '^$$' ./internal/gbt/
+	$(GO) test -bench 'BenchmarkPredictBatch|BenchmarkFunnelStage' -benchmem -run '^$$' ./internal/gbt/
 
 # One-iteration smoke run of the pick benchmarks plus the zero-alloc tests;
 # wired into CI so the benchmark fixtures can never rot. Two separate
 # invocations so a failure in either exits nonzero (no output filtering).
 bench-pick-smoke:
 	$(GO) test -run 'ZeroAllocs' -v ./internal/picker/ ./internal/gbt/ ./internal/stats/
-	$(GO) test -bench 'BenchmarkPick|BenchmarkPredictBatch' -benchtime 1x -run '^$$' ./internal/picker/ ./internal/gbt/
+	$(GO) test -bench 'BenchmarkPick|BenchmarkPredictBatch|BenchmarkFunnelStage' -benchtime 1x -run '^$$' ./internal/picker/ ./internal/gbt/
 
 # Clustering tail: triangle-inequality-bounded k-means vs the frozen exact
 # reference, isolated (BenchmarkKMeans, with the skipped-distance fraction

@@ -83,9 +83,7 @@ func (s *System) Rebind(src table.PartitionSource, ts *stats.TableStats) (*Syste
 		return nil, err
 	}
 	if s.Picker != nil {
-		p := *s.Picker
-		p.TS = ts
-		ns.Picker = &p
+		ns.Picker = s.Picker.Rebound(ts)
 	}
 	if s.LSS != nil {
 		l := *s.LSS

@@ -1,6 +1,9 @@
 package gbt
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file provides snapshot/restore support for trained ensembles so the
 // picker's funnel regressors can be persisted with the rest of a trained
@@ -56,7 +59,11 @@ func (m *Model) Snapshot() ModelSnapshot {
 // FromSnapshot reconstructs a trained model, validating the tree topology:
 // split features must lie inside the feature dimension and child links must
 // point strictly forward (grow builds trees in preorder, so parents always
-// precede children), which guarantees predict terminates.
+// precede children), which guarantees predict terminates. A NaN split
+// threshold is rejected: the batch tables order a feature's conditions by
+// threshold and stop scanning at the first one that holds, which NaN (ordered
+// against nothing) would break silently. ±Inf thresholds are ordinary floats
+// and stay legal.
 func FromSnapshot(s ModelSnapshot) (*Model, error) {
 	if s.Dim <= 0 {
 		return nil, fmt.Errorf("gbt: snapshot has non-positive feature dimension %d", s.Dim)
@@ -87,6 +94,9 @@ func FromSnapshot(s ModelSnapshot) (*Model, error) {
 				if ns.Left <= i || ns.Left >= len(ts.Nodes) || ns.Right <= i || ns.Right >= len(ts.Nodes) {
 					return nil, fmt.Errorf("gbt: snapshot tree %d node %d has invalid children %d/%d (must be in (%d, %d))",
 						ti, i, ns.Left, ns.Right, i, len(ts.Nodes))
+				}
+				if math.IsNaN(ns.Thresh) {
+					return nil, fmt.Errorf("gbt: snapshot tree %d node %d splits on a NaN threshold", ti, i)
 				}
 			}
 			t.nodes[i] = node{feature: ns.Feature, thresh: ns.Thresh, left: ns.Left, right: ns.Right, value: ns.Value}

@@ -1,6 +1,7 @@
 package gbt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -127,5 +128,45 @@ func TestFromSnapshotAcceptsMissingImportance(t *testing.T) {
 	}
 	if len(back.Importance()) != m.Dim() {
 		t.Fatalf("restored importance has %d entries, want %d", len(back.Importance()), m.Dim())
+	}
+}
+
+// nanThresholdSnapshot is three one-split trees on feature 0 with thresholds
+// 5, NaN, 3 and leaves {1, 10}. Before FromSnapshot rejected it, the batch
+// tables ordered the NaN entry first (NaN defeats the insertion sort's `<`),
+// the early-exit scan stopped on it, and row x = 4 scored 3 through
+// PredictBatch against 21 through PredictReference.
+func nanThresholdSnapshot() ModelSnapshot {
+	s := ModelSnapshot{Params: Params{LearningRate: 1}, Dim: 1}
+	for _, th := range []float64{5, math.NaN(), 3} {
+		s.Trees = append(s.Trees, TreeSnapshot{Nodes: []NodeSnapshot{
+			{Feature: 0, Thresh: th, Left: 1, Right: 2},
+			{Feature: -1, Value: 1},
+			{Feature: -1, Value: 10},
+		}})
+	}
+	return s
+}
+
+func TestFromSnapshotRejectsNaNThreshold(t *testing.T) {
+	if _, err := FromSnapshot(nanThresholdSnapshot()); err == nil {
+		t.Fatal("FromSnapshot accepted a NaN split threshold")
+	}
+	// A NaN in a leaf's unused threshold field is not a condition, and ±Inf
+	// thresholds are ordinary floats: both load, and agree across evaluators.
+	s := nanThresholdSnapshot()
+	s.Trees[1].Nodes[0].Thresh = math.Inf(1)
+	s.Trees[2].Nodes[0].Thresh = math.Inf(-1)
+	s.Trees[0].Nodes[1].Thresh = math.NaN()
+	m, err := FromSnapshot(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{4, 6, math.Inf(1), math.Inf(-1), math.NaN()} {
+		got := make([]float64, 1)
+		m.PredictBatch(got, [][]float64{{x}})
+		if want := m.PredictReference([]float64{x}); math.Float64bits(got[0]) != math.Float64bits(want) {
+			t.Fatalf("x = %v: PredictBatch %v, PredictReference %v", x, got[0], want)
+		}
 	}
 }

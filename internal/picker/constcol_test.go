@@ -30,9 +30,11 @@ func newDupEnv(t testing.TB, cfg Config) *testEnv {
 
 // selectBoth runs the reference and the production cluster selection over
 // one group of env's partitions, featurized for q with mutate applied to the
-// feature rows, and checks the contract that lets the two stand in for each
-// other: the same selection from the same rng consumption, weights summing
-// to the group size. It returns the production path's active column count.
+// feature rows — the reference over full rows, production over the batched
+// path's four selectivity columns — and checks the contract that lets the
+// two stand in for each other: the same selection from the same rng
+// consumption, weights summing to the group size. It returns the production
+// path's active column count.
 func selectBoth(t *testing.T, env *testEnv, q *query.Query, group []int, ni int, mutate func(rows [][]float64)) int {
 	t.Helper()
 	p := env.p
@@ -41,14 +43,18 @@ func selectBoth(t *testing.T, env *testEnv, q *query.Query, group []int, ni int,
 	sc := getPickScratch(total, m)
 	defer putPickScratch(sc)
 	sc.setMasks(p, plan)
+	full := make([][]float64, total)
 	for i := 0; i < total; i++ {
-		plan.FillRow(sc.rows[i], i)
+		full[i] = make([]float64, m)
+		plan.FillRow(full[i], i)
+		plan.FillSel(sc.rows[i], i)
 	}
 	if mutate != nil {
+		mutate(full)
 		mutate(sc.rows)
 	}
 	refRng, fastRng := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
-	ref := p.clusterSelect(sc.rows, group, ni, p.Excluded, refRng)
+	ref := p.clusterSelect(full, group, ni, p.Excluded, refRng)
 	var ks cluster.KMeansStats
 	fast := p.clusterSelectFast(sc.rows, group, ni, fastRng, sc, exec.Options{Parallelism: 1}, &ks)
 	if !selectionsEqual(ref, fast) {

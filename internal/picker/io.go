@@ -83,7 +83,7 @@ func ReadPicker(r io.Reader, ts *stats.TableStats) (*Picker, error) {
 		return nil, fmt.Errorf("picker: corrupt snapshot: %d thresholds for %d funnel stages",
 			len(wire.Thresholds), len(wire.Regs))
 	}
-	p := &Picker{Cfg: wire.Cfg, TS: ts, Thresholds: wire.Thresholds, Excluded: map[stats.Kind]bool{}}
+	p := &Picker{Cfg: wire.Cfg, TS: ts, Thresholds: wire.Thresholds, Excluded: map[stats.Kind]bool{}, tables: &funnelTables{}}
 	for stage, ms := range wire.Regs {
 		m, err := gbt.FromSnapshot(ms)
 		if err != nil {

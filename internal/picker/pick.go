@@ -27,8 +27,9 @@ func clusterGreedy(candidates []int, eval func(map[int]bool) float64, restarts i
 type PickStats struct {
 	Total   time.Duration
 	Cluster time.Duration
-	// Featurize is the time spent building the partition feature matrix;
-	// only populated by PickBatch, where featurization is part of the pick.
+	// Featurize is the time spent on the per-query feature fill (the
+	// selectivity estimates of every partition); only populated by
+	// PickBatch, where featurization is part of the pick.
 	Featurize time.Duration
 	// KMeans accumulates the bounded k-means distance-work counters across
 	// the pick's per-group clusterings; only populated by PickBatch (the
@@ -46,36 +47,43 @@ const (
 	// evalReference predicts on the retained pointer-tree evaluator; the
 	// baseline the batch path is equivalence-tested against.
 	evalReference
-	// evalBatch predicts each funnel group in one PredictBatch sweep over
-	// pooled scratch, allocating nothing per partition.
+	// evalBatch predicts each funnel group in one sweep over the binding's
+	// fold tables (tables.go) and the four per-query selectivity columns,
+	// allocating nothing per partition. Rows are selWidth wide.
 	evalBatch
 )
 
-// pickScratch is the reusable per-Pick working set: the row-major feature
-// matrix, per-row slice views into it, and the funnel's prediction/gather
-// buffers. Scratches are pooled package-wide so sustained serving reaches a
-// steady state of zero per-pick matrix allocations regardless of how many
-// Picker values (or copies — the experiment harness copies pickers to apply
-// lesion flags) are live.
+// selWidth is the width of a batched pick's per-partition row: the four
+// selectivity estimates, which lead the feature vector
+// (FeatureSpace.SelectivitySlots) and are the only slots a query changes.
+const selWidth = 4
+
+// pickScratch is the reusable per-Pick working set: the row-major N×selWidth
+// selectivity matrix, per-row slice views into it, and the funnel's and
+// cluster preparation's buffers. Scratches are pooled package-wide so
+// sustained serving reaches a steady state of zero per-pick matrix
+// allocations regardless of how many Picker values (or copies — the
+// experiment harness copies pickers to apply lesion flags) are live.
 type pickScratch struct {
-	x      []float64
-	rows   [][]float64
-	preds  []float64
-	gather [][]float64
-	// Cluster-preparation scratch: the per-pick excluded-slot mask, the
-	// active-slot list of the group being clustered, its normalized
-	// selectivity columns (4 per row), and the compact normalized matrix
-	// handed to the clustering algorithm.
+	x     []float64
+	rows  [][]float64
+	preds []float64
+	// Cluster-preparation scratch: the per-pick excluded-slot and masked-slot
+	// lookups, the active-slot list of the group being clustered, its
+	// normalized selectivity columns (4 per row), and the compact normalized
+	// matrix handed to the clustering algorithm.
 	excluded []bool
+	masked   []bool
 	active   []int32
 	selNorm  []float64
 	normBuf  []float64
 	normRows [][]float64
-	// Funnel scratch: the per-pick masked-slot lookup and one specialized
-	// scorer per funnel stage (masked features hold the same zero in every
-	// row, so their split conditions fold into the scorers at bind time).
-	masked  []bool
-	scorers []gbt.BatchScorer
+	// Funnel scratch: the query's named columns (by schema column index, what
+	// a stage's fold table is bound with), the scorer rebound stage by stage,
+	// and the one full-width row a stage without a fold table is walked over.
+	named   []bool
+	scorer  gbt.BatchScorer
+	fullRow []float64
 }
 
 var pickScratchPool sync.Pool
@@ -87,48 +95,42 @@ func getPickScratch(n, m int) *pickScratch {
 	if sc == nil {
 		sc = &pickScratch{}
 	}
-	if cap(sc.x) < n*m {
-		sc.x = make([]float64, n*m)
+	if cap(sc.x) < n*selWidth {
+		sc.x = make([]float64, n*selWidth)
 	}
-	sc.x = sc.x[:n*m]
+	sc.x = sc.x[:n*selWidth]
 	if cap(sc.rows) < n {
 		sc.rows = make([][]float64, n)
 	}
 	sc.rows = sc.rows[:n]
 	for i := 0; i < n; i++ {
-		sc.rows[i] = sc.x[i*m : (i+1)*m : (i+1)*m]
+		// Capacity-capped: a read past the selectivity slots panics instead of
+		// returning a neighbour's estimate.
+		sc.rows[i] = sc.x[i*selWidth : (i+1)*selWidth : (i+1)*selWidth]
 	}
 	if cap(sc.preds) < n {
 		sc.preds = make([]float64, n)
 	}
 	sc.preds = sc.preds[:n]
-	if cap(sc.gather) < n {
-		sc.gather = make([][]float64, n)
-	}
-	sc.gather = sc.gather[:n]
 	if cap(sc.excluded) < m {
 		sc.excluded = make([]bool, m)
-	}
-	sc.excluded = sc.excluded[:m]
-	if cap(sc.masked) < m {
 		sc.masked = make([]bool, m)
 	}
+	sc.excluded = sc.excluded[:m]
 	sc.masked = sc.masked[:m]
 	return sc
 }
 
 func putPickScratch(sc *pickScratch) { pickScratchPool.Put(sc) }
 
-// setMasks rebuilds the per-pick slot masks (scratch is pooled across
-// pickers): the feature-selection exclusion set and the query's masked
-// columns.
+// setMasks rebuilds the per-pick lookups (scratch is pooled across pickers):
+// the feature-selection exclusion set, the query's named columns, and the
+// feature slots masked to zero because their column is not named.
 func (sc *pickScratch) setMasks(p *Picker, plan *stats.FeaturePlan) {
+	sc.named = plan.UsedCols()
 	for j, meta := range p.TS.Space.Meta {
 		sc.excluded[j] = p.Excluded[meta.Kind]
-		sc.masked[j] = false
-	}
-	for _, j := range plan.MaskSlots() {
-		sc.masked[j] = true
+		sc.masked[j] = meta.Col >= 0 && !sc.named[meta.Col]
 	}
 }
 
@@ -163,14 +165,16 @@ func (p *Picker) PickReference(q *query.Query, features [][]float64, n int, rng 
 	return p.pick(q, features, n, rng, &st, evalReference, nil, exec.Options{})
 }
 
-// PickBatch is the batched fast path of Algorithm 1: it featurizes every
-// partition into a pooled row-major scratch matrix (in parallel over
-// partition blocks on the shared exec pool, bounded by eo.Parallelism) and
-// runs the importance funnel as whole-group PredictBatch sweeps over the
-// compiled flat ensembles. Zero allocations per partition in the steady
-// state. The selection is bit-identical to
+// PickBatch is the batched fast path of Algorithm 1. It computes only what
+// the query changes about a partition's feature row — the four selectivity
+// estimates — into a pooled N×4 scratch matrix (in parallel over partition
+// blocks on the shared exec pool, bounded by eo.Parallelism); everything
+// else in a row is the partition's base feature or a masked zero, which the
+// funnel scores from per-binding fold tables (tables.go) and cluster
+// preparation reads from TableStats.NormBase. Zero allocations per partition
+// in the steady state. The selection is bit-identical to
 // Pick(q, p.TS.Features(q), n, rng) — and to PickReference — at every
-// parallelism setting: features are filled into disjoint rows indexed by
+// parallelism setting: estimates are filled into disjoint rows indexed by
 // partition, and the selection logic consumes them in partition order.
 func (p *Picker) PickBatch(q *query.Query, n int, rng *rand.Rand, eo exec.Options) []query.WeightedPartition {
 	sel, _ := p.PickBatchWithStats(q, n, rng, eo)
@@ -202,8 +206,7 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 		return nil, st
 	}
 	plan := p.TS.NewFeaturePlan(q)
-	m := plan.Dim()
-	sc := getPickScratch(total, m)
+	sc := getPickScratch(total, plan.Dim())
 	defer putPickScratch(sc)
 	sc.setMasks(p, plan)
 	blocks := (total + pickFillBlock - 1) / pickFillBlock
@@ -214,7 +217,7 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 			hi = total
 		}
 		for i := lo; i < hi; i++ {
-			plan.FillRow(sc.x[i*m:(i+1)*m], i)
+			plan.FillSel(sc.rows[i], i)
 		}
 	})
 	st.Featurize = time.Since(start)
@@ -425,49 +428,31 @@ func (p *Picker) findOutliers(q *query.Query, total int) (outliers, rest []int) 
 // regressors advance further. The result is ordered least → most important.
 // All three evaluators visit the same rows in the same order and score with
 // bit-identical ensemble outputs, so grouping is evaluator-independent.
+// Under evalBatch, features holds selWidth-wide rows and sc the pick's
+// scratch; the other evaluators read full rows.
 func (p *Picker) importanceGroups(features [][]float64, candidates []int, ev funnelEval, sc *pickScratch) [][]int {
 	if p.Cfg.DisableRegressor || len(p.Regs) == 0 {
 		return [][]int{candidates}
 	}
 	groups := [][]int{candidates}
-	var rangeOf func(j int) (float64, float64, bool)
-	if ev == evalBatch && sc != nil {
-		if cap(sc.scorers) < len(p.Regs) {
-			sc.scorers = make([]gbt.BatchScorer, len(p.Regs))
-		}
-		// Per-feature value guarantees for scorer binding: masked slots are
-		// exactly zero in every row, selectivity slots lie in [0, 1] by
-		// construction, and every other slot equals its partition's base
-		// feature, bounded by the store's cached per-slot ranges.
-		baseLo, baseHi, baseOK := p.TS.BaseRanges()
-		upper, indep, minS, maxS := p.TS.Space.SelectivitySlots()
-		rangeOf = func(j int) (float64, float64, bool) {
-			if sc.masked[j] {
-				return 0, 0, true
-			}
-			if j == upper || j == indep || j == minS || j == maxS {
-				return 0, 1, true
-			}
-			return baseLo[j], baseHi[j], baseOK[j]
-		}
+	var tables []*gbt.FoldTable
+	if ev == evalBatch {
+		tables = p.foldTables()
 	}
 	for stage, reg := range p.Regs {
 		last := groups[len(groups)-1]
 		var preds []float64
-		if ev == evalBatch && sc != nil {
-			// One batch-table sweep per stage over the advancing group: the
-			// gather slice only copies row headers (views into the scratch
-			// matrix), never feature values, and the stage scorer resolves
-			// every range-decidable condition at bind time.
-			sc.scorers = sc.scorers[:cap(sc.scorers)]
-			scorer := &sc.scorers[stage]
-			scorer.Bind(reg, rangeOf)
-			gather := sc.gather[:len(last)]
-			for k, i := range last {
-				gather[k] = features[i]
-			}
+		if ev == evalBatch {
 			preds = sc.preds[:len(last)]
-			scorer.Predict(preds, gather)
+			if stage < len(tables) && tables[stage] != nil {
+				// One sweep per stage over the advancing group: per row, one
+				// word-AND per tree per named column plus the selectivity
+				// conditions.
+				sc.scorer.Bind(tables[stage], sc.named)
+				sc.scorer.Predict(preds, last, features)
+			} else {
+				p.walkFullRows(preds, reg, last, features, sc)
+			}
 		}
 		var stay, advance []int
 		for k, i := range last {
@@ -500,6 +485,31 @@ func (p *Picker) importanceGroups(features [][]float64, candidates []int, ev fun
 		}
 	}
 	return out
+}
+
+// walkFullRows scores a funnel stage that has no fold table — a model too
+// large for a fold table (more than 128 trees or 16 leaves a tree;
+// training never builds one, a foreign snapshot can hold one), or a picker
+// assembled without a table holder. Each partition's full feature row is
+// gathered into one scratch row — base features of named columns, zeros for
+// masked slots, the pick's selectivity estimates — and walked tree by tree.
+func (p *Picker) walkFullRows(preds []float64, reg *gbt.Model, parts []int, sel [][]float64, sc *pickScratch) {
+	m := p.TS.Space.Dim()
+	if cap(sc.fullRow) < m {
+		sc.fullRow = make([]float64, m)
+	}
+	row := sc.fullRow[:m]
+	base := p.TS.Base()
+	for k, i := range parts {
+		for j, x := range base[i*m : (i+1)*m] {
+			if sc.masked[j] {
+				x = 0
+			}
+			row[j] = x
+		}
+		copy(row, sel[i])
+		preds[k] = reg.Predict(row)
+	}
 }
 
 // allocateSamples splits budget across importance groups so the sampling
@@ -649,16 +659,17 @@ func (p *Picker) clusterSelect(features [][]float64, group []int, ni int, exclud
 	return out
 }
 
-// clusterSelectFast is clusterSelect fused into one scratch-backed pass. It
-// exploits two invariants of rows produced by a FeaturePlan: masked slots
-// are exactly zero in every row (so they can never be active), and every
-// other non-selectivity slot equals the partition's base feature (so its
-// normalized value is a lookup in the precomputed TableStats.NormBase
-// matrix instead of a transform + division). The compact matrix it hands to
-// the clustering algorithm is bit-identical to the reference pipeline's:
-// NormBase and NormalizeValue produce Normalize's values bit for bit, and a
-// column is active exactly when compressActive keeps it — some row's
-// normalized value differs from the first row's.
+// clusterSelectFast is clusterSelect fused into one scratch-backed pass over
+// selWidth-wide rows. It exploits two invariants of the full rows a
+// FeaturePlan stands for: masked slots are exactly zero in every row (so
+// they can never be active), and every other non-selectivity slot equals the
+// partition's base feature (so its normalized value is a lookup in the
+// precomputed TableStats.NormBase matrix instead of a transform + division)
+// — it reads nothing from features but the four selectivity estimates. The
+// compact matrix it hands to the clustering algorithm is bit-identical to
+// the reference pipeline's: NormBase and NormalizeValue produce Normalize's
+// values bit for bit, and a column is active exactly when compressActive
+// keeps it — some row's normalized value differs from the first row's.
 func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rng *rand.Rand, sc *pickScratch, eo exec.Options, ks *cluster.KMeansStats) []query.WeightedPartition {
 	m := p.TS.Space.Dim()
 	nb := p.TS.NormBase()

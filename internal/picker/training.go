@@ -76,6 +76,8 @@ type Picker struct {
 	// Excluded is the feature-kind exclusion set found by feature
 	// selection (empty when disabled).
 	Excluded map[stats.Kind]bool
+	// tables holds the funnel's per-binding fold tables; see funnelTables.
+	tables *funnelTables
 }
 
 // Train fits the funnel regressors (Algorithm 4 labels, exponentially
@@ -86,7 +88,7 @@ func Train(ts *stats.TableStats, examples []Example, cfg Config) (*Picker, error
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("picker: no training examples")
 	}
-	p := &Picker{Cfg: cfg, TS: ts, Excluded: map[stats.Kind]bool{}}
+	p := &Picker{Cfg: cfg, TS: ts, Excluded: map[stats.Kind]bool{}, tables: &funnelTables{}}
 
 	// Fit feature normalization on the training features (Appendix B).
 	var allRows [][]float64

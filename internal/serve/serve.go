@@ -678,6 +678,10 @@ type Metrics struct {
 	// snapshot (nil when pick caching is disabled): hits, misses,
 	// single-flight shares, evictions and mean hit age.
 	PickCache *picker.SelectionCacheStats `json:"pick_cache,omitempty"`
+	// PickerTableBytes is the memory the installed snapshot's picker holds in
+	// funnel fold tables (picker.Picker.TableBytes): 0 until the snapshot's
+	// first pick miss builds them. No cache budget bounds it.
+	PickerTableBytes int64 `json:"picker_table_bytes"`
 	// Store carries the partition-cache counters when the system serves
 	// from a paged store (nil on fully-resident systems): physical loads,
 	// hits, evictions, and resident bytes vs budget.
@@ -738,6 +742,9 @@ func (s *Server) Stats() Metrics {
 	if st.picks != nil {
 		ps := st.picks.Stats()
 		m.PickCache = &ps
+	}
+	if p := st.sys.Picker; p != nil {
+		m.PickerTableBytes = p.TableBytes()
 	}
 	if cs, ok := st.sys.Source.(interface{ CacheStats() store.CacheStats }); ok {
 		cst := cs.CacheStats()

@@ -630,6 +630,9 @@ func TestServePickCacheHitsAreIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := srv.Stats().PickerTableBytes; got != 0 {
+		t.Fatalf("picker_table_bytes = %d before any pick, want 0 (fold tables are built by the first pick miss)", got)
+	}
 	for _, q := range queries[:6] {
 		cold, err := srv.Query(q, 0.1)
 		if err != nil {
@@ -661,6 +664,9 @@ func TestServePickCacheHitsAreIdentical(t *testing.T) {
 	}
 	if m.PickCache.AvgHitAgeMs < 0 {
 		t.Fatalf("negative hit age: %+v", *m.PickCache)
+	}
+	if m.PickerTableBytes == 0 || m.PickerTableBytes != sys.Picker.TableBytes() {
+		t.Fatalf("picker_table_bytes = %d after six pick misses, picker reports %d", m.PickerTableBytes, sys.Picker.TableBytes())
 	}
 	// Distinct budgets are distinct selections: no false sharing.
 	r5, err := srv.Query(queries[0], 0.5)

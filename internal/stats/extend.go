@@ -34,8 +34,8 @@ import (
 //
 // ts itself is never mutated, and the result shares no mutable state with
 // it, so serving reads against ts may proceed concurrently with the
-// extension. Lazily built caches (normalized base, per-slot ranges) are
-// not inherited; each snapshot rebuilds its own on first use.
+// extension. The lazily built normalized base matrix is not inherited; each
+// snapshot rebuilds its own on first use.
 func (ts *TableStats) ExtendedWith(dict *table.Dict, parts []*table.Partition, parallelism int) (*TableStats, error) {
 	if dict == nil {
 		dict = ts.Dict

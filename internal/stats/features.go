@@ -273,37 +273,36 @@ func (ts *TableStats) Features(q *query.Query) [][]float64 {
 
 // FeaturePlan is the query-compiled featurizer: the query-static work of
 // Features — column-mask resolution and predicate analysis (selprogram.go)
-// — done once, leaving FillRow with only the partition-varying work: one
-// base-row copy, a masked-slot sweep, and the four selectivity estimates.
-// FillRow performs zero allocations and produces rows bit-identical to
-// Features(q), so callers can featurize into reusable scratch matrices. A
-// plan is immutable after construction and safe for concurrent FillRow calls
-// from multiple workers.
+// — done once, leaving the fills with only the partition-varying work. It
+// offers two:
+//
+//   - FillSel writes the four selectivity estimates and nothing else. This is
+//     the fill of the serving path (picker.PickBatch): the rest of a row is
+//     the partition's base feature or a masked zero, both known before the
+//     query arrives, so the funnel scores them from tables folded once per
+//     binding and cluster preparation reads them from NormBase — nobody reads
+//     a copy.
+//   - FillRow writes the whole row — a base-row copy, a sweep zeroing the
+//     masked slots and the same four estimates — bit-identical to Features(q). It is what the
+//     serving path's rows stand for, and the form equivalence tests and
+//     callers that need a materialized matrix use.
+//
+// Both perform zero allocations. A plan is immutable after construction and
+// safe for concurrent fills from multiple workers.
 type FeaturePlan struct {
 	ts *TableStats
-	// maskSlots lists the feature slots zeroed because their column is not
-	// used by the query; keepSlots the complement (minus the selectivity
-	// slots, which are always overwritten). FillRow uses whichever set is
-	// smaller.
-	maskSlots []int32
-	keepSlots []int32
-	prog      *selProgram
+	// used[ci] reports whether the query names schema column ci; the feature
+	// slots of every other column are masked to zero.
+	used []bool
+	prog *selProgram
 }
 
 // NewFeaturePlan compiles q's featurization against the store.
 func (ts *TableStats) NewFeaturePlan(q *query.Query) *FeaturePlan {
-	used := make(map[int]bool)
+	p := &FeaturePlan{ts: ts, used: make([]bool, len(ts.Schema.Cols)), prog: ts.compileSel(q.Pred)}
 	for _, name := range q.Columns() {
 		if ci := ts.Schema.ColIndex(name); ci >= 0 {
-			used[ci] = true
-		}
-	}
-	p := &FeaturePlan{ts: ts, prog: ts.compileSel(q.Pred)}
-	for j, meta := range ts.Space.Meta {
-		if meta.Col >= 0 && !used[meta.Col] {
-			p.maskSlots = append(p.maskSlots, int32(j))
-		} else if j >= 4 {
-			p.keepSlots = append(p.keepSlots, int32(j))
+			p.used[ci] = true
 		}
 	}
 	return p
@@ -312,10 +311,11 @@ func (ts *TableStats) NewFeaturePlan(q *query.Query) *FeaturePlan {
 // Dim returns the feature dimension M.
 func (p *FeaturePlan) Dim() int { return p.ts.Space.Dim() }
 
-// MaskSlots returns the feature slots this plan zeroes (features of columns
-// the query does not use); every filled row holds exactly zero there. The
-// slice aliases plan state; callers must not mutate it.
-func (p *FeaturePlan) MaskSlots() []int32 { return p.maskSlots }
+// UsedCols reports, per schema column index, whether the query names the
+// column. Every filled row holds exactly zero in the feature slots of the
+// columns it does not name, and the partition's base feature in the others.
+// The slice aliases plan state; callers must not mutate it.
+func (p *FeaturePlan) UsedCols() []bool { return p.used }
 
 // NumParts returns the partition count N.
 func (p *FeaturePlan) NumParts() int { return len(p.ts.Parts) }
@@ -324,19 +324,19 @@ func (p *FeaturePlan) NumParts() int { return len(p.ts.Parts) }
 // length ≥ Dim()); the result is bit-identical to Features(q)[part].
 func (p *FeaturePlan) FillRow(dst []float64, part int) {
 	m := p.ts.Space.Dim()
-	base := p.ts.base[part*m : (part+1)*m]
-	if len(p.keepSlots) < len(p.maskSlots) {
-		// Mostly-masked query: clear the row and copy only the kept slots.
-		clear(dst[:m])
-		for _, j := range p.keepSlots {
-			dst[j] = base[j]
-		}
-	} else {
-		copy(dst[:m], base)
-		for _, j := range p.maskSlots {
+	copy(dst[:m], p.ts.base[part*m:(part+1)*m])
+	for j, meta := range p.ts.Space.Meta {
+		if meta.Col >= 0 && !p.used[meta.Col] {
 			dst[j] = 0
 		}
 	}
+	p.FillSel(dst, part)
+}
+
+// FillSel writes partition part's four selectivity estimates into dst[0:4]
+// (the selectivity slots lead the feature vector) and touches nothing else:
+// FillRow(dst, part)[0:4], bit for bit.
+func (p *FeaturePlan) FillSel(dst []float64, part int) {
 	upper, indep, minS, maxS := p.prog.estimate(p.ts.Parts[part])
 	dst[0], dst[1], dst[2], dst[3] = upper, indep, minS, maxS
 }

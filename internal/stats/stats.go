@@ -97,8 +97,7 @@ type TableStats struct {
 	// FeaturePlan.FillRow only copy it and fill the query-dependent slots.
 	base []float64
 
-	// normMu guards the lazily built caches below (normalized base matrix,
-	// per-slot base ranges).
+	// normMu guards the lazily built normalized base matrix below.
 	normMu sync.Mutex
 	// normBase is base with the fitted normalization applied elementwise —
 	// the query-independent part of FeatureSpace.Normalize, cached so
@@ -107,50 +106,15 @@ type TableStats struct {
 	// computed under changes (Fit runs once per training).
 	normBase      []float64
 	normBaseScale []float64
-	// baseLo/baseHi/baseRangeOK hold per-slot min/max over the base matrix
-	// (query-independent); baseRangeOK[j] is false when slot j holds a NaN
-	// anywhere. Used to pre-decide ensemble split conditions at pick time.
-	baseLo, baseHi []float64
-	baseRangeOK    []bool
 }
 
-// BaseRanges returns per-slot (min, max, ok) over the query-independent
-// base feature matrix: every unmasked non-selectivity feature value of
-// every partition row lies inside [min[j], max[j]] whenever ok[j]. The
-// slices alias a lazily built cache; callers must not mutate them. Safe for
-// concurrent use.
-func (ts *TableStats) BaseRanges() (lo, hi []float64, ok []bool) {
-	m := ts.Space.Dim()
-	ts.normMu.Lock()
-	if ts.baseLo == nil {
-		ts.baseLo = make([]float64, m)
-		ts.baseHi = make([]float64, m)
-		ts.baseRangeOK = make([]bool, m)
-		for j := 0; j < m; j++ {
-			ts.baseLo[j] = math.Inf(1)
-			ts.baseHi[j] = math.Inf(-1)
-			ts.baseRangeOK[j] = len(ts.Parts) > 0
-		}
-		for p := 0; p < len(ts.Parts); p++ {
-			row := ts.base[p*m : (p+1)*m]
-			for j, x := range row {
-				if math.IsNaN(x) {
-					ts.baseRangeOK[j] = false
-					continue
-				}
-				if x < ts.baseLo[j] {
-					ts.baseLo[j] = x
-				}
-				if x > ts.baseHi[j] {
-					ts.baseHi[j] = x
-				}
-			}
-		}
-	}
-	lo, hi, ok = ts.baseLo, ts.baseHi, ts.baseRangeOK
-	ts.normMu.Unlock()
-	return lo, hi, ok
-}
+// Base returns the query-independent feature matrix, row-major with stride
+// Dim(): partition i's features with the selectivity slots left at zero.
+// What a query changes about a row is only those four slots and which
+// columns' slots are masked to zero, which is what lets the picker fold the
+// funnel's conditions on base values once per binding. The returned slice
+// aliases the store; callers must not mutate it.
+func (ts *TableStats) Base() []float64 { return ts.base }
 
 // NormBase returns the normalized query-independent feature matrix,
 // row-major with stride Dim(): partition i's row is exactly
