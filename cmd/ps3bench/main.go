@@ -1,6 +1,9 @@
-// Command ps3bench regenerates the paper's tables and figures on the
-// simulated substrate. Each experiment id maps to one artifact of the
-// evaluation section (see DESIGN.md's per-experiment index):
+// Command ps3bench is the §5 experiment driver over the simulated
+// substrate: it regenerates the paper's tables and figures. It is not the
+// serving benchmark — that is bench/ (`bash bench/run.sh`), which drives the
+// real server and records the repo's performance numbers. Each experiment id
+// maps to one artifact of the evaluation section (see DESIGN.md's
+// per-experiment index):
 //
 //	ps3bench -exp fig3  -dataset aria          # error vs budget, one dataset
 //	ps3bench -exp fig3                         # ... all four datasets

@@ -195,10 +195,26 @@ func main() {
 // (NaN as null — JSON has no NaN literal; the server decodes null back to
 // NaN), strings for categorical ones. Each batch is acknowledged only
 // after the server has it durably logged, so a completed stream survives a
-// server crash.
+// server crash. ±Inf has no JSON form at all, so a table holding one is
+// refused before anything is sent rather than mid-stream, after earlier
+// batches were acknowledged.
 func streamTable(baseURL string, t *table.Table, batch int) error {
 	if batch <= 0 {
 		batch = 256
+	}
+	first := 0 // global index of the partition's first row
+	for _, p := range t.Parts {
+		for c, col := range t.Schema.Cols {
+			if !col.IsNumeric() {
+				continue
+			}
+			for r, v := range p.NumCol(c) {
+				if math.IsInf(v, 0) {
+					return fmt.Errorf("row %d column %q is %v, which JSON cannot carry; nothing was streamed", first+r, col.Name, v)
+				}
+			}
+		}
+		first += p.Rows()
 	}
 	url := strings.TrimRight(baseURL, "/") + "/append"
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -224,6 +240,11 @@ func streamTable(baseURL string, t *table.Table, batch int) error {
 		if resp.StatusCode != http.StatusOK {
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 			return fmt.Errorf("append batch %d: server returned %s: %s", batches, resp.Status, strings.TrimSpace(string(msg)))
+		}
+		// Read the acknowledgement to its end: net/http reuses a connection
+		// only once its response body is drained.
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
 		}
 		sent += len(rows)
 		batches++

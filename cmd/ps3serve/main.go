@@ -13,17 +13,12 @@
 // cost scale with the cache budget, not the dataset. Legacy gob tables are
 // detected automatically and load fully resident.
 //
-// With -loadgen it instead benchmarks sustained concurrent throughput
-// against the in-process server, cycling over sampled workload queries:
-//
-//	ps3serve -table /tmp/aria.ps3 -snapshot /tmp/aria.snap -loadgen -requests 2000 -concurrency 16
-//
 // With -ingest the server also accepts live appends (POST /append, or the
 // programmatic sink): rows are written through a crash-safe WAL, flushed as
 // store-format segments, and each flush extends the statistics and swaps a
 // fresh snapshot in — queries keep the trained picker over the growing
-// dataset without retraining. -loadgen -appendevery N mixes one append
-// batch into every N operations to exercise serving under write traffic.
+// dataset without retraining. `ps3gen -stream` writes to a listening
+// server; `bash bench/run.sh --workload …` is the way to put load on one.
 //
 // -pprof <addr> additionally serves net/http/pprof on a listener of its own
 // (off by default, never on the query port):
@@ -42,16 +37,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"ps3/internal/core"
 	"ps3/internal/ingest"
-	"ps3/internal/query"
 	"ps3/internal/serve"
 	"ps3/internal/store"
-	"ps3/internal/table"
 )
 
 func main() {
@@ -75,17 +67,6 @@ func main() {
 		flushRows    = flag.Int("flushrows", 0, "ingest: rows per flushed partition (0 = match the base table's partitioning)")
 		commitWindow = flag.Duration("commitwindow", 2*time.Millisecond, "ingest: WAL group-commit window; 0 fsyncs every append")
 		publishTail  = flag.Bool("publishtail", false, "ingest: include unflushed memtable rows in published snapshots")
-
-		loadgen = flag.Bool("loadgen", false, "run the load generator instead of listening")
-		queries = flag.Int("queries", 20, "loadgen: distinct workload queries to cycle over")
-		reqs    = flag.Int("requests", 1000, "loadgen: total requests")
-		conc    = flag.Int("concurrency", 8, "loadgen: concurrent client workers")
-		seed    = flag.Int64("seed", 99, "loadgen: query sampling seed")
-		traffic = flag.String("traffic", "roundrobin", "loadgen: traffic shape over the query pool: roundrobin or zipf")
-		zipfS   = flag.Float64("zipf-s", 1.3, "loadgen: Zipf exponent for -traffic=zipf (must be > 1; larger = hotter head)")
-
-		appendEvery = flag.Int("appendevery", 0, "loadgen: make every Nth operation an append batch (requires -ingest; 0 = query-only)")
-		appendRows  = flag.Int("appendrows", 64, "loadgen: rows per append batch for -appendevery")
 	)
 	flag.Parse()
 	if *tblPath == "" || *snapPath == "" {
@@ -175,60 +156,6 @@ func main() {
 		srv.SetAppender(pipe)
 		fmt.Printf("ingest: %s, %d rows per partition, %v commit window; recovered %d segments, %d WAL rows\n",
 			dir, rpp, *commitWindow, st.Segments, st.RecoveredRows)
-	} else if *appendEvery > 0 {
-		fatal(fmt.Errorf("-appendevery requires -ingest"))
-	}
-
-	if *loadgen {
-		gen, err := query.NewGenerator(sys.Opts.Workload, ot.Source, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		qs := gen.SampleN(*queries)
-		// Sampling predicate constants faulted partitions in through the
-		// cache; baseline the counters so the report covers serving only.
-		var base store.CacheStats
-		if ot.Reader != nil {
-			base = ot.Reader.CacheStats()
-		}
-		fmt.Printf("loadgen: %d requests over %d queries (%s traffic), %d workers, budget %.2f\n",
-			*reqs, len(qs), *traffic, *conc, *budget)
-		var rep serve.LoadReport
-		switch {
-		case *appendEvery > 0:
-			var batch func() ([][]float64, [][]string)
-			batch, err = batchSource(ot.Source, *appendRows)
-			if err == nil {
-				rep, err = srv.LoadGenMixed(qs, *budget, *conc, *reqs, *appendEvery, batch)
-			}
-		case *traffic == "roundrobin":
-			rep, err = srv.LoadGen(qs, *budget, *conc, *reqs)
-		case *traffic == "zipf":
-			rep, err = srv.LoadGenZipf(qs, *budget, *conc, *reqs, *zipfS, *seed)
-		default:
-			err = fmt.Errorf("unknown -traffic %q (want roundrobin or zipf)", *traffic)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep)
-		if pipe != nil {
-			st := pipe.Stats()
-			fmt.Printf("ingest: %d batches (%d rows) appended, %d flushes, %d segments (%d partitions), %d rows pending, snapshot version %d\n",
-				st.AppendBatches, st.RowsAppended, st.Flushes, st.Segments, st.SegmentParts, st.PendingRows, st.Version)
-		}
-		m := srv.Stats()
-		fmt.Printf("query cache: %d hits / %d misses (%d entries)\n", m.CacheHits, m.CacheMisses, m.CacheLen)
-		if m.PickCache != nil {
-			fmt.Printf("pick cache: %d hits / %d misses / %d evictions (%d entries, avg hit age %.0fms)\n",
-				m.PickCache.Hits, m.PickCache.Misses, m.PickCache.Evictions, m.PickCache.Entries, m.PickCache.AvgHitAgeMs)
-		}
-		if m.Store != nil {
-			fmt.Printf("partition cache: %d hits / %d misses / %d evictions, %s faulted in, %s resident (budget %s)\n",
-				m.Store.Hits-base.Hits, m.Store.Misses-base.Misses, m.Store.Evictions-base.Evictions,
-				byteSize(m.Store.LoadedBytes-base.LoadedBytes), byteSize(m.Store.ResidentBytes), budgetSize(m.Store.BudgetBytes))
-		}
-		return
 	}
 
 	endpoints := "POST /query, GET /stats, GET /healthz, GET /readyz"
@@ -297,49 +224,6 @@ func servePprof(addr string) (bound net.Addr, stop func(), err error) {
 	return ln.Addr(), func() {
 		_ = ps.Close() // profiling requests have nothing to drain
 		<-done
-	}, nil
-}
-
-// batchSource cycles rows out of the base table as append batches: batch
-// calls return consecutive windows of the first partition's rows, decoded
-// back to append wire form. Safe for concurrent use (the cursor is
-// atomic); real deployments append new data, the loadgen replays existing
-// rows to exercise the write path.
-func batchSource(src table.PartitionSource, batch int) (func() ([][]float64, [][]string), error) {
-	if batch <= 0 {
-		batch = 64
-	}
-	p, err := src.Read(0)
-	if err != nil {
-		return nil, err
-	}
-	schema, dict := src.TableSchema(), src.TableDict()
-	rows := p.Rows()
-	num := make([][]float64, rows)
-	cat := make([][]string, rows)
-	for r := 0; r < rows; r++ {
-		nr := make([]float64, len(schema.Cols))
-		cr := make([]string, len(schema.Cols))
-		for c, col := range schema.Cols {
-			if col.IsNumeric() {
-				nr[c] = p.NumCol(c)[r]
-			} else {
-				cr[c] = dict.Value(p.CatCol(c)[r])
-			}
-		}
-		num[r], cat[r] = nr, cr
-	}
-	var cursor atomic.Int64
-	return func() ([][]float64, [][]string) {
-		start := int(cursor.Add(int64(batch))-int64(batch)) % rows
-		bn := make([][]float64, 0, batch)
-		bc := make([][]string, 0, batch)
-		for i := 0; i < batch; i++ {
-			r := (start + i) % rows
-			bn = append(bn, num[r])
-			bc = append(bc, cat[r])
-		}
-		return bn, bc
 	}, nil
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"ps3/internal/dataset"
@@ -10,28 +9,6 @@ import (
 	"ps3/internal/stats"
 	"ps3/internal/table"
 )
-
-// TestIngestOnImmutableSourceErrors: systems over plain tables have no
-// append path; the facade must say so rather than panic or no-op.
-func TestIngestOnImmutableSourceErrors(t *testing.T) {
-	ds, err := dataset.Aria(dataset.Config{Rows: 2000, Parts: 5, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(ds.Table, Options{Workload: ds.Workload, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Ingest(nil, nil); err == nil || !strings.Contains(err.Error(), "immutable") {
-		t.Fatalf("Ingest on immutable source: %v, want immutable-source error", err)
-	}
-	if err := sys.IngestBatch(nil, nil); err == nil || !strings.Contains(err.Error(), "immutable") {
-		t.Fatalf("IngestBatch on immutable source: %v, want immutable-source error", err)
-	}
-	if err := sys.Freeze(); err == nil || !strings.Contains(err.Error(), "immutable") {
-		t.Fatalf("Freeze on immutable source: %v, want immutable-source error", err)
-	}
-}
 
 // TestRebindCarriesTrainedPicker: the publish step must keep the trained
 // picker and LSS working over the extended stats without retraining, and

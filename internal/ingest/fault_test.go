@@ -105,12 +105,12 @@ func TestFailedFlushKeepsPriorSnapshotLive(t *testing.T) {
 		t.Fatalf("crash-consistent close: %v", err)
 	}
 	inj.ClearRules()
-	p2, err := Open(Config{Dir: dir, RowsPerPart: fixRowsPerPart, ManualFlush: true}, base)
+	p2, err := Open(Config{Dir: dir, RowsPerPart: fixRowsPerPart, PublishTail: true, ManualFlush: true}, base)
 	if err != nil {
 		t.Fatalf("recovery after failed flush: %v", err)
 	}
 	defer p2.Close()
-	if got := p2.NumRows(); got != acked {
+	if got := view(t, p2).NumRows(); got != acked {
 		t.Fatalf("recovered NumRows = %d, want %d acknowledged rows", got, acked)
 	}
 	if st := p2.Stats(); st.RecoveredRows != int64(acked-fixBaseRows-fixRowsPerPart) {
@@ -165,7 +165,7 @@ func TestMultiSourceHealthRenumbers(t *testing.T) {
 	}
 	sys := (*published)[0]
 	src := sys.Source
-	baseParts := p.baseParts
+	baseParts := p.base.Source.NumParts()
 
 	// Corrupt every read of the segment file; global partition baseParts is
 	// the segment's local partition 0.

@@ -69,8 +69,8 @@ type PipelineStats struct {
 	// PendingRows are rows in the memtable, not yet flushed to a segment
 	// (durable in the WAL).
 	PendingRows int
-	// Version is the snapshot version: the number of segments ever
-	// flushed. Published snapshots carry version+... see Version.
+	// Version is the snapshot version, the number of segments ever
+	// flushed: what OnPublish last announced and Snapshot returns.
 	Version int
 	// RecoveredRows is how many rows WAL replay restored at open.
 	RecoveredRows int64
@@ -89,19 +89,15 @@ type PipelineStats struct {
 // at every crash point the union of segments and surviving logs covers
 // every acknowledged row exactly once after recovery.
 //
-// Pipeline implements core.MutableSource: as a PartitionSource it serves
-// the live view (base, then segments, then memtable partitions). Live-view
-// reads and the dictionary are safe against concurrent appends only for
-// partitions that already existed; serving traffic should use the
-// immutable published snapshots instead. Appends, flushes and freeze are
-// safe to call concurrently.
+// A pipeline is written to, never read from: whatever wants to see what it
+// holds — serving, a test, an operator — takes a published snapshot
+// (OnPublish, Snapshot), an immutable multiSource over base, segments and,
+// under PublishTail, the memtable. Appends, flushes and freeze are safe to
+// call concurrently.
 type Pipeline struct {
 	cfg    Config
 	base   *core.System
 	schema *table.Schema
-	// baseParts/baseRows/baseBytes freeze the base extent so the live view
-	// doesn't re-ask the base source under the state lock.
-	baseParts int
 
 	// mu guards everything below: the dictionary, the current WAL, the
 	// memtable and the published state. Appends hold it only to enqueue
@@ -112,7 +108,6 @@ type Pipeline struct {
 	walIdx  int
 	mem     *memtable
 	segs    []*store.Reader
-	segStat []int // cumulative partition starts per segment, base-relative
 	stats   *stats.TableStats
 	version int
 	frozen  bool
@@ -130,8 +125,6 @@ type Pipeline struct {
 	flushReq chan struct{} // nil under ManualFlush or after freeze
 	loopDone chan struct{}
 }
-
-var _ core.MutableSource = (*Pipeline)(nil)
 
 var (
 	segmentRe = regexp.MustCompile(`^segment-(\d{6})\.ps3$`)
@@ -160,10 +153,9 @@ func Open(cfg Config, base *core.System) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		cfg:       cfg,
-		base:      base,
-		schema:    base.Source.TableSchema(),
-		baseParts: base.Source.NumParts(),
+		cfg:    cfg,
+		base:   base,
+		schema: base.Source.TableSchema(),
 	}
 
 	segIdx, walIdx, err := scanDir(cfg.FS, cfg.Dir)
@@ -242,7 +234,6 @@ func Open(cfg Config, base *core.System) (*Pipeline, error) {
 	}
 	p.dict = dict
 	p.stats = ts
-	p.segStarts()
 	p.mem = newMemtable(p.schema, cfg.RowsPerPart, len(ts.Parts))
 
 	// Replay the live log: truncate at the first torn record, then re-code
@@ -354,17 +345,6 @@ func (p *Pipeline) codeRow(cat []string, dst []uint32) {
 	}
 }
 
-// segStarts recomputes the per-segment cumulative partition starts
-// (base-relative). Must run under p.mu except during Open.
-func (p *Pipeline) segStarts() {
-	p.segStat = p.segStat[:0]
-	n := 0
-	for _, r := range p.segs {
-		p.segStat = append(p.segStat, n)
-		n += r.NumParts()
-	}
-}
-
 func (p *Pipeline) closeSegs() {
 	for _, r := range p.segs {
 		r.Close()
@@ -381,11 +361,6 @@ func (p *Pipeline) usableLocked() error {
 		return errors.New("ingest: pipeline is frozen")
 	}
 	return nil
-}
-
-// AppendRow ingests one row, returning once it is durably logged.
-func (p *Pipeline) AppendRow(num []float64, cat []string) error {
-	return p.AppendRows([][]float64{num}, [][]string{cat})
 }
 
 // AppendRows ingests a batch as one durability unit: the batch is framed
@@ -573,7 +548,6 @@ func (p *Pipeline) flush(partial bool) error {
 	p.wal = newWAL
 	p.walIdx = segIdx + 1
 	p.segs = append(p.segs, reader)
-	p.segStarts()
 	p.stats = extended
 	p.version++
 	p.flushes++
@@ -673,8 +647,8 @@ func (p *Pipeline) snapshotLocked() (*core.System, error) {
 // Snapshot builds the current published view on demand — what OnPublish
 // would next receive — with its version.
 func (p *Pipeline) Snapshot() (*core.System, int, error) {
-	// Serialize against flushes: mid-flush, sealed partitions taken off
-	// the memtable are in neither the stats nor the live view, and a
+	// Serialize against flushes: mid-flush, the sealed partitions have
+	// left the memtable and are not yet in the stats or a segment, and a
 	// snapshot cut in that window would silently omit them.
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
@@ -781,135 +755,4 @@ func (p *Pipeline) Version() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.version
-}
-
-// --- live view: table.PartitionSource over base + segments + memtable ---
-
-// TableSchema returns the shared schema.
-func (p *Pipeline) TableSchema() *table.Schema { return p.schema }
-
-// TableDict returns the live dictionary. It mutates under appends; callers
-// must quiesce writes (or use a published snapshot) before compiling
-// queries against it.
-func (p *Pipeline) TableDict() *table.Dict {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dict
-}
-
-// NumParts counts base, segment and memtable partitions (the building
-// tail counts as one when non-empty).
-func (p *Pipeline) NumParts() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.numPartsLocked()
-}
-
-func (p *Pipeline) numPartsLocked() int {
-	n := p.baseParts
-	for _, r := range p.segs {
-		n += r.NumParts()
-	}
-	n += len(p.mem.sealed)
-	if p.mem.rows > 0 {
-		n++
-	}
-	return n
-}
-
-// NumRows counts every row, including unflushed ones.
-func (p *Pipeline) NumRows() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := p.base.Source.NumRows()
-	for _, r := range p.segs {
-		n += r.NumRows()
-	}
-	return n + p.mem.pendingRows()
-}
-
-// TotalBytes reports the decoded footprint of base and segments plus the
-// memtable's logical size.
-func (p *Pipeline) TotalBytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := p.base.Source.TotalBytes()
-	for _, r := range p.segs {
-		n += r.TotalBytes()
-	}
-	for _, q := range p.mem.sealed {
-		n += q.SizeBytes()
-	}
-	for _, col := range p.mem.num {
-		n += 8 * len(col)
-	}
-	for _, col := range p.mem.cat {
-		n += 4 * len(col)
-	}
-	return n
-}
-
-// Read serves partition i of the live view: the base range delegates to
-// the base source, segment ranges to their readers, and the memtable range
-// returns sealed partitions directly (the tail as a point-in-time copy).
-func (p *Pipeline) Read(i int) (*table.Partition, error) {
-	if i < 0 {
-		return nil, fmt.Errorf("ingest: partition %d out of range", i)
-	}
-	if i < p.baseParts {
-		return p.base.Source.Read(i)
-	}
-	p.mu.Lock()
-	rel := i - p.baseParts
-	j := sort.Search(len(p.segStat), func(k int) bool { return p.segStat[k] > rel }) - 1
-	if j >= 0 && j < len(p.segs) {
-		if local := rel - p.segStat[j]; local < p.segs[j].NumParts() {
-			r := p.segs[j]
-			p.mu.Unlock()
-			return r.Read(local)
-		}
-	}
-	segParts := 0
-	for _, r := range p.segs {
-		segParts += r.NumParts()
-	}
-	mi := rel - segParts
-	if mi < len(p.mem.sealed) {
-		q := p.mem.sealed[mi]
-		p.mu.Unlock()
-		return q, nil
-	}
-	if mi == len(p.mem.sealed) && p.mem.rows > 0 {
-		q, err := p.mem.tailPartition()
-		p.mu.Unlock()
-		return q, err
-	}
-	n := p.numPartsLocked()
-	p.mu.Unlock()
-	return nil, fmt.Errorf("ingest: partition %d out of range [0, %d)", i, n)
-}
-
-// ResetIO clears the base's and segments' I/O counters.
-func (p *Pipeline) ResetIO() {
-	p.base.Source.ResetIO()
-	p.mu.Lock()
-	segs := append([]*store.Reader(nil), p.segs...)
-	p.mu.Unlock()
-	for _, r := range segs {
-		r.ResetIO()
-	}
-}
-
-// IOStats aggregates base and segment I/O; memtable reads are free.
-func (p *Pipeline) IOStats() (parts int64, bytes int64) {
-	parts, bytes = p.base.Source.IOStats()
-	p.mu.Lock()
-	segs := append([]*store.Reader(nil), p.segs...)
-	p.mu.Unlock()
-	for _, r := range segs {
-		pp, bb := r.IOStats()
-		parts += pp
-		bytes += bb
-	}
-	return parts, bytes
 }

@@ -105,6 +105,18 @@ func appendRange(t testing.TB, p *Pipeline, num [][]float64, cat [][]string, lo,
 	}
 }
 
+// view is what a pipeline holds, read the only way it can be: the source of
+// a snapshot taken now. Pipelines opened with PublishTail show their
+// unflushed (WAL-recovered) rows in it too.
+func view(t testing.TB, p *Pipeline) table.PartitionSource {
+	t.Helper()
+	sys, _, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys.Source
+}
+
 // TestOfflineEquivalence is the tentpole's acceptance gate: streaming rows
 // through WAL → memtable → segments must reproduce the offline build bit
 // for bit — same partition boundaries, same dictionary codes, same cell
@@ -115,6 +127,7 @@ func TestOfflineEquivalence(t *testing.T) {
 	pipe, err := Open(Config{
 		Dir:         t.TempDir(),
 		RowsPerPart: fixRowsPerPart,
+		PublishTail: true,
 		ManualFlush: true, // deterministic segment boundaries for the comparison
 	}, base)
 	if err != nil {
@@ -136,24 +149,25 @@ func TestOfflineEquivalence(t *testing.T) {
 	if err := pipe.FreezeSource(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.AppendRow(num[0], cat[0]); err == nil {
+	if err := pipe.AppendRows(num[:1], cat[:1]); err == nil {
 		t.Fatal("append after freeze must fail")
 	}
 
 	// Dictionary: byte-identical value sequence (same codes for same
 	// values, assigned in the same first-seen order).
-	if got, want := pipe.TableDict().Values(), ref.Dict.Values(); !reflect.DeepEqual(got, want) {
+	live := view(t, pipe)
+	if got, want := live.TableDict().Values(), ref.Dict.Values(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("dictionary diverged: %d values vs %d", len(got), len(want))
 	}
 	// Partitions: same count, same boundaries, same encoded cells.
-	if got, want := pipe.NumParts(), ref.NumParts(); got != want {
-		t.Fatalf("live view has %d partitions, offline build has %d", got, want)
+	if got, want := live.NumParts(), ref.NumParts(); got != want {
+		t.Fatalf("snapshot has %d partitions, offline build has %d", got, want)
 	}
-	if got, want := pipe.NumRows(), ref.NumRows(); got != want {
-		t.Fatalf("live view has %d rows, offline build has %d", got, want)
+	if got, want := live.NumRows(), ref.NumRows(); got != want {
+		t.Fatalf("snapshot has %d rows, offline build has %d", got, want)
 	}
 	for i := 0; i < ref.NumParts(); i++ {
-		lp, err := pipe.Read(i)
+		lp, err := live.Read(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +242,7 @@ func TestCrashRecovery(t *testing.T) {
 	base, _, num, cat, _ := ingestFixture(t, 0)
 	dir := t.TempDir()
 	open := func() *Pipeline {
-		p, err := Open(Config{Dir: dir, RowsPerPart: fixRowsPerPart, ManualFlush: true}, base)
+		p, err := Open(Config{Dir: dir, RowsPerPart: fixRowsPerPart, PublishTail: true, ManualFlush: true}, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,29 +260,30 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendRange(t, pipe, num, cat, 3200, 3500)
-	wantDict := append([]string(nil), pipe.TableDict().Values()...)
+	wantDict := view(t, pipe).TableDict().Values()
 	if err := pipe.Close(); err != nil { // crash-consistent: no flush on close
 		t.Fatal(err)
 	}
 
 	verify := func(label string, p *Pipeline, hi int) {
 		t.Helper()
-		if got, want := p.NumRows(), base.Source.NumRows()+(hi-fixBaseRows); got != want {
+		live := view(t, p)
+		if got, want := live.NumRows(), base.Source.NumRows()+(hi-fixBaseRows); got != want {
 			t.Fatalf("%s: recovered view has %d rows, want %d", label, got, want)
 		}
-		// Spot-check the last recovered row cell by cell through the live
-		// view's final partition.
-		last, err := p.Read(p.NumParts() - 1)
+		// Spot-check the last recovered row cell by cell through the
+		// snapshot's final partition.
+		last, err := live.Read(live.NumParts() - 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := last.Rows() - 1
-		for c, col := range p.TableSchema().Cols {
+		for c, col := range live.TableSchema().Cols {
 			if col.IsNumeric() {
 				if got, want := last.NumCol(c)[r], num[hi-1][c]; got != want && !(got != got && want != want) {
 					t.Fatalf("%s: last row column %d = %v, want %v", label, c, got, want)
 				}
-			} else if got, want := p.TableDict().Value(last.CatCol(c)[r]), cat[hi-1][c]; got != want {
+			} else if got, want := live.TableDict().Value(last.CatCol(c)[r]), cat[hi-1][c]; got != want {
 				t.Fatalf("%s: last row column %d = %q, want %q", label, c, got, want)
 			}
 		}
@@ -280,7 +295,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered %d segments / %d wal rows, want 2 / 300", st.Segments, st.RecoveredRows)
 	}
 	verify("clean drop", pipe, 3500)
-	if got := pipe.TableDict().Values(); !reflect.DeepEqual(got, wantDict) {
+	if got := view(t, pipe).TableDict().Values(); !reflect.DeepEqual(got, wantDict) {
 		t.Fatalf("dictionary not reproduced: %d values, want %d", len(got), len(wantDict))
 	}
 	if err := pipe.Close(); err != nil {
@@ -385,7 +400,8 @@ func TestCrashRecovery(t *testing.T) {
 func TestRecoveryResumesAppends(t *testing.T) {
 	base, ref, num, cat, _ := ingestFixture(t, 0)
 	dir := t.TempDir()
-	pipe, err := Open(Config{Dir: dir, RowsPerPart: fixRowsPerPart, ManualFlush: true}, base)
+	cfg := Config{Dir: dir, RowsPerPart: fixRowsPerPart, PublishTail: true, ManualFlush: true}
+	pipe, err := Open(cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +414,7 @@ func TestRecoveryResumesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pipe, err = Open(Config{Dir: dir, RowsPerPart: fixRowsPerPart, ManualFlush: true}, base)
+	pipe, err = Open(cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,14 +423,15 @@ func TestRecoveryResumesAppends(t *testing.T) {
 	if err := pipe.FreezeSource(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := pipe.TableDict().Values(), ref.Dict.Values(); !reflect.DeepEqual(got, want) {
+	live := view(t, pipe)
+	if got, want := live.TableDict().Values(), ref.Dict.Values(); !reflect.DeepEqual(got, want) {
 		t.Fatal("dictionary diverged across recovery")
 	}
-	if got, want := pipe.NumParts(), ref.NumParts(); got != want {
+	if got, want := live.NumParts(), ref.NumParts(); got != want {
 		t.Fatalf("%d partitions, want %d", got, want)
 	}
 	for i := 0; i < ref.NumParts(); i++ {
-		lp, err := pipe.Read(i)
+		lp, err := live.Read(i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -231,13 +231,18 @@ func TestChaosTransientFaultsUnderLoad(t *testing.T) {
 	if err := pipe.Close(); err != nil {
 		t.Fatalf("crash-consistent close: %v", err)
 	}
-	p2, err := ingest.Open(ingest.Config{Dir: dir, RowsPerPart: 400, ManualFlush: true}, sys)
+	// PublishTail: the snapshot must show WAL-recovered rows, not only the
+	// flushed segments.
+	p2, err := ingest.Open(ingest.Config{Dir: dir, RowsPerPart: 400, PublishTail: true, ManualFlush: true}, sys)
 	if err != nil {
 		t.Fatalf("recovery after chaos: %v", err)
 	}
 	defer p2.Close()
-	base := sys.Source.NumRows()
-	got := p2.NumRows() - base
+	recovered, _, err := p2.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot after recovery: %v", err)
+	}
+	got := recovered.Source.NumRows() - sys.Source.NumRows()
 	if got < ackedRows {
 		t.Fatalf("recovered %d appended rows, acknowledged %d: acknowledged rows were lost", got, ackedRows)
 	}

@@ -29,6 +29,17 @@ import (
 // write path is read-only (poisoned ingest); 504 when the request missed
 // its deadline. A response with "degraded": true is a 200 — the answer is
 // honest about covering less data, and the client decides.
+//
+// Request bodies are bounded before they are decoded: 413 beyond
+// maxQueryBody on /query and maxAppendBody on /append.
+
+const (
+	maxQueryBody = 1 << 20
+	// maxAppendBody leaves room for JSON's expansion over the WAL's own
+	// 16 MiB record limit (ingest.MaxRecordBytes), which still applies to
+	// what the body decodes to.
+	maxAppendBody = 64 << 20
+)
 
 // queryRequest is the POST /query body.
 type queryRequest struct {
@@ -106,10 +117,31 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	}
 }
 
+// decodeBody decodes a JSON request body of at most limit bytes into v. On
+// failure it has answered — 413 for an oversized body, 400 for a malformed
+// one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit} // declared oversize: refused unread
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	}
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	if req.SQL == "" {
@@ -134,8 +166,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req appendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, maxAppendBody, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -306,6 +307,59 @@ func TestHTTPAppend(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyLimits: a request body past its endpoint's limit is answered
+// 413 with a JSON error before anything is decoded — whether the client
+// declared the length or streamed it — touches no counter, and leaves the
+// server serving.
+func TestHTTPBodyLimits(t *testing.T) {
+	sys, _, _, _ := liveFixture(t)
+	srv, err := New(sys, Config{DefaultBudget: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := ingest.Open(ingest.Config{Dir: t.TempDir(), RowsPerPart: 400}, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	srv.SetAppender(pipe)
+	h := srv.Handler()
+
+	// Only the undeclared body is ever read, up to the limit.
+	big := strings.Repeat(" ", maxQueryBody+1)
+	before := srv.Stats()
+	for _, tc := range []struct {
+		path     string
+		declared int64
+	}{
+		{"/query", maxQueryBody + 1},
+		{"/query", -1}, // chunked: length unknown until read
+		{"/append", maxAppendBody + 1},
+	} {
+		req := httptest.NewRequest("POST", tc.path, strings.NewReader(big))
+		req.ContentLength = tc.declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var body errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusRequestEntityTooLarge || err != nil || body.Error == "" {
+			t.Fatalf("%s with declared length %d: status %d body %q, want 413 and a JSON error", tc.path, tc.declared, rec.Code, rec.Body)
+		}
+	}
+	if after := srv.Stats(); after.Requests != before.Requests || after.Failures != before.Failures {
+		t.Fatalf("refused bodies moved the counters: requests %d → %d, failures %d → %d",
+			before.Requests, after.Requests, before.Failures, after.Failures)
+	}
+	if got := pipe.Stats().RowsAppended; got != 0 {
+		t.Fatalf("refused append reached the pipeline: %d rows", got)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/query", strings.NewReader(`{"sql": "SELECT COUNT(*) FROM t"}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("well-formed query after refusals: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
 // TestHTTPNonFiniteAggregates: a JSON null appended into a numeric cell is
 // NaN, so every SUM or AVG over that row is NaN, which encoding/json cannot
 // write. The response must still be a 200 with a decodable body that says
@@ -466,58 +520,4 @@ func joinComma(parts []string) string {
 		out += p
 	}
 	return out
-}
-
-// TestLoadGenMixed exercises the mixed read/write load generator: the
-// append cadence, the separate append latency accounting, and that the
-// report's totals add up.
-func TestLoadGenMixed(t *testing.T) {
-	sys, num, cat, queries := liveFixture(t)
-	srv, err := New(sys, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := ingest.Open(ingest.Config{Dir: t.TempDir(), RowsPerPart: 400}, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-
-	// Misconfigurations first: no appender, bad cadence, nil batch source.
-	next := func() ([][]float64, [][]string) { return num[:8], cat[:8] }
-	if _, err := srv.LoadGenMixed(queries, 0.2, 4, 40, 4, next); err == nil {
-		t.Fatal("mixed loadgen without an appender must fail")
-	}
-	srv.SetAppender(pipe)
-	if _, err := srv.LoadGenMixed(queries, 0.2, 4, 40, 1, next); err == nil {
-		t.Fatal("appendEvery < 2 must be rejected")
-	}
-	if _, err := srv.LoadGenMixed(queries, 0.2, 4, 40, 4, nil); err == nil {
-		t.Fatal("nil batch source must be rejected")
-	}
-
-	const total, every = 60, 4
-	rep, err := srv.LoadGenMixed(queries, 0.2, 4, total, every, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAppends := int64(total / every)
-	if rep.Appends != wantAppends {
-		t.Fatalf("report counts %d appends, want %d", rep.Appends, wantAppends)
-	}
-	if rep.Requests != int64(total)-wantAppends {
-		t.Fatalf("report counts %d query requests, want %d", rep.Requests, int64(total)-wantAppends)
-	}
-	if rep.Appends > 0 && rep.AvgAppendMs < 0 {
-		t.Fatal("append latency must be non-negative")
-	}
-	if got := pipe.Stats().RowsAppended; got != wantAppends*8 {
-		t.Fatalf("pipeline saw %d rows, want %d", got, wantAppends*8)
-	}
-	if rep.Failures != 0 {
-		t.Fatalf("%d failures in mixed loadgen", rep.Failures)
-	}
-	if s := rep.String(); s == "" {
-		t.Fatal("empty report string")
-	}
 }

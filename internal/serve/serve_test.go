@@ -527,47 +527,46 @@ func TestConcurrentPagedServingMatchesResidentBaseline(t *testing.T) {
 	}
 }
 
-func TestLoadGen(t *testing.T) {
-	sys, queries := restoredSystem(t, 15)
-	srv, err := New(sys, Config{})
-	if err != nil {
-		t.Fatal(err)
+// queryConcurrently drives total srv.Query calls from workers goroutines,
+// round-robin over queries, and returns how many were served from the
+// pick-result cache. Any failed request fails the test.
+func queryConcurrently(t *testing.T, srv *Server, queries []*query.Query, budget float64, workers, total int) (pickHits int64) {
+	t.Helper()
+	var next, hits atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < total; i = int(next.Add(1)) - 1 {
+				resp, err := srv.Query(queries[i%len(queries)], budget)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.PickCached {
+					hits.Add(1)
+				}
+			}
+		}()
 	}
-	rep, err := srv.LoadGen(queries[:4], 0.1, 4, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 40 || rep.Failures != 0 {
-		t.Fatalf("loadgen report: %+v", rep)
-	}
-	if rep.QPS <= 0 || rep.MaxMs <= 0 {
-		t.Fatalf("loadgen produced empty timings: %+v", rep)
-	}
-	if _, err := srv.LoadGen(nil, 0.1, 2, 10); err == nil {
-		t.Fatal("want error with no queries")
-	}
+	wg.Wait()
+	return hits.Load()
 }
 
-// TestLoadGenPercentilesAndBreakdown checks the latency percentile ladder
-// and the pick-vs-scan latency split the load generator and /stats report.
-func TestLoadGenPercentilesAndBreakdown(t *testing.T) {
+// TestStatsPickScanBreakdown checks the pick-vs-scan latency split /stats
+// reports after concurrent traffic.
+func TestStatsPickScanBreakdown(t *testing.T) {
 	sys, queries := restoredSystem(t, 15)
 	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := srv.LoadGen(queries[:4], 0.1, 4, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.P50Ms <= 0 || rep.P50Ms > rep.P95Ms || rep.P95Ms > rep.P99Ms || rep.P99Ms > rep.MaxMs {
-		t.Fatalf("percentile ladder broken: p50 %.3f p95 %.3f p99 %.3f max %.3f",
-			rep.P50Ms, rep.P95Ms, rep.P99Ms, rep.MaxMs)
-	}
-	if rep.AvgPickMs <= 0 || rep.AvgScanMs <= 0 {
-		t.Fatalf("pick/scan breakdown missing from load report: %+v", rep)
-	}
+	queryConcurrently(t, srv, queries[:4], 0.1, 4, 60)
 	m := srv.Stats()
+	if m.Requests != 60 || m.Failures != 0 {
+		t.Fatalf("requests %d failures %d, want 60 and 0", m.Requests, m.Failures)
+	}
 	if m.AvgPickMs <= 0 || m.AvgScanMs <= 0 {
 		t.Fatalf("pick/scan breakdown missing from /stats metrics: %+v", m)
 	}
@@ -577,35 +576,6 @@ func TestLoadGenPercentilesAndBreakdown(t *testing.T) {
 	if m.AvgPickMs+m.AvgScanMs > m.AvgLatencyMs+0.5 {
 		t.Fatalf("pick %.3fms + scan %.3fms exceeds avg latency %.3fms", m.AvgPickMs, m.AvgScanMs, m.AvgLatencyMs)
 	}
-}
-
-// BenchmarkServeThroughput measures sustained concurrent serving throughput
-// over a restored snapshot (make serve-bench records this).
-func BenchmarkServeThroughput(b *testing.B) {
-	sys, queries := restoredSystem(b, 15)
-	srv, err := New(sys, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the cache so the steady state is measured.
-	for _, q := range queries {
-		if _, err := srv.Query(q, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, err := srv.Query(queries[i%len(queries)], 0.1); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-	})
-	b.StopTimer()
-	m := srv.Stats()
-	b.ReportMetric(float64(m.CacheHits)/float64(m.Requests), "cache-hit-ratio")
 }
 
 // pickFingerprint serializes the answer-bearing fields of a response —
@@ -934,35 +904,17 @@ func TestServeSwapUnderConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLoadGenZipf: the skewed-traffic mode reports the pick-cache hit rate
-// repeated templates earn.
-func TestLoadGenZipf(t *testing.T) {
+// TestConcurrentRepeatsHitPickCache: repeated templates under concurrency
+// pay for one pick each (the cache is single-flight), everything else hits.
+func TestConcurrentRepeatsHitPickCache(t *testing.T) {
 	sys, queries := restoredSystem(t, 15)
 	srv, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := srv.LoadGenZipf(queries[:6], 0.1, 4, 80, 1.5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 80 || rep.Failures != 0 {
-		t.Fatalf("zipf loadgen report: %+v", rep)
-	}
-	// 80 requests over ≤6 templates: at most 6 cold picks, everything else
-	// must hit the pick cache.
-	if rep.PickCacheHits < 80-6 {
-		t.Fatalf("zipf traffic earned only %d pick-cache hits of %d requests", rep.PickCacheHits, rep.Requests)
-	}
-	if rep.PickCacheHitRate < float64(80-6)/80 || rep.PickCacheHitRate > 1 {
-		t.Fatalf("hit rate %v inconsistent with %d hits", rep.PickCacheHitRate, rep.PickCacheHits)
-	}
-	if !strings.Contains(rep.String(), "pick-cache hit rate") {
-		t.Fatalf("report string omits the hit rate: %s", rep)
-	}
-	// Bad exponent is rejected.
-	if _, err := srv.LoadGenZipf(queries[:2], 0.1, 1, 4, 1.0, 7); err == nil {
-		t.Fatal("want error for zipf exponent <= 1")
+	// 80 requests over 6 templates: at most 6 cold picks.
+	if hits := queryConcurrently(t, srv, queries[:6], 0.1, 4, 80); hits < 80-6 {
+		t.Fatalf("repeated traffic earned only %d pick-cache hits of 80 requests", hits)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // benchDatasets are the evaluation datasets the encoding benchmarks sweep:
 // aria is a modestly compressible mixed schema; kdd is dominated by small
 // integral counters and low-cardinality categoricals and compresses hard.
-// tpch sits in between. Sizes match the recorded BENCH_store.json run.
+// tpch sits in between.
 var benchDatasets = []string{"aria", "tpch", "kdd"}
 
 // benchDatasetTable memoizes dataset generation across benchmarks — the
@@ -23,7 +23,7 @@ var (
 	benchTblCache = map[string]*table.Table{}
 )
 
-func benchDatasetTable(b *testing.B, name string) *table.Table {
+func benchDatasetTable(b testing.TB, name string) *table.Table {
 	b.Helper()
 	benchTblMu.Lock()
 	defer benchTblMu.Unlock()
@@ -40,7 +40,7 @@ func benchDatasetTable(b *testing.B, name string) *table.Table {
 
 // benchOpenFile writes tbl once per (name, raw) pair into the benchmark's
 // temp dir and opens it with the given budget.
-func benchOpenFile(b *testing.B, tbl *table.Table, raw bool, cacheBytes int64) *Reader {
+func benchOpenFile(b testing.TB, tbl *table.Table, raw bool, cacheBytes int64) *Reader {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.ps3")
 	if _, err := WriteFileWith(path, tbl, WriteOptions{Raw: raw}); err != nil {
@@ -89,13 +89,36 @@ func BenchmarkStoreEncodedColdScan(b *testing.B) {
 	}
 }
 
+// uniformHitFrac is the warm-and-measure loop of the cache-budget claim:
+// two seeded uniform laps over r so the resident set reaches its steady
+// state (a benchmark's timer restarts there), then reads more draws from
+// the same stream. It returns the hit fraction of those reads and the
+// closing cache counters.
+func uniformHitFrac(tb testing.TB, r *Reader, reads int) (float64, CacheStats) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(7))
+	read := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := r.Read(rng.Intn(r.NumParts())); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	read(2 * r.NumParts())
+	start := r.CacheStats()
+	if b, ok := tb.(*testing.B); ok {
+		b.ResetTimer()
+	}
+	read(reads)
+	st := r.CacheStats()
+	hits, misses := st.Hits-start.Hits, st.Misses-start.Misses
+	return float64(hits) / float64(hits+misses), st
+}
+
 // BenchmarkStoreEncodedHitRate measures the cache hit rate of a uniform
 // random-read workload at fixed byte budgets: raw at 25% of the dataset's
 // logical bytes, encoded at the same budget, and encoded at a third of it.
-// The reported hit-frac makes the headline claim measurable: on kdd the
-// encoded store at budget/3 still beats raw at the full budget, i.e. >= 3x
-// fewer cache bytes at equal (better) hit rate. On aria the honest result is
-// that its ~2.2x ratio is not enough for the 3x budget cut to win.
+// TestEncodedCacheBudgetClaim asserts the headline pair of these figures.
 func BenchmarkStoreEncodedHitRate(b *testing.B) {
 	for _, name := range benchDatasets {
 		tbl := benchDatasetTable(b, name)
@@ -112,30 +135,31 @@ func BenchmarkStoreEncodedHitRate(b *testing.B) {
 		} {
 			b.Run(name+"/"+cfg.label, func(b *testing.B) {
 				r := benchOpenFile(b, tbl, cfg.raw, cfg.bytes)
-				rng := rand.New(rand.NewSource(7))
-				// Warm: two uniform laps so the resident set reaches its
-				// steady state before measurement.
-				for i := 0; i < 2*r.NumParts(); i++ {
-					if _, err := r.Read(rng.Intn(r.NumParts())); err != nil {
-						b.Fatal(err)
-					}
-				}
-				start := r.CacheStats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := r.Read(rng.Intn(r.NumParts())); err != nil {
-						b.Fatal(err)
-					}
-				}
+				frac, st := uniformHitFrac(b, r, b.N)
 				b.StopTimer()
-				st := r.CacheStats()
-				hits := st.Hits - start.Hits
-				misses := st.Misses - start.Misses
-				if total := hits + misses; total > 0 {
-					b.ReportMetric(float64(hits)/float64(total), "hit-frac")
-				}
+				b.ReportMetric(frac, "hit-frac")
 				b.ReportMetric(float64(st.ResidentParts), "resident-parts")
 			})
+		}
+	}
+}
+
+// TestEncodedCacheBudgetClaim pins the encoded store's cache claim: on kdd
+// the encoded store at a third of the raw cache budget (1/12 of the logical
+// bytes against 1/4) holds an equal-or-better uniform-random hit rate, i.e.
+// >= 3x fewer cache bytes for the same misses. On aria the honest result is
+// that its ~2.2x ratio is not enough for the 3x budget cut to win; that
+// shortfall is logged, not asserted.
+func TestEncodedCacheBudgetClaim(t *testing.T) {
+	const reads = 4000
+	for _, name := range []string{"kdd", "aria"} {
+		tbl := benchDatasetTable(t, name)
+		logical := int64(tbl.TotalBytes())
+		raw, _ := uniformHitFrac(t, benchOpenFile(t, tbl, true, logical/4), reads)
+		enc, _ := uniformHitFrac(t, benchOpenFile(t, tbl, false, logical/12), reads)
+		t.Logf("%s: hit fraction raw at logical/4 %.4f, encoded at logical/12 %.4f", name, raw, enc)
+		if name == "kdd" && enc < raw {
+			t.Errorf("kdd: encoded at a third of the raw budget hits %.4f of reads, raw hits %.4f", enc, raw)
 		}
 	}
 }
