@@ -27,10 +27,12 @@ test-bench:
 	cd bench && $(GO) test -count=1 ./...
 
 # Race pass over the parallel execution surface: the scan engine, every
-# layer that fans out onto it, the concurrent serving layer, and the one
-# cache (internal/lru) under its compiled-query, pick and block memos.
+# layer that fans out onto it, the concurrent serving layer, the one cache
+# (internal/lru) under its compiled-query, pick and block memos, and the
+# partition itself (internal/table), whose decode memo and first-touch flag
+# concurrent scans of one cached block share.
 race:
-	$(GO) test -race -count=1 ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/ ./internal/lru/ ./cmd/ps3serve/
+	$(GO) test -race -count=1 ./internal/table/ ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/ ./internal/lru/ ./cmd/ps3serve/
 
 # Serving-layer race tests alone: N goroutines on one snapshot-restored
 # system — resident and store-backed with a thrashing partition cache —
@@ -52,19 +54,22 @@ bench:
 
 # Vectorized execution engine: selection-vector kernels vs the retained
 # row-at-a-time reference evaluator, and the grouped weighted scan (flat
-# partial answers vs one Answer map per partition, /paired, with allocs).
+# partial answers vs one Answer map per partition, /paired, with allocs;
+# encoded partitions on their first read against ones already decoded,
+# /cold and /warm).
 bench-exec:
 	$(GO) test -bench 'BenchmarkEvalPartition|BenchmarkSelectivity|BenchmarkEstimateGrouped' -benchmem -run '^$$' .
 
 # One-iteration smoke of the store benchmarks plus the encoding acceptance
-# contracts (raw/encoded bit-identity, the no-decode counter proof, the
-# frozen golden files, the block-load allocation ceiling: one buffer per
-# load, no per-column copies, and the kdd cache-budget claim: encoded at a
-# third of the raw budget, equal-or-better hit rate); wired into CI so the
-# benchmark fixtures, the encoded-kernel counters and the one-allocation
-# load can never rot.
+# contracts (raw/encoded bit-identity cold and warm, the no-decode counter
+# proof, a column decoded on its second read and never by a thrashing
+# reader, the frozen golden files, the block-load allocation ceiling: one
+# buffer per load, no per-column copies, and the kdd cache-budget claim:
+# encoded at a third of the raw budget, equal-or-better hit rate); wired
+# into CI so the benchmark fixtures, the encoded-kernel counters and the
+# one-allocation load can never rot.
 bench-store-smoke:
-	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestEncodedCacheBudgetClaim' -v ./internal/store/
+	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestEncodedCacheBudgetClaim' -v ./internal/store/
 	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +

@@ -440,9 +440,11 @@ func BenchmarkEvalPartition(b *testing.B) {
 // over a picked selection, the second half of every served query — with 0,
 // 1 and 2 GROUP BY columns, at the two partition shapes the serving
 // benchmark (bench/) uses: 500-row aria and 4 500-row kdd partitions, read
-// raw from a resident table and encoded from a warm store-v2 reader. All
-// runs are sequential (Parallelism 1) so the figures compare code, not
-// scheduling.
+// raw from a resident table and encoded from a warm store-v2 reader (and,
+// "/cold" and "/warm", from encoded partitions no scan has read yet against
+// ones read twice: the first-touch encoded arms against the memoized decoded
+// loops). All runs are sequential (Parallelism 1) so the figures compare
+// code, not scheduling.
 //
 // Per case, the plain sub-benchmark is Estimate; "/paired" interleaves it
 // with the combine Estimate used before partial answers were flat — one
@@ -517,6 +519,47 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 						flat()
 					}
 				})
+				if form.name == "encoded" {
+					// The two states of a loaded block. cold: partitions no
+					// scan has read, so every aggregate and GROUP BY column
+					// is evaluated in encoded form and nothing is decoded
+					// (loading them is not timed). warm: one set, read twice
+					// before the clock starts, so every column the query
+					// names has its decoded slice.
+					loaded := func(b *testing.B, scans int) *table.Table {
+						tbl, err := reader.Materialize()
+						if err != nil {
+							b.Fatal(err)
+						}
+						for ; scans > 0; scans-- {
+							if _, err := c.Estimate(tbl, sel); err != nil {
+								b.Fatal(err)
+							}
+						}
+						return tbl
+					}
+					b.Run(name+"/cold", func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							b.StopTimer()
+							tbl := loaded(b, 0)
+							b.StartTimer()
+							if _, err := c.Estimate(tbl, sel); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+					b.Run(name+"/warm", func(b *testing.B) {
+						b.ReportAllocs()
+						tbl := loaded(b, 2)
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if _, err := c.Estimate(tbl, sel); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
 				b.Run(name+"/paired", func(b *testing.B) {
 					// Interleaved A/B, as BenchmarkPick/paired: both sides see
 					// the same machine noise; ns/op is the cost of the pair.

@@ -3,9 +3,9 @@
 // table.Partition keeps encoded columns in a private side store; the public
 // Num/Cat fields stay nil for those columns so that nothing can observe a
 // half-materialized slice without synchronization. The contract is that all
-// reads go through the accessors (NumCol, CatCol, EncCol, Decoded,
-// DecodedCols), which materialize lazily under a sync.Once and charge
-// DecodeStats. Any direct touch of the raw fields — read, write, or
+// reads go through the accessors (NumCol, CatCol, EncCol, FirstTouch,
+// Decoded, DecodedCols), which materialize lazily under a sync.Once and
+// charge DecodeStats. Any direct touch of the raw fields — read, write, or
 // composite-literal key — outside the whitelisted decode/materialize sites
 // bypasses that seam: on an encoded partition it sees nil where data exists,
 // and on a shared partition it races with materialization.

@@ -9,25 +9,32 @@ import (
 )
 
 // Encoded-space predicate evaluation. Partitions served from an encoded
-// store (internal/store v2) keep compressible columns packed; the clause
-// compilers here wrap the raw reference loops with a per-partition dispatch
-// that evaluates directly on the encoded representation when one is present:
+// store (internal/store v2) keep their columns in the form the block arrived
+// in; the clause compilers here wrap the raw reference loops with a
+// per-partition dispatch that evaluates directly on the encoded
+// representation when one is present:
 //
 //   - Bit-packed dictionary codes compare against the clause's code(s)
 //     without materializing the column.
 //   - RLE runs are accepted or rejected wholesale: the seed form emits whole
 //     selection spans, the narrowing form re-evaluates only on run
 //     transitions.
-//   - Frame-of-reference equality rebases the constant into packed delta
-//     space (one integer compare per row); ordered comparisons fuse the
-//     exact reconstruction min+float64(delta) into the loop, which is
-//     bit-identical to comparing the decoded value.
+//   - Frame-of-reference clauses are first put to the block header: every
+//     value lies in [Min, Min+mask], which decides most comparisons for all
+//     rows at once (forBounds). Otherwise equality rebases the constant into
+//     packed delta space (one integer compare per row); ordered comparisons
+//     fuse the exact reconstruction min+float64(delta) into the loop, which
+//     is bit-identical to comparing the decoded value.
+//   - Raw numeric columns are compared in place, from the block's bytes, the
+//     first time anything reads the column (table.Partition.FirstTouch);
+//     after that the memoized decoded slice and the raw loops are as fast.
 //
 // Every per-row outcome matches the raw loops exactly — the FoR
-// reconstruction is exact by the encoding's 53-bit bound, and dictionary
-// codes are compared as the same uint32s the decoded column would hold — so
-// in-place ascending compaction (the kernel contract) yields bit-identical
-// selections, and everything downstream is unchanged.
+// reconstruction is exact by the encoding's 53-bit bound, a raw numeric value
+// is the same 8 bytes either way, and dictionary codes are compared as the
+// same uint32s the decoded column would hold — so in-place ascending
+// compaction (the kernel contract) yields bit-identical selections, and
+// everything downstream is unchanged.
 var encodedEvals atomic.Int64
 
 // EncodedKernelEvals reports how many clause evaluations ran directly on an
@@ -50,9 +57,15 @@ func compileClauseSeed(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, e
 	if s.Col(ci).IsNumeric() {
 		op, v := c.Op, c.Num
 		return func(p *table.Partition, rows int, out []int32) []int32 {
-			if e := p.EncCol(ci); e != nil && e.Kind == table.EncFoR {
-				encodedEvals.Add(1)
-				return forSeed(e, op, v, rows, out)
+			if e := p.EncCol(ci); e != nil {
+				if e.Kind == table.EncFoR {
+					encodedEvals.Add(1)
+					return forSeed(e, op, v, rows, out)
+				}
+				if p.FirstTouch(ci) != nil {
+					encodedEvals.Add(1)
+					return rawNumSeed(e, op, v, rows, out)
+				}
 			}
 			return raw(p, rows, out)
 		}, nil
@@ -91,9 +104,15 @@ func compileClauseKernel(c *Clause, s *table.Schema, d *table.Dict) (kernel, err
 	if s.Col(ci).IsNumeric() {
 		op, v := c.Op, c.Num
 		return func(p *table.Partition, sel []int32, sc *scratch) []int32 {
-			if e := p.EncCol(ci); e != nil && e.Kind == table.EncFoR {
-				encodedEvals.Add(1)
-				return forKern(e, op, v, sel)
+			if e := p.EncCol(ci); e != nil {
+				if e.Kind == table.EncFoR {
+					encodedEvals.Add(1)
+					return forKern(e, op, v, sel)
+				}
+				if p.FirstTouch(ci) != nil {
+					encodedEvals.Add(1)
+					return rawNumKern(e, op, v, sel)
+				}
 			}
 			return raw(p, sel, sc)
 		}, nil
@@ -137,16 +156,58 @@ func forTarget(e *table.EncodedCol, v float64) (uint64, bool) {
 	return t, true
 }
 
+// forBounds puts (op, v) to a frame-of-reference column's header before any
+// row is read. Every value of the column lies in [Min, Min+mask], so an
+// ordered comparison that holds at the far end of that range holds for every
+// row (all), and one that fails at the near end fails for every row (none);
+// an equality constant that is no packed delta at all, or one beyond mask,
+// matches no row, and on a zero-width column the one delta there is matches
+// every row. The failing side is tested as !(lo < v), not lo >= v, so a NaN
+// constant — for which every row comparison is false — comes out as none.
+// The upper bound Min+float64(mask) may round once the sum passes 2^53;
+// rounding is monotone and the column's real maximum is exact, so the bound
+// only ever rounds to something still above it. For = and != that the header
+// leaves open, t is the constant in delta space.
+func forBounds(e *table.EncodedCol, op Op, v float64) (t uint64, all, none bool) {
+	lo := e.Min
+	hi := lo + float64(e.Mask())
+	switch op {
+	case OpEq, OpNe:
+		var ok bool
+		t, ok = forTarget(e, v)
+		absent := !ok || t > e.Mask()
+		constant := !absent && e.Mask() == 0
+		if op == OpNe {
+			return t, absent, constant
+		}
+		return t, constant, absent
+	case OpLt:
+		return 0, hi < v, !(lo < v)
+	case OpLe:
+		return 0, hi <= v, !(lo <= v)
+	case OpGt:
+		return 0, lo > v, !(hi > v)
+	case OpGe:
+		return 0, lo >= v, !(hi >= v)
+	default:
+		panic(fmt.Sprintf("query: unreachable numeric operator %v on encoded column", op))
+	}
+}
+
 // forSeed fills out with the rows of a frame-of-reference column passing
-// (op, v), scanning packed deltas directly.
+// (op, v): decided from the header when it can be, otherwise by scanning
+// packed deltas directly.
 func forSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []int32 {
+	t, all, none := forBounds(e, op, v)
+	if none {
+		return out[:0]
+	}
+	if all {
+		return identity(out, rows)
+	}
 	n := 0
 	switch op {
 	case OpEq:
-		t, ok := forTarget(e, v)
-		if !ok {
-			return out[:0]
-		}
 		for r := 0; r < rows; r++ {
 			if e.At(r) == t {
 				out[n] = int32(r)
@@ -154,14 +215,6 @@ func forSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []int
 			}
 		}
 	case OpNe:
-		t, ok := forTarget(e, v)
-		if !ok {
-			out = out[:rows]
-			for r := range out {
-				out[r] = int32(r)
-			}
-			return out
-		}
 		for r := 0; r < rows; r++ {
 			if e.At(r) != t {
 				out[n] = int32(r)
@@ -203,22 +256,23 @@ func forSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []int
 				n++
 			}
 		}
-	default:
-		panic(fmt.Sprintf("query: unreachable numeric operator %v on encoded column", op))
 	}
 	return out[:n]
 }
 
 // forKern narrows sel to the rows of a frame-of-reference column passing
-// (op, v).
+// (op, v), header first like forSeed.
 func forKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
+	t, all, none := forBounds(e, op, v)
+	if none {
+		return sel[:0]
+	}
+	if all {
+		return sel
+	}
 	n := 0
 	switch op {
 	case OpEq:
-		t, ok := forTarget(e, v)
-		if !ok {
-			return sel[:0]
-		}
 		for _, r := range sel {
 			if e.At(int(r)) == t {
 				sel[n] = r
@@ -226,10 +280,6 @@ func forKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
 			}
 		}
 	case OpNe:
-		t, ok := forTarget(e, v)
-		if !ok {
-			return sel
-		}
 		for _, r := range sel {
 			if e.At(int(r)) != t {
 				sel[n] = r
@@ -264,6 +314,112 @@ func forKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
 		min := e.Min
 		for _, r := range sel {
 			if min+float64(e.At(int(r))) >= v {
+				sel[n] = r
+				n++
+			}
+		}
+	}
+	return sel[:n]
+}
+
+// rawNumSeed fills out with the rows of a raw numeric column passing (op, v),
+// reading the values where the block holds them. The loops are the raw
+// reference ladder's (compileClauseSeedRaw) with the load changed; see there
+// for why they are written out.
+func rawNumSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []int32 {
+	n := 0
+	switch op {
+	case OpEq:
+		for r := 0; r < rows; r++ {
+			if e.Float(r) == v {
+				out[n] = int32(r)
+				n++
+			}
+		}
+	case OpNe:
+		for r := 0; r < rows; r++ {
+			if e.Float(r) != v {
+				out[n] = int32(r)
+				n++
+			}
+		}
+	case OpLt:
+		for r := 0; r < rows; r++ {
+			if e.Float(r) < v {
+				out[n] = int32(r)
+				n++
+			}
+		}
+	case OpLe:
+		for r := 0; r < rows; r++ {
+			if e.Float(r) <= v {
+				out[n] = int32(r)
+				n++
+			}
+		}
+	case OpGt:
+		for r := 0; r < rows; r++ {
+			if e.Float(r) > v {
+				out[n] = int32(r)
+				n++
+			}
+		}
+	case OpGe:
+		for r := 0; r < rows; r++ {
+			if e.Float(r) >= v {
+				out[n] = int32(r)
+				n++
+			}
+		}
+	default:
+		panic(fmt.Sprintf("query: unreachable numeric operator %v on encoded column", op))
+	}
+	return out[:n]
+}
+
+// rawNumKern narrows sel to the rows of a raw numeric column passing (op, v),
+// in place like rawNumSeed.
+func rawNumKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
+	n := 0
+	switch op {
+	case OpEq:
+		for _, r := range sel {
+			if e.Float(int(r)) == v {
+				sel[n] = r
+				n++
+			}
+		}
+	case OpNe:
+		for _, r := range sel {
+			if e.Float(int(r)) != v {
+				sel[n] = r
+				n++
+			}
+		}
+	case OpLt:
+		for _, r := range sel {
+			if e.Float(int(r)) < v {
+				sel[n] = r
+				n++
+			}
+		}
+	case OpLe:
+		for _, r := range sel {
+			if e.Float(int(r)) <= v {
+				sel[n] = r
+				n++
+			}
+		}
+	case OpGt:
+		for _, r := range sel {
+			if e.Float(int(r)) > v {
+				sel[n] = r
+				n++
+			}
+		}
+	case OpGe:
+		for _, r := range sel {
+			if e.Float(int(r)) >= v {
 				sel[n] = r
 				n++
 			}
@@ -323,11 +479,7 @@ func (cp *catPred) bitpackSeed(e *table.EncodedCol, rows int, out []int32) []int
 			if !cp.neg {
 				return out[:0]
 			}
-			out = out[:rows]
-			for r := range out {
-				out[r] = int32(r)
-			}
-			return out
+			return identity(out, rows)
 		}
 		if cp.neg {
 			for r := 0; r < rows; r++ {

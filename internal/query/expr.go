@@ -139,13 +139,32 @@ func (k *exprKernel) evalRow(p *table.Partition, r int) float64 {
 // column loop per term. Each dst entry is built as constant first, then
 // terms in declaration order — the same addition sequence as evalRow — so
 // per-row results are bit-identical to the row-at-a-time path.
+//
+// A term whose column nothing has read yet (table.Partition.FirstTouch) is
+// evaluated on the encoded column, over the selected rows only: a
+// frame-of-reference value as Min + float64(At(r)), the expression
+// DecodeNum stores, and a raw numeric one from the block's bytes — the same
+// float64 in either case, so which arm ran never shows in the result.
 func (k *exprKernel) evalInto(p *table.Partition, sel []int32, dst []float64) {
 	for i := range dst {
 		dst[i] = k.konst
 	}
 	for _, t := range k.terms {
-		col := p.NumCol(t.col)
 		coef := t.coef
+		if e := p.FirstTouch(t.col); e != nil {
+			if e.Kind == table.EncFoR {
+				min := e.Min
+				for i, r := range sel {
+					dst[i] += coef * (min + float64(e.At(int(r))))
+				}
+			} else {
+				for i, r := range sel {
+					dst[i] += coef * e.Float(int(r))
+				}
+			}
+			continue
+		}
+		col := p.NumCol(t.col)
 		for i, r := range sel {
 			dst[i] += coef * col[r]
 		}

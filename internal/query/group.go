@@ -208,12 +208,35 @@ func (c *Compiled) keyBits() uint { return c.packBits * uint(len(c.groupIdx)) }
 // rows and resolved to dense slots through the scratch's group table —
 // direct-indexed when the key space is small (see directKeyBits), which
 // keeps the one-column case a code-indexed loop on all but very wide
-// dictionaries.
+// dictionaries. A column nothing has read yet (table.Partition.FirstTouch)
+// gives its codes in encoded form: bit-packed ones through At, run-length
+// ones from a walk over the runs that only moves forward, the selection
+// being ascending. They are the codes the decoded column would hold.
 func (c *Compiled) evalPackedGroups(p *table.Partition, sel []int32, sc *scratch) partial {
 	keys := sc.keyBuf(len(sel))
 	clear(keys)
 	var seen uint32
 	for _, gi := range c.groupIdx {
+		if e := p.FirstTouch(gi); e != nil {
+			if e.Kind == table.EncRLE {
+				run := 0
+				for i, r := range sel {
+					for e.RunEnds[run] <= r {
+						run++
+					}
+					code := e.RunVals[run]
+					seen |= code
+					keys[i] = keys[i]<<c.packBits | uint64(code)
+				}
+			} else {
+				for i, r := range sel {
+					code := uint32(e.At(int(r)))
+					seen |= code
+					keys[i] = keys[i]<<c.packBits | uint64(code)
+				}
+			}
+			continue
+		}
 		codes := p.CatCol(gi)
 		for i, r := range sel {
 			code := codes[r]
@@ -245,8 +268,9 @@ func (c *Compiled) evalGenericGroups(p *table.Partition, sel []int32, sc *scratc
 	gidx := sc.gidxBuf(len(sel))
 	at := len(sc.bkeys)
 	kb := sc.keyBytes
+	sc.gnum, sc.gcat = c.groupCols(p, sc.gnum[:0], sc.gcat[:0])
 	for i, r := range sel {
-		kb = c.appendKey(kb[:0], p, int(r))
+		kb = appendKey(kb[:0], sc.gnum, sc.gcat, int(r))
 		id, ok := lut[string(kb)]
 		if !ok {
 			id = int32(len(sc.bkeys) - at)
@@ -257,6 +281,9 @@ func (c *Compiled) evalGenericGroups(p *table.Partition, sel []int32, sc *scratc
 		gidx[i] = id
 	}
 	sc.keyBytes = kb
+	// A pooled scratch must not keep the partition's columns alive.
+	clear(sc.gnum)
+	clear(sc.gcat)
 	order := sc.bkeys[at:]
 	accs := sc.allocAccs(len(order) * c.comps)
 	c.accumulate(p, sel, gidx, accs, sc)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -82,7 +81,7 @@ func newGroupedFixture(t *testing.T, seed int64) *groupedFixture {
 
 	parts := append([]*table.Partition(nil), f.tbl.Parts...)
 	for _, p := range f.tbl.Parts {
-		parts = append(parts, encodedCopy(t, schema, p))
+		parts = append(parts, storeCopy(t, schema, p, nil))
 	}
 	parts = append(parts, table.NewPartition(schema))
 	f.clean = len(parts)
@@ -104,53 +103,6 @@ func bitPack(vals []uint64, width uint8) []byte {
 		binary.LittleEndian.PutUint64(out[bit>>3:], word|v<<(bit&7))
 	}
 	return out[:len(out)-8]
-}
-
-// encodedCopy re-creates p the way a store-v2 block decodes: categorical
-// columns bit-packed, integer-valued numeric columns frame-of-reference
-// packed, everything else decoded.
-func encodedCopy(t *testing.T, s *table.Schema, p *table.Partition) *table.Partition {
-	t.Helper()
-	rows := p.Rows()
-	num := make([][]float64, s.NumCols())
-	cat := make([][]uint32, s.NumCols())
-	enc := make([]*table.EncodedCol, s.NumCols())
-	for c, col := range s.Cols {
-		vals := make([]uint64, rows)
-		var err error
-		if !col.IsNumeric() {
-			var most uint64
-			for r, code := range p.CatCol(c) {
-				vals[r] = uint64(code)
-				most = max(most, vals[r])
-			}
-			enc[c], err = table.NewBitPackedCol(rows, uint8(bits.Len64(most)), bitPack(vals, uint8(bits.Len64(most))))
-		} else {
-			src := p.NumCol(c)
-			lo, hi, whole := math.Inf(1), math.Inf(-1), true
-			for _, v := range src {
-				lo, hi = min(lo, v), max(hi, v)
-				whole = whole && v == math.Trunc(v)
-			}
-			if !whole || hi-lo > 1<<20 {
-				num[c] = src
-				continue
-			}
-			for r, v := range src {
-				vals[r] = uint64(v - lo)
-			}
-			w := uint8(bits.Len64(uint64(hi - lo)))
-			enc[c], err = table.NewFoRCol(rows, lo, w, bitPack(vals, w))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	out, err := table.MakeEncodedPartition(s, p.ID, rows, num, cat, enc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // rogueCopy is p with about a tenth of its categorical cells overwritten by

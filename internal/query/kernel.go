@@ -56,8 +56,12 @@ type scratch struct {
 	groups groupTable
 	// keyBytes is the byte-key encoding buffer and lut the key→slot map of
 	// the generic GROUP BY path; lut is cleared and reused across partitions.
+	// gnum/gcat hold the group-by columns of the partition being keyed, and
+	// nothing between partitions.
 	keyBytes []byte
 	lut      map[string]int32
+	gnum     [][]float64
+	gcat     [][]uint32
 	// pkeys, bkeys and paccs are the arenas partials are carved from: packed
 	// keys, byte keys and accumulators of every partial produced since
 	// resetPartials.
@@ -77,11 +81,16 @@ func (sc *scratch) selBuf(n int) []int32 {
 
 // fullSel returns the identity selection [0, n).
 func (sc *scratch) fullSel(n int) []int32 {
-	sel := sc.selBuf(n)
-	for i := range sel {
-		sel[i] = int32(i)
+	return identity(sc.selBuf(n), n)
+}
+
+// identity fills out with the selection of all rows.
+func identity(out []int32, rows int) []int32 {
+	out = out[:rows]
+	for r := range out {
+		out[r] = int32(r)
 	}
-	return sel
+	return out
 }
 
 // getSel returns a temporary selection buffer of length n; pair with putSel.
@@ -343,11 +352,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 	case 0:
 		if neg {
 			return func(_ *table.Partition, rows int, out []int32) []int32 {
-				out = out[:rows]
-				for r := range out {
-					out[r] = int32(r)
-				}
-				return out
+				return identity(out, rows)
 			}, nil
 		}
 		return func(_ *table.Partition, _ int, out []int32) []int32 {

@@ -378,17 +378,25 @@ func filterSelection(k kernel, p *table.Partition, sel, gidx []int32, sc *scratc
 	return fsel, fidx
 }
 
-// appendKey encodes the group-by values of row r into buf.
-func (c *Compiled) appendKey(buf []byte, p *table.Partition, r int) []byte {
+// groupCols appends the partition's group-by columns to nums and cats, one
+// entry each per column with data on the side matching its kind: looked up
+// once per partition, so that appendKey only indexes.
+func (c *Compiled) groupCols(p *table.Partition, nums [][]float64, cats [][]uint32) ([][]float64, [][]uint32) {
 	for _, gi := range c.groupIdx {
-		if c.schema.Cols[gi].IsNumeric() {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(p.NumCol(gi)[r]))
-			buf = append(buf, b[:]...)
+		nums = append(nums, p.NumCol(gi))
+		cats = append(cats, p.CatCol(gi))
+	}
+	return nums, cats
+}
+
+// appendKey encodes the group-by values of row r, from the columns groupCols
+// resolved, into buf.
+func appendKey(buf []byte, nums [][]float64, cats [][]uint32, r int) []byte {
+	for j, col := range nums {
+		if col != nil {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(col[r]))
 		} else {
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], p.CatCol(gi)[r])
-			buf = append(buf, b[:]...)
+			buf = binary.LittleEndian.AppendUint32(buf, cats[j][r])
 		}
 	}
 	return buf

@@ -16,12 +16,13 @@ import "ps3/internal/table"
 func (c *Compiled) EvalPartitionReference(p *table.Partition) *Answer {
 	ans := c.NewAnswer()
 	var keyBuf []byte
+	nums, cats := c.groupCols(p, nil, nil)
 	rows := p.Rows()
 	for r := 0; r < rows; r++ {
 		if !c.pred(p, r) {
 			continue
 		}
-		keyBuf = c.appendKey(keyBuf[:0], p, r)
+		keyBuf = appendKey(keyBuf[:0], nums, cats, r)
 		acc, ok := ans.Groups[string(keyBuf)]
 		if !ok {
 			acc = make([]float64, c.comps)

@@ -9,11 +9,12 @@
 // The server adds what sustained concurrent traffic needs on top of
 // System.Run:
 //
-//   - a compiled-query cache keyed by canonical query text and a
-//     pick-result cache (picker.SelectionCache; selection is deterministic
-//     per system seed, query text and budget), both lru.Cache instances: a
-//     hot query skips compilation, featurization, the funnel and clustering,
-//     and a burst of it compiles once and picks once;
+//   - a compiled-query cache keyed by canonical query text — and by the SQL
+//     text a request arrived as, so a repeated request is not parsed either
+//     — and a pick-result cache (picker.SelectionCache; selection is
+//     deterministic per system seed, query text and budget), both lru.Cache
+//     instances: a hot query skips parsing, compilation, featurization, the
+//     funnel and clustering, and a burst of it compiles once and picks once;
 //   - per-request randomness: each request derives its own RNG from the
 //     system seed and a hash of the query text (core.System.Pick), so
 //     concurrent requests never share a randomness stream and answers stay
@@ -123,9 +124,12 @@ func (c Config) withDefaults() Config {
 // for its entire lifetime, and no request can pair a new system with a stale
 // cache entry or vice versa.
 type snapState struct {
-	sys      *core.System
-	compiled *lru.Cache[string, *query.Compiled] // by canonical query text
-	picks    *picker.SelectionCache              // nil when pick caching is disabled
+	sys *core.System
+	// compiled holds each query under its canonical text and, when it came
+	// in as SQL that reads differently, under that text as well: two keys,
+	// one value.
+	compiled *lru.Cache[string, *compiledQuery]
+	picks    *picker.SelectionCache // nil when pick caching is disabled
 	// version numbers the installed snapshot: 1 for the system the server
 	// started with, incremented by every Swap. Responses carry it so a
 	// client (or a test) can tell which snapshot answered.
@@ -176,11 +180,58 @@ type Server struct {
 	appendNs       atomic.Int64
 }
 
+// compiledQuery is one compiled-query cache value.
+type compiledQuery struct {
+	c *query.Compiled
+	// key is the canonical query text (query.Query.String of c.Q): what a
+	// response reports and what the pick cache and the pick RNG key on,
+	// whichever text the request used.
+	key string
+}
+
+// compile returns q's cache entry, compiling on a miss. cached reports a hit
+// or a joined in-flight compile.
+func (st *snapState) compile(q *query.Query) (cq *compiledQuery, cached bool, err error) {
+	key := q.String()
+	return st.compiled.GetOrCompute(key, func() (*compiledQuery, error) { return st.compileAs(q, key) })
+}
+
+// compileAs compiles q, whose canonical text is key, outside the cache.
+func (st *snapState) compileAs(q *query.Query, key string) (*compiledQuery, error) {
+	c, err := st.sys.Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return &compiledQuery{c: c, key: key}, nil
+}
+
+// compileSQL is compile for SQL text. The entry is cached under the text
+// too, so only the first request with a given text on this snapshot pays for
+// sql.Parse and Query.String; differently written SQL for one query still
+// shares the one compilation under the canonical key.
+func (st *snapState) compileSQL(text string) (cq *compiledQuery, cached bool, err error) {
+	var shared bool
+	cq, cached, err = st.compiled.GetOrCompute(text, func() (*compiledQuery, error) {
+		q, _, err := sql.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		key := q.String()
+		if key == text { // this flight is the canonical key's own
+			return st.compileAs(q, key)
+		}
+		cq, hit, err := st.compile(q)
+		shared = hit
+		return cq, err
+	})
+	return cq, cached || shared, err
+}
+
 // newSnapState builds the per-snapshot bundle.
 func newSnapState(sys *core.System, cfg Config, version int64) *snapState {
 	st := &snapState{
 		sys:      sys,
-		compiled: lru.New[string, *query.Compiled](int64(cfg.CacheSize), nil),
+		compiled: lru.New[string, *compiledQuery](int64(cfg.CacheSize), nil),
 		version:  version,
 	}
 	if cfg.PickCacheSize >= 0 {
@@ -449,13 +500,7 @@ func (s *Server) QuerySQL(sqlText string, budget float64) (*Response, error) {
 // QuerySQLCtx is QuerySQL under the caller's context (the HTTP layer
 // passes the request context, so a disconnected client cancels its scan).
 func (s *Server) QuerySQLCtx(ctx context.Context, sqlText string, budget float64) (*Response, error) {
-	q, _, err := sql.Parse(sqlText)
-	if err != nil {
-		s.requests.Add(1)
-		s.failures.Add(1)
-		return nil, err
-	}
-	return s.QueryCtx(ctx, q, budget)
+	return s.serve(ctx, nil, sqlText, budget)
 }
 
 // Query executes q at the budget fraction (0 = the server default). The
@@ -504,6 +549,11 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 // response, never silent. Shed and deadline outcomes are counted
 // separately from other failures in the metrics.
 func (s *Server) QueryCtx(ctx context.Context, q *query.Query, budget float64) (*Response, error) {
+	return s.serve(ctx, q, "", budget)
+}
+
+// serve answers q, or when q is nil the query sqlText parses to.
+func (s *Server) serve(ctx context.Context, q *query.Query, sqlText string, budget float64) (*Response, error) {
 	start := time.Now()
 	s.requests.Add(1)
 	if s.draining.Load() {
@@ -520,12 +570,24 @@ func (s *Server) QueryCtx(ctx context.Context, q *query.Query, budget float64) (
 		budget = s.cfg.DefaultBudget
 	}
 	st := s.state.Load()
-	key := q.String()
-	c, cached, err := st.compiled.GetOrCompute(key, func() (*query.Compiled, error) { return st.sys.Compile(q) })
+	var (
+		cq     *compiledQuery
+		cached bool
+		err    error
+	)
+	if q != nil {
+		cq, cached, err = st.compile(q)
+	} else {
+		cq, cached, err = st.compileSQL(sqlText)
+	}
 	if err != nil {
 		s.failures.Add(1)
 		return nil, err
 	}
+	// The cached compilation's own query: the one q parsed to, or an equal
+	// one from the request that compiled it.
+	c, key := cq.c, cq.key
+	q = c.Q
 	if cached {
 		s.cacheHits.Add(1)
 	} else {

@@ -187,6 +187,23 @@ func TestServeCacheHitsAndEviction(t *testing.T) {
 	if !resp2.Cached {
 		t.Fatal("canonically equal SQL text missed the cache")
 	}
+	// The entry is now keyed on that text as well: a repeat finds it without
+	// parsing (one more entry, no new compilation), and still answers under
+	// the canonical text. Text that does not parse is not cached.
+	resp3, err := srv2.QuerySQL("select   count(*)   from t", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp3.Cached || resp3.Query != "SELECT COUNT(*) FROM t" || !resp3.PickCached {
+		t.Fatalf("repeat of the same SQL text: cached %v, pick cached %v, query %q", resp3.Cached, resp3.PickCached, resp3.Query)
+	}
+	if _, err := srv2.QuerySQL("select count(*) from", 0.1); err == nil {
+		t.Fatal("malformed SQL was served")
+	}
+	if m := srv2.Stats(); m.CacheLen != 2 || m.CacheMisses != 1 || m.CacheHits != 2 || m.Failures != 1 {
+		t.Fatalf("one query under two texts and one parse error: %d entries, %d misses, %d hits, %d failures; want 2, 1, 2, 1",
+			m.CacheLen, m.CacheMisses, m.CacheHits, m.Failures)
+	}
 }
 
 func TestServeHTTP(t *testing.T) {

@@ -203,8 +203,11 @@ func requireSameAnswer(t *testing.T, label string, want, got *query.Answer) {
 // kernels: the same table written raw (v1) and encoded (v2) must produce
 // bit-identical Estimate, GroundTruth and Selectivity results for hand-
 // written and generator-sampled queries, across parallelism levels, with
-// both readers thrashing their caches so decode happens mid-scan. Runs
-// under -race via `make race`.
+// both readers thrashing their caches so decode happens mid-scan. Every
+// query also runs twice over a freshly loaded copy of every partition —
+// cold, where aggregates and group keys are read in encoded form, then warm,
+// where the same columns are decoded and memoized. Runs under -race via
+// `make race`.
 func TestEncodedVsRawQueryEquivalence(t *testing.T) {
 	tbl := encFixture(t, 1600, 100, 17)
 	rawData := writeStoreRaw(t, tbl)
@@ -214,7 +217,6 @@ func TestEncodedVsRawQueryEquivalence(t *testing.T) {
 	rawR := openStore(t, rawData, 3*rawSize) // thrash: evictions mid-scan
 	encR := openStore(t, encData, 3*encSize)
 	rawTbl := materialize(t, rawR) // decoded partitions: the frozen reference
-	encTbl := materialize(t, encR) // encoded partitions: encoded kernels run
 
 	queries := handQueries()
 	gen, err := query.NewGenerator(query.Workload{
@@ -242,7 +244,7 @@ func TestEncodedVsRawQueryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d (%s): %v", qi, q, err)
 		}
-		if sv, ev := cRaw.Selectivity(rawTbl), cEnc.Selectivity(encTbl); math.Float64bits(sv) != math.Float64bits(ev) {
+		if sv, ev := cRaw.Selectivity(rawTbl), cEnc.Selectivity(materialize(t, encR)); math.Float64bits(sv) != math.Float64bits(ev) {
 			t.Fatalf("query %d (%s): selectivity %v raw vs %v encoded", qi, q, sv, ev)
 		}
 		for _, par := range levels {
@@ -260,13 +262,16 @@ func TestEncodedVsRawQueryEquivalence(t *testing.T) {
 			requireSameAnswer(t, label+" estimate", want, got)
 
 			wantTotal, wantPer := cRaw.GroundTruth(rawTbl)
-			gotTotal, gotPer := cEnc.GroundTruth(encTbl)
-			requireSameAnswer(t, label+" ground truth", wantTotal, gotTotal)
-			if len(wantPer) != len(gotPer) {
-				t.Fatalf("%s: %d per-partition answers, want %d", label, len(gotPer), len(wantPer))
-			}
-			for pi := range wantPer {
-				requireSameAnswer(t, fmt.Sprintf("%s part %d", label, pi), wantPer[pi], gotPer[pi])
+			encTbl := materialize(t, encR) // encoded partitions nothing has read
+			for _, touch := range []string{" cold", " warm"} {
+				gotTotal, gotPer := cEnc.GroundTruth(encTbl)
+				requireSameAnswer(t, label+touch+" ground truth", wantTotal, gotTotal)
+				if len(wantPer) != len(gotPer) {
+					t.Fatalf("%s: %d per-partition answers, want %d", label, len(gotPer), len(wantPer))
+				}
+				for pi := range wantPer {
+					requireSameAnswer(t, fmt.Sprintf("%s%s part %d", label, touch, pi), wantPer[pi], gotPer[pi])
+				}
 			}
 		}
 	}
@@ -317,18 +322,84 @@ func TestCatPredicateEvaluatesWithoutDecode(t *testing.T) {
 			t.Fatalf("%s: %d columns were materialized; the predicate must run on encoded data", q, es.LazyDecodeCols)
 		}
 	}
-	// Control: touching a numeric aggregate on the FoR column does decode,
-	// and the same counter sees it — proving the zero above is meaningful.
+	// Control: the same counter does see a materialization, so the zero above
+	// is meaningful — but only on the second read of a column's values. The
+	// first SUM over a freshly loaded partition runs on the FoR column as it
+	// is; the second one decodes it, once. Both are the resident answer.
 	q := &query.Query{Aggs: []query.Aggregate{{Kind: query.Sum, Expr: query.Col("n")}}}
 	c, err := query.Compile(q, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Estimate(r, sel[:1]); err != nil {
+	cr, err := query.Compile(q, tbl)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if es := r.EncodingStats(); es.LazyDecodeCols == 0 {
-		t.Fatal("aggregating the FoR column should have materialized it")
+	want := cr.EvalPartition(tbl.Parts[0])
+	for touch, wantCols := range []int64{0, 1} {
+		got, err := c.Estimate(r, sel[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameAnswer(t, fmt.Sprintf("%s, touch %d", q, touch+1), want, got)
+		if es := r.EncodingStats(); es.LazyDecodeCols != wantCols {
+			t.Fatalf("touch %d of the FoR column: %d columns materialized so far, want %d", touch+1, es.LazyDecodeCols, wantCols)
+		}
+	}
+}
+
+// TestDecodeAdmittedOnSecondTouch follows the decode memo's admission rule
+// through the reader and its cache. A scan that aggregates and groups by
+// encoded columns materializes none of them in a partition it reads for the
+// first time; under a cache too small to keep a partition between scans
+// every read is a first one, so a thrashing reader never decodes at all. A
+// resident partition gets each of those columns decoded on its second scan
+// and nothing on its third. Every answer is the resident table's.
+func TestDecodeAdmittedOnSecondTouch(t *testing.T) {
+	tbl := encFixture(t, 800, 100, 5)
+	data := writeStore(t, tbl)
+	sel := make([]query.WeightedPartition, tbl.NumParts())
+	for i := range sel {
+		sel[i] = query.WeightedPartition{Part: i, Weight: 1 + float64(i)/4}
+	}
+	q := &query.Query{
+		GroupBy: []string{"cat", "run"},
+		Aggs:    []query.Aggregate{{Kind: query.Sum, Expr: query.Col("f")}, {Kind: query.Avg, Expr: query.Col("n")}},
+		Pred:    &query.Clause{Col: "n", Op: query.OpLt, Num: 3000},
+	}
+	cr, err := query.Compile(q, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cr.Estimate(tbl, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := int64(4 * tbl.NumParts()) // f, n, cat, run of every partition
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		decoded    []int64 // materialized columns after scans 1, 2, 3
+	}{
+		{"resident", -1, []int64{0, touched, touched}},
+		{"thrashing", 1, []int64{0, 0, 0}},
+	} {
+		r := openStore(t, data, tc.cacheBytes)
+		c, err := query.Compile(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Exec = exec.Options{Parallelism: 1}
+		for scan, wantCols := range tc.decoded {
+			got, err := c.Estimate(r, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameAnswer(t, fmt.Sprintf("%s reader, scan %d", tc.name, scan+1), want, got)
+			if es := r.EncodingStats(); es.LazyDecodeCols != wantCols {
+				t.Fatalf("%s reader: %d columns materialized after scan %d, want %d", tc.name, es.LazyDecodeCols, scan+1, wantCols)
+			}
+		}
 	}
 }
 

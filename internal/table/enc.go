@@ -9,10 +9,12 @@ import (
 )
 
 // Lightweight per-column block encodings. A partition loaded from an encoded
-// store block keeps compressible columns in their encoded form and decodes a
-// column only when something actually touches its values (NumCol/CatCol);
-// predicate kernels in internal/query evaluate directly on the encoded
-// representation, so a column used only for filtering is never materialized.
+// store block keeps its columns in their encoded form. The kernels in
+// internal/query evaluate on that form directly — predicates always, the
+// first aggregate or GROUP BY read of a column too (Partition.FirstTouch) —
+// so a column is decoded (NumCol/CatCol, memoized) only once something reads
+// its values a second time: a partition evicted after one scan never pays for
+// a decoded copy, a resident one gets it on its second scan.
 //
 // A column loaded from a store block does not own its bytes: Packed is a view
 // into the block buffer the reader checksummed, which every column of the
@@ -34,9 +36,9 @@ import (
 //     bit-identical to the raw path by construction.
 //   - EncRawNum (numeric): the raw layout itself, rows little-endian float64
 //     bit patterns. Not a compression — it exists so that loading a block
-//     decodes no numeric column the query never names. No kernel runs on it:
-//     a predicate or aggregate materializes it through NumCol like any other
-//     first touch, and any 8 bytes are a float64, so that cannot fail.
+//     decodes no numeric column the query never names. Kernels read it in
+//     place (Float) on the first touch; any 8 bytes are a float64, so neither
+//     that nor the later materialization can fail.
 //
 // Exactness argument for EncFoR: min and every value are integers of
 // magnitude <= 2^53, so they are exactly representable; the delta v - min is
@@ -294,12 +296,19 @@ func (e *EncodedCol) At(r int) uint64 {
 	return (word >> (bit & 7)) & e.mask
 }
 
-// DecodeNum materializes an EncFoR or EncRawNum column as float64 values.
+// Float reads row r of an EncRawNum column in place. r must be in [0, Rows).
+func (e *EncodedCol) Float(r int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(e.Packed[8*r:]))
+}
+
+// DecodeNum materializes an EncFoR or EncRawNum column as float64 values. A
+// FoR value is Min + float64(At(r)): kernels that read the column encoded
+// compute that same expression, which is what keeps them bit-identical.
 func (e *EncodedCol) DecodeNum() []float64 {
 	out := make([]float64, e.Rows)
 	if e.Kind == EncRawNum {
 		for r := range out {
-			out[r] = math.Float64frombits(binary.LittleEndian.Uint64(e.Packed[8*r:]))
+			out[r] = e.Float(r)
 		}
 		return out
 	}
@@ -381,11 +390,14 @@ func (d *DecodeStats) Snapshot() (cols, bytes int64) {
 
 // lazyCol memoizes one encoded column's materialization. The decoded slice
 // is written exactly once inside the sync.Once, so concurrent NumCol/CatCol
-// calls are race-free.
+// calls are race-free. touched is the admission rule of that memo: set by
+// the first read of the column's values, whichever form it took (see
+// Partition.FirstTouch).
 type lazyCol struct {
-	once sync.Once
-	num  []float64
-	cat  []uint32
+	once    sync.Once
+	touched atomic.Bool
+	num     []float64
+	cat     []uint32
 }
 
 // MakeEncodedPartition assembles a partition whose columns are a mix of

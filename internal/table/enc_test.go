@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -442,5 +443,98 @@ func TestLazyDecodeMemoizedAndCounted(t *testing.T) {
 	}
 	if want := forCol.EncodedBytes() + bpCol.EncodedBytes(); p.EncodedSizeBytes() != want {
 		t.Fatalf("EncodedSizeBytes = %d, want %d", p.EncodedSizeBytes(), want)
+	}
+}
+
+// TestFirstTouch pins the admission rule of the decode memo: the first
+// reader of an encoded column's values is handed the encoded form and
+// decodes nothing, every later one is sent to the memoized slice; a column
+// NumCol/CatCol already materialized, and a decoded column, are never a
+// first touch; and scans racing on the first touch may each get the encoded
+// form but leave the column touched.
+func TestFirstTouch(t *testing.T) {
+	s := encTestSchema(t)
+	const rows = 32
+	vals := make([]uint64, rows)
+	raw := make([]byte, 8*rows)
+	for r := range vals {
+		vals[r] = uint64(r % 7)
+		binary.LittleEndian.PutUint64(raw[8*r:], math.Float64bits(float64(r)+0.5))
+	}
+	fresh := func(num *EncodedCol, ds *DecodeStats) *Partition {
+		t.Helper()
+		bp, err := NewBitPackedCol(rows, 3, packValues(vals, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := MakeEncodedPartition(s, 0, rows, [][]float64{nil, nil}, [][]uint32{nil, nil}, []*EncodedCol{num, bp}, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	rawCol, err := NewRawNumCol(rows, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ds DecodeStats
+	p := fresh(rawCol, &ds)
+	e := p.FirstTouch(0)
+	if e != rawCol {
+		t.Fatalf("first touch of an encoded column returned %v, want its encoded form", e)
+	}
+	for r := 0; r < rows; r++ {
+		if got := e.Float(r); got != float64(r)+0.5 {
+			t.Fatalf("Float(%d) = %v", r, got)
+		}
+	}
+	if cols, _ := ds.Snapshot(); cols != 0 {
+		t.Fatalf("a first touch materialized %d columns", cols)
+	}
+	if p.FirstTouch(0) != nil {
+		t.Fatal("second touch was handed the encoded form again")
+	}
+	if got := p.NumCol(0); len(got) != rows || got[3] != 3.5 {
+		t.Fatalf("NumCol after the first touch = %v", got)
+	}
+	if cols, _ := ds.Snapshot(); cols != 1 {
+		t.Fatalf("second touch materialized %d columns, want 1", cols)
+	}
+	// Column 1 was materialized without a FirstTouch call: still not first.
+	p.CatCol(1)
+	if p.FirstTouch(1) != nil {
+		t.Fatal("a materialized column reported a first touch")
+	}
+	decoded, err := MakePartition(s, 0, 1, [][]float64{{1}, nil}, [][]uint32{nil, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.FirstTouch(0) != nil || decoded.FirstTouch(1) != nil {
+		t.Fatal("a decoded column has no encoded form to hand out")
+	}
+
+	p = fresh(rawCol, nil)
+	const goroutines = 8
+	var wg sync.WaitGroup
+	var encoded atomic.Int32
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for c := 0; c < 2; c++ {
+				if p.FirstTouch(c) != nil {
+					encoded.Add(1)
+				} else if c == 0 && p.NumCol(c)[5] != 5.5 || c == 1 && p.CatCol(c)[5] != 5 {
+					t.Errorf("goroutine %d read a wrong value from column %d", g, c)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := encoded.Load(); n < 2 || n > 2*goroutines {
+		t.Fatalf("%d first touches over two columns", n)
+	}
+	if p.FirstTouch(0) != nil || p.FirstTouch(1) != nil {
+		t.Fatal("a column is still untouched after concurrent first touches")
 	}
 }

@@ -11,7 +11,7 @@ type Partition struct {
 	// Num holds per-column numeric data; Num[c] is nil for categorical
 	// columns and for encoded columns (see enc). All non-nil slices have
 	// equal length. Readers that need values must go through NumCol, which
-	// materializes encoded columns on demand.
+	// materializes encoded columns on demand, or through FirstTouch.
 	Num [][]float64
 	// Cat holds per-column dictionary codes; Cat[c] is nil for numeric
 	// columns and for encoded columns. Readers must go through CatCol.
@@ -25,7 +25,8 @@ type Partition struct {
 	// live only in lazy[c], so unsynchronized reads of the public fields
 	// never race with materialization.
 	enc []*EncodedCol
-	// lazy memoizes per-column materialization (one sync.Once each).
+	// lazy memoizes per-column materialization (one sync.Once each) and
+	// remembers whether the column's values have been read before.
 	lazy []lazyCol
 	// decStats, when non-nil, is charged for every lazy materialization.
 	decStats *DecodeStats
@@ -44,10 +45,11 @@ func NewPartition(s *Schema) *Partition {
 func (p *Partition) Rows() int { return p.rows }
 
 // NumCol returns the numeric data of column c, or nil for categorical
-// columns. Encoded columns are materialized on first access and memoized;
+// columns. Encoded columns are materialized on first call and memoized;
 // materialization cannot fail because encoded payloads are validated at
 // construction. The slice is the partition's backing store: callers (such as
-// the query layer's vectorized kernels) must treat it as read-only.
+// the query layer's vectorized kernels) must treat it as read-only. A scan
+// kernel asks FirstTouch before it calls this.
 func (p *Partition) NumCol(c int) []float64 {
 	if v := p.Num[c]; v != nil {
 		return v
@@ -61,6 +63,7 @@ func (p *Partition) NumCol(c int) []float64 {
 	}
 	lc := &p.lazy[c]
 	lc.once.Do(func() {
+		lc.touched.Store(true)
 		lc.num = e.DecodeNum()
 		if p.decStats != nil {
 			p.decStats.Add(8 * len(lc.num))
@@ -85,6 +88,7 @@ func (p *Partition) CatCol(c int) []uint32 {
 	}
 	lc := &p.lazy[c]
 	lc.once.Do(func() {
+		lc.touched.Store(true)
 		lc.cat = e.DecodeCat()
 		if p.decStats != nil {
 			p.decStats.Add(4 * len(lc.cat))
@@ -139,6 +143,36 @@ func (p *Partition) EncCol(c int) *EncodedCol {
 	return p.enc[c]
 }
 
+// FirstTouch returns column c's encoded form if nothing has read the
+// column's values yet, and records that something now has; otherwise (a
+// decoded column, or one already touched) it returns nil and the caller reads
+// NumCol/CatCol. It is how a scan decides which form of a column to read:
+// the first reader evaluates on the encoded column and allocates nothing,
+// every later one takes the memoized decoded slice, which is therefore built
+// only for a column that is read twice — the usual doorkeeper in front of a
+// cache, here the decode memo. A partition evicted after one scan never pays
+// for a side-car; a resident one is fully decoded after its second.
+//
+// Two scans racing on a column's first touch may both be handed the encoded
+// form (load, then store): both answers are right, and the next reader
+// decodes. Predicate kernels that never need decoded values (EncCol) do not
+// count as a touch.
+func (p *Partition) FirstTouch(c int) *EncodedCol {
+	if p.enc == nil {
+		return nil
+	}
+	e := p.enc[c]
+	if e == nil {
+		return nil
+	}
+	lc := &p.lazy[c]
+	if lc.touched.Load() {
+		return nil
+	}
+	lc.touched.Store(true)
+	return e
+}
+
 // SizeBytes estimates the decoded (logical) footprint of the partition:
 // 8 bytes per numeric cell and 4 per categorical cell, whether or not a
 // column is currently held encoded. Used by the logical I/O accountant so
@@ -166,9 +200,9 @@ func (p *Partition) SizeBytes() int {
 
 // EncodedSizeBytes is the resident footprint the partition cache charges:
 // decoded columns at full width plus encoded columns at their wire size
-// (for a raw numeric view the two are the same 8 bytes a row). Lazily
-// decoded side-car slices are not re-charged; DecodeStats tracks them
-// separately.
+// (for a raw numeric view the two are the same 8 bytes a row). Decoded
+// side-car slices — built for a column on the second read of its values —
+// are not re-charged; DecodeStats tracks them separately.
 func (p *Partition) EncodedSizeBytes() int {
 	n := 0
 	for _, col := range p.Num {
