@@ -29,8 +29,10 @@ test-bench:
 # Race pass over the parallel execution surface: the scan engine, every
 # layer that fans out onto it, the concurrent serving layer, the one cache
 # (internal/lru) under its compiled-query, pick and block memos, and the
-# partition itself (internal/table), whose decode memo and first-touch flag
-# concurrent scans of one cached block share.
+# partition itself (internal/table), whose decode memo, first-touch flag and
+# holder count concurrent scans of one cached block share. Like every test
+# binary it runs with released block buffers poisoned (store.poison), so a
+# view that outlives its holder fails an equivalence suite here.
 race:
 	$(GO) test -race -count=1 ./internal/table/ ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/ ./internal/lru/ ./cmd/ps3serve/
 
@@ -63,13 +65,16 @@ bench-exec:
 # One-iteration smoke of the store benchmarks plus the encoding acceptance
 # contracts (raw/encoded bit-identity cold and warm, the no-decode counter
 # proof, a column decoded on its second read and never by a thrashing
-# reader, the frozen golden files, the block-load allocation ceiling: one
-# buffer per load, no per-column copies, and the kdd cache-budget claim:
-# encoded at a third of the raw budget, equal-or-better hit rate); wired
-# into CI so the benchmark fixtures, the encoded-kernel counters and the
-# one-allocation load can never rot.
+# reader, the frozen golden files, the block-load allocation ceilings: one
+# buffer for a load nobody releases, none after a release, no per-column
+# copies; a thrashing ad-hoc scan allocating less than a block in all; the
+# one scratch pool serving every grouping shape; and the kdd cache-budget
+# claim: encoded at a third of the raw budget, equal-or-better hit rate);
+# wired into CI so the benchmark fixtures, the encoded-kernel counters and
+# the allocation-free load can never rot.
 bench-store-smoke:
-	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestEncodedCacheBudgetClaim' -v ./internal/store/
+	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestThrashingScanAllocatesNoBlockMemory|TestEncodedCacheBudgetClaim' -v ./internal/store/
+	$(GO) test -run 'TestScratchSharedAcrossQueries' -v ./internal/query/
 	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +
@@ -113,9 +118,10 @@ vet: fmt-check
 
 # Custom invariant linters (internal/analyzers, driven by cmd/ps3lint):
 # mapiter (determinism), decodebypass (lazy-decode seam), scratchescape
-# (pooled scratch ownership), panicfree (untrusted decode), nakedgo
-# (concurrency choke point), ctxflow (deadline propagation) over the whole
-# module, test files included.
+# (pooled scratch ownership), releasesite (who may release a loaded
+# partition, and nothing reads it afterwards), panicfree (untrusted decode),
+# nakedgo (concurrency choke point), ctxflow (deadline propagation) over the
+# whole module, test files included where the invariant binds them.
 # Exits nonzero on any finding not suppressed by a justified
 # //lint:<name>-ok directive.
 lint:

@@ -1,11 +1,11 @@
 // Command ps3lint is the repo's invariant multichecker: it runs the custom
 // static analyzers under internal/analyzers — mapiter, decodebypass,
-// scratchescape, panicfree, nakedgo, ctxflow — over the module and exits
-// nonzero on any unsuppressed finding. `make lint` (and through it
+// scratchescape, releasesite, panicfree, nakedgo, ctxflow — over the module
+// and exits nonzero on any unsuppressed finding. `make lint` (and through it
 // `make verify` and CI) runs it over ./... so the determinism, decode-seam,
-// scratch-ownership, error-not-panic, bounded-fan-out, and
-// deadline-propagation contracts are checked on every build, not re-argued
-// in review.
+// scratch-ownership, block-buffer holder-count, error-not-panic,
+// bounded-fan-out, and deadline-propagation contracts are checked on every
+// build, not re-argued in review.
 //
 // Usage:
 //
@@ -30,6 +30,7 @@ import (
 	"ps3/internal/analyzers/mapiter"
 	"ps3/internal/analyzers/nakedgo"
 	"ps3/internal/analyzers/panicfree"
+	"ps3/internal/analyzers/releasesite"
 	"ps3/internal/analyzers/scratchescape"
 )
 
@@ -38,6 +39,7 @@ var analyzers = []*analysis.Analyzer{
 	mapiter.Analyzer,
 	decodebypass.Analyzer,
 	scratchescape.Analyzer,
+	releasesite.Analyzer,
 	panicfree.Analyzer,
 	nakedgo.Analyzer,
 	ctxflow.Analyzer,

@@ -6,6 +6,11 @@
 // with resident entries. DESIGN.md, "Caching", states the contract in full.
 //
 // Values are shared, not copied: callers must treat them as immutable.
+//
+// A cache built with NewHeld also tells its values who holds them: the cache
+// itself while a value is resident, and every lookup it hands the value to.
+// That is what lets a value's owner reclaim what the value is made of — the
+// store's block buffers — once the cache and the last reader have let go.
 package lru
 
 import "sync"
@@ -31,6 +36,9 @@ type Stats struct {
 // population. The zero value is not usable; call New.
 type Cache[K comparable, V any] struct {
 	cost func(V) int64
+	// retain and release are the holder hooks (NewHeld); both nil otherwise.
+	retain  func(V, int)
+	release func(V)
 
 	mu sync.Mutex
 	// entries holds resident entries and in-flight ones (done still open).
@@ -63,10 +71,25 @@ type entry[K comparable, V any] struct {
 // outside the cache lock; nil charges every value 1, making budget an entry
 // count.
 func New[K comparable, V any](budget int64, cost func(V) int64) *Cache[K, V] {
+	return NewHeld[K](budget, cost, nil, nil)
+}
+
+// NewHeld is New for values that count their holders, given the two hooks
+// that move the count. A value compute returns arrives with one holder, the
+// lookup that computed it. From then on the cache calls retain(v, n) for
+// every n holders it creates — one for itself when it admits v, one for each
+// lookup that waited on v's flight, one for each later hit — and release(v)
+// once when v stops being resident, by eviction or by Invalidate. Both run under the cache lock, so a value is
+// retained for a lookup before anything could evict it, and must not call
+// back into the cache. Every successful lookup therefore returns a value its
+// caller holds and may release exactly once; a caller that never does only
+// keeps the value from being reclaimed.
+func NewHeld[K comparable, V any](budget int64, cost func(V) int64, retain func(V, int), release func(V)) *Cache[K, V] {
 	if cost == nil {
 		cost = func(V) int64 { return 1 }
 	}
-	c := &Cache[K, V]{cost: cost, entries: make(map[K]*entry[K, V]), stats: Stats{Budget: budget}}
+	c := &Cache[K, V]{cost: cost, retain: retain, release: release,
+		entries: make(map[K]*entry[K, V]), stats: Stats{Budget: budget}}
 	c.root.next, c.root.prev = &c.root, &c.root
 	return c
 }
@@ -93,6 +116,9 @@ func (c *Cache[K, V]) GetOrCompute(key K, compute func() (V, error)) (v V, hit b
 			c.pushFront(e)
 			c.stats.Hits++
 			v = e.val
+			if c.retain != nil {
+				c.retain(v, 1)
+			}
 			c.mu.Unlock()
 			return v, true, nil
 		}
@@ -135,11 +161,15 @@ func (c *Cache[K, V]) lead(e *entry[K, V], compute func() (V, error)) (v V, err 
 }
 
 // admit makes e resident as the most recently used entry, credits its
-// waiters as hits, and evicts from the cold end until the budget holds —
-// never e itself. Caller holds c.mu.
+// waiters as hits — and as holders, beside the cache itself, before done
+// closes and any of them can return the value — and evicts from the cold end
+// until the budget holds, never e itself. Caller holds c.mu.
 func (c *Cache[K, V]) admit(e *entry[K, V]) {
 	e.admitted = true
 	c.pushFront(e)
+	if c.retain != nil {
+		c.retain(e.val, 1+int(e.waiters))
+	}
 	c.stats.Hits += e.waiters
 	c.stats.AdmittedCost += e.cost
 	c.stats.ResidentCost += e.cost
@@ -151,6 +181,9 @@ func (c *Cache[K, V]) admit(e *entry[K, V]) {
 		c.stats.ResidentCost -= cold.cost
 		c.stats.Entries--
 		c.stats.Evictions++
+		if c.release != nil {
+			c.release(cold.val)
+		}
 	}
 }
 
@@ -170,6 +203,11 @@ func (c *Cache[K, V]) unlink(e *entry[K, V]) {
 func (c *Cache[K, V]) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.release != nil {
+		for e := c.root.next; e != &c.root; e = e.next {
+			c.release(e.val)
+		}
+	}
 	clear(c.entries)
 	c.root.next, c.root.prev = &c.root, &c.root
 	c.stats.ResidentCost, c.stats.Entries = 0, 0

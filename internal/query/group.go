@@ -17,8 +17,8 @@ import (
 
 // directKeyBits bounds the key space that gets a direct-indexed group table
 // (one entry per possible key, no hashing). A table is owned by a scratch,
-// and scratches are pooled per compiled query, so the bound is also what a
-// cached query may pin per worker: 2^12 entries of 16 bytes.
+// and scratches are pooled (scratchPool), so the bound is also what a pooled
+// scratch may pin: 2^12 entries of 16 bytes.
 //
 // Which side a query falls on is a property of its table: the dictionary is
 // table-wide, so every group-by column costs bits.Len(dict.Len()) bits. The
@@ -83,8 +83,13 @@ type groupEnt struct {
 // hashMul is the 64-bit golden-ratio multiplier of the multiply-shift hash.
 const hashMul = 0x9E3779B97F4A7C15
 
-// begin empties the table for keys of keyBits bits; the first call sizes it
-// and fixes its mode.
+// begin empties the table for keys of keyBits bits and shapes it for them.
+// The table comes with a pooled scratch, so it may last have served a query
+// with another key width: the mode is chosen anew every time, and the entries
+// are kept when there are enough of them — they all went stale with the
+// epoch, a direct table may be longer than its key space, and every length
+// this function or grow produces is a power of two of at least 64 or a whole
+// direct key space, which an open-addressed table can take over as it is.
 func (t *groupTable) begin(keyBits uint) {
 	t.live = 0
 	t.epoch++
@@ -92,11 +97,11 @@ func (t *groupTable) begin(keyBits uint) {
 		clear(t.ents)
 		t.epoch = 1
 	}
-	if t.ents == nil {
-		size := 64
-		if t.direct = keyBits <= directKeyBits; t.direct {
-			size = 1 << keyBits
-		}
+	size := 64
+	if t.direct = keyBits <= directKeyBits; t.direct {
+		size = 1 << keyBits
+	}
+	if len(t.ents) < size {
 		t.ents = make([]groupEnt, size)
 	}
 }
@@ -188,9 +193,9 @@ func (sc *scratch) resetPartials() {
 }
 
 // trim releases what one large scan grew, so that a pooled scratch pins a
-// bounded amount per cached query and worker: arenas past maxPooledAccs
-// (they hold a whole scan's partials, partitions × groups × comps) and a
-// hashed group table past the size of a direct one.
+// bounded amount: arenas past maxPooledAccs (they hold a whole scan's
+// partials, partitions × groups × comps) and a hashed group table past the
+// size of a direct one.
 func (sc *scratch) trim() {
 	if cap(sc.paccs) > maxPooledAccs {
 		sc.pkeys, sc.bkeys, sc.paccs = nil, nil, nil

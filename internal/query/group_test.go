@@ -8,11 +8,11 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"ps3/internal/exec"
 	"ps3/internal/table"
+	"ps3/internal/testutil"
 )
 
 // groupedFixture is one randomly drawn dataset for the grouped-scan tests: a
@@ -173,12 +173,10 @@ func (f *groupedFixture) queries(t *testing.T, seed int64, n int) []*Query {
 }
 
 // forcedGeneric returns c with the packed path switched off: the byte-key
-// path evaluating the same query, with a scratch pool of its own as every
-// Compiled has.
+// path evaluating the same query.
 func forcedGeneric(c *Compiled) *Compiled {
 	g := *c
 	g.packBits = 0
-	g.scratch = &sync.Pool{New: func() any { return &scratch{} }}
 	return &g
 }
 
@@ -346,7 +344,7 @@ func TestGroupTable(t *testing.T) {
 // string per final group — plus a constant for the scan, and does not grow
 // with the number of partitions scanned.
 func TestEstimateGroupedAllocs(t *testing.T) {
-	if raceDetector {
+	if testutil.RaceDetector {
 		t.Skip("sync.Pool sheds pooled scratches at random under -race")
 	}
 	tbl := randomTable(t, 31, 64*100, 100)
@@ -470,7 +468,7 @@ func TestScratchCleanAfterKernelPanic(t *testing.T) {
 			}
 			var drawn []*scratch
 			for i := 0; i < 8; i++ {
-				sc := c.scratch.Get().(*scratch)
+				sc := scratchPool.Get().(*scratch)
 				sc.groups.begin(c.keyBits())
 				for _, e := range sc.groups.ents {
 					if e.epoch == sc.groups.epoch {
@@ -487,7 +485,7 @@ func TestScratchCleanAfterKernelPanic(t *testing.T) {
 				drawn = append(drawn, sc)
 			}
 			for _, sc := range drawn {
-				c.scratch.Put(sc)
+				scratchPool.Put(sc)
 			}
 			got, err := c.Estimate(tbl, healthy)
 			if err != nil {
@@ -582,5 +580,132 @@ func TestGroupLabelMatchesFmt(t *testing.T) {
 	c := mustCompile(t, &Query{Aggs: []Aggregate{{Kind: Count}}}, tbl)
 	if got, want := c.GroupLabel(""), groupLabelFmt(c, ""); got != want {
 		t.Errorf("ungrouped label %q, want %q", got, want)
+	}
+}
+
+// sharedPoolTable builds a table of three categorical columns over a shared
+// dictionary of about dictVals values and two numeric ones: the dictionary
+// length fixes the packing slot of every GROUP BY over it.
+func sharedPoolTable(t *testing.T, dictVals int, seed int64) *table.Table {
+	t.Helper()
+	schema := table.MustSchema(
+		table.Column{Name: "a", Kind: table.Categorical},
+		table.Column{Name: "b", Kind: table.Categorical},
+		table.Column{Name: "c", Kind: table.Categorical},
+		table.Column{Name: "k", Kind: table.Numeric},
+		table.Column{Name: "v", Kind: table.Numeric},
+	)
+	b, err := table.NewBuilder(schema, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for r := 0; r < 900; r++ {
+		num := []float64{0, 0, 0, float64(rng.Intn(5)), rng.NormFloat64() * 100}
+		cat := make([]string, 5)
+		for j := 0; j < 3; j++ {
+			cat[j] = fmt.Sprintf("v%d", rng.Intn(dictVals)) // one value pool: the columns share codes
+		}
+		if err := b.Append(num, cat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Finish()
+}
+
+// TestScratchSharedAcrossQueries runs queries of every grouping shape,
+// interleaved, through the one package-wide scratch pool: a scratch — its
+// buffers, and above all its group table — arrives shaped by whichever query
+// used it last, over whichever table. On the 50-value dictionary (6-bit
+// slots) one and two GROUP BY columns are direct-indexed tables of 64 and
+// 4 096 entries and three are hashed; on the 100-value one (7 bits) one
+// column is a direct table of 128 and two or three are hashed. The rotation therefore
+// hands a direct table to a wider direct key, a small hashed table to a
+// direct key that indexes past it, and a direct table to the hashed probe,
+// at every worker count, and every answer must equal the row-at-a-time
+// reference's.
+func TestScratchSharedAcrossQueries(t *testing.T) {
+	type bound struct {
+		tbl *table.Table
+		c   *Compiled
+	}
+	var rotation []bound
+	for _, tbl := range []*table.Table{sharedPoolTable(t, 50, 1), sharedPoolTable(t, 100, 2)} {
+		for _, groupBy := range [][]string{nil, {"a", "b", "c"}, {"b"}, {"a", "b"}, {"k"}, {"c"}, {"k", "a"}} {
+			q := &Query{
+				Aggs:    []Aggregate{{Kind: Count}, {Kind: Sum, Expr: Col("v")}, {Kind: Avg, Expr: Col("v"), Filter: &Clause{Col: "k", Op: OpGe, Num: 2}}},
+				Pred:    &Clause{Col: "v", Op: OpGt, Num: -120},
+				GroupBy: groupBy,
+			}
+			c, err := Compile(q, tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rotation = append(rotation, bound{tbl, c})
+		}
+	}
+	// Interleave the two tables' queries, so that consecutive scans differ in
+	// key width as well as in shape.
+	half := len(rotation) / 2
+	for i := 0; i < half; i += 2 {
+		rotation[i], rotation[half+i] = rotation[half+i], rotation[i]
+	}
+	modes := map[string]bool{}
+	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		for round := 0; round < 3; round++ {
+			for _, b := range rotation {
+				b.c.Exec = exec.Options{Parallelism: par}
+				var sel []WeightedPartition
+				for i := range b.tbl.Parts {
+					sel = append(sel, WeightedPartition{Part: i, Weight: 1 + float64(i+round)/3})
+				}
+				ctx := fmt.Sprintf("%s over %d dictionary values, par %d, round %d", b.c.Q, b.tbl.Dict.Len(), par, round)
+				got, err := b.c.Estimate(b.tbl, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, ctx, got, referenceFold(b.c, b.tbl, sel))
+				p := b.tbl.Parts[round%len(b.tbl.Parts)]
+				requireBitIdentical(t, ctx+", one partition", b.c.EvalPartition(p), b.c.EvalPartitionReference(p))
+				if b.c.packBits > 0 && len(b.c.groupIdx) > 0 {
+					modes[fmt.Sprintf("direct=%v/%d bits", b.c.keyBits() <= directKeyBits, b.c.keyBits())] = true
+				}
+			}
+		}
+	}
+	if len(modes) != 6 {
+		t.Fatalf("the rotation covered group-table shapes %v, want direct, direct and hashed on the small dictionary, direct, hashed and hashed on the large", modes)
+	}
+
+	// The same hand-overs on one table value, without a pool's say in which
+	// scratch a scan draws: slots are dense and first-seen whatever shape the
+	// table was left in.
+	var gt groupTable
+	rng := rand.New(rand.NewSource(3))
+	for step, keyBits := range []uint{14, 7, 12, 18, 3, 12, 0, 14, 6} {
+		keys := make([]uint64, 300)
+		for i := range keys {
+			keys[i] = uint64(rng.Int63()) & (1<<keyBits - 1)
+		}
+		slots := make([]int32, len(keys))
+		gt.begin(keyBits)
+		order := gt.resolve(keys, slots, nil)
+		seen := map[uint64]int32{}
+		for i, k := range keys {
+			id, ok := seen[k]
+			if !ok {
+				id = int32(len(seen))
+				seen[k] = id
+				if order[id] != k {
+					t.Fatalf("step %d (%d-bit keys): slot %d is key %d, first seen was %d", step, keyBits, id, order[id], k)
+				}
+			}
+			if slots[i] != id {
+				t.Fatalf("step %d (%d-bit keys): key %d resolved to slot %d, want %d", step, keyBits, k, slots[i], id)
+			}
+		}
+		if len(order) != len(seen) {
+			t.Fatalf("step %d (%d-bit keys): %d groups, want %d", step, keyBits, len(order), len(seen))
+		}
 	}
 }

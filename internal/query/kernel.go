@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sync"
 
 	"ps3/internal/table"
 )
@@ -30,7 +31,9 @@ type kernel func(p *table.Partition, sel []int32, sc *scratch) []int32
 // steady-state scans allocate only the Answer they return. One scratch is
 // owned by one goroutine at a time: parallel scans thread a scratch per
 // worker (exec.MapWith); Estimate and the public single-partition entry
-// points draw theirs from the sync.Pool on Compiled.
+// points draw theirs from scratchPool. Nothing in a scratch belongs to a
+// query: every buffer is sized on use, and the group table is re-shaped by
+// begin.
 type scratch struct {
 	// sel is the primary selection vector, sized to the partition's rows.
 	sel []int32
@@ -69,6 +72,13 @@ type scratch struct {
 	bkeys []string
 	paccs []float64
 }
+
+// scratchPool recycles scratches across every compiled query of the process:
+// one per call for the public single-partition entry points, one per worker
+// for Estimate. A query that is compiled, run once and dropped — ad-hoc
+// traffic — therefore scans with buffers an earlier query warmed, and what the
+// pool pins is bounded by trim per pooled scratch, not per cached query.
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // selBuf returns the primary selection buffer, uninitialized — the target a
 // seed kernel fills.

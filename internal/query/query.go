@@ -114,10 +114,6 @@ type Compiled struct {
 	slots    []aggSlot
 	comps    int
 
-	// scratch recycles evaluation buffers: one per call for the public
-	// single-partition entry points, one per worker for Estimate.
-	scratch *sync.Pool
-
 	// Exec configures the parallel scans (GroundTruth, Estimate,
 	// Selectivity). The zero value uses GOMAXPROCS workers; Parallelism 1
 	// forces a sequential scan. Results are bit-identical at every worker
@@ -183,7 +179,6 @@ func Compile(q *Query, src table.PartitionSource) (*Compiled, error) {
 		at += a.components()
 	}
 	c.comps = at
-	c.scratch = &sync.Pool{New: func() any { return &scratch{} }}
 	return c, nil
 }
 
@@ -231,9 +226,9 @@ func (a *Answer) Merge(other *Answer) { a.AddWeighted(other, 1) }
 // over the surviving rows. Results are bit-identical to the retained
 // row-at-a-time EvalPartitionReference (enforced by equivalence tests).
 func (c *Compiled) EvalPartition(p *table.Partition) *Answer {
-	sc := c.scratch.Get().(*scratch)
+	sc := scratchPool.Get().(*scratch)
 	ans := c.evalAnswer(p, sc)
-	c.scratch.Put(sc)
+	scratchPool.Put(sc)
 	return ans
 }
 
@@ -579,7 +574,7 @@ func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, s
 		scs []*scratch
 	)
 	take := func() *scratch {
-		sc := c.scratch.Get().(*scratch)
+		sc := scratchPool.Get().(*scratch)
 		sc.resetPartials()
 		mu.Lock()
 		scs = append(scs, sc)
@@ -592,7 +587,11 @@ func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, s
 			if err != nil {
 				return partial{}, err
 			}
-			return c.evalPartition(p, sc), nil
+			pt := c.evalPartition(p, sc)
+			// The partial holds copied keys and accumulators, nothing of the
+			// partition: the scan is this read's last use of it.
+			p.Release()
+			return pt, nil
 		})
 	if err == nil && ctx != nil {
 		err = ctx.Err()
@@ -607,7 +606,7 @@ func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, s
 	// Not deferred: a scratch whose kernel panicked is dropped, never pooled.
 	for _, sc := range scs {
 		sc.trim()
-		c.scratch.Put(sc)
+		scratchPool.Put(sc)
 	}
 	return ans, err
 }

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"ps3/internal/dataset"
 	"ps3/internal/query"
 	"ps3/internal/table"
+	"ps3/internal/testutil"
 )
 
 // TestLoadBlockAllocatesTheBlockOnce is the allocation ceiling of the load
@@ -19,7 +22,9 @@ import (
 // once — Length + PackPad bytes — plus bookkeeping proportional to the
 // column count, never to the rows. A load that copies packed payloads out of
 // the buffer, or decodes a raw numeric column nobody asked for, allocates
-// about twice the block and fails here.
+// about twice the block and fails here. That is a load nobody releases; one
+// whose predecessor was released reads into the predecessor's buffer and
+// allocates the bookkeeping alone.
 func TestLoadBlockAllocatesTheBlockOnce(t *testing.T) {
 	ds, err := dataset.ByName("kdd", dataset.Config{Rows: 2 * 4500, Parts: 2, Seed: 42})
 	if err != nil {
@@ -46,32 +51,221 @@ func TestLoadBlockAllocatesTheBlockOnce(t *testing.T) {
 	// buffer itself is a large allocation, which the runtime rounds up to
 	// whole 8 KiB pages.
 	const perColBytes, perColObjects, pageRound = 256, 3, 8192
+	bookkeeping := runBytes + runBytes/4 + int64(perColBytes*cols)
 	load := func() {
 		if _, err := r.loadBlock(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		load()
+	measure := func(load func()) (bytes int64, objects float64) {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			load()
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs, testing.AllocsPerRun(runs, load)
 	}
-	runtime.ReadMemStats(&after)
-	gotBytes := int64(after.TotalAlloc-before.TotalAlloc) / runs
-	if ceiling := length + table.PackPad + pageRound + runBytes + runBytes/4 + int64(perColBytes*cols); gotBytes > ceiling {
+
+	gotBytes, gotObjects := measure(load)
+	if ceiling := length + table.PackPad + pageRound + bookkeeping; gotBytes > ceiling {
 		t.Errorf("one load of a %d-byte block allocates %d bytes, ceiling %d (%d columns, %d bytes of RLE runs)",
 			length, gotBytes, ceiling, cols, runBytes)
 	}
 	if gotBytes < length {
 		t.Errorf("one load allocates %d bytes, less than the %d-byte block: the measurement is broken", gotBytes, length)
 	}
-	gotObjects := testing.AllocsPerRun(runs, load)
 	if ceiling := float64(perColObjects*cols + 8); gotObjects > ceiling {
 		t.Errorf("one load allocates %.0f objects, ceiling %.0f (%d columns)", gotObjects, ceiling, cols)
 	}
 	t.Logf("%d-byte block, %d columns, %d bytes of RLE runs: %d bytes in %.0f objects per load", length, cols, runBytes, gotBytes, gotObjects)
+
+	// Second half: the loader is the partition's only holder, so its Release
+	// is the last and the next load takes the buffer back.
+	p.Release()
+	before := r.CacheStats()
+	gotBytes, gotObjects = measure(func() {
+		p, err := r.loadBlock(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	})
+	if gotBytes > bookkeeping || gotBytes >= length/2 {
+		t.Errorf("a load after a release allocates %d bytes, ceiling %d: a %d-byte block buffer was not reused", gotBytes, bookkeeping, length)
+	}
+	if ceiling := float64(perColObjects*cols + 8); gotObjects > ceiling {
+		t.Errorf("a load after a release allocates %.0f objects, ceiling %.0f (%d columns)", gotObjects, ceiling, cols)
+	}
+	if after := r.CacheStats(); after.BufferAllocs != before.BufferAllocs || after.BufferReuses == before.BufferReuses {
+		t.Errorf("buffer counters over the released loads: %+v -> %+v, want reuses only", before, after)
+	}
+	t.Logf("after a release: %d bytes in %.0f objects per load", gotBytes, gotObjects)
+}
+
+// TestThrashingScanAllocatesNoBlockMemory is the steady state the holder
+// count exists for: ad-hoc queries, each compiled, run once and dropped,
+// scan a kdd store (4 500-row partitions) through a cache a quarter of the
+// working set, so most reads miss and every miss evicts. Each scan's misses
+// read into the buffers its predecessors' evictions returned and its kernels
+// run on scratch an earlier query warmed: a scan allocates less than one
+// block in all — partition headers, decoded side-cars of the few partitions
+// touched twice while resident, its answer — where every miss used to
+// allocate one. Every answer equals the resident table's.
+func TestThrashingScanAllocatesNoBlockMemory(t *testing.T) {
+	const parts, scans, perScan = 16, 200, 4
+	ds, err := dataset.ByName("kdd", dataset.Config{Rows: parts * 4500, Parts: parts, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := ds.Table
+	data := writeStore(t, tbl)
+	var workingSet, block int64
+	probe := openStore(t, data, -1)
+	for i := 0; i < parts; i++ {
+		workingSet += encodedPartSize(t, probe, i)
+		block = max(block, probe.blocks[i].Length)
+	}
+	r := openStore(t, data, workingSet/4)
+	gen, err := query.NewGenerator(ds.Workload, tbl, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	scan := func(check bool) {
+		q := gen.Sample()
+		sel := make([]query.WeightedPartition, perScan)
+		for i := range sel {
+			sel[i] = query.WeightedPartition{Part: rng.Intn(parts), Weight: 1 + float64(i)}
+		}
+		c, err := query.Compile(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.EstimateCtx(context.Background(), r, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if check {
+			res, err := query.Compile(q, tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := res.Estimate(tbl, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameAnswer(t, q.String(), want, got)
+		}
+	}
+	for i := 0; i < 50; i++ { // fill the cache, the free list and the scratch pool
+		scan(true)
+	}
+	st0 := r.CacheStats()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < scans; i++ {
+		scan(false)
+	}
+	runtime.ReadMemStats(&after)
+	st1 := r.CacheStats()
+	for i := 0; i < 50; i++ {
+		scan(true)
+	}
+	perScanBytes := int64(after.TotalAlloc-before.TotalAlloc) / scans
+	misses, allocs := st1.Misses-st0.Misses, st1.BufferAllocs-st0.BufferAllocs
+	t.Logf("%d scans of %d partitions: %d bytes allocated per scan (largest block %d), %d misses, %d evictions, %d buffers allocated",
+		scans, perScan, perScanBytes, block, misses, st1.Evictions-st0.Evictions, allocs)
+	if misses < scans*perScan/2 {
+		t.Fatalf("only %d of %d reads missed: the cache is not thrashing and the test measures nothing", misses, scans*perScan)
+	}
+	if allocs > misses/50 {
+		t.Errorf("%d of %d misses allocated a buffer: evicted partitions' buffers are not coming back", allocs, misses)
+	}
+	// Under the race detector sync.Pool drops a quarter of what is put back,
+	// so scans keep re-allocating scratch there.
+	if !testutil.RaceDetector && perScanBytes >= block {
+		t.Errorf("a thrashing scan allocates %d bytes, a block is %d: block or scratch memory is being allocated per scan", perScanBytes, block)
+	}
+}
+
+// TestReleasedBufferIsPoisoned pins what a holder that reads past its own
+// Release would meet in any test binary: the partition's encoded columns are
+// gone, and a view it kept anyway — of the block, or of a column decoded from
+// it — reads the poison pattern, not the block it used to show or the one
+// loaded next. That is what lets the equivalence suites (this package's,
+// query's, serve's concurrent and chaos ones) fail on a lifetime bug instead
+// of passing on plausible bytes. The next load gets the same memory back and
+// must overwrite all of it.
+func TestReleasedBufferIsPoisoned(t *testing.T) {
+	tbl := encFixture(t, 400, 100, 5)
+	r := openStore(t, writeStore(t, tbl), -1)
+	p, err := r.loadBlock(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale [][]byte
+	for c := 0; c < p.Cols(); c++ {
+		if e := p.EncCol(c); e != nil && len(e.Packed) > 0 {
+			stale = append(stale, e.Packed)
+		}
+	}
+	if len(stale) == 0 {
+		t.Fatal("fixture block has no packed column to keep a view of")
+	}
+	staleNum, staleCat := p.DecodedCols() // every encoded column gets its side-car
+	p.Retain(1)
+	p.Release()
+	if p.EncCol(0) == nil && p.EncCol(1) == nil {
+		t.Fatal("a partition with a holder left lost its columns")
+	}
+	p.Release()
+	for c := 0; c < p.Cols(); c++ {
+		if p.EncCol(c) != nil {
+			t.Fatalf("column %d is still attached after the last release", c)
+		}
+	}
+	for _, view := range stale {
+		for i, b := range view {
+			if b != poisonByte {
+				t.Fatalf("a stale view reads %#x at byte %d, want the poison pattern %#x", b, i, poisonByte)
+			}
+		}
+	}
+	sideCars := 0
+	for c := range staleNum {
+		if p.Decoded(c) {
+			continue // decoded at load (raw categorical): the partition's own, not recycled
+		}
+		sideCars++
+		for i, v := range staleNum[c] {
+			if math.Float64bits(v) != poisonBits {
+				t.Fatalf("stale decoded column %d reads %v at row %d, want the poison pattern", c, v, i)
+			}
+		}
+		for i, v := range staleCat[c] {
+			if v != poisonCode {
+				t.Fatalf("stale decoded column %d reads code %d at row %d, want the poison pattern", c, v, i)
+			}
+		}
+	}
+	if sideCars == 0 {
+		t.Fatal("fixture block decoded no side-car")
+	}
+	// The next load takes that buffer, its decodes take those side-cars, and
+	// the partition must be whole again.
+	q, err := r.loadBlock(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePartition(t, tbl.Parts[1], q, 1)
+	if st := r.CacheStats(); st.BufferReuses != 1 || st.BufferAllocs != 1 {
+		t.Fatalf("buffer counters %+v, want the second load to reuse the first's buffer", st)
+	}
+	if n, c := r.bufs.nums.reuses.Load(), r.bufs.cats.reuses.Load(); n == 0 || c == 0 {
+		t.Fatalf("%d numeric and %d categorical side-cars were reused, want some of each", n, c)
+	}
 }
 
 // v2Col frames one column payload as a v2 block column.
@@ -442,13 +636,30 @@ func BenchmarkLoadBlock(b *testing.B) {
 				b.Fatal(err)
 			}
 			r := benchOpenFile(b, ds.Table, false, -1)
-			b.SetBytes(r.fileBytes / parts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.loadBlock(i % parts); err != nil {
-					b.Fatal(err)
+			// fresh: nobody releases, every load allocates its buffer (a
+			// Materialize, an exact scan's first pass); recycled: each load
+			// is released before the next, the steady state of a cache that
+			// evicts — here with the test binary's poisoning of the released
+			// buffer on top, which a server does not pay.
+			for _, release := range []bool{false, true} {
+				name := "fresh"
+				if release {
+					name = "recycled"
 				}
+				b.Run(name, func(b *testing.B) {
+					b.SetBytes(r.fileBytes / parts)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						p, err := r.loadBlock(i % parts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if release {
+							p.Release()
+						}
+					}
+				})
 			}
 		})
 	}

@@ -9,7 +9,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 	"sync/atomic"
+	"testing"
 
 	"ps3/internal/exec"
 	"ps3/internal/fault"
@@ -62,7 +64,12 @@ type Reader struct {
 
 	// cache holds decoded partitions by index, charged EncodedSizeBytes: a
 	// compressed partition takes a proportionally smaller bite of the budget.
+	// It counts each partition's holders (lru.NewHeld over Partition.Retain /
+	// Release), so a partition's buffer comes back to bufs once the cache has
+	// evicted it and the last scan reading it has released it.
 	cache *lru.Cache[int, *table.Partition]
+	// bufs recycles block buffers and the slices their columns decode into.
+	bufs blockBufs
 	// decStats counts lazy materializations of encoded columns across every
 	// partition this reader has served.
 	decStats table.DecodeStats
@@ -171,7 +178,10 @@ func NewReaderAt(src io.ReaderAt, size int64, o Options) (*Reader, error) {
 		dict:    dict,
 		blocks:  footer.Blocks,
 		version: version,
-		cache:   lru.New[int](o.budget(), func(p *table.Partition) int64 { return int64(p.EncodedSizeBytes()) }),
+		cache: lru.NewHeld[int](o.budget(),
+			func(p *table.Partition) int64 { return int64(p.EncodedSizeBytes()) },
+			(*table.Partition).Retain, (*table.Partition).Release),
+		bufs: newBlockBufs(),
 	}
 	// perRow is hoisted out of the loop: a corrupt footer can declare
 	// thousands of columns and thousands of blocks, and re-walking the
@@ -201,9 +211,104 @@ func NewReaderAt(src io.ReaderAt, size int64, o Options) (*Reader, error) {
 		r.rows += int(b.Rows)
 		r.totalBytes += r.perRow * b.Rows
 		r.fileBytes += b.Length
+		r.bufs.blocks.size = max(r.bufs.blocks.size, int(b.Length)+table.PackPad)
+		r.bufs.nums.size = max(r.bufs.nums.size, int(b.Rows))
 	}
+	r.bufs.cats.size = r.bufs.nums.size
 	return r, nil
 }
+
+// maxFreeBufs bounds the block buffers a reader keeps for its next loads. A
+// load takes one and an eviction returns one, so the stack's steady length is
+// the number of loads in flight; what a burst returns beyond the bound (an
+// Invalidate, a scan much wider than the cache) is left to the collector.
+// maxFreeCols is the same bound for decoded side-cars, of which a partition
+// that stayed resident long enough to be read twice returns a few.
+const (
+	maxFreeBufs = 16
+	maxFreeCols = 4 * maxFreeBufs
+)
+
+// poison is set in every test binary: a slice is overwritten with 0xDB bytes
+// on its way into a free list, so a view that outlived its partition's last
+// holder reads garbage and fails whichever equivalence suite it runs under,
+// instead of passing on the next block's plausible bytes.
+var poison = testing.Testing()
+
+const (
+	poisonByte = 0xDB
+	poisonCode = 0xDBDBDBDB
+	poisonBits = 0xDBDBDBDBDBDBDBDB
+)
+
+// freeList is a stack of slices of one capacity, so any of them fits any
+// request and there are no size classes to search.
+type freeList[T any] struct {
+	size   int // capacity of every slice
+	max    int // slices kept
+	poison T
+
+	mu   sync.Mutex
+	free [][]T
+
+	reuses, allocs atomic.Int64
+}
+
+// take returns n elements of arbitrary content, n <= l.size. The slice keeps
+// its full capacity, which is what put gets back.
+func (l *freeList[T]) take(n int) []T {
+	l.mu.Lock()
+	if k := len(l.free); k > 0 {
+		s := l.free[k-1]
+		l.free = l.free[:k-1]
+		l.mu.Unlock()
+		l.reuses.Add(1)
+		return s[:n]
+	}
+	l.mu.Unlock()
+	l.allocs.Add(1)
+	return make([]T, n, l.size)
+}
+
+// put gives s, which nothing may read any more, to a later take.
+func (l *freeList[T]) put(s []T) {
+	s = s[:cap(s)]
+	if poison && len(s) > 0 {
+		s[0] = l.poison
+		for n := 1; n < len(s); n *= 2 { // doubling copies: memmove speed
+			copy(s[n:], s[:n])
+		}
+	}
+	l.mu.Lock()
+	if len(l.free) < l.max {
+		l.free = append(l.free, s)
+	}
+	l.mu.Unlock()
+}
+
+// blockBufs is a reader's recycled memory, the table.BlockPool of every
+// partition it loads: block buffers of the file's largest block plus
+// table.PackPad, and decoded columns of its longest block's rows, both known
+// from the footer at open.
+type blockBufs struct {
+	blocks freeList[byte]
+	nums   freeList[float64]
+	cats   freeList[uint32]
+}
+
+func newBlockBufs() blockBufs {
+	return blockBufs{
+		blocks: freeList[byte]{max: maxFreeBufs, poison: poisonByte},
+		nums:   freeList[float64]{max: maxFreeCols, poison: math.Float64frombits(poisonBits)},
+		cats:   freeList[uint32]{max: maxFreeCols, poison: poisonCode},
+	}
+}
+
+func (b *blockBufs) PutBlock(buf []byte)       { b.blocks.put(buf) }
+func (b *blockBufs) NumBuf(rows int) []float64 { return b.nums.take(rows) }
+func (b *blockBufs) PutNum(vals []float64)     { b.nums.put(vals) }
+func (b *blockBufs) CatBuf(rows int) []uint32  { return b.cats.take(rows) }
+func (b *blockBufs) PutCat(codes []uint32)     { b.cats.put(codes) }
 
 // Close releases the underlying file when the Reader owns one.
 func (r *Reader) Close() error {
@@ -270,29 +375,39 @@ func (r *Reader) ReadUncached(i int) (*table.Partition, error) {
 // bytes that matched their checksum — are marked with errCorruptBlock;
 // read errors are not, so transient I/O stays retryable.
 //
-// The buffer is allocated here, once per load, and is never pooled or
-// reused: a v2 partition keeps it (its columns are views into it, see
-// decodeBlockV2), so the bytes scanned are the bytes checksummed, and a
-// retry after a corrupt load reads into a buffer of its own. The
-// table.PackPad bytes past the block are the slack the last packed
-// column's loads may run into.
+// The buffer comes from r.bufs and is usually one an evicted partition gave
+// back: the read overwrites all Length bytes of it and the checksum is taken
+// over them on every load, whichever buffer that is, so the bytes scanned
+// are the bytes checksummed. A v2 partition keeps the buffer (its columns
+// are views into it, see decodeBlockV2) and returns it through its last
+// holder's Release; a failed load, and a v1 load, which copies every value
+// out, return it here. buf ends table.PackPad bytes past the block — the
+// slack the last packed column's loads may run into, holding whatever the
+// buffer held before — so nothing decoded from data reaches further.
 func (r *Reader) loadBlock(i int) (*table.Partition, error) {
 	b := r.blocks[i]
-	data := make([]byte, b.Length+table.PackPad)[:b.Length]
+	buf := r.bufs.blocks.take(int(b.Length) + table.PackPad)
+	data := buf[:b.Length:len(buf)]
 	if _, err := r.src.ReadAt(data, b.Offset); err != nil {
+		r.bufs.blocks.put(buf)
 		return nil, fmt.Errorf("store: read partition %d: %w", i, err)
 	}
 	if got := crc32.Checksum(data, crcTable); got != b.CRC {
+		r.bufs.blocks.put(buf)
 		return nil, fmt.Errorf("store: partition %d failed checksum: block CRC %08x, footer says %08x: %w",
 			i, got, b.CRC, errCorruptBlock)
 	}
 	var p *table.Partition
 	var err error
 	if r.version == formatVersionEncoded {
-		p, err = decodeBlockV2(data, r.schema, uint32(r.dict.Len()), i, int(b.Rows), &r.decStats)
+		if p, err = decodeBlockV2(data, r.schema, uint32(r.dict.Len()), i, int(b.Rows), &r.decStats); err == nil {
+			p.Own(buf, &r.bufs)
+			return p, nil
+		}
 	} else {
 		p, err = decodeBlock(data, r.schema, uint32(r.dict.Len()), i, int(b.Rows))
 	}
+	r.bufs.blocks.put(buf)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", err, errCorruptBlock)
 	}
@@ -361,6 +476,12 @@ type CacheStats struct {
 	ResidentParts int   `json:"resident_parts"`
 	// BudgetBytes is the configured budget (0 = unbounded).
 	BudgetBytes int64 `json:"budget_bytes"`
+	// BufferReuses counts block loads that read into a buffer a released
+	// partition gave back, BufferAllocs those that had to allocate one. A
+	// cache that evicts steadily should show allocations stop growing once
+	// it is full.
+	BufferReuses int64 `json:"buffer_reuses"`
+	BufferAllocs int64 `json:"buffer_allocs"`
 }
 
 // CacheStats snapshots the partition cache counters.
@@ -374,6 +495,8 @@ func (r *Reader) CacheStats() CacheStats {
 		ResidentBytes: st.ResidentCost,
 		ResidentParts: st.Entries,
 		BudgetBytes:   st.Budget,
+		BufferReuses:  r.bufs.blocks.reuses.Load(),
+		BufferAllocs:  r.bufs.blocks.allocs.Load(),
 	}
 }
 

@@ -305,7 +305,11 @@ func (e *EncodedCol) Float(r int) float64 {
 // FoR value is Min + float64(At(r)): kernels that read the column encoded
 // compute that same expression, which is what keeps them bit-identical.
 func (e *EncodedCol) DecodeNum() []float64 {
-	out := make([]float64, e.Rows)
+	return e.DecodeNumInto(make([]float64, e.Rows))
+}
+
+// DecodeNumInto is DecodeNum into out, whose Rows elements it overwrites.
+func (e *EncodedCol) DecodeNumInto(out []float64) []float64 {
 	if e.Kind == EncRawNum {
 		for r := range out {
 			out[r] = e.Float(r)
@@ -321,7 +325,11 @@ func (e *EncodedCol) DecodeNum() []float64 {
 
 // DecodeCat materializes an EncBitPack or EncRLE column as dictionary codes.
 func (e *EncodedCol) DecodeCat() []uint32 {
-	out := make([]uint32, e.Rows)
+	return e.DecodeCatInto(make([]uint32, e.Rows))
+}
+
+// DecodeCatInto is DecodeCat into out, whose Rows elements it overwrites.
+func (e *EncodedCol) DecodeCatInto(out []uint32) []uint32 {
 	if e.Kind == EncRLE {
 		start := int32(0)
 		for i, v := range e.RunVals {

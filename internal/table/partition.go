@@ -1,6 +1,9 @@
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Partition holds a horizontal slice of a table in columnar form. All rows of
 // a partition are read together; PS3 never inspects partition contents during
@@ -30,6 +33,81 @@ type Partition struct {
 	lazy []lazyCol
 	// decStats, when non-nil, is charged for every lazy materialization.
 	decStats *DecodeStats
+	// own is the block buffer the encoded columns are views into and the
+	// count of who still reads it (see Own); nil for a partition that owns
+	// nothing.
+	own *ownedBlock
+}
+
+// ownedBlock is a loaded partition's claim on its block buffer. It sits
+// behind a pointer so that a Partition stays copyable by value.
+type ownedBlock struct {
+	buf     []byte
+	pool    BlockPool
+	holders atomic.Int32
+}
+
+// BlockPool is where the memory of an owned partition (Own) comes from and
+// goes back to: its block buffer, at the last Release, and in between the
+// slices its encoded columns are decoded into on their second touch, which
+// return with the buffer. NumBuf and CatBuf return rows elements of
+// arbitrary content; nothing reads what a Put was given again. The store's
+// reader implements it; package table only calls it.
+type BlockPool interface {
+	PutBlock(buf []byte)
+	NumBuf(rows int) []float64
+	PutNum(vals []float64)
+	CatBuf(rows int) []uint32
+	PutCat(codes []uint32)
+}
+
+// Own makes p the owner of buf, the block buffer its encoded columns view,
+// with one holder: the caller, which loaded it. Each further holder is
+// announced with Retain before it can see p and leaves with Release; when the
+// last one has left, buf and every decoded side-car go back to pool, which
+// may hand them to the next load. A holder that never calls Release is safe —
+// nothing is then recycled and the collector frees it all with the partition
+// — whereas reading p after releasing it is not. A partition Own was never
+// called on (a resident table's, a memtable tail, a raw-format block) owns
+// nothing, and Retain and Release do nothing on it.
+func (p *Partition) Own(buf []byte, pool BlockPool) {
+	p.own = &ownedBlock{buf: buf, pool: pool}
+	p.own.holders.Store(1)
+}
+
+// Retain adds n holders. The caller must itself be a holder, or otherwise
+// know that one exists until Retain returns (the partition cache calls it
+// under its lock, for a value it holds).
+func (p *Partition) Retain(n int) {
+	if p.own != nil {
+		p.own.holders.Add(int32(n))
+	}
+}
+
+// Release drops one holder; the caller must not touch p afterwards. The last
+// holder's Release detaches the encoded columns — a stale reader then faults
+// on a nil column instead of scanning whatever block the buffer holds next —
+// and recycles the buffer and the side-cars decoded from it.
+func (p *Partition) Release() {
+	o := p.own
+	if o == nil {
+		return
+	}
+	switch n := o.holders.Add(-1); {
+	case n < 0:
+		panic("table: partition released more often than it was retained")
+	case n == 0:
+		buf, lazy := o.buf, p.lazy
+		o.buf, p.enc, p.lazy = nil, nil, nil
+		for c := range lazy {
+			if lc := &lazy[c]; lc.num != nil {
+				o.pool.PutNum(lc.num)
+			} else if lc.cat != nil {
+				o.pool.PutCat(lc.cat)
+			}
+		}
+		o.pool.PutBlock(buf)
+	}
 }
 
 // NewPartition allocates an empty partition for the given schema.
@@ -64,7 +142,11 @@ func (p *Partition) NumCol(c int) []float64 {
 	lc := &p.lazy[c]
 	lc.once.Do(func() {
 		lc.touched.Store(true)
-		lc.num = e.DecodeNum()
+		if p.own != nil {
+			lc.num = e.DecodeNumInto(p.own.pool.NumBuf(e.Rows))
+		} else {
+			lc.num = e.DecodeNum()
+		}
 		if p.decStats != nil {
 			p.decStats.Add(8 * len(lc.num))
 		}
@@ -89,7 +171,11 @@ func (p *Partition) CatCol(c int) []uint32 {
 	lc := &p.lazy[c]
 	lc.once.Do(func() {
 		lc.touched.Store(true)
-		lc.cat = e.DecodeCat()
+		if p.own != nil {
+			lc.cat = e.DecodeCatInto(p.own.pool.CatBuf(e.Rows))
+		} else {
+			lc.cat = e.DecodeCat()
+		}
 		if p.decStats != nil {
 			p.decStats.Add(4 * len(lc.cat))
 		}

@@ -25,7 +25,9 @@ type PartitionSource interface {
 	TotalBytes() int
 	// Read returns partition i, charging one partition read to the I/O
 	// accountant. Resident sources cannot fail; paged sources surface disk
-	// and corruption errors here instead of panicking mid-scan.
+	// and corruption errors here instead of panicking mid-scan. The caller
+	// holds the partition it is given (Partition.Own): it may Release it
+	// once, after its last read of it, or never.
 	Read(i int) (*Partition, error)
 	// ResetIO clears the I/O counters.
 	ResetIO()
@@ -43,12 +45,17 @@ func (t *Table) TableDict() *Dict { return t.Dict }
 // Read returns partition i, charging one partition read to the accountant.
 // Query execution must access partitions through Read so that experiments
 // can attribute I/O. An out-of-range index is an error, not a panic: the
-// index may come from a stale or corrupted partition selection.
+// index may come from a stale or corrupted partition selection. The caller
+// becomes a holder of the partition, as with any source: that is a no-op for
+// partitions built in memory and keeps one a store reader materialized
+// (whose loader's hold the table has taken over) alive past the caller's
+// Release.
 func (t *Table) Read(i int) (*Partition, error) {
 	if i < 0 || i >= len(t.Parts) {
 		return nil, fmt.Errorf("table: partition %d out of range [0, %d)", i, len(t.Parts))
 	}
 	p := t.Parts[i]
+	p.Retain(1)
 	t.readCount.Add(1)
 	t.readBytes.Add(int64(p.SizeBytes()))
 	return p, nil
