@@ -58,7 +58,9 @@ bench:
 # row-at-a-time reference evaluator, and the grouped weighted scan (flat
 # partial answers vs one Answer map per partition, /paired, with allocs;
 # encoded partitions on their first read against ones already decoded,
-# /cold and /warm).
+# /cold and /warm), and one conjunction written best- and worst-first
+# (BenchmarkEvalPartition/conjunction: a scan learns the order, so the two
+# agree).
 bench-exec:
 	$(GO) test -bench 'BenchmarkEvalPartition|BenchmarkSelectivity|BenchmarkEstimateGrouped' -benchmem -run '^$$' .
 
@@ -68,14 +70,17 @@ bench-exec:
 # reader, the frozen golden files, the block-load allocation ceilings: one
 # buffer for a load nobody releases, none after a release, no per-column
 # copies; a thrashing ad-hoc scan allocating less than a block in all; the
-# one scratch pool serving every grouping shape; and the kdd cache-budget
-# claim: encoded at a third of the raw budget, equal-or-better hit rate);
+# one scratch pool serving every grouping shape, each query starting from its
+# own conjunction order; the conjunction-order layer benchmark; and the kdd
+# cache-budget claim: encoded at a third of the raw budget, equal-or-better
+# hit rate);
 # wired into CI so the benchmark fixtures, the encoded-kernel counters and
 # the allocation-free load can never rot.
 bench-store-smoke:
 	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestThrashingScanAllocatesNoBlockMemory|TestEncodedCacheBudgetClaim' -v ./internal/store/
 	$(GO) test -run 'TestScratchSharedAcrossQueries' -v ./internal/query/
 	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkEvalPartition/conjunction' -benchtime 1x -run '^$$' .
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +
 # fold-table funnel) vs the retained pointer-tree reference, across serving

@@ -57,8 +57,10 @@ func DefaultConfig() Config {
 			{PkgName: "query", TypeName: "scratch"},
 		},
 		AllowedReturns: map[string]bool{
-			"ps3/internal/cluster.getKMScratch":  true,
-			"ps3/internal/picker.getPickScratch": true,
+			"ps3/internal/cluster.getKMScratch":        true,
+			"ps3/internal/picker.getPickScratch":       true,
+			"ps3/internal/query.takeScratch":           true,
+			"(*ps3/internal/query.scanScratches).take": true,
 		},
 	}
 }

@@ -35,10 +35,16 @@ import (
 // same uint32s the decoded column would hold — so in-place ascending
 // compaction (the kernel contract) yields bit-identical selections, and
 // everything downstream is unchanged.
+
+// encodedEvals is the process-wide total behind EncodedKernelEvals. Kernels
+// count in their scratch (scratch.encEvals); a scratch adds its count here
+// when it is given back (scratch.release), once per scan and worker rather
+// than once per clause and partition on a cache line every core shares.
 var encodedEvals atomic.Int64
 
 // EncodedKernelEvals reports how many clause evaluations ran directly on an
-// encoded column (no materialization) since process start. Tests assert it
+// encoded column (no materialization) in the scans and single-partition
+// evaluations that have returned since process start. Tests assert it
 // advances while the store's decode counters stay flat.
 func EncodedKernelEvals() int64 { return encodedEvals.Load() }
 
@@ -56,18 +62,18 @@ func compileClauseSeed(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, e
 	ci := s.ColIndex(c.Col)
 	if s.Col(ci).IsNumeric() {
 		op, v := c.Op, c.Num
-		return func(p *table.Partition, rows int, out []int32) []int32 {
+		return func(p *table.Partition, rows int, out []int32, sc *scratch) []int32 {
 			if e := p.EncCol(ci); e != nil {
 				if e.Kind == table.EncFoR {
-					encodedEvals.Add(1)
+					sc.encEvals++
 					return forSeed(e, op, v, rows, out)
 				}
 				if p.FirstTouch(ci) != nil {
-					encodedEvals.Add(1)
+					sc.encEvals++
 					return rawNumSeed(e, op, v, rows, out)
 				}
 			}
-			return raw(p, rows, out)
+			return raw(p, rows, out, sc)
 		}, nil
 	}
 	cp, err := newCatPred(c, d)
@@ -79,17 +85,17 @@ func compileClauseSeed(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, e
 		// never touches the column, so there is nothing to short-circuit.
 		return raw, nil
 	}
-	return func(p *table.Partition, rows int, out []int32) []int32 {
+	return func(p *table.Partition, rows int, out []int32, sc *scratch) []int32 {
 		switch e := p.EncCol(ci); {
 		case e == nil:
 		case e.Kind == table.EncBitPack:
-			encodedEvals.Add(1)
+			sc.encEvals++
 			return cp.bitpackSeed(e, rows, out)
 		case e.Kind == table.EncRLE:
-			encodedEvals.Add(1)
+			sc.encEvals++
 			return cp.rleSeed(e, out)
 		}
-		return raw(p, rows, out)
+		return raw(p, rows, out, sc)
 	}, nil
 }
 
@@ -106,11 +112,11 @@ func compileClauseKernel(c *Clause, s *table.Schema, d *table.Dict) (kernel, err
 		return func(p *table.Partition, sel []int32, sc *scratch) []int32 {
 			if e := p.EncCol(ci); e != nil {
 				if e.Kind == table.EncFoR {
-					encodedEvals.Add(1)
+					sc.encEvals++
 					return forKern(e, op, v, sel)
 				}
 				if p.FirstTouch(ci) != nil {
-					encodedEvals.Add(1)
+					sc.encEvals++
 					return rawNumKern(e, op, v, sel)
 				}
 			}
@@ -128,10 +134,10 @@ func compileClauseKernel(c *Clause, s *table.Schema, d *table.Dict) (kernel, err
 		switch e := p.EncCol(ci); {
 		case e == nil:
 		case e.Kind == table.EncBitPack:
-			encodedEvals.Add(1)
+			sc.encEvals++
 			return cp.bitpackKern(e, sel)
 		case e.Kind == table.EncRLE:
-			encodedEvals.Add(1)
+			sc.encEvals++
 			return cp.rleKern(e, sel)
 		}
 		return raw(p, sel, sc)

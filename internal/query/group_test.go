@@ -709,3 +709,127 @@ func TestScratchSharedAcrossQueries(t *testing.T) {
 		}
 	}
 }
+
+// conjRun is one partition's pass through a traced root conjunction.
+type conjRun struct {
+	sc *scratch
+	// clean: nothing was tallied for the conjunction when the partition began.
+	clean bool
+	// order lists the children in the order they ran.
+	order []int32
+}
+
+// traceRoot wraps the kernels of c's root conjunction, every child of which
+// must be a clause, so that each partition c evaluates appends a conjRun to
+// the returned slice. Sequential scans only.
+func traceRoot(c *Compiled) *[]conjRun {
+	runs := new([]conjRun)
+	cj := c.where
+	for i := range cj.kerns {
+		i, seed, kern := int32(i), cj.seeds[i], cj.kerns[i]
+		cj.seeds[i] = func(p *table.Partition, rows int, out []int32, sc *scratch) []int32 {
+			clean := !slices.ContainsFunc(sc.tallies[cj.at:][:len(cj.kerns)], func(t tally) bool { return t != tally{} })
+			*runs = append(*runs, conjRun{sc: sc, clean: clean, order: []int32{i}})
+			return seed(p, rows, out, sc)
+		}
+		cj.kerns[i] = func(p *table.Partition, sel []int32, sc *scratch) []int32 {
+			last := &(*runs)[len(*runs)-1]
+			last.order = append(last.order, i)
+			return kern(p, sel, sc)
+		}
+	}
+	return runs
+}
+
+// TestScratchSharedAcrossQueriesResetsOrder: the order a scan learns for its
+// conjunctions stays in the scratch it learned it in, and scratches are
+// pooled across queries, so whoever takes one starts from its own textual
+// order with nothing tallied. Query A, three conjuncts written worst-first,
+// scans and leaves its scratch holding the reverse order; then a query of
+// three other conjuncts, one of five and one without a predicate take it, by
+// a scan and by a single-partition call. Without the reset where a scratch
+// is taken the first would run in A's order on A's tallies, the second index
+// past A's three slots.
+func TestScratchSharedAcrossQueriesResetsOrder(t *testing.T) {
+	tbl := sharedPoolTable(t, 50, 1)
+	lt := func(col string, v float64) Pred { return &Clause{Col: col, Op: OpLt, Num: v} }
+	ge := func(col string, v float64) Pred { return &Clause{Col: col, Op: OpGe, Num: v} }
+	compile := func(conjuncts ...Pred) *Compiled {
+		q := &Query{
+			Aggs:    []Aggregate{{Kind: Count}, {Kind: Sum, Expr: Col("v")}},
+			GroupBy: []string{"a"},
+		}
+		if len(conjuncts) > 0 {
+			q.Pred = &And{Children: conjuncts}
+		}
+		c := mustCompile(t, q, tbl)
+		c.Exec = exec.Options{Parallelism: 1}
+		return c
+	}
+	var sel []WeightedPartition
+	for i := range tbl.Parts {
+		sel = append(sel, WeightedPartition{Part: i, Weight: 1 + float64(i)/2})
+	}
+	scan := func(c *Compiled) {
+		t.Helper()
+		got, err := c.Estimate(tbl, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, c.Q.String(), got, referenceFold(c, tbl, sel))
+	}
+
+	// Every conjunction passes all, most, then few rows: textual order is the
+	// worst one, and no child ever empties a partition's selection.
+	a := compile(ge("v", -1000), lt("k", 3), lt("v", -100))
+	b3 := compile(lt("v", 1000), ge("k", 1), ge("v", 120))
+	b5 := compile(lt("v", 1000), ge("k", 0), lt("k", 4), ge("v", -50), ge("v", 100))
+	b0 := compile()
+	aRuns := traceRoot(a)
+	takers := []struct {
+		c    *Compiled
+		runs *[]conjRun
+		// conjuncts, and the one a scan learns to run first: the last.
+		n int
+	}{
+		{b3, traceRoot(b3), 3},
+		{b5, traceRoot(b5), 5},
+		{b0, new([]conjRun), 0},
+	}
+
+	handOvers := 0
+	for round := 0; round < 8; round++ {
+		for _, b := range takers {
+			for _, single := range []bool{false, true} {
+				*aRuns = (*aRuns)[:0]
+				scan(a)
+				if last := (*aRuns)[len(*aRuns)-1]; !slices.Equal(last.order, []int32{2, 1, 0}) {
+					t.Fatalf("A's last partition ran its conjuncts as %v: nothing was learned for B to inherit", last.order)
+				}
+				*b.runs = (*b.runs)[:0]
+				if single {
+					p := tbl.Parts[round%len(tbl.Parts)]
+					requireBitIdentical(t, b.c.Q.String(), b.c.EvalPartition(p), b.c.EvalPartitionReference(p))
+				} else {
+					scan(b.c)
+				}
+				if b.n == 0 {
+					continue
+				}
+				first := (*b.runs)[0]
+				if !first.clean || !slices.IsSorted(first.order) || len(first.order) != b.n {
+					t.Fatalf("round %d, %s: first partition ran its conjuncts as %v, tallies zero: %v; want textual order on a clean slate", round, b.c.Q, first.order, first.clean)
+				}
+				if last := (*b.runs)[len(*b.runs)-1]; !single && int(last.order[0]) != b.n-1 {
+					t.Fatalf("round %d, %s: last partition ran its conjuncts as %v, want the most selective one, the last, learned to be first", round, b.c.Q, last.order)
+				}
+				if slices.ContainsFunc(*aRuns, func(r conjRun) bool { return r.sc == first.sc }) {
+					handOvers++
+				}
+			}
+		}
+	}
+	if handOvers == 0 {
+		t.Fatal("the pool never handed a scratch of A's to another query: the test saw no hand-over")
+	}
+}

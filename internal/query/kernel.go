@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"ps3/internal/table"
@@ -17,6 +18,8 @@ import (
 // Kernel contract:
 //
 //   - sel holds row indices in strictly ascending order.
+//   - Child order of a conjunction is not part of the contract; selection
+//     order is (see conj).
 //   - A kernel compacts passing rows into sel in place (reads at index i
 //     happen before any write at i, and writes only move entries left), so
 //     the input selection is consumed.
@@ -30,10 +33,10 @@ type kernel func(p *table.Partition, sel []int32, sc *scratch) []int32
 // scratch holds the reusable buffers one partition evaluation needs, so that
 // steady-state scans allocate only the Answer they return. One scratch is
 // owned by one goroutine at a time: parallel scans thread a scratch per
-// worker (exec.MapWith); Estimate and the public single-partition entry
-// points draw theirs from scratchPool. Nothing in a scratch belongs to a
-// query: every buffer is sized on use, and the group table is re-shaped by
-// begin.
+// worker (exec.MapWith), drawn like EvalPartition's from scratchPool
+// (takeScratch). No buffer in a scratch belongs to a query — each is sized on
+// use, and the group table is re-shaped by begin — and what does, the
+// conjunction orders a scan learns, is reset where the scratch is taken.
 type scratch struct {
 	// sel is the primary selection vector, sized to the partition's rows.
 	sel []int32
@@ -71,14 +74,42 @@ type scratch struct {
 	pkeys []uint64
 	bkeys []string
 	paccs []float64
+	// order holds, for every And node of the query being evaluated, the
+	// order its children currently run in, and tallies what each child has
+	// been given and has passed since resetOrder; see conj.
+	order   []int32
+	tallies []tally
+	// encEvals counts the clause evaluations that ran on an encoded column
+	// since the scratch was taken; release adds it to encodedEvals.
+	encEvals int64
 }
 
 // scratchPool recycles scratches across every compiled query of the process:
-// one per call for the public single-partition entry points, one per worker
-// for Estimate. A query that is compiled, run once and dropped — ad-hoc
+// one per call for EvalPartition, one per worker for Estimate, GroundTruth
+// and Selectivity. A query that is compiled, run once and dropped — ad-hoc
 // traffic — therefore scans with buffers an earlier query warmed, and what the
 // pool pins is bounded by trim per pooled scratch, not per cached query.
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
+
+// takeScratch draws a scratch from the pool and readies it for c: no
+// partials, and every conjunction in textual order with nothing tallied —
+// the scratch may come straight from another query's scan.
+func takeScratch(c *Compiled) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.resetPartials()
+	sc.resetOrder(c)
+	return sc
+}
+
+// release gives the scratch back to the pool, bounded by trim, and its
+// encoded-evaluation count to the process total. Never deferred: a scratch
+// whose kernel panicked is dropped, not pooled.
+func (sc *scratch) release() {
+	encodedEvals.Add(sc.encEvals)
+	sc.encEvals = 0
+	sc.trim()
+	scratchPool.Put(sc)
+}
 
 // selBuf returns the primary selection buffer, uninitialized — the target a
 // seed kernel fills.
@@ -182,42 +213,158 @@ func (sc *scratch) groupLut() map[string]int32 {
 }
 
 // seedKernel is the "fill" form of a clause kernel: it scans every row of
-// the partition directly, writing passing row indices into out, so that
-// clause-rooted predicates never materialize the identity selection first.
-type seedKernel func(p *table.Partition, rows int, out []int32) []int32
+// the partition directly, writing passing row indices into out, so that a
+// clause that runs first never materializes the identity selection.
+type seedKernel func(p *table.Partition, rows int, out []int32, sc *scratch) []int32
 
-// compilePredSeed splits a predicate into an optional fill step and the
-// remaining selection kernel. When the tree is a clause, or a conjunction
-// whose first child is a clause, that clause seeds the selection vector and
-// the rest intersect it; otherwise seed is nil and callers start from the
-// identity selection. (seed, rest) == (nil, nil) means no predicate.
-func compilePredSeed(pred Pred, s *table.Schema, d *table.Dict) (seedKernel, kernel, error) {
-	switch n := pred.(type) {
-	case *Clause:
-		seed, err := compileClauseSeed(n, s, d)
-		return seed, nil, err
-	case *And:
-		if len(n.Children) > 0 {
-			first, ok := n.Children[0].(*Clause)
-			if !ok {
-				break
+// compiler lowers the predicate trees of one query — its WHERE clause and
+// every FILTER — to kernels, numbering their And nodes as it meets them.
+type compiler struct {
+	schema *table.Schema
+	dict   *table.Dict
+	// textual is what a scratch's order array holds before the query has
+	// scanned anything: the children of every And node as written, 0..n-1,
+	// one node after the other.
+	textual []int32
+}
+
+// conj is a compiled And node, evaluated in the order the scratch holds for
+// it: a conjunction is an intersection and every kernel compacts in place in
+// ascending row order, so any child order leaves the same selection — and
+// everything downstream of it, bit for bit. What the order decides is work,
+// so each evaluation records how many rows every child was given and how many
+// it passed, and leaves the children sorted by that pass rate, lowest first,
+// for the next partition. The order is per-evaluation state like every other
+// buffer of the scratch; a conj is immutable.
+type conj struct {
+	// at is the node's first slot in scratch.order and scratch.tallies.
+	at    int
+	kerns []kernel
+	// seeds, on the WHERE clause's root only, is the fill form of each child
+	// that is a clause (nil for the others): the root is handed a whole
+	// partition, so whichever clause is currently first reads its column
+	// straight through.
+	seeds []seedKernel
+}
+
+// tally is what a scratch has seen of one conjunction child since resetOrder.
+type tally struct{ in, out uint64 }
+
+// conj compiles an And node's children and gives the node its slots.
+func (cc *compiler) conj(children []Pred, root bool) (*conj, error) {
+	cj := &conj{at: len(cc.textual), kerns: make([]kernel, len(children))}
+	for i := range children {
+		cc.textual = append(cc.textual, int32(i))
+	}
+	if root {
+		cj.seeds = make([]seedKernel, len(children))
+	}
+	for i, child := range children {
+		k, err := cc.kernel(child)
+		if err != nil {
+			return nil, err
+		}
+		cj.kerns[i] = k
+		if cl, ok := child.(*Clause); ok && root {
+			if cj.seeds[i], err = compileClauseSeed(cl, cc.schema, cc.dict); err != nil {
+				return nil, err
 			}
-			seed, err := compileClauseSeed(first, s, d)
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(n.Children) == 1 {
-				return seed, nil, nil
-			}
-			rest, err := compileKernel(&And{Children: n.Children[1:]}, s, d)
-			if err != nil {
-				return nil, nil, err
-			}
-			return seed, rest, nil
 		}
 	}
-	k, err := compileKernel(pred, s, d)
-	return nil, k, err
+	return cj, nil
+}
+
+// where compiles a WHERE predicate to the root conjunction selectRows fills
+// from: an And node as it is, anything else as the one child of a
+// conjunction, nil for no predicate.
+func (cc *compiler) where(pred Pred) (*conj, error) {
+	switch n := pred.(type) {
+	case nil:
+		return nil, nil
+	case *And:
+		return cc.conj(n.Children, true)
+	default:
+		return cc.conj([]Pred{pred}, true)
+	}
+}
+
+// fill selects the rows of p that pass the root conjunction.
+func (cj *conj) fill(p *table.Partition, sc *scratch) []int32 {
+	rows := p.Rows()
+	if len(cj.kerns) > 0 {
+		first := sc.order[cj.at]
+		if seed := cj.seeds[first]; seed != nil {
+			sel := seed(p, rows, sc.selBuf(rows), sc)
+			t := &sc.tallies[cj.at+int(first)]
+			t.in += uint64(rows)
+			t.out += uint64(len(sel))
+			return cj.run(p, sel, sc, 1)
+		}
+	}
+	return cj.run(p, sc.fullSel(rows), sc, 0)
+}
+
+// narrow is the conjunction as a kernel.
+func (cj *conj) narrow(p *table.Partition, sel []int32, sc *scratch) []int32 {
+	return cj.run(p, sel, sc, 0)
+}
+
+// run narrows sel through the children from position from of the current
+// order on, then re-sorts the order by what the tallies now say.
+func (cj *conj) run(p *table.Partition, sel []int32, sc *scratch, from int) []int32 {
+	order := sc.order[cj.at:][:len(cj.kerns)]
+	tallies := sc.tallies[cj.at:][:len(cj.kerns)]
+	for _, k := range order[from:] {
+		if len(sel) == 0 {
+			break
+		}
+		t := &tallies[k]
+		t.in += uint64(len(sel))
+		sel = cj.kerns[k](p, sel, sc)
+		t.out += uint64(len(sel))
+	}
+	sortByPassRate(order, tallies)
+	return sel
+}
+
+// sortByPassRate orders a conjunction's children by observed pass rate,
+// ascending: a stable insertion sort (the order is short and all but sorted
+// already) that compares out/in as cross products, exactly. A child no row
+// has reached yet has no rate; it keeps its position and the others sort
+// around it.
+func sortByPassRate(order []int32, tallies []tally) {
+	for i := 1; i < len(order); i++ {
+		c := order[i]
+		tc := tallies[c]
+		if tc.in == 0 {
+			continue
+		}
+		at := i
+		for j := i - 1; j >= 0; j-- {
+			tj := tallies[order[j]]
+			if tj.in == 0 {
+				continue
+			}
+			// tc.out/tc.in < tj.out/tj.in, in 128 bits.
+			chi, clo := bits.Mul64(tc.out, tj.in)
+			jhi, jlo := bits.Mul64(tj.out, tc.in)
+			if chi > jhi || chi == jhi && clo >= jlo {
+				break
+			}
+			order[at] = order[j]
+			at = j
+		}
+		order[at] = c
+	}
+}
+
+// resetOrder puts every conjunction of c back in textual order with nothing
+// tallied. A scratch is pooled across queries, so this runs wherever a scan
+// or a single-partition call takes one — never between the partitions of a
+// scan, which is where the order is learned.
+func (sc *scratch) resetOrder(c *Compiled) {
+	sc.order = append(sc.order[:0], c.textual...)
+	sc.tallies = append(sc.tallies[:0], make([]tally, len(c.textual))...)
 }
 
 // catCodeSet validates a categorical clause's operator and resolves its
@@ -267,8 +414,8 @@ func codeTable(codes map[uint32]bool, d *table.Dict) []bool {
 // fusing the two ladders behind an abstraction would reintroduce a per-row
 // indirect call, which is exactly what kernels exist to avoid. Keep the two
 // switch ladders in sync when adding operators; the randomized equivalence
-// corpus exercises both (seeds run for clause-rooted and first-of-AND
-// predicates, narrowing kernels for everything else).
+// corpus exercises both (a seed runs for whichever clause the root
+// conjunction currently puts first, narrowing kernels for everything else).
 func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, error) {
 	ci := s.ColIndex(c.Col)
 	if ci < 0 {
@@ -278,7 +425,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 		v := c.Num
 		switch c.Op {
 		case OpEq:
-			return func(p *table.Partition, rows int, out []int32) []int32 {
+			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				col := p.NumCol(ci)
 				n := 0
 				for r := 0; r < rows; r++ {
@@ -290,7 +437,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 				return out[:n]
 			}, nil
 		case OpNe:
-			return func(p *table.Partition, rows int, out []int32) []int32 {
+			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				col := p.NumCol(ci)
 				n := 0
 				for r := 0; r < rows; r++ {
@@ -302,7 +449,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 				return out[:n]
 			}, nil
 		case OpLt:
-			return func(p *table.Partition, rows int, out []int32) []int32 {
+			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				col := p.NumCol(ci)
 				n := 0
 				for r := 0; r < rows; r++ {
@@ -314,7 +461,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 				return out[:n]
 			}, nil
 		case OpLe:
-			return func(p *table.Partition, rows int, out []int32) []int32 {
+			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				col := p.NumCol(ci)
 				n := 0
 				for r := 0; r < rows; r++ {
@@ -326,7 +473,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 				return out[:n]
 			}, nil
 		case OpGt:
-			return func(p *table.Partition, rows int, out []int32) []int32 {
+			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				col := p.NumCol(ci)
 				n := 0
 				for r := 0; r < rows; r++ {
@@ -338,7 +485,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 				return out[:n]
 			}, nil
 		case OpGe:
-			return func(p *table.Partition, rows int, out []int32) []int32 {
+			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				col := p.NumCol(ci)
 				n := 0
 				for r := 0; r < rows; r++ {
@@ -361,17 +508,17 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 	switch len(codes) {
 	case 0:
 		if neg {
-			return func(_ *table.Partition, rows int, out []int32) []int32 {
+			return func(_ *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				return identity(out, rows)
 			}, nil
 		}
-		return func(_ *table.Partition, _ int, out []int32) []int32 {
+		return func(_ *table.Partition, _ int, out []int32, _ *scratch) []int32 {
 			return out[:0]
 		}, nil
 	case 1:
 		want := singleCode(codes)
 		if neg {
-			return func(p *table.Partition, rows int, out []int32) []int32 {
+			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				col := p.CatCol(ci)
 				n := 0
 				for r := 0; r < rows; r++ {
@@ -383,7 +530,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 				return out[:n]
 			}, nil
 		}
-		return func(p *table.Partition, rows int, out []int32) []int32 {
+		return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 			col := p.CatCol(ci)
 			n := 0
 			for r := 0; r < rows; r++ {
@@ -397,7 +544,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 	default:
 		lut := codeTable(codes, d)
 		if neg {
-			return func(p *table.Partition, rows int, out []int32) []int32 {
+			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 				col := p.CatCol(ci)
 				n := 0
 				for r := 0; r < rows; r++ {
@@ -409,7 +556,7 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 				return out[:n]
 			}, nil
 		}
-		return func(p *table.Partition, rows int, out []int32) []int32 {
+		return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
 			col := p.CatCol(ci)
 			n := 0
 			for r := 0; r < rows; r++ {
@@ -423,36 +570,24 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 	}
 }
 
-// compileKernel lowers a predicate tree to a selection kernel. A nil
-// predicate compiles to a nil kernel, meaning "all rows pass" — callers skip
-// the call instead of copying the identity selection through it.
-func compileKernel(pred Pred, s *table.Schema, d *table.Dict) (kernel, error) {
+// kernel lowers a predicate tree to a selection kernel. A nil predicate
+// compiles to a nil kernel, meaning "all rows pass" — callers skip the call
+// instead of copying the identity selection through it.
+func (cc *compiler) kernel(pred Pred) (kernel, error) {
 	if pred == nil {
 		return nil, nil
 	}
 	switch n := pred.(type) {
 	case *And:
-		kerns := make([]kernel, len(n.Children))
-		for i, child := range n.Children {
-			k, err := compileKernel(child, s, d)
-			if err != nil {
-				return nil, err
-			}
-			kerns[i] = k
+		cj, err := cc.conj(n.Children, false)
+		if err != nil {
+			return nil, err
 		}
-		return func(p *table.Partition, sel []int32, sc *scratch) []int32 {
-			for _, k := range kerns {
-				if len(sel) == 0 {
-					break
-				}
-				sel = k(p, sel, sc)
-			}
-			return sel
-		}, nil
+		return cj.narrow, nil
 	case *Or:
 		kerns := make([]kernel, len(n.Children))
 		for i, child := range n.Children {
-			k, err := compileKernel(child, s, d)
+			k, err := cc.kernel(child)
 			if err != nil {
 				return nil, err
 			}
@@ -487,7 +622,7 @@ func compileKernel(pred Pred, s *table.Schema, d *table.Dict) (kernel, error) {
 			return sel[:n]
 		}, nil
 	case *Not:
-		k, err := compileKernel(n.Child, s, d)
+		k, err := cc.kernel(n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -516,7 +651,7 @@ func compileKernel(pred Pred, s *table.Schema, d *table.Dict) (kernel, error) {
 			return sel[:n]
 		}, nil
 	case *Clause:
-		return compileClauseKernel(n, s, d)
+		return compileClauseKernel(n, cc.schema, cc.dict)
 	default:
 		return nil, fmt.Errorf("query: unknown predicate node %T", pred)
 	}

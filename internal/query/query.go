@@ -97,14 +97,14 @@ type Compiled struct {
 	Q      *Query
 	schema *table.Schema
 	dict   *table.Dict
-	// pred is the row-at-a-time predicate (reference path). The vectorized
-	// hot path runs predSeed (fills the selection from the first clause's
-	// column scan, nil when the tree can't seed) then predKern (narrows the
-	// selection, nil when nothing remains to apply). Both nil = no
-	// predicate.
-	pred     rowFn
-	predSeed seedKernel
-	predKern kernel
+	// pred is the row-at-a-time predicate (reference path, textual order).
+	// The vectorized hot path runs where, the predicate as a root
+	// conjunction (nil = no predicate); see selectRows.
+	pred  rowFn
+	where *conj
+	// textual is the initial child order of every And node of the query,
+	// WHERE clause and FILTERs alike: what scratch.resetOrder copies.
+	textual  []int32
 	groupIdx []int
 	// packBits > 0 selects the packed GROUP BY path: every group-by column
 	// is categorical and their dictionary codes, packBits each, fit one
@@ -134,7 +134,8 @@ func Compile(q *Query, src table.PartitionSource) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.predSeed, c.predKern, err = compilePredSeed(q.Pred, schema, dict)
+	cc := &compiler{schema: schema, dict: dict}
+	c.where, err = cc.where(q.Pred)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +170,7 @@ func Compile(q *Query, src table.PartitionSource) (*Compiled, error) {
 				return nil, err
 			}
 			slot.filter = fn
-			kern, err := compileKernel(a.Filter, schema, dict)
+			kern, err := cc.kernel(a.Filter)
 			if err != nil {
 				return nil, err
 			}
@@ -179,6 +180,7 @@ func Compile(q *Query, src table.PartitionSource) (*Compiled, error) {
 		at += a.components()
 	}
 	c.comps = at
+	c.textual = cc.textual
 	return c, nil
 }
 
@@ -226,9 +228,9 @@ func (a *Answer) Merge(other *Answer) { a.AddWeighted(other, 1) }
 // over the surviving rows. Results are bit-identical to the retained
 // row-at-a-time EvalPartitionReference (enforced by equivalence tests).
 func (c *Compiled) EvalPartition(p *table.Partition) *Answer {
-	sc := scratchPool.Get().(*scratch)
+	sc := takeScratch(c)
 	ans := c.evalAnswer(p, sc)
-	scratchPool.Put(sc)
+	sc.release()
 	return ans
 }
 
@@ -250,15 +252,7 @@ func (c *Compiled) evalPartition(p *table.Partition, sc *scratch) partial {
 	if rows == 0 {
 		return partial{}
 	}
-	var sel []int32
-	if c.predSeed != nil {
-		sel = c.predSeed(p, rows, sc.selBuf(rows))
-	} else {
-		sel = sc.fullSel(rows)
-	}
-	if c.predKern != nil && len(sel) > 0 {
-		sel = c.predKern(p, sel, sc)
-	}
+	sel := c.selectRows(p, sc)
 	if len(sel) == 0 {
 		return partial{}
 	}
@@ -273,6 +267,15 @@ func (c *Compiled) evalPartition(p *table.Partition, sc *scratch) partial {
 	default:
 		return c.evalGenericGroups(p, sel, sc)
 	}
+}
+
+// selectRows returns the rows of p that pass the predicate, ascending, in
+// sc's primary selection buffer: the one place the predicate is run from.
+func (c *Compiled) selectRows(p *table.Partition, sc *scratch) []int32 {
+	if c.where == nil {
+		return sc.fullSel(p.Rows())
+	}
+	return c.where.fill(p, sc)
 }
 
 // accumulate adds each selected row's contribution to its group's
@@ -488,9 +491,10 @@ func (c *Compiled) GroundTruth(t *table.Table) (total *Answer, perPart []*Answer
 	// per-partition allocation); the fold over per-partition answers stays
 	// sequential in partition order so the accumulator sums are
 	// bit-identical to a single-threaded scan at any worker count.
-	perPart = exec.MapWith(len(t.Parts), c.Exec,
-		func() *scratch { return &scratch{} },
+	scs := scanScratches{c: c}
+	perPart = exec.MapWith(len(t.Parts), c.Exec, scs.take,
 		func(sc *scratch, i int) *Answer { return c.evalAnswer(t.Parts[i], sc) })
+	scs.release()
 	total = c.NewAnswer()
 	for _, pa := range perPart {
 		total.Merge(pa)
@@ -508,30 +512,14 @@ func (c *Compiled) Selectivity(t *table.Table) float64 {
 		pass, rows int
 		sc         *scratch
 	}
+	scs := scanScratches{c: c}
 	total := exec.Reduce(len(t.Parts), c.Exec,
 		//lint:scratchescape-ok counts is exec.Reduce's per-worker accumulator: each worker builds and exclusively owns one
-		func() counts { return counts{sc: &scratch{}} },
+		func() counts { return counts{sc: scs.take()} },
 		func(acc counts, i int) counts {
 			p := t.Parts[i]
-			n := p.Rows()
-			acc.rows += n
-			if n == 0 {
-				return acc
-			}
-			var sel []int32
-			switch {
-			case c.predSeed != nil:
-				sel = c.predSeed(p, n, acc.sc.selBuf(n))
-			case c.predKern != nil:
-				sel = acc.sc.fullSel(n)
-			default:
-				acc.pass += n
-				return acc
-			}
-			if c.predKern != nil && len(sel) > 0 {
-				sel = c.predKern(p, sel, acc.sc)
-			}
-			acc.pass += len(sel)
+			acc.rows += p.Rows()
+			acc.pass += len(c.selectRows(p, acc.sc))
 			return acc
 		},
 		func(a, b counts) counts {
@@ -539,6 +527,7 @@ func (c *Compiled) Selectivity(t *table.Table) float64 {
 			a.rows += b.rows
 			return a
 		})
+	scs.release()
 	if total.rows == 0 {
 		return 0
 	}
@@ -569,19 +558,8 @@ func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, s
 	// Worker scratches come from the pool, one per worker the scan actually
 	// starts, and go back only after the fold: the partials the scan returns
 	// live in their arenas until then.
-	var (
-		mu  sync.Mutex
-		scs []*scratch
-	)
-	take := func() *scratch {
-		sc := scratchPool.Get().(*scratch)
-		sc.resetPartials()
-		mu.Lock()
-		scs = append(scs, sc)
-		mu.Unlock()
-		return sc
-	}
-	parts, err := exec.MapErrWithCtx(ctx, len(sel), c.Exec, take,
+	scs := scanScratches{c: c}
+	parts, err := exec.MapErrWithCtx(ctx, len(sel), c.Exec, scs.take,
 		func(sc *scratch, i int) (partial, error) {
 			p, err := src.Read(sel[i].Part)
 			if err != nil {
@@ -598,17 +576,37 @@ func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, s
 	}
 	var ans *Answer
 	if err == nil {
-		if len(scs) == 0 { // exec starts a worker even over no items; fold must not depend on it
-			take()
+		if len(scs.taken) == 0 { // exec starts a worker even over no items; fold must not depend on it
+			scs.take()
 		}
-		ans = c.fold(parts, sel, scs[0])
+		ans = c.fold(parts, sel, scs.taken[0])
 	}
-	// Not deferred: a scratch whose kernel panicked is dropped, never pooled.
-	for _, sc := range scs {
-		sc.trim()
-		scratchPool.Put(sc)
-	}
+	scs.release()
 	return ans, err
+}
+
+// scanScratches lends pooled scratches to the workers of one scan of c and
+// gives them back together, once nothing the scan returned lives in them.
+type scanScratches struct {
+	c     *Compiled
+	mu    sync.Mutex
+	taken []*scratch
+}
+
+// take is the per-worker state factory of the exec primitives.
+func (s *scanScratches) take() *scratch {
+	sc := takeScratch(s.c)
+	s.mu.Lock()
+	s.taken = append(s.taken, sc)
+	s.mu.Unlock()
+	return sc
+}
+
+// release is not to be deferred: see scratch.release.
+func (s *scanScratches) release() {
+	for _, sc := range s.taken {
+		sc.release()
+	}
 }
 
 // WeightedPartition is one (partition, weight) choice in a sample (§2.4).

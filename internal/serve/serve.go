@@ -187,6 +187,9 @@ type compiledQuery struct {
 	// response reports and what the pick cache and the pick RNG key on,
 	// whichever text the request used.
 	key string
+	// aggs is c.Q's aggregate labels, rendered once: every response to the
+	// query shares the slice, read-only.
+	aggs []string
 }
 
 // compile returns q's cache entry, compiling on a miss. cached reports a hit
@@ -202,7 +205,11 @@ func (st *snapState) compileAs(q *query.Query, key string) (*compiledQuery, erro
 	if err != nil {
 		return nil, err
 	}
-	return &compiledQuery{c: c, key: key}, nil
+	aggs := make([]string, len(q.Aggs))
+	for i, a := range q.Aggs {
+		aggs[i] = a.String()
+	}
+	return &compiledQuery{c: c, key: key, aggs: aggs}, nil
 }
 
 // compileSQL is compile for SQL text. The entry is cached under the text
@@ -656,6 +663,7 @@ func (s *Server) serve(ctx context.Context, q *query.Query, sqlText string, budg
 
 	resp := &Response{
 		Query:           key,
+		Aggs:            cq.aggs,
 		Budget:          budget,
 		PartsRead:       res.PartsRead,
 		FracRead:        res.FracRead,
@@ -667,9 +675,6 @@ func (s *Server) serve(ctx context.Context, q *query.Query, sqlText string, budg
 		ScanMs:          float64(res.ScanTime) / float64(time.Millisecond),
 		Degraded:        res.Degraded,
 		SkippedParts:    res.SkippedParts,
-	}
-	for _, a := range q.Aggs {
-		resp.Aggs = append(resp.Aggs, a.String())
 	}
 	resp.Groups = make([]Group, 0, len(res.Values))
 	for g, vals := range res.Values { //lint:mapiter-ok groups are fully sorted by label immediately below
