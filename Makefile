@@ -60,9 +60,11 @@ bench:
 # encoded partitions on their first read against ones already decoded,
 # /cold and /warm), and one conjunction written best- and worst-first
 # (BenchmarkEvalPartition/conjunction: a scan learns the order, so the two
-# agree).
+# agree), and the label-ordered rendering of a scan's total at 8, 512 and
+# 2 048 groups (BenchmarkFinalizeGroups: label memo /cold and /warm, /paired
+# against the maps-and-sort rendering the serving path used to take).
 bench-exec:
-	$(GO) test -bench 'BenchmarkEvalPartition|BenchmarkSelectivity|BenchmarkEstimateGrouped' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkEvalPartition|BenchmarkSelectivity|BenchmarkEstimateGrouped|BenchmarkFinalizeGroups' -benchmem -run '^$$' .
 
 # One-iteration smoke of the store benchmarks plus the encoding acceptance
 # contracts (raw/encoded bit-identity cold and warm, the no-decode counter
@@ -71,16 +73,17 @@ bench-exec:
 # buffer for a load nobody releases, none after a release, no per-column
 # copies; a thrashing ad-hoc scan allocating less than a block in all; the
 # one scratch pool serving every grouping shape, each query starting from its
-# own conjunction order; the conjunction-order layer benchmark; and the kdd
+# own conjunction order; a warm ordered answer allocating nothing per group;
+# the conjunction-order and group-finalization layer benchmarks; and the kdd
 # cache-budget claim: encoded at a third of the raw budget, equal-or-better
 # hit rate);
 # wired into CI so the benchmark fixtures, the encoded-kernel counters and
 # the allocation-free load can never rot.
 bench-store-smoke:
 	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestThrashingScanAllocatesNoBlockMemory|TestEncodedCacheBudgetClaim' -v ./internal/store/
-	$(GO) test -run 'TestScratchSharedAcrossQueries' -v ./internal/query/
+	$(GO) test -run 'TestScratchSharedAcrossQueries|TestOrderedAllocsIndependentOfGroups' -v ./internal/query/
 	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
-	$(GO) test -bench 'BenchmarkEvalPartition/conjunction' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkEvalPartition/conjunction|BenchmarkFinalizeGroups' -benchtime 1x -run '^$$' .
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +
 # fold-table funnel) vs the retained pointer-tree reference, across serving

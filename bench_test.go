@@ -12,11 +12,14 @@
 package ps3
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -628,33 +631,137 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 					})
 				}
 				b.Run(name+"/paired", func(b *testing.B) {
-					// Interleaved A/B, as BenchmarkPick/paired: both sides see
-					// the same machine noise; ns/op is the cost of the pair.
-					var oldNs, newNs int64
-					var oldAllocs, newAllocs uint64
-					var m0, m1, m2 runtime.MemStats
-					for i := 0; i < b.N; i++ {
-						runtime.ReadMemStats(&m0)
-						t0 := time.Now()
-						perPartitionMaps()
-						t1 := time.Now()
-						runtime.ReadMemStats(&m1)
-						t2 := time.Now()
-						flat()
-						newNs += int64(time.Since(t2))
-						runtime.ReadMemStats(&m2)
-						oldNs += int64(t1.Sub(t0))
-						oldAllocs += m1.Mallocs - m0.Mallocs
-						newAllocs += m2.Mallocs - m1.Mallocs
-					}
-					if newNs > 0 {
-						b.ReportMetric(float64(oldNs)/float64(newNs), "speedup")
-						b.ReportMetric(float64(oldAllocs)/float64(b.N), "old-allocs/op")
-						b.ReportMetric(float64(newAllocs)/float64(b.N), "new-allocs/op")
-					}
+					benchPaired(b, func() { perPartitionMaps() }, func() { flat() })
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkFinalizeGroups measures what happens to a scan's folded total on
+// its way to a response — query.Compiled.EstimateGroupsCtx, the label-ordered
+// rendering the serving path takes — for answers of 8, 512 and 2 048 groups
+// over one 5 %-budget selection of 500-row aria partitions (three GROUP BY
+// columns, the rows cut by ingestion time at the point that lets exactly G
+// groups through). "/cold" compiles the query anew for every scan, so its
+// label memo is empty and the scan renders and ranks G labels — an ad-hoc
+// request; "/warm" finds every label and its rank in the memo — a dashboard
+// request; "/paired" interleaves the warm scan with the rendering it replaced
+// on the serving path (the map answer through FinalValues and GroupLabel,
+// groups sorted by label) and reports the per-op speedup and each side's
+// allocations. Sequential, like BenchmarkEstimateGrouped, whose scan this is.
+func BenchmarkFinalizeGroups(b *testing.B) {
+	const parts = 20
+	ds, err := dataset.Aria(dataset.Config{Rows: 500 * parts, Parts: parts, Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sel := make([]query.WeightedPartition, parts)
+	for i := range sel {
+		sel[i] = query.WeightedPartition{Part: i, Weight: 1 + float64(i%7)/4}
+	}
+	ctx := context.Background()
+	compile := func(before float64) *query.Compiled {
+		c, err := query.Compile(&query.Query{
+			GroupBy: []string{"TenantId", "AppInfo_Version", "DeviceInfo_NetworkType"},
+			Pred:    &query.Clause{Col: "PipelineInfo_IngestionTime", Op: query.OpLt, Num: before},
+			Aggs: []query.Aggregate{
+				{Kind: query.Sum, Expr: query.Col("olsize")},
+				{Kind: query.Avg, Expr: query.Col("ol_w")},
+				{Kind: query.Count},
+			},
+		}, ds.Table)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Exec = exec.Options{Parallelism: 1}
+		return c
+	}
+	ordered := func(c *query.Compiled) []query.Group {
+		groups, err := c.EstimateGroupsCtx(ctx, ds.Table, sel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return groups
+	}
+	viaMaps := func(c *query.Compiled) []query.Group {
+		ans, err := c.EstimateCtx(ctx, ds.Table, sel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vals := c.FinalValues(ans)
+		groups := make([]query.Group, 0, len(vals))
+		for key, v := range vals { //lint:mapiter-ok sorted by label immediately below
+			groups = append(groups, query.Group{Label: c.GroupLabel(key), Values: v})
+		}
+		slices.SortFunc(groups, func(a, b query.Group) int { return strings.Compare(a.Label, b.Label) })
+		return groups
+	}
+	for _, g := range []int{8, 512, 2048} {
+		// Groups only appear as the cut moves later: find the first minute
+		// that lets g of them through.
+		lo, hi := 0, 30*24*60
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if len(ordered(compile(float64(mid)))) < g {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		before := lo
+		if got := len(ordered(compile(float64(before)))); got != g {
+			b.Fatalf("no ingestion-time cut answers with exactly %d groups: minute %d gives %d", g, before, got)
+		}
+		b.Run(fmt.Sprintf("cold/G=%d", g), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := compile(float64(before))
+				b.StartTimer()
+				ordered(c)
+			}
+		})
+		warm := compile(float64(before))
+		ordered(warm)
+		b.Run(fmt.Sprintf("warm/G=%d", g), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ordered(warm)
+			}
+		})
+		b.Run(fmt.Sprintf("paired/G=%d", g), func(b *testing.B) {
+			benchPaired(b, func() { viaMaps(warm) }, func() { ordered(warm) })
+		})
+	}
+}
+
+// benchPaired interleaves an old and a new way of doing one thing, as
+// BenchmarkPick/paired does: both sides see the same machine noise. It
+// reports old time over new time and each side's allocations; ns/op is the
+// cost of the pair.
+func benchPaired(b *testing.B, oldWay, newWay func()) {
+	var oldNs, newNs int64
+	var oldAllocs, newAllocs uint64
+	var m0, m1, m2 runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
+		oldWay()
+		t1 := time.Now()
+		runtime.ReadMemStats(&m1)
+		t2 := time.Now()
+		newWay()
+		newNs += int64(time.Since(t2))
+		runtime.ReadMemStats(&m2)
+		oldNs += int64(t1.Sub(t0))
+		oldAllocs += m1.Mallocs - m0.Mallocs
+		newAllocs += m2.Mallocs - m1.Mallocs
+	}
+	if newNs > 0 {
+		b.ReportMetric(float64(oldNs)/float64(newNs), "speedup")
+		b.ReportMetric(float64(oldAllocs)/float64(b.N), "old-allocs/op")
+		b.ReportMetric(float64(newAllocs)/float64(b.N), "new-allocs/op")
 	}
 }
 

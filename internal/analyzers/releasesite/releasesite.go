@@ -53,8 +53,8 @@ func DefaultConfig() Config {
 		TypeName: "Partition",
 		Method:   "Release",
 		Allowed: map[string]bool{
-			"(*ps3/internal/query.Compiled).EstimateCtx": true,
-			"ps3/internal/store.NewReaderAt":             true,
+			"ps3/internal/query.scan":        true,
+			"ps3/internal/store.NewReaderAt": true,
 		},
 	}
 }

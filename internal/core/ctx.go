@@ -48,32 +48,55 @@ func (s *System) RunCompiledCtx(ctx context.Context, c *query.Compiled, budgetFr
 }
 
 // RunSelectionCtx is RunSelection under a context deadline, with the
-// degradation loop: when the scan hits a quarantined partition, that
-// partition — and any others the source has already fenced — is dropped
-// from the selection and the scan retries over the survivors. The result
-// carries Degraded=true and the dropped ids in SkippedParts; weights are
-// not rescaled, so a degraded answer covers strictly less data than the
-// picker chose and the client is told so. If every selected partition is
-// quarantined there is nothing left to serve and the call errors.
+// degradation loop (scanDegrading).
 func (s *System) RunSelectionCtx(ctx context.Context, c *query.Compiled, sel []query.WeightedPartition) (*Result, error) {
+	return s.scanDegrading(sel, func(res *Result, cur []query.WeightedPartition) error {
+		ans, err := c.EstimateCtx(ctx, s.Source, cur)
+		if err == nil {
+			res.Values, res.Labels = finalize(c, ans)
+		}
+		return err
+	})
+}
+
+// RunSelectionGroupsCtx is RunSelectionCtx for a caller that renders the
+// answer instead of computing with it — the serving path: the same scan over
+// the same selection under the same degradation loop, its total finalized
+// into Result.Groups (label-ordered, query.Compiled.EstimateGroupsCtx) with
+// Values and Labels left nil and no map built on the way.
+func (s *System) RunSelectionGroupsCtx(ctx context.Context, c *query.Compiled, sel []query.WeightedPartition) (*Result, error) {
+	return s.scanDegrading(sel, func(res *Result, cur []query.WeightedPartition) (err error) {
+		res.Groups, err = c.EstimateGroupsCtx(ctx, s.Source, cur)
+		return err
+	})
+}
+
+// scanDegrading runs scan over sel under the degradation loop: when the scan
+// hits a quarantined partition, that partition — and any others the source
+// has already fenced — is dropped from the selection and the scan retries
+// over the survivors. scan fills the answer fields of the Result it is given
+// in whichever rendering its caller wants; everything else is filled here.
+// The result carries Degraded=true and the dropped ids in SkippedParts;
+// weights are not rescaled, so a degraded answer covers strictly less data
+// than the picker chose and the client is told so. If every selected
+// partition is quarantined there is nothing left to serve and the call
+// errors.
+func (s *System) scanDegrading(sel []query.WeightedPartition, scan func(res *Result, cur []query.WeightedPartition) error) (*Result, error) {
 	scanStart := time.Now()
 	cur := sel
 	var skipped []int
 	for {
-		ans, err := c.EstimateCtx(ctx, s.Source, cur)
+		res := &Result{}
+		err := scan(res, cur)
 		if err == nil {
-			vals, labels := finalize(c, ans)
 			sort.Ints(skipped)
-			return &Result{
-				Values:       vals,
-				Labels:       labels,
-				Selection:    cur,
-				PartsRead:    len(cur),
-				FracRead:     float64(len(cur)) / float64(s.Source.NumParts()),
-				ScanTime:     time.Since(scanStart),
-				Degraded:     len(skipped) > 0,
-				SkippedParts: skipped,
-			}, nil
+			res.Selection = cur
+			res.PartsRead = len(cur)
+			res.FracRead = float64(len(cur)) / float64(s.Source.NumParts())
+			res.ScanTime = time.Since(scanStart)
+			res.Degraded = len(skipped) > 0
+			res.SkippedParts = skipped
+			return res, nil
 		}
 		var qe *store.QuarantineError
 		if !errors.As(err, &qe) {

@@ -264,6 +264,10 @@ type Result struct {
 	Values map[string][]float64
 	// Labels maps group keys to human-readable group labels.
 	Labels map[string]string
+	// Groups is the answer as RunSelectionGroupsCtx renders it, in place of
+	// Values and Labels: the groups under their labels, ascending by label
+	// (strings.Compare). Read-only: see query.Group.
+	Groups []query.Group
 	// Selection is the weighted partition sample that was read.
 	Selection []query.WeightedPartition
 	// PartsRead and FracRead account the I/O spent.

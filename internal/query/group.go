@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the grouped half of the scan: how a partition's rows resolve
-// to group slots, the flat partial answer a partition evaluates to, and the
-// weighted fold of partials into the one Answer a scan returns. A GROUP BY
-// whose columns are all categorical touches no map and builds no string
-// until that Answer exists; the byte-key path remains for numeric and
-// over-wide keys.
+// to group slots, the flat partial answer a partition evaluates to, the
+// weighted fold of partials into one flat total, and the map rendering of a
+// total (the ordered rendering is in ordered.go). A GROUP BY whose columns
+// are all categorical touches no map and builds no string until its total is
+// rendered; the byte-key path remains for numeric and over-wide keys.
 
 // directKeyBits bounds the key space that gets a direct-indexed group table
 // (one entry per possible key, no hashing). A table is owned by a scratch,
@@ -316,38 +316,40 @@ func (c *Compiled) keyOf(pt partial, g int) string {
 	return c.byteKey(pt.packed[g])
 }
 
-// answer builds the map form over pt's keys and slab: the one place group
-// key strings are made for packed keys. The Answer keeps pt.accs, so callers
-// holding arena memory clone it first.
+// answer builds the map form over a copy of pt's slab, one key string per
+// group: the rendering every caller but the serving path reads (ordered is
+// the other).
 func (c *Compiled) answer(pt partial) *Answer {
 	n := len(pt.accs) / c.comps
+	accs := slices.Clone(pt.accs)
 	ans := &Answer{comps: c.comps, Groups: make(map[string][]float64, n)}
 	for g := 0; g < n; g++ {
-		ans.Groups[c.keyOf(pt, g)] = pt.accs[g*c.comps : (g+1)*c.comps : (g+1)*c.comps]
+		ans.Groups[c.keyOf(pt, g)] = accs[g*c.comps : (g+1)*c.comps : (g+1)*c.comps]
 	}
 	return ans
 }
 
-// fold combines a scan's partials by weight into its Answer. Partial i is
-// added with weight sel[i].Weight, in index order: every final accumulator
-// receives acc += w*v from the partials holding its group, in that order,
-// starting from zero — exactly the additions Answer.AddWeighted performs
-// when folding per-partition Answers, so the result is bit-identical to
-// that fold. What differs is the bookkeeping: groups resolve through one
-// scan-level slot table and the map is built once, per final group, instead
-// of once per partition × group.
+// fold combines a scan's partials by weight into one flat total, the only
+// place partials are combined. Partial i is added with weight sel[i].Weight,
+// in index order: every final accumulator receives acc += w*v from the
+// partials holding its group, in that order, starting from zero — exactly
+// the additions Answer.AddWeighted performs when folding per-partition
+// Answers, so the result is bit-identical to that fold. What differs is the
+// bookkeeping: groups resolve through one scan-level slot table, and no map
+// or key string is made here at all — answer and ordered render the total.
 //
-// sc lends its group table, slot buffer and arena tails; it may be a
-// scratch that produced some of parts (those stay valid) but no evaluation
-// may run on it concurrently.
-func (c *Compiled) fold(parts []partial, sel []WeightedPartition, sc *scratch) *Answer {
+// sc lends its group table and slot buffer, and the total is carved from the
+// tails of its arenas like any partial: in first-seen order, valid until sc
+// is reset. sc may be a scratch that produced some of parts (those stay
+// valid) but no evaluation may run on it concurrently.
+func (c *Compiled) fold(parts []partial, sel []WeightedPartition, sc *scratch) partial {
 	// One byte-keyed partial (a packed query's corrupted partition) moves
 	// the whole fold to byte keys, where a generic query's always is.
 	packed := c.packBits > 0
 	for _, pt := range parts {
 		packed = packed && pt.bytes == nil
 	}
-	pkAt, bkAt := len(sc.pkeys), len(sc.bkeys)
+	pkAt, bkAt, accAt := len(sc.pkeys), len(sc.bkeys), len(sc.paccs)
 	var lut map[string]int32
 	if packed {
 		sc.groups.begin(c.keyBits())
@@ -355,7 +357,6 @@ func (c *Compiled) fold(parts []partial, sel []WeightedPartition, sc *scratch) *
 		lut = sc.groupLut()
 	}
 	comps := c.comps
-	var accs []float64
 	for i, pt := range parts {
 		n := len(pt.accs) / comps
 		slots := sc.gidxBuf(n)
@@ -376,7 +377,9 @@ func (c *Compiled) fold(parts []partial, sel []WeightedPartition, sc *scratch) *
 			}
 			groups = len(sc.bkeys) - bkAt
 		}
-		accs = extendZero(accs, groups*comps-len(accs))
+		// Growing the arena moves the total; the partials stay where they are.
+		sc.paccs = extendZero(sc.paccs, accAt+groups*comps-len(sc.paccs))
+		accs := sc.paccs[accAt:]
 		w := sel[i].Weight
 		for g, id := range slots {
 			dst := accs[int(id)*comps:][:comps]
@@ -385,14 +388,11 @@ func (c *Compiled) fold(parts []partial, sel []WeightedPartition, sc *scratch) *
 			}
 		}
 	}
-	total := partial{accs: accs}
+	total := partial{accs: sc.paccs[accAt:]}
 	if packed {
 		total.packed = sc.pkeys[pkAt:]
 	} else {
 		total.bytes = sc.bkeys[bkAt:]
 	}
-	ans := c.answer(total)
-	clear(sc.bkeys[bkAt:])
-	sc.pkeys, sc.bkeys = sc.pkeys[:pkAt], sc.bkeys[:bkAt]
-	return ans
+	return total
 }

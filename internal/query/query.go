@@ -113,6 +113,10 @@ type Compiled struct {
 	packBits uint
 	slots    []aggSlot
 	comps    int
+	// labels is the one thing a Compiled remembers from scan to scan: what
+	// ordered has rendered (see labelMemo). Behind a pointer, so that a copy
+	// of a Compiled copies no lock.
+	labels *labelMemo
 
 	// Exec configures the parallel scans (GroundTruth, Estimate,
 	// Selectivity). The zero value uses GOMAXPROCS workers; Parallelism 1
@@ -128,7 +132,7 @@ type Compiled struct {
 // partition data.
 func Compile(q *Query, src table.PartitionSource) (*Compiled, error) {
 	schema, dict := src.TableSchema(), src.TableDict()
-	c := &Compiled{Q: q, schema: schema, dict: dict}
+	c := &Compiled{Q: q, schema: schema, dict: dict, labels: newLabelMemo()}
 	var err error
 	c.pred, err = compilePred(q.Pred, schema, dict)
 	if err != nil {
@@ -239,9 +243,7 @@ func (c *Compiled) EvalPartition(p *table.Partition) *Answer {
 // sc's partials.
 func (c *Compiled) evalAnswer(p *table.Partition, sc *scratch) *Answer {
 	sc.resetPartials()
-	pt := c.evalPartition(p, sc)
-	pt.accs = slices.Clone(pt.accs)
-	return c.answer(pt)
+	return c.answer(c.evalPartition(p, sc))
 }
 
 // evalPartition evaluates one partition with caller-supplied scratch into a
@@ -555,9 +557,27 @@ func (c *Compiled) Estimate(src table.PartitionSource, sel []WeightedPartition) 
 // partition count. A read error still wins over the context error. On the
 // nil-error path the answer is bit-identical to Estimate.
 func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, sel []WeightedPartition) (*Answer, error) {
+	return scan(ctx, c, src, sel, func(total partial, _ *scratch) *Answer { return c.answer(total) })
+}
+
+// EstimateGroupsCtx is EstimateCtx rendered for a response instead of for
+// arithmetic: the same scan and the same fold, its total finalized straight
+// into label-ordered groups (see ordered) with no map in between. Group for
+// group it holds the labels and value bits FinalValues and GroupLabel give
+// for EstimateCtx's answer.
+func (c *Compiled) EstimateGroupsCtx(ctx context.Context, src table.PartitionSource, sel []WeightedPartition) ([]Group, error) {
+	return scan(ctx, c, src, sel, c.ordered)
+}
+
+// scan is the weighted scan behind both renderings: read and evaluate the
+// selected partitions in parallel, fold the partials in selection order, and
+// hand the flat total to render while the scratch holding it is still the
+// scan's.
+func scan[T any](ctx context.Context, c *Compiled, src table.PartitionSource, sel []WeightedPartition, render func(total partial, sc *scratch) T) (out T, err error) {
 	// Worker scratches come from the pool, one per worker the scan actually
-	// starts, and go back only after the fold: the partials the scan returns
-	// live in their arenas until then.
+	// starts, and go back only after the total is rendered: the partials the
+	// scan returns, and the total folded from them, live in their arenas
+	// until then.
 	scs := scanScratches{c: c}
 	parts, err := exec.MapErrWithCtx(ctx, len(sel), c.Exec, scs.take,
 		func(sc *scratch, i int) (partial, error) {
@@ -574,15 +594,15 @@ func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, s
 	if err == nil && ctx != nil {
 		err = ctx.Err()
 	}
-	var ans *Answer
 	if err == nil {
 		if len(scs.taken) == 0 { // exec starts a worker even over no items; fold must not depend on it
 			scs.take()
 		}
-		ans = c.fold(parts, sel, scs.taken[0])
+		sc := scs.taken[0]
+		out = render(c.fold(parts, sel, sc), sc)
 	}
 	scs.release()
-	return ans, err
+	return out, err
 }
 
 // scanScratches lends pooled scratches to the workers of one scan of c and

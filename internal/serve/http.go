@@ -148,8 +148,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing \"sql\" field"})
 		return
 	}
-	if req.Budget < 0 || req.Budget > 1 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "budget must be in (0, 1]"})
+	if !(req.Budget >= 0 && req.Budget <= 1) {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "budget must be in [0, 1] (0 or absent: the server default)"})
 		return
 	}
 	resp, err := s.QuerySQLCtx(r.Context(), req.SQL, req.Budget)

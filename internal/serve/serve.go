@@ -38,9 +38,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -402,7 +400,10 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) SnapshotVersion() int64 { return s.state.Load().version }
 
 // Response is one served answer, shaped for JSON transport: groups are
-// label-sorted so responses are stable and diffable.
+// label-sorted (strings.Compare) so responses are stable and diffable. A
+// response is read-only: Aggs is shared by every response to the query, and
+// so may a Group's Label be; the Values of one response's groups alias one
+// slab.
 type Response struct {
 	Query     string   `json:"query"`
 	Budget    float64  `json:"budget"`
@@ -431,7 +432,9 @@ type Response struct {
 	SkippedParts []int `json:"skipped_parts,omitempty"`
 }
 
-// Group is one group's aggregate values under its human-readable label.
+// Group is one group's aggregate values under its human-readable label:
+// query.Group with the transport's field names. Read-only, like the Response
+// it belongs to.
 type Group struct {
 	Label  string    `json:"label"`
 	Values []float64 `json:"values"`
@@ -498,8 +501,9 @@ func appendJSONFloat(b []byte, v float64) []byte {
 	return b
 }
 
-// QuerySQL parses SQL text, executes it at the budget fraction (0 = the
-// server default) and returns the transport-shaped response.
+// QuerySQL parses SQL text, executes it at the budget fraction (0 or less =
+// the server default; NaN and ±Inf are errors) and returns the
+// transport-shaped response.
 func (s *Server) QuerySQL(sqlText string, budget float64) (*Response, error) {
 	return s.QuerySQLCtx(context.Background(), sqlText, budget)
 }
@@ -510,7 +514,7 @@ func (s *Server) QuerySQLCtx(ctx context.Context, sqlText string, budget float64
 	return s.serve(ctx, nil, sqlText, budget)
 }
 
-// Query executes q at the budget fraction (0 = the server default). The
+// Query executes q at the budget fraction (as for QuerySQL). The
 // result is identical to sys.Run(q, budget): the caches and admission
 // control are invisible in the answer — a pick-cache hit returns the
 // byte-identical selection a cold pick would compute, because picking is
@@ -567,6 +571,12 @@ func (s *Server) serve(ctx context.Context, q *query.Query, sqlText string, budg
 		s.failures.Add(1)
 		s.sheds.Add(1)
 		return nil, ErrDraining
+	}
+	if math.IsNaN(budget) || math.IsInf(budget, 0) {
+		// No partition count follows from it (core.budgetParts would convert
+		// a non-finite float to int) and encoding/json refuses to echo it.
+		s.failures.Add(1)
+		return nil, fmt.Errorf("serve: budget must be a finite fraction, got %v", budget)
 	}
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -631,7 +641,7 @@ func (s *Server) serve(ctx context.Context, q *query.Query, sqlText string, budg
 		if err != nil {
 			return nil, false, err
 		}
-		res, err := st.sys.RunSelectionCtx(ctx, c, sel)
+		res, err := st.sys.RunSelectionGroupsCtx(ctx, c, sel)
 		if err != nil {
 			return nil, false, err
 		}
@@ -676,11 +686,10 @@ func (s *Server) serve(ctx context.Context, q *query.Query, sqlText string, budg
 		Degraded:        res.Degraded,
 		SkippedParts:    res.SkippedParts,
 	}
-	resp.Groups = make([]Group, 0, len(res.Values))
-	for g, vals := range res.Values { //lint:mapiter-ok groups are fully sorted by label immediately below
-		resp.Groups = append(resp.Groups, Group{Label: res.Labels[g], Values: vals})
+	resp.Groups = make([]Group, len(res.Groups))
+	for i, g := range res.Groups {
+		resp.Groups[i] = Group(g)
 	}
-	slices.SortFunc(resp.Groups, func(a, b Group) int { return strings.Compare(a.Label, b.Label) })
 	return resp, nil
 }
 

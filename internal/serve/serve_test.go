@@ -17,6 +17,7 @@ import (
 	"ps3/internal/core"
 	"ps3/internal/dataset"
 	"ps3/internal/query"
+	"ps3/internal/sql"
 	"ps3/internal/store"
 	"ps3/internal/table"
 )
@@ -276,6 +277,166 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
+// TestBudgetValidation: one table over every entry point. A budget is a
+// fraction: /query takes [0, 1] (0 or absent = the server default) and says
+// so in the message that rejects anything else; the in-process entry points
+// also take a negative one as the default and clamp one above 1 to the whole
+// table, as they always have; and nothing takes NaN or ±Inf, which name no
+// partition count and cannot be echoed in a JSON response — they fail before
+// admission, and nothing is compiled or cached for them.
+func TestBudgetValidation(t *testing.T) {
+	sys, _ := restoredSystem(t, 15)
+	srv, err := New(sys, Config{DefaultBudget: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const text = "SELECT TenantId, COUNT(*) FROM t GROUP BY TenantId"
+	parsed, _, err := sql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, tenth := sys.Source.NumParts(), sys.PartsForBudget(0.1)
+	for _, tc := range []struct {
+		name string
+		// budget is what the in-process entry points are given, body what
+		// /query is sent as its "budget" member ("" sends none).
+		budget float64
+		body   string
+		// parts is the partition count an accepted request reads; 0 means
+		// the in-process entry points must refuse. status is /query's.
+		parts  int
+		status int
+	}{
+		{"absent", 0, "", tenth, http.StatusOK},
+		{"zero", 0, "0", tenth, http.StatusOK},
+		{"a fraction", 0.25, "0.25", sys.PartsForBudget(0.25), http.StatusOK},
+		{"one", 1, "1", all, http.StatusOK},
+		{"negative", -0.5, "-0.5", tenth, http.StatusBadRequest},
+		{"above one", 2, "2", all, http.StatusBadRequest},
+		{"NaN", math.NaN(), "NaN", 0, http.StatusBadRequest},
+		{"+Inf", math.Inf(1), "1e999", 0, http.StatusBadRequest},
+		{"-Inf", math.Inf(-1), "-1e999", 0, http.StatusBadRequest},
+	} {
+		before := srv.Stats()
+		for entry, ask := range map[string]func() (*Response, error){
+			"Query":    func() (*Response, error) { return srv.Query(parsed, tc.budget) },
+			"QuerySQL": func() (*Response, error) { return srv.QuerySQL(text, tc.budget) },
+		} {
+			resp, err := ask()
+			switch {
+			case tc.parts == 0 && err == nil:
+				t.Errorf("%s budget, %s: accepted, read %d partitions", tc.name, entry, resp.PartsRead)
+			case tc.parts == 0:
+				if !strings.Contains(err.Error(), "budget") {
+					t.Errorf("%s budget, %s: error %q does not name the budget", tc.name, entry, err)
+				}
+			case err != nil:
+				t.Errorf("%s budget, %s: %v", tc.name, entry, err)
+			case resp.PartsRead != tc.parts:
+				t.Errorf("%s budget, %s: read %d partitions, want %d", tc.name, entry, resp.PartsRead, tc.parts)
+			default:
+				if _, err := json.Marshal(resp); err != nil {
+					t.Errorf("%s budget, %s: the response does not marshal: %v", tc.name, entry, err)
+				}
+			}
+		}
+		if after := srv.Stats(); tc.parts == 0 && (after.Failures != before.Failures+2 || after.CacheLen != before.CacheLen ||
+			after.CacheHits+after.CacheMisses != before.CacheHits+before.CacheMisses || after.PickCache.Misses != before.PickCache.Misses) {
+			t.Errorf("%s budget: a refused request reached the caches or was not counted failed:\nbefore %+v\n after %+v", tc.name, before, after)
+		}
+
+		body := `{"sql": "` + text + `"}`
+		if tc.body != "" {
+			body = `{"sql": "` + text + `", "budget": ` + tc.body + `}`
+		}
+		hr, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Error     string `json:"error"`
+			PartsRead int    `json:"parts_read"`
+		}
+		err = json.NewDecoder(hr.Body).Decode(&got)
+		hr.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case hr.StatusCode != tc.status:
+			t.Errorf("%s budget, /query: status %d (%+v), want %d", tc.name, hr.StatusCode, got, tc.status)
+		case tc.status == http.StatusOK && got.PartsRead != tc.parts:
+			t.Errorf("%s budget, /query: read %d partitions, want %d", tc.name, got.PartsRead, tc.parts)
+		case tc.status != http.StatusOK && tc.parts != 0 && !strings.Contains(got.Error, "[0, 1]"):
+			// Out of range: the message states the range the check enforces.
+			t.Errorf("%s budget, /query: error %q does not state the accepted range [0, 1]", tc.name, got.Error)
+		}
+	}
+}
+
+// ask is one request of the concurrent suites: a query at a budget.
+type ask struct {
+	q      *query.Query
+	budget float64
+}
+
+// concurrentAsks is what the concurrent suites request: every sampled query
+// at one budget, and grouped templates — one, two and three GROUP BY columns,
+// tens to hundreds of groups — at three, so that requests for one template
+// scan different selections, see different subsets of its groups, and (the
+// suites run with a compiled cache smaller than the template count, so
+// entries keep being evicted and compiled anew) race to grow one label memo
+// from empty.
+func concurrentAsks(t testing.TB, queries []*query.Query, budget float64) []ask {
+	t.Helper()
+	var asks []ask
+	for _, q := range queries {
+		asks = append(asks, ask{q, budget})
+	}
+	for _, text := range []string{
+		"SELECT AppInfo_Version, SUM(olsize), COUNT(*) FROM t GROUP BY AppInfo_Version",
+		"SELECT UserInfo_TimeZone, DeviceInfo_NetworkType, AVG(records_sent_count) FROM t GROUP BY UserInfo_TimeZone, DeviceInfo_NetworkType",
+		"SELECT TenantId, AppInfo_Version, DeviceInfo_NetworkType, COUNT(*), SUM(ol_w) FROM t WHERE records_received_count > 2 GROUP BY TenantId, AppInfo_Version, DeviceInfo_NetworkType",
+	} {
+		q, _, err := sql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []float64{0.05, budget, 0.4} {
+			asks = append(asks, ask{q, b})
+		}
+	}
+	return asks
+}
+
+// labelled keys a direct result's values by group label.
+func labelled(res *core.Result) map[string][]float64 {
+	vals := make(map[string][]float64, len(res.Values))
+	for g, v := range res.Values {
+		vals[res.Labels[g]] = v
+	}
+	return vals
+}
+
+// checkServed compares a served response with the labelled direct answer:
+// the same groups, bit for bit, in ascending label order.
+func checkServed(resp *Response, want map[string][]float64) error {
+	if len(resp.Groups) != len(want) {
+		return fmt.Errorf("served %d groups, baseline %d", len(resp.Groups), len(want))
+	}
+	for i, grp := range resp.Groups {
+		if i > 0 && resp.Groups[i-1].Label >= grp.Label {
+			return fmt.Errorf("group %q served after %q", grp.Label, resp.Groups[i-1].Label)
+		}
+		if !reflect.DeepEqual(want[grp.Label], grp.Values) {
+			return fmt.Errorf("group %q: served %v, baseline %v", grp.Label, grp.Values, want[grp.Label])
+		}
+	}
+	return nil
+}
+
 // TestConcurrentServingMatchesSequentialBaseline is the serving-layer race
 // test: N goroutines fan requests over one restored system through both the
 // server and System.Run directly, and every concurrent answer must equal
@@ -293,27 +454,24 @@ func TestConcurrentServingMatchesSequentialBaseline(t *testing.T) {
 		values map[string][]float64
 		parts  int
 	}
-	want := make([]baseline, len(queries))
-	for i, q := range queries {
-		res, err := sys.Run(q, budget)
+	asks := concurrentAsks(t, queries, budget)
+	want := make([]baseline, len(asks))
+	for i, a := range asks {
+		res, err := sys.Run(a.q, a.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals := make(map[string][]float64, len(res.Values))
-		for g, v := range res.Values {
-			vals[res.Labels[g]] = v
-		}
-		want[i] = baseline{values: vals, parts: res.PartsRead}
+		want[i] = baseline{values: labelled(res), parts: res.PartsRead}
 	}
 
 	const workers = 8
 	const rounds = 5
 	var wg sync.WaitGroup
 	// Sends must never block: a broad regression reports one error per
-	// mismatching group — far more than one per request — and a full
-	// channel would deadlock the workers before wg.Wait returns. Errors
-	// beyond the buffer are dropped; the survivors are plenty to fail on.
-	errs := make(chan error, workers*rounds*len(queries))
+	// request from every worker, and a full channel would deadlock the
+	// workers before wg.Wait returns. Errors beyond the buffer are dropped;
+	// the survivors are plenty to fail on.
+	errs := make(chan error, workers*rounds*len(asks))
 	report := func(err error) {
 		select {
 		case errs <- err:
@@ -325,38 +483,36 @@ func TestConcurrentServingMatchesSequentialBaseline(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				for i, q := range queries {
+				for k := range asks {
+					// Workers start at different asks, so each template is met
+					// at different budgets by different workers at once.
+					i := (k + w*5) % len(asks)
+					a := asks[i]
 					// Alternate between the serve path and the direct
 					// System.Run path, as the satellite task specifies.
 					if (w+r+i)%2 == 0 {
-						resp, err := srv.Query(q, budget)
+						resp, err := srv.Query(a.q, a.budget)
 						if err != nil {
 							report(err)
 							continue
 						}
 						if resp.PartsRead != want[i].parts {
-							report(fmt.Errorf("query %d: served %d parts, baseline %d", i, resp.PartsRead, want[i].parts))
+							report(fmt.Errorf("ask %d: served %d parts, baseline %d", i, resp.PartsRead, want[i].parts))
 						}
-						for _, grp := range resp.Groups {
-							if !reflect.DeepEqual(want[i].values[grp.Label], grp.Values) {
-								report(fmt.Errorf("query %d group %q: served %v, baseline %v",
-									i, grp.Label, grp.Values, want[i].values[grp.Label]))
-							}
+						if err := checkServed(resp, want[i].values); err != nil {
+							report(fmt.Errorf("ask %d (%s at %v): %w", i, a.q, a.budget, err))
 						}
 					} else {
-						res, err := sys.Run(q, budget)
+						res, err := sys.Run(a.q, a.budget)
 						if err != nil {
 							report(err)
 							continue
 						}
 						if res.PartsRead != want[i].parts {
-							report(fmt.Errorf("query %d: direct %d parts, baseline %d", i, res.PartsRead, want[i].parts))
+							report(fmt.Errorf("ask %d: direct %d parts, baseline %d", i, res.PartsRead, want[i].parts))
 						}
-						for g, v := range res.Values {
-							if !reflect.DeepEqual(want[i].values[res.Labels[g]], v) {
-								report(fmt.Errorf("query %d group %q: direct %v, baseline %v",
-									i, res.Labels[g], v, want[i].values[res.Labels[g]]))
-							}
+						if got := labelled(res); !reflect.DeepEqual(got, want[i].values) {
+							report(fmt.Errorf("ask %d (%s at %v): direct %v, baseline %v", i, a.q, a.budget, got, want[i].values))
 						}
 					}
 				}
@@ -489,24 +645,21 @@ func TestConcurrentPagedServingMatchesResidentBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 0.15
-	want := make([]map[string][]float64, len(queries))
-	for i, q := range queries {
-		res, err := resident.Run(q, budget)
+	asks := concurrentAsks(t, queries, budget)
+	want := make([]map[string][]float64, len(asks))
+	for i, a := range asks {
+		res, err := resident.Run(a.q, a.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals := make(map[string][]float64, len(res.Values))
-		for g, v := range res.Values {
-			vals[res.Labels[g]] = v
-		}
-		want[i] = vals
+		want[i] = labelled(res)
 	}
 	const workers = 8
 	const rounds = 4
 	var wg sync.WaitGroup
 	// Non-blocking sends, as in the resident concurrent test: errors
 	// beyond the buffer are dropped rather than deadlocking workers.
-	errs := make(chan error, workers*rounds*len(queries))
+	errs := make(chan error, workers*rounds*len(asks))
 	report := func(err error) {
 		select {
 		case errs <- err:
@@ -515,24 +668,22 @@ func TestConcurrentPagedServingMatchesResidentBaseline(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				for i, q := range queries {
-					resp, err := srv.Query(q, budget)
+				for k := range asks {
+					i := (k + w*5) % len(asks)
+					resp, err := srv.Query(asks[i].q, asks[i].budget)
 					if err != nil {
 						report(err)
 						continue
 					}
-					for _, grp := range resp.Groups {
-						if !reflect.DeepEqual(want[i][grp.Label], grp.Values) {
-							report(fmt.Errorf("query %d group %q: paged %v, baseline %v",
-								i, grp.Label, grp.Values, want[i][grp.Label]))
-						}
+					if err := checkServed(resp, want[i]); err != nil {
+						report(fmt.Errorf("ask %d (%s at %v), paged: %w", i, asks[i].q, asks[i].budget, err))
 					}
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	close(errs)
@@ -689,20 +840,59 @@ func TestServePickCacheDisabled(t *testing.T) {
 	}
 }
 
-// retrainedSystem builds a second trained system over the same data with a
-// different system seed, so its pick decisions (and thus answers) diverge
-// from restoredSystem's — distinguishable enough to observe a swap.
+// retrainedSystem builds a second trained system with a different system
+// seed, so its pick decisions (and thus answers) diverge from
+// restoredSystem's — distinguishable enough to observe a swap — over a table
+// that extends the first one the way a flush does: the same rows under the
+// same dictionary codes, then rows whose
+// AppInfo_Version values (swapOnlyVersion) take codes the first system's
+// dictionary never assigned. A label with such a value can only have been
+// rendered against this system's dictionary.
 func retrainedSystem(t testing.TB) *core.System {
 	t.Helper()
 	ds, err := dataset.Aria(fixtureConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.New(ds.Table, core.Options{Workload: ds.Workload, Seed: 1234})
+	old := ds.Table
+	b, err := table.NewBuilder(old.Schema, old.Parts[0].Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := query.NewGenerator(ds.Workload, ds.Table, 43)
+	for _, v := range old.Dict.Values() {
+		b.Dict().Code(v) // the old codes, in the old order, first
+	}
+	version := old.Schema.ColIndex("AppInfo_Version")
+	w := len(old.Schema.Cols)
+	for pi, p := range append(old.Parts[:len(old.Parts):len(old.Parts)], old.Parts[:2]...) {
+		for r := 0; r < p.Rows(); r++ {
+			num, cat := make([]float64, w), make([]string, w)
+			for c, col := range old.Schema.Cols {
+				if col.IsNumeric() {
+					num[c] = p.NumCol(c)[r]
+				} else {
+					cat[c] = old.Dict.Value(p.CatCol(c)[r])
+				}
+			}
+			if pi >= len(old.Parts) {
+				cat[version] = fmt.Sprintf("%s%d", swapOnlyVersion, r%5)
+			}
+			if err := b.Append(num, cat); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tbl := b.Finish()
+	for code, v := range old.Dict.Values() {
+		if tbl.Dict.Value(uint32(code)) != v {
+			t.Fatalf("the extended dictionary moved code %d from %q to %q", code, v, tbl.Dict.Value(uint32(code)))
+		}
+	}
+	sys, err := core.New(tbl, core.Options{Workload: ds.Workload, Seed: 1234})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := query.NewGenerator(ds.Workload, tbl, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,6 +901,10 @@ func retrainedSystem(t testing.TB) *core.System {
 	}
 	return sys
 }
+
+// swapOnlyVersion prefixes the AppInfo_Version values only retrainedSystem's
+// dictionary holds.
+const swapOnlyVersion = "swap-only-v"
 
 // TestServeSwap: Swap atomically installs a retrained system; both caches
 // are invalidated with it, and post-swap answers come from the new system.
@@ -838,7 +1032,15 @@ func TestServeSwapUnderConcurrentTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := queries[:3]
+	// The grouped template's answer names dictionary values only the new
+	// system has, at every budget: a post-swap response built from the old
+	// snapshot's compiled entry (its dictionary, its label memo) has no way
+	// to spell them.
+	byVersion, _, err := sql.Parse("SELECT AppInfo_Version, COUNT(*), AVG(olsize) FROM t GROUP BY AppInfo_Version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := append(queries[:3:3], byVersion)
 	type expect struct{ old, new string }
 	wants := make(map[string]expect, len(qs))
 	for _, q := range qs {
@@ -859,6 +1061,9 @@ func TestServeSwapUnderConcurrentTraffic(t *testing.T) {
 			return strings.Join(labels, "|")
 		}
 		wants[q.String()] = expect{old: fp(oldR), new: fp(newR)}
+	}
+	if w := wants[byVersion.String()]; strings.Contains(w.old, swapOnlyVersion) || !strings.Contains(w.new, swapOnlyVersion) {
+		t.Fatalf("the fixture lost its point: %q values must be in the new system's answer only\n old %s\n new %s", swapOnlyVersion, w.old, w.new)
 	}
 	respFP := func(r *Response) string {
 		labels := make([]string, 0, len(r.Groups))
