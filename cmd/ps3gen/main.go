@@ -6,11 +6,10 @@
 //	ps3gen -dataset tpch -csv /tmp/tpch.csv
 //	ps3gen -dataset kdd -out /tmp/kdd.ps3
 //
-// With -in it instead converts an existing table file — sniffing legacy gob
-// vs the paged store format — so old files migrate with one command:
+// With -in it instead re-encodes an existing store file, so a v1 (raw)
+// store migrates to the current encoded format with one command:
 //
-//	ps3gen -in /tmp/old.tbl -out /tmp/new.ps3
-//	ps3gen -in /tmp/new.ps3 -out /tmp/legacy.tbl -gob
+//	ps3gen -in /tmp/old.ps3 -out /tmp/new.ps3
 //
 // With -stream it replays the table (generated or loaded) as an append
 // workload against a live ps3serve -ingest process, batch by batch:
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"ps3/internal/dataset"
+	"ps3/internal/fault"
 	"ps3/internal/stats"
 	"ps3/internal/store"
 	"ps3/internal/table"
@@ -45,21 +45,13 @@ func main() {
 		seed   = flag.Int64("seed", 42, "generation seed")
 		layout = flag.String("layout", "", "comma-separated sort columns overriding the default layout ('random' shuffles)")
 		csvOut = flag.String("csv", "", "write rows as CSV to this path")
-		binOut = flag.String("out", "", "write the table to this path (paged store format unless -gob)")
-		gobOut = flag.Bool("gob", false, "write -out in the legacy gob format instead of the paged store format")
-		rawOut = flag.Bool("raw", false, "write -out store blocks uncompressed (v1 layout) instead of encoded")
-		in     = flag.String("in", "", "convert: load this table file (either format) instead of generating a dataset")
+		binOut = flag.String("out", "", "write the table to this path in the paged store format")
+		in     = flag.String("in", "", "convert: load this store file (v1 or v2) instead of generating a dataset")
 
 		stream      = flag.String("stream", "", "replay the table as POST /append batches against this ps3serve base URL (e.g. http://localhost:8080)")
 		streamBatch = flag.Int("streambatch", 256, "rows per append batch for -stream")
 	)
 	flag.Parse()
-	if *gobOut && *binOut == "" {
-		fatal(fmt.Errorf("-gob selects the encoding of -out; pass -out as well"))
-	}
-	if *rawOut && (*binOut == "" || *gobOut) {
-		fatal(fmt.Errorf("-raw selects uncompressed paged-store blocks; pass -out without -gob"))
-	}
 
 	var t *table.Table
 	// encodingHints feeds ingest-time sketches to the store's encoding
@@ -76,19 +68,19 @@ func main() {
 				fatal(fmt.Errorf("-%s applies to dataset generation and has no effect with -in; re-layout the table before exporting", f.Name))
 			}
 		})
-		ot, err := store.OpenTableFile(*in, store.Options{})
+		r, err := store.Open(*in, store.Options{})
 		if err != nil {
 			fatal(err)
 		}
-		t, err = ot.Materialize()
+		t, err = r.Materialize()
 		if err != nil {
 			fatal(err)
 		}
-		if err := ot.Close(); err != nil {
+		if err := r.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("loaded %s (%s format): %d rows, %d partitions, %.1f MB\n",
-			*in, ot.Format, t.NumRows(), t.NumParts(), float64(t.TotalBytes())/(1<<20))
+		fmt.Printf("loaded %s (store v%d): %d rows, %d partitions, %.1f MB\n",
+			*in, r.EncodingStats().FormatVersion, t.NumRows(), t.NumParts(), float64(t.TotalBytes())/(1<<20))
 	} else {
 		ds, err := dataset.ByName(*name, dataset.Config{Rows: *rows, Parts: *parts, Seed: *seed})
 		if err != nil {
@@ -154,39 +146,20 @@ func main() {
 		fmt.Printf("wrote CSV to %s\n", *csvOut)
 	}
 	if *binOut != "" {
-		if *gobOut {
-			f, err := os.Create(*binOut)
-			if err != nil {
-				fatal(err)
-			}
-			if _, err := t.WriteTo(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote legacy gob table to %s\n", *binOut)
-			return
-		}
-		n, err := store.WriteFileWith(*binOut, t, store.WriteOptions{Raw: *rawOut, Hints: encodingHints})
+		n, err := store.WriteFileFS(fault.OS, *binOut, t, store.WriteOptions{Hints: encodingHints})
 		if err != nil {
 			fatal(err)
 		}
-		if *rawOut {
-			fmt.Printf("wrote paged store to %s (%.1f MB, %d partition blocks, raw)\n",
-				*binOut, float64(n)/(1<<20), t.NumParts())
-		} else {
-			r, err := store.Open(*binOut, store.Options{})
-			if err != nil {
-				fatal(err)
-			}
-			es := r.EncodingStats()
-			if err := r.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote paged store to %s (%.1f MB, %d partition blocks, %.2fx block compression)\n",
-				*binOut, float64(n)/(1<<20), t.NumParts(), es.Ratio)
+		r, err := store.Open(*binOut, store.Options{})
+		if err != nil {
+			fatal(err)
 		}
+		es := r.EncodingStats()
+		if err := r.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote paged store to %s (%.1f MB, %d partition blocks, %.2fx block compression)\n",
+			*binOut, float64(n)/(1<<20), t.NumParts(), es.Ratio)
 	}
 }
 

@@ -7,11 +7,10 @@
 //	curl -s localhost:8080/query -d '{"sql":"SELECT TenantId, COUNT(*) FROM t GROUP BY TenantId","budget":0.05}'
 //	curl -s localhost:8080/stats
 //
-// When -table is in the paged store format (ps3gen's default output), the
-// data stays on disk: each request faults only the partitions the picker
-// selected through a cache bounded by -cachebytes, so memory and cold-start
-// cost scale with the cache budget, not the dataset. Legacy gob tables are
-// detected automatically and load fully resident.
+// The -table store file (ps3gen -out) stays on disk: each request faults
+// only the partitions the picker selected through a cache bounded by
+// -cachebytes, so memory and cold-start cost scale with the cache budget,
+// not the dataset.
 //
 // With -ingest the server also accepts live appends (POST /append, or the
 // programmatic sink): rows are written through a crash-safe WAL, flushed as
@@ -48,12 +47,12 @@ import (
 
 func main() {
 	var (
-		tblPath    = flag.String("table", "", "table data file (paged store or legacy gob, written by ps3gen -out); required")
+		tblPath    = flag.String("table", "", "table store file (written by ps3gen -out); required")
 		snapPath   = flag.String("snapshot", "", "trained-system snapshot (written by ps3train -out); required")
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		budget     = flag.Float64("budget", 0.05, "default budget fraction for requests that omit one")
 		cache      = flag.Int("cache", 0, "compiled-query cache entries (0 = default 256)")
-		cacheBytes = flag.Int64("cachebytes", 0, "partition cache budget in bytes for store-format tables (0 = default 256 MiB, negative = unbounded)")
+		cacheBytes = flag.Int64("cachebytes", 0, "partition cache budget in bytes (0 = default 256 MiB, negative = unbounded)")
 		inflight   = flag.Int("maxinflight", 0, "max concurrent partition scans (0 = 2×GOMAXPROCS)")
 		maxQueue   = flag.Int("maxqueue", 0, "queries queued beyond -maxinflight before shedding with 503 (0 = 4×maxinflight, negative = unbounded)")
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request serving deadline; exceeded requests return 504 (0 = none)")
@@ -82,16 +81,16 @@ func main() {
 	}
 
 	t0 := time.Now()
-	ot, err := store.OpenTableFile(*tblPath, store.Options{CacheBytes: *cacheBytes})
+	r, err := store.Open(*tblPath, store.Options{CacheBytes: *cacheBytes})
 	if err != nil {
 		fatal(err)
 	}
-	defer ot.Close()
+	defer r.Close()
 	sf, err := os.Open(*snapPath)
 	if err != nil {
 		fatal(err)
 	}
-	sys, err := core.OpenSnapshot(sf, ot.Source)
+	sys, err := core.OpenSnapshot(sf, r)
 	if err != nil {
 		fatal(err)
 	}
@@ -109,13 +108,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mode := "fully resident (legacy gob)"
-	if ot.Reader != nil {
-		mode = fmt.Sprintf("paged, %s partition cache", budgetSize(ot.Reader.CacheStats().BudgetBytes))
-	}
-	fmt.Printf("cold start in %v: %d rows, %d partitions (%s of data), %s, trained picker restored\n",
-		time.Since(t0).Round(time.Millisecond), ot.Source.NumRows(), ot.Source.NumParts(),
-		byteSize(int64(ot.Source.TotalBytes())), mode)
+	fmt.Printf("cold start in %v: %d rows, %d partitions (%s of data), %s partition cache, trained picker restored\n",
+		time.Since(t0).Round(time.Millisecond), r.NumRows(), r.NumParts(),
+		byteSize(int64(r.TotalBytes())), budgetSize(r.CacheStats().BudgetBytes))
 
 	var pipe *ingest.Pipeline
 	if *ingestOn {
@@ -124,8 +119,8 @@ func main() {
 			dir = *tblPath + ".ingest"
 		}
 		rpp := *flushRows
-		if rpp <= 0 && ot.Source.NumParts() > 0 {
-			rpp = ot.Source.NumRows() / ot.Source.NumParts()
+		if rpp <= 0 && r.NumParts() > 0 {
+			rpp = r.NumRows() / r.NumParts()
 		}
 		pipe, err = ingest.Open(ingest.Config{
 			Dir:          dir,

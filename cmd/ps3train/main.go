@@ -5,7 +5,7 @@
 // retraining:
 //
 //	ps3train -dataset aria -rows 100000 -parts 200 -out /tmp/aria.snap
-//	ps3train -dataset tpch -table /tmp/tpch.tbl -train 150 -out /tmp/tpch.snap
+//	ps3train -dataset tpch -table /tmp/tpch.ps3 -train 150 -out /tmp/tpch.snap
 package main
 
 import (
@@ -25,7 +25,7 @@ func main() {
 		name    = flag.String("dataset", "aria", "dataset defining schema+workload: tpch|tpcds|aria|kdd")
 		rows    = flag.Int("rows", 0, "row count when generating (0 = default 100000)")
 		parts   = flag.Int("parts", 0, "partition count when generating (0 = default 200)")
-		tblPath = flag.String("table", "", "load the table from this binary file (written by ps3gen -out) instead of generating")
+		tblPath = flag.String("table", "", "load the table from this store file (written by ps3gen -out) instead of generating")
 		train   = flag.Int("train", 100, "training queries to sample from the workload")
 		lss     = flag.Bool("lss", false, "also fit the LSS baseline")
 		seed    = flag.Int64("seed", 42, "generation/training seed")
@@ -49,22 +49,21 @@ func main() {
 	}
 	tbl := ds.Table
 	if *tblPath != "" {
-		// Training is a repeated-full-scan workload, so either format is
-		// materialized into RAM: the paged store only pays off at serve
-		// time, when the picker reads a few partitions per query.
-		ot, err := store.OpenTableFile(*tblPath, store.Options{})
+		// Training is a repeated-full-scan workload, so the store is
+		// materialized into RAM: paging only pays off at serve time, when
+		// the picker reads a few partitions per query.
+		r, err := store.Open(*tblPath, store.Options{})
 		if err != nil {
 			fatal(err)
 		}
-		tbl, err = ot.Materialize()
+		tbl, err = r.Materialize()
 		if err != nil {
 			fatal(err)
 		}
-		if err := ot.Close(); err != nil {
+		if err := r.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("loaded table %s (%s format): %d rows, %d partitions\n",
-			*tblPath, ot.Format, tbl.NumRows(), tbl.NumParts())
+		fmt.Printf("loaded table %s: %d rows, %d partitions\n", *tblPath, tbl.NumRows(), tbl.NumParts())
 	}
 
 	sys, err := core.New(tbl, core.Options{Workload: ds.Workload, TrainLSS: *lss, Seed: *seed})

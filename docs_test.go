@@ -9,6 +9,9 @@ import (
 	"testing"
 )
 
+// operatorDocs are the files the docs tests read.
+var operatorDocs = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
+
 // TestDocsPointAtWhatExists: every `make <target>` the operator-facing docs
 // and CI name is a target of the Makefile, and every JSON, awk or Go file
 // they name exists — so deleting a target or a file cannot leave a doc
@@ -16,7 +19,6 @@ import (
 // internal/ (DESIGN.md writes `picker/io.go`); a bare file name, which a doc
 // section uses for a file of the package it describes, must exist somewhere.
 func TestDocsPointAtWhatExists(t *testing.T) {
-	docs := []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
 	makeRef := regexp.MustCompile("(?m)(?:`|^|run:\\s+)make ([a-z][a-z0-9-]*)")
 	fileRef := regexp.MustCompile(`[\w./{},*-]+\.(?:json|awk|go)\b`)
 	braces := regexp.MustCompile(`\{([^{}]*)\}`)
@@ -52,7 +54,7 @@ func TestDocsPointAtWhatExists(t *testing.T) {
 		return false
 	}
 
-	for _, doc := range docs {
+	for _, doc := range operatorDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -76,6 +78,49 @@ func TestDocsPointAtWhatExists(t *testing.T) {
 			for _, name := range names {
 				if !exists(name) {
 					t.Errorf("%s names %s, which does not exist", doc, name)
+				}
+			}
+		}
+	}
+}
+
+// TestDocsNameOnlyDefinedFlags: a doc line that invokes ps3gen, ps3serve,
+// ps3train, ps3query or ps3bench names only flags the command defines, so
+// deleting a flag cannot leave a doc telling the operator to pass it. A
+// flag belongs to the command named last before it in the same shell
+// command: a backtick, `|`, `;` or `&&` ends one, and a line ending in `\`
+// continues onto the next.
+func TestDocsNameOnlyDefinedFlags(t *testing.T) {
+	defRe := regexp.MustCompile(`flag\.[A-Z]\w*\(\s*"([^"]+)"`)
+	defined := map[string]map[string]bool{}
+	for _, cmd := range []string{"ps3gen", "ps3serve", "ps3train", "ps3query", "ps3bench"} {
+		src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined[cmd] = map[string]bool{"h": true, "help": true} // the flag package's own
+		for _, m := range defRe.FindAllSubmatch(src, -1) {
+			defined[cmd][string(m[1])] = true
+		}
+	}
+	token := regexp.MustCompile("\\bps3(?:gen|serve|train|query|bench)\\b|(?:^|[\\s(])--?([a-z][a-z0-9-]*)|`|\\||;|&&")
+
+	for _, doc := range operatorDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.ReplaceAll(string(text), "\\\n", " "), "\n")
+		for n, line := range lines {
+			cmd := ""
+			for _, m := range token.FindAllStringSubmatch(line, -1) {
+				switch {
+				case strings.HasPrefix(m[0], "ps3"):
+					cmd = m[0]
+				case m[1] == "":
+					cmd = "" // a separator ends the command
+				case cmd != "" && !defined[cmd][m[1]]:
+					t.Errorf("%s line ~%d: `%s -%s`, which %s does not define", doc, n+1, cmd, m[1], cmd)
 				}
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // This file persists a trained System as one self-describing snapshot: the
 // statistics store plus the trained picker (and optional LSS baseline) plus
 // the options they were built with. Together with the separately-persisted
-// table data (table.Table.WriteTo), a snapshot is everything a serving
+// table data (a store file, store.Write), a snapshot is everything a serving
 // process needs to cold-start: OpenSnapshot restores a System that produces
 // bit-identical Pick selections and Run answers to the in-process trained
 // one, with zero retraining (the deployment model of Fig 1, §2.3.1).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,22 +17,49 @@ import (
 // the original but the serialized artifacts.
 func restoreFresh(t *testing.T, sys *System) *System {
 	t.Helper()
-	var tblBuf, snapBuf bytes.Buffer
-	if _, err := sys.Table.WriteTo(&tblBuf); err != nil {
-		t.Fatal(err)
-	}
+	var snapBuf bytes.Buffer
 	if _, err := sys.WriteTo(&snapBuf); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := table.ReadTable(&tblBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := OpenSnapshot(&snapBuf, tbl)
+	back, err := OpenSnapshot(&snapBuf, decodedCopy(t, sys.Table))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return back
+}
+
+// decodedCopy round-trips tbl through store bytes and rebuilds every
+// partition decoded, into slices of its own. The copy stays a resident
+// table of decoded columns, like tbl: Reader.Materialize alone would hand
+// back encoded partitions.
+func decodedCopy(t testing.TB, tbl *table.Table) *table.Table {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := store.Write(&buf, tbl); err != nil {
+		t.Fatal(err)
+	}
+	r, err := store.NewReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := r.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &table.Table{Schema: enc.Schema, Dict: enc.Dict}
+	for _, p := range enc.Parts {
+		n, c := p.DecodedCols()
+		num, cat := make([][]float64, len(n)), make([][]uint32, len(c))
+		for i := range n {
+			num[i], cat[i] = slices.Clone(n[i]), slices.Clone(c[i])
+		}
+		dp, err := table.MakePartition(enc.Schema, p.ID, p.Rows(), num, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Parts = append(out.Parts, dp)
+	}
+	return out
 }
 
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {

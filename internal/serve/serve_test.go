@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,22 +49,50 @@ func restoredSystem(t testing.TB, trainN int) (*core.System, []*query.Query) {
 		t.Fatal(err)
 	}
 
-	var tblBuf, snapBuf bytes.Buffer
-	if _, err := ds.Table.WriteTo(&tblBuf); err != nil {
-		t.Fatal(err)
-	}
+	var snapBuf bytes.Buffer
 	if _, err := sys.WriteTo(&snapBuf); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := table.ReadTable(&tblBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := core.OpenSnapshot(&snapBuf, tbl)
+	restored, err := core.OpenSnapshot(&snapBuf, decodedCopy(t, ds.Table))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return restored, gen.SampleN(12)
+}
+
+// decodedCopy round-trips tbl through store bytes and rebuilds every
+// partition decoded, into slices of its own. The copy stays a resident
+// table of decoded columns, like tbl — the resident arm of the
+// resident-vs-paged suites: Reader.Materialize alone would hand back
+// encoded partitions.
+func decodedCopy(t testing.TB, tbl *table.Table) *table.Table {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := store.Write(&buf, tbl); err != nil {
+		t.Fatal(err)
+	}
+	r, err := store.NewReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := r.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &table.Table{Schema: enc.Schema, Dict: enc.Dict}
+	for _, p := range enc.Parts {
+		n, c := p.DecodedCols()
+		num, cat := make([][]float64, len(n)), make([][]uint32, len(c))
+		for i := range n {
+			num[i], cat[i] = slices.Clone(n[i]), slices.Clone(c[i])
+		}
+		dp, err := table.MakePartition(enc.Schema, p.ID, p.Rows(), num, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Parts = append(out.Parts, dp)
+	}
+	return out
 }
 
 // residentAndPagedSystems trains one system and restores its snapshot

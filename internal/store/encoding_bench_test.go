@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -39,11 +40,18 @@ func benchDatasetTable(b testing.TB, name string) *table.Table {
 }
 
 // benchOpenFile writes tbl once per (name, raw) pair into the benchmark's
-// temp dir and opens it with the given budget.
+// temp dir — raw through the test-side v1 writer — and opens it with the
+// given budget.
 func benchOpenFile(b testing.TB, tbl *table.Table, raw bool, cacheBytes int64) *Reader {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.ps3")
-	if _, err := WriteFileWith(path, tbl, WriteOptions{Raw: raw}); err != nil {
+	var err error
+	if raw {
+		err = os.WriteFile(path, writeStoreRaw(b, tbl), 0o644)
+	} else {
+		_, err = WriteFile(path, tbl)
+	}
+	if err != nil {
 		b.Fatal(err)
 	}
 	r, err := Open(path, Options{CacheBytes: cacheBytes})

@@ -682,6 +682,28 @@ func TestGoldenFiles(t *testing.T) {
 	}
 }
 
+// TestMigrateV1ToV2 pins the one migration path left, `ps3gen -in old.ps3
+// -out new.ps3`: the v1 golden file, opened, materialized and written
+// again, is the v2 golden file byte for byte.
+func TestMigrateV1ToV2(t *testing.T) {
+	r, err := Open(filepath.Join("testdata", "v1_golden.ps3"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tbl, err := r.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "v2_golden.ps3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := writeStore(t, tbl); !bytes.Equal(got, want) {
+		t.Fatalf("v1 golden re-encodes to %d bytes that differ from the %d-byte v2 golden", len(got), len(want))
+	}
+}
+
 // v2ColOffsets walks a v2 block's [tag][len][payload] headers and returns the
 // offset of each column's header within the block.
 func v2ColOffsets(t testing.TB, block []byte, numCols int) []int {

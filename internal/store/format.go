@@ -7,11 +7,16 @@
 // per-partition blocks addressed by a footer index:
 //
 //	header   (16 bytes)  magic "PS3STOR1" | version u32 | reserved u32
-//	blocks   one per partition: each column's raw values back to back in
-//	         schema order (numeric float64 bits LE, categorical code u32 LE)
+//	blocks   one per partition, in the layout of the header's version
 //	footer   gob(footerWire): schema columns, dictionary values, and one
 //	         {offset, length, rows, crc32} index entry per block
 //	trailer  (20 bytes)  footer length u64 | footer crc32 | magic "PS3STEND"
+//
+// The writer produces version 2, whose blocks hold one encoded payload per
+// column (encoding.go). Version 1 files, whose blocks are each column's raw
+// values back to back in schema order (numeric float64 bits LE,
+// categorical code u32 LE), are still read (decodeBlock); nothing writes
+// them any more.
 //
 // A reader seeks to the trailer, validates and decodes the footer as
 // untrusted input, and can then fetch any partition with one ReadAt. Every
@@ -64,8 +69,9 @@ type blockWire struct {
 	CRC uint32
 }
 
-// bytesPerRow returns the encoded size of one row under s: 8 bytes per
-// numeric column, 4 per categorical.
+// bytesPerRow returns the decoded size of one row under s: 8 bytes per
+// numeric column, 4 per categorical. It is also a v1 block's size per row,
+// so TotalBytes agrees between a resident table and its store file.
 func bytesPerRow(s *table.Schema) int64 {
 	var n int64
 	for _, c := range s.Cols {
@@ -78,33 +84,9 @@ func bytesPerRow(s *table.Schema) int64 {
 	return n
 }
 
-// blockSize returns the encoded byte length of a partition with the given
-// row count. Cell encodings are fixed-width, so the encoded block is exactly
-// the partition's decoded SizeBytes — TotalBytes agrees between a resident
-// table and its store file.
-func blockSize(s *table.Schema, rows int64) int64 {
-	return bytesPerRow(s) * rows
-}
-
-// encodeBlock appends partition p's column data to dst in the block layout.
-func encodeBlock(dst []byte, s *table.Schema, p *table.Partition) []byte {
-	for c, col := range s.Cols {
-		if col.IsNumeric() {
-			for _, v := range p.NumCol(c) {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			}
-		} else {
-			for _, code := range p.CatCol(c) {
-				dst = binary.LittleEndian.AppendUint32(dst, code)
-			}
-		}
-	}
-	return dst
-}
-
-// decodeBlock parses one block into a partition, validating every
+// decodeBlock parses one v1 block into a partition, validating every
 // dictionary code against dictLen. data's length must already equal
-// blockSize(s, rows) — the open path rejects index entries where it
+// bytesPerRow(s)·rows — the open path rejects index entries where it
 // doesn't.
 func decodeBlock(data []byte, s *table.Schema, dictLen uint32, id, rows int) (*table.Partition, error) {
 	num := make([][]float64, s.NumCols())

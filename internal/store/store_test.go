@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -47,9 +47,59 @@ func writeStore(t testing.TB, tbl *table.Table) []byte {
 	return writeStoreWith(t, tbl, WriteOptions{})
 }
 
-// writeStoreRaw serializes tbl in the frozen v1 raw layout.
+// writeStoreRaw serializes tbl in the frozen v1 raw layout. It is the
+// reference writer of the format the reader still opens: nothing in the
+// product writes v1 any more, and TestGoldenFiles pins these bytes.
 func writeStoreRaw(t testing.TB, tbl *table.Table) []byte {
-	return writeStoreWith(t, tbl, WriteOptions{Raw: true})
+	t.Helper()
+	out := make([]byte, headerSize)
+	copy(out, headerMagic)
+	binary.LittleEndian.PutUint32(out[len(headerMagic):], formatVersion)
+	footer := footerWire{Cols: tbl.Schema.Cols, DictVals: tbl.Dict.Values()}
+	for _, p := range tbl.Parts {
+		start := len(out)
+		out = encodeBlock(out, tbl.Schema, p)
+		footer.Blocks = append(footer.Blocks, blockWire{
+			Offset: int64(start),
+			Length: int64(len(out) - start),
+			Rows:   int64(p.Rows()),
+			CRC:    crc32.Checksum(out[start:], crcTable),
+		})
+	}
+	return appendFooter(t, out, &footer)
+}
+
+// encodeBlock appends partition p's column data to dst in the v1 block
+// layout: each column's raw values back to back in schema order.
+func encodeBlock(dst []byte, s *table.Schema, p *table.Partition) []byte {
+	for c, col := range s.Cols {
+		if col.IsNumeric() {
+			for _, v := range p.NumCol(c) {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			}
+		} else {
+			for _, code := range p.CatCol(c) {
+				dst = binary.LittleEndian.AppendUint32(dst, code)
+			}
+		}
+	}
+	return dst
+}
+
+// appendFooter appends the gob-encoded footer and a trailer that matches
+// it to a store's header and blocks.
+func appendFooter(t testing.TB, out []byte, footer *footerWire) []byte {
+	t.Helper()
+	var fbuf bytes.Buffer
+	if err := gob.NewEncoder(&fbuf).Encode(footer); err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, fbuf.Bytes()...)
+	var trailer [trailerSize]byte
+	binary.LittleEndian.PutUint64(trailer[:8], uint64(fbuf.Len()))
+	binary.LittleEndian.PutUint32(trailer[8:12], crc32.Checksum(fbuf.Bytes(), crcTable))
+	copy(trailer[12:], trailerMagic)
+	return append(out, trailer[:]...)
 }
 
 func writeStoreWith(t testing.TB, tbl *table.Table, opts WriteOptions) []byte {
@@ -339,17 +389,7 @@ func rebuildFooter(t testing.TB, data []byte, mutate func(*footerWire)) []byte {
 		t.Fatal(err)
 	}
 	mutate(&footer)
-	var fbuf bytes.Buffer
-	if err := gob.NewEncoder(&fbuf).Encode(&footer); err != nil {
-		t.Fatal(err)
-	}
-	out := append([]byte(nil), data[:footerStart]...)
-	out = append(out, fbuf.Bytes()...)
-	var trailer [trailerSize]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(fbuf.Len()))
-	binary.LittleEndian.PutUint32(trailer[8:12], crc32.Checksum(fbuf.Bytes(), crcTable))
-	copy(trailer[12:], trailerMagic)
-	return append(out, trailer[:]...)
+	return appendFooter(t, append([]byte(nil), data[:footerStart]...), &footer)
 }
 
 func TestOpenRejectsCorruptFooter(t *testing.T) {
@@ -474,68 +514,64 @@ func TestBlockCorruptionFailsOnRead(t *testing.T) {
 	}
 }
 
+// TestOpenTableFileSniffsFormats: Open tells the two format versions apart
+// and reads back what was written in either, and refuses — with an error,
+// never a panic — a file of some other format and a missing file. (The name
+// is from when OpenTableFile also sniffed gob tables; Open is the one entry
+// point left.)
 func TestOpenTableFileSniffsFormats(t *testing.T) {
 	tbl := buildTable(t, 90, 30)
 	dir := t.TempDir()
 
-	storePath := filepath.Join(dir, "data.ps3")
-	if _, err := WriteFile(storePath, tbl); err != nil {
+	v2Path := filepath.Join(dir, "v2.ps3")
+	if _, err := WriteFile(v2Path, tbl); err != nil {
 		t.Fatal(err)
 	}
-	gobPath := filepath.Join(dir, "data.gob")
-	gf, err := os.Create(gobPath)
-	if err != nil {
+	v1Path := filepath.Join(dir, "v1.ps3")
+	if err := os.WriteFile(v1Path, writeStoreRaw(t, tbl), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.WriteTo(gf); err != nil {
-		t.Fatal(err)
-	}
-	if err := gf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	for _, tc := range []struct {
-		path string
-		want Format
-	}{{storePath, FormatStore}, {gobPath, FormatGob}} {
-		ot, err := OpenTableFile(tc.path, Options{})
+		path    string
+		version int
+	}{{v2Path, 2}, {v1Path, 1}} {
+		r, err := Open(tc.path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ot.Format != tc.want {
-			t.Fatalf("%s sniffed as %q, want %q", tc.path, ot.Format, tc.want)
+		if v := r.EncodingStats().FormatVersion; v != tc.version {
+			t.Fatalf("%s: format version %d, want %d", tc.path, v, tc.version)
 		}
-		if ot.Source.NumRows() != tbl.NumRows() || ot.Source.NumParts() != tbl.NumParts() {
-			t.Fatalf("%s: %d rows / %d parts", tc.path, ot.Source.NumRows(), ot.Source.NumParts())
-		}
-		mat, err := ot.Materialize()
+		mat, err := r.Materialize()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mat.NumParts() != tbl.NumParts() {
+			t.Fatalf("%s: %d parts, want %d", tc.path, mat.NumParts(), tbl.NumParts())
 		}
 		for pi := range tbl.Parts {
 			requireSamePartition(t, tbl.Parts[pi], mat.Parts[pi], pi)
 		}
-		if err := ot.Close(); err != nil {
+		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	garbage := filepath.Join(dir, "garbage")
-	if err := os.WriteFile(garbage, []byte("definitely not a table"), 0o644); err != nil {
+	if err := os.WriteFile(garbage, []byte("definitely not a table, and long enough to hold a header and trailer"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTableFile(garbage, Options{}); err == nil {
+	if _, err := Open(garbage, Options{}); err == nil {
 		t.Fatal("garbage file should not open")
 	}
-	if _, err := OpenTableFile(filepath.Join(dir, "missing"), Options{}); err == nil {
+	if _, err := Open(filepath.Join(dir, "missing"), Options{}); err == nil {
 		t.Fatal("missing file should not open")
 	}
 }
 
 // TestOpenTableFileShortFile: files too short to hold any header — empty,
-// or a byte-level prefix of either format's magic — must fail with the
-// typed ErrShortFile, so probing callers (ingest recovery) can tell
-// "nothing written yet" from corruption inside a recognized format.
+// or a byte-level prefix of the magic — and a file exactly as long as the
+// magic but with other bytes all fail to open with an error.
 func TestOpenTableFileShortFile(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -545,27 +581,15 @@ func TestOpenTableFileShortFile(t *testing.T) {
 		{"empty", nil},
 		{"one-byte", []byte{'P'}},
 		{"magic-prefix", []byte(headerMagic[:len(headerMagic)-1])},
+		{"wrong-magic", []byte("XXXXXXXX")[:len(headerMagic)]},
 	} {
 		path := filepath.Join(dir, tc.name)
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenTableFile(path, Options{})
-		if err == nil {
+		if _, err := Open(path, Options{}); err == nil {
 			t.Fatalf("%s: opened a %d-byte file", tc.name, len(tc.data))
 		}
-		if !errors.Is(err, ErrShortFile) {
-			t.Fatalf("%s: error %v, want errors.Is ErrShortFile", tc.name, err)
-		}
-	}
-	// A file exactly as long as the magic but with different bytes is a
-	// sniffable (failed) gob candidate, not a short file.
-	full := filepath.Join(dir, "wrong-magic")
-	if err := os.WriteFile(full, []byte("XXXXXXXX")[:len(headerMagic)], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenTableFile(full, Options{}); err == nil || errors.Is(err, ErrShortFile) {
-		t.Fatalf("wrong-magic file: error %v, want a non-short-file failure", err)
 	}
 }
 

@@ -14,11 +14,6 @@ import (
 
 // WriteOptions configures the store writer.
 type WriteOptions struct {
-	// Raw writes the frozen v1 layout: fixed-width column data, no
-	// per-column encoding. The v1 writer is byte-for-byte the original
-	// format and serves as the bit-identity reference for the encoded
-	// path.
-	Raw bool
 	// Hints, when non-nil, supplies pre-computed per-partition column
 	// statistics (from internal/stats) to the encoding chooser so it can
 	// skip scans. Hints must be exact for the block; they prune work but
@@ -39,13 +34,9 @@ func Write(w io.Writer, t *table.Table) (int64, error) {
 func WriteWith(w io.Writer, t *table.Table, opts WriteOptions) (int64, error) {
 	cw := &countingWriter{w: w}
 
-	version := uint32(formatVersionEncoded)
-	if opts.Raw {
-		version = formatVersion
-	}
 	var header [headerSize]byte
 	copy(header[:], headerMagic)
-	binary.LittleEndian.PutUint32(header[len(headerMagic):], version)
+	binary.LittleEndian.PutUint32(header[len(headerMagic):], formatVersionEncoded)
 	if _, err := cw.Write(header[:]); err != nil {
 		return cw.n, fmt.Errorf("store: write header: %w", err)
 	}
@@ -57,16 +48,11 @@ func WriteWith(w io.Writer, t *table.Table, opts WriteOptions) (int64, error) {
 	}
 	var buf []byte
 	for pi, p := range t.Parts {
-		if opts.Raw {
-			buf = encodeBlock(buf[:0], t.Schema, p)
-		} else {
-			var hint func(col int) (ColHint, bool)
-			if opts.Hints != nil {
-				part := pi
-				hint = func(col int) (ColHint, bool) { return opts.Hints(part, col) }
-			}
-			buf = encodeBlockV2(buf[:0], t.Schema, p, hint)
+		var hint func(col int) (ColHint, bool)
+		if opts.Hints != nil {
+			hint = func(col int) (ColHint, bool) { return opts.Hints(pi, col) }
 		}
+		buf = encodeBlockV2(buf[:0], t.Schema, p, hint)
 		footer.Blocks = append(footer.Blocks, blockWire{
 			Offset: cw.n,
 			Length: int64(len(buf)),
@@ -98,16 +84,11 @@ func WriteWith(w io.Writer, t *table.Table, opts WriteOptions) (int64, error) {
 
 // WriteFile writes t to path in the paged store format.
 func WriteFile(path string, t *table.Table) (int64, error) {
-	return WriteFileWith(path, t, WriteOptions{})
+	return WriteFileFS(fault.OS, path, t, WriteOptions{})
 }
 
-// WriteFileWith is WriteFile with explicit options.
-func WriteFileWith(path string, t *table.Table, opts WriteOptions) (int64, error) {
-	return WriteFileFS(fault.OS, path, t, opts)
-}
-
-// WriteFileFS is WriteFileWith over an explicit filesystem seam, so chaos
-// tests can fail or tear the writes.
+// WriteFileFS is WriteFile with explicit options over an explicit
+// filesystem seam, so chaos tests can fail or tear the writes.
 func WriteFileFS(fsys fault.FS, path string, t *table.Table, opts WriteOptions) (int64, error) {
 	f, err := fsys.Create(path)
 	if err != nil {

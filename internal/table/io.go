@@ -1,120 +1,9 @@
 package table
 
 import (
-	"encoding/gob"
-	"fmt"
 	"io"
 	"strconv"
 )
-
-// tableWire is the serialized form of a Table.
-type tableWire struct {
-	Cols      []Column
-	DictVals  []string
-	PartsNum  [][][]float64
-	PartsCat  [][][]uint32
-	PartsRows []int
-}
-
-// WriteTo serializes the table to w in a self-describing binary format.
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	wire := tableWire{Cols: t.Schema.Cols, DictVals: t.Dict.vals}
-	for _, p := range t.Parts {
-		// DecodedCols materializes any encoded columns so the wire form
-		// always carries decoded slices.
-		num, cat := p.DecodedCols()
-		wire.PartsNum = append(wire.PartsNum, num)
-		wire.PartsCat = append(wire.PartsCat, cat)
-		wire.PartsRows = append(wire.PartsRows, p.rows)
-	}
-	cw := &countingWriter{w: w}
-	if err := gob.NewEncoder(cw).Encode(&wire); err != nil {
-		return cw.n, fmt.Errorf("table: encode: %w", err)
-	}
-	return cw.n, nil
-}
-
-// ReadTable deserializes a table previously written with WriteTo. The wire
-// data is untrusted: every partition is validated against the decoded schema
-// (slice counts match the schema width, slice lengths match the row count,
-// dictionary codes are in range) so a truncated or corrupted file fails here
-// with an error instead of panicking later inside the vectorized kernels.
-func ReadTable(r io.Reader) (*Table, error) {
-	var wire tableWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("table: decode: %w", err)
-	}
-	s, err := NewSchema(wire.Cols...)
-	if err != nil {
-		return nil, err
-	}
-	if len(wire.PartsCat) != len(wire.PartsNum) || len(wire.PartsRows) != len(wire.PartsNum) {
-		return nil, fmt.Errorf("table: corrupt file: %d numeric / %d categorical / %d row-count partition entries",
-			len(wire.PartsNum), len(wire.PartsCat), len(wire.PartsRows))
-	}
-	d, err := DictFromValues(wire.DictVals)
-	if err != nil {
-		return nil, err
-	}
-	dictLen := uint32(d.Len())
-	t := &Table{Schema: s, Dict: d}
-	for i := range wire.PartsNum {
-		rows := wire.PartsRows[i]
-		if rows < 0 {
-			return nil, fmt.Errorf("table: corrupt file: partition %d has negative row count %d", i, rows)
-		}
-		num, cat := wire.PartsNum[i], wire.PartsCat[i]
-		if len(num) != s.NumCols() || len(cat) != s.NumCols() {
-			return nil, fmt.Errorf("table: corrupt file: partition %d has %d numeric / %d categorical columns, schema has %d",
-				i, len(num), len(cat), s.NumCols())
-		}
-		for c, col := range s.Cols {
-			if col.IsNumeric() {
-				if len(num[c]) != rows {
-					return nil, fmt.Errorf("table: corrupt file: partition %d column %q has %d values for %d rows",
-						i, col.Name, len(num[c]), rows)
-				}
-				if len(cat[c]) != 0 {
-					return nil, fmt.Errorf("table: corrupt file: partition %d numeric column %q carries %d categorical codes",
-						i, col.Name, len(cat[c]))
-				}
-				continue
-			}
-			if len(cat[c]) != rows {
-				return nil, fmt.Errorf("table: corrupt file: partition %d column %q has %d codes for %d rows",
-					i, col.Name, len(cat[c]), rows)
-			}
-			if len(num[c]) != 0 {
-				return nil, fmt.Errorf("table: corrupt file: partition %d categorical column %q carries %d numeric values",
-					i, col.Name, len(num[c]))
-			}
-			for r, code := range cat[c] {
-				if code >= dictLen {
-					return nil, fmt.Errorf("table: corrupt file: partition %d column %q row %d has dictionary code %d, dictionary holds %d values",
-						i, col.Name, r, code, dictLen)
-				}
-			}
-		}
-		p, err := MakePartition(s, i, rows, num, cat)
-		if err != nil {
-			return nil, fmt.Errorf("table: corrupt file: %w", err)
-		}
-		t.Parts = append(t.Parts, p)
-	}
-	return t, nil
-}
-
-// countingWriter tracks bytes written.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
 
 // WriteCSV emits the table as CSV (header + rows) for interop and debugging.
 // Dates are written as integer day offsets.

@@ -196,8 +196,8 @@ func (p *Partition) Decoded(c int) bool {
 }
 
 // DecodedCols returns the partition's columns fully decoded, one slice per
-// schema column with data on the matching side: the wire form used by the
-// gob serializer and by tests comparing logical contents. Encoded columns
+// schema column with data on the matching side (the form MakePartition
+// takes), for ingest's memtable and tests comparing logical contents. Encoded columns
 // are materialized through the lazy accessors; decoded columns are returned
 // as-is (the partition's backing store — treat as read-only).
 func (p *Partition) DecodedCols() (num [][]float64, cat [][]uint32) {

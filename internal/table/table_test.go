@@ -383,34 +383,6 @@ func TestRelayoutSingleRowPartitions(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	tbl := buildTestTable(t, 230, 60)
-	var buf bytes.Buffer
-	if _, err := tbl.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != tbl.NumRows() || got.NumParts() != tbl.NumParts() {
-		t.Fatalf("round trip: %d rows/%d parts, want %d/%d",
-			got.NumRows(), got.NumParts(), tbl.NumRows(), tbl.NumParts())
-	}
-	for pi := range tbl.Parts {
-		for r := 0; r < tbl.Parts[pi].Rows(); r++ {
-			if tbl.Parts[pi].NumCol(0)[r] != got.Parts[pi].NumCol(0)[r] {
-				t.Fatalf("numeric mismatch at part %d row %d", pi, r)
-			}
-			a := tbl.Dict.Value(tbl.Parts[pi].CatCol(1)[r])
-			b := got.Dict.Value(got.Parts[pi].CatCol(1)[r])
-			if a != b {
-				t.Fatalf("categorical mismatch at part %d row %d: %q vs %q", pi, r, a, b)
-			}
-		}
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	tbl := buildTestTable(t, 3, 3)
 	var buf bytes.Buffer

@@ -97,9 +97,6 @@ func NewBuilder(s *Schema, rowsPerPart int) (*Builder, error) {
 	return table.NewBuilder(s, rowsPerPart)
 }
 
-// ReadTable deserializes a table written with Table.WriteTo.
-var ReadTable = table.ReadTable
-
 // PartitionSource is the seam between query execution and partition
 // storage: a fully resident *Table, or a paged StoreReader that faults
 // picked partitions in from disk through a bounded cache.
@@ -121,9 +118,6 @@ type StoreOptions = store.Options
 // misses, evictions, physical bytes loaded and resident bytes vs budget.
 type StoreCacheStats = store.CacheStats
 
-// OpenedTable is a table data file opened by OpenTableFile, either format.
-type OpenedTable = store.OpenedTable
-
 // WriteStore streams t to w in the paged store format: header, one
 // CRC32-checksummed block per partition, and a footer index of
 // offsets/lengths/row counts.
@@ -134,13 +128,6 @@ func WriteStoreFile(path string, t *Table) (int64, error) { return store.WriteFi
 
 // OpenStore opens a paged store file for on-demand partition serving.
 func OpenStore(path string, o StoreOptions) (*StoreReader, error) { return store.Open(path, o) }
-
-// OpenTableFile opens a table data file of either format — the paged store
-// or the legacy gob encoding — sniffing the header magic, so old files keep
-// working while new ones open paged.
-func OpenTableFile(path string, o StoreOptions) (*OpenedTable, error) {
-	return store.OpenTableFile(path, o)
-}
 
 // --- Query model (internal/query) ---
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"ps3"
@@ -140,19 +141,52 @@ func TestPublicAPIRunBeforeTrainFails(t *testing.T) {
 	}
 }
 
+// TestPublicAPITableSerializationRoundTrip: a table written with
+// WriteStoreFile and reopened with OpenStore backs a restored system whose
+// exact answers equal the resident system's bit for bit.
 func TestPublicAPITableSerializationRoundTrip(t *testing.T) {
 	tbl := buildSalesTable(t, 1_000, 100)
-	var buf bytes.Buffer
-	if _, err := tbl.WriteTo(&buf); err != nil {
+	sys := newTrainedSystem(t, tbl)
+	path := filepath.Join(t.TempDir(), "sales.ps3")
+	if _, err := ps3.WriteStoreFile(path, tbl); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ps3.ReadTable(&buf)
+	r, err := ps3.OpenStore(path, ps3.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumRows() != tbl.NumRows() || back.NumParts() != tbl.NumParts() {
+	defer r.Close()
+	if r.NumRows() != tbl.NumRows() || r.NumParts() != tbl.NumParts() {
 		t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-			back.NumRows(), back.NumParts(), tbl.NumRows(), tbl.NumParts())
+			r.NumRows(), r.NumParts(), tbl.NumRows(), tbl.NumParts())
+	}
+	var snap bytes.Buffer
+	if _, err := sys.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ps3.OpenSnapshot(&snap, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ps3.MustParseSQL("SELECT region, SUM(price), COUNT(*) FROM t WHERE qty > 3 GROUP BY region")
+	want, err := sys.RunExact(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.RunExact(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Values) == 0 || len(got.Values) != len(want.Values) {
+		t.Fatalf("store-backed answer has %d groups, resident %d", len(got.Values), len(want.Values))
+	}
+	for g, wv := range want.Values {
+		gv := got.Values[g]
+		for i := range wv {
+			if i >= len(gv) || math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+				t.Fatalf("group %q: store-backed %v, resident %v", want.Labels[g], gv, wv)
+			}
+		}
 	}
 }
 
