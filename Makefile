@@ -68,22 +68,26 @@ bench-exec:
 
 # One-iteration smoke of the store benchmarks plus the encoding acceptance
 # contracts (raw/encoded bit-identity cold and warm, the no-decode counter
-# proof, a column decoded on its second read and never by a thrashing
-# reader, the frozen golden files, the block-load allocation ceilings: one
-# buffer for a load nobody releases, none after a release, no per-column
-# copies; a thrashing ad-hoc scan allocating less than a block in all; the
-# one scratch pool serving every grouping shape, each query starting from its
-# own conjunction order; a warm ordered answer allocating nothing per group;
-# the conjunction-order and group-finalization layer benchmarks; and the kdd
-# cache-budget claim: encoded at a third of the raw budget, equal-or-better
-# hit rate);
+# proof; the one admission rule of the decode memo: a column — aggregate,
+# group key or predicate — read encoded by the evaluation that first touches
+# it, however many of its sites read it, decoded on the next scan and never
+# by a thrashing reader, while a header-decided, out-of-width or run-length
+# clause never decodes its column; every random predicate tree the same bits
+# cold, first-touched and warm; the frozen golden files, the block-load
+# allocation ceilings: one buffer for a load nobody releases, none after a
+# release, no per-column copies; a thrashing ad-hoc scan allocating less than
+# a block in all; the one scratch pool serving every grouping shape, each
+# query starting from its own conjunction order; a warm ordered answer
+# allocating nothing per group; the conjunction-order, group-finalization and
+# warm-predicate layer benchmarks; and the kdd cache-budget claim: encoded at
+# a third of the raw budget, equal-or-better hit rate);
 # wired into CI so the benchmark fixtures, the encoded-kernel counters and
 # the allocation-free load can never rot.
 bench-store-smoke:
-	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestThrashingScanAllocatesNoBlockMemory|TestEncodedCacheBudgetClaim' -v ./internal/store/
-	$(GO) test -run 'TestScratchSharedAcrossQueries|TestOrderedAllocsIndependentOfGroups' -v ./internal/query/
+	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestColumnTouchedOncePerEvaluation|TestPredicateColumnsAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestThrashingScanAllocatesNoBlockMemory|TestEncodedCacheBudgetClaim' -v ./internal/store/
+	$(GO) test -run 'TestScratchSharedAcrossQueries|TestOrderedAllocsIndependentOfGroups|TestTouchStatesBitIdentical' -v ./internal/query/
 	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
-	$(GO) test -bench 'BenchmarkEvalPartition/conjunction|BenchmarkFinalizeGroups' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkEvalPartition/conjunction|BenchmarkFinalizeGroups|BenchmarkEstimateGrouped/.*/encoded/.*/warm-predicates' -benchtime 1x -run '^$$' .
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +
 # fold-table funnel) vs the retained pointer-tree reference, across serving

@@ -513,7 +513,11 @@ func BenchmarkEvalPartition(b *testing.B) {
 // raw from a resident table and encoded from a warm store-v2 reader (and,
 // "/cold" and "/warm", from encoded partitions no scan has read yet against
 // ones read twice: the first-touch encoded arms against the memoized decoded
-// loops). All runs are sequential (Parallelism 1) so the figures compare
+// loops). The predicate of those cases is settled by every block's header
+// and reads no row; "/warm-predicates" is "/warm" with two clauses that read
+// rows instead — a frame-of-reference comparison the headers leave open and
+// a membership test on a bit-packed column — so its predicate columns are
+// decoded too. All runs are sequential (Parallelism 1) so the figures compare
 // code, not scheduling.
 //
 // Per case, the plain sub-benchmark is Estimate; "/paired" interleaves it
@@ -526,7 +530,16 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 	for _, fx := range []struct {
 		name, dataset string
 		rowsPerPart   int
-	}{{"aria500", "aria", 500}, {"kdd4500", "kdd", 4500}} {
+		// reading is the "/warm-predicates" predicate.
+		reading query.Pred
+	}{
+		{"aria500", "aria", 500, query.NewAnd(
+			&query.Clause{Col: "records_sent_count", Op: query.OpLt, Num: 300},
+			&query.Clause{Col: "AppInfo_Version", Op: query.OpIn, Strs: []string{"v2.0.0", "v2.0.1", "v2.0.2"}})},
+		{"kdd4500", "kdd", 4500, query.NewAnd(
+			&query.Clause{Col: "src_bytes", Op: query.OpLt, Num: 1032},
+			&query.Clause{Col: "service", Op: query.OpIn, Strs: []string{"http", "smtp", "private"}})},
+	} {
 		const parts = 20 // one 5 %-budget selection of the 400-partition fixture
 		ds, err := dataset.ByName(fx.dataset, dataset.Config{Rows: fx.rowsPerPart * parts, Parts: parts, Seed: 5})
 		if err != nil {
@@ -551,19 +564,23 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 			src  table.PartitionSource
 		}{{"raw", ds.Table}, {"encoded", reader}} {
 			for groups := 0; groups <= 2; groups++ {
-				c, err := query.Compile(&query.Query{
-					GroupBy: wl.GroupableCols[:groups],
-					Pred:    &query.Clause{Col: wl.AggCols[0], Op: query.OpGe, Num: 0},
-					Aggs: []query.Aggregate{
-						{Kind: query.Sum, Expr: query.Col(wl.AggCols[0])},
-						{Kind: query.Avg, Expr: query.Col(wl.AggCols[1])},
-						{Kind: query.Count},
-					},
-				}, form.src)
-				if err != nil {
-					b.Fatal(err)
+				compile := func(pred query.Pred) *query.Compiled {
+					c, err := query.Compile(&query.Query{
+						GroupBy: wl.GroupableCols[:groups],
+						Pred:    pred,
+						Aggs: []query.Aggregate{
+							{Kind: query.Sum, Expr: query.Col(wl.AggCols[0])},
+							{Kind: query.Avg, Expr: query.Col(wl.AggCols[1])},
+							{Kind: query.Count},
+						},
+					}, form.src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					c.Exec = exec.Options{Parallelism: 1}
+					return c
 				}
-				c.Exec = exec.Options{Parallelism: 1}
+				c := compile(&query.Clause{Col: wl.AggCols[0], Op: query.OpGe, Num: 0})
 				flat := func() *query.Answer {
 					ans, err := c.Estimate(form.src, sel)
 					if err != nil {
@@ -591,12 +608,12 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 				})
 				if form.name == "encoded" {
 					// The two states of a loaded block. cold: partitions no
-					// scan has read, so every aggregate and GROUP BY column
+					// scan has read, so every column the query reads rows of
 					// is evaluated in encoded form and nothing is decoded
 					// (loading them is not timed). warm: one set, read twice
 					// before the clock starts, so every column the query
-					// names has its decoded slice.
-					loaded := func(b *testing.B, scans int) *table.Table {
+					// reads rows of has its decoded slice.
+					loaded := func(b *testing.B, c *query.Compiled, scans int) *table.Table {
 						tbl, err := reader.Materialize()
 						if err != nil {
 							b.Fatal(err)
@@ -608,27 +625,31 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 						}
 						return tbl
 					}
+					warm := func(c *query.Compiled) func(*testing.B) {
+						return func(b *testing.B) {
+							b.ReportAllocs()
+							tbl := loaded(b, c, 2)
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								if _, err := c.Estimate(tbl, sel); err != nil {
+									b.Fatal(err)
+								}
+							}
+						}
+					}
 					b.Run(name+"/cold", func(b *testing.B) {
 						b.ReportAllocs()
 						for i := 0; i < b.N; i++ {
 							b.StopTimer()
-							tbl := loaded(b, 0)
+							tbl := loaded(b, c, 0)
 							b.StartTimer()
 							if _, err := c.Estimate(tbl, sel); err != nil {
 								b.Fatal(err)
 							}
 						}
 					})
-					b.Run(name+"/warm", func(b *testing.B) {
-						b.ReportAllocs()
-						tbl := loaded(b, 2)
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							if _, err := c.Estimate(tbl, sel); err != nil {
-								b.Fatal(err)
-							}
-						}
-					})
+					b.Run(name+"/warm", warm(c))
+					b.Run(name+"/warm-predicates", warm(compile(fx.reading)))
 				}
 				b.Run(name+"/paired", func(b *testing.B) {
 					benchPaired(b, func() { perPartitionMaps() }, func() { flat() })

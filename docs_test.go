@@ -1,6 +1,8 @@
 package ps3_test
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -9,18 +11,37 @@ import (
 	"testing"
 )
 
-// operatorDocs are the files the docs tests read.
+// operatorDocs are the files the docs tests read, besides the package doc of
+// the ps3 facade (see readDocs).
 var operatorDocs = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
 
+// readDocs returns the text of every operator doc by name, in operatorDocs
+// order, followed by the package doc of ps3.go — what `go doc ps3` shows.
+func readDocs(t *testing.T) (names, texts []string) {
+	t.Helper()
+	for _, doc := range operatorDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, texts = append(names, doc), append(texts, string(text))
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "ps3.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(names, "ps3.go package doc"), append(texts, f.Doc.Text())
+}
+
 // TestDocsPointAtWhatExists: every `make <target>` the operator-facing docs
-// and CI name is a target of the Makefile, and every JSON, awk or Go file
-// they name exists — so deleting a target or a file cannot leave a doc
-// pointing at nothing. A path is looked up from the repo root, then from
+// and CI name is a target of the Makefile, and every Markdown, JSON, awk or
+// Go file they name exists — so deleting a target or a file cannot leave a
+// doc pointing at nothing. A path is looked up from the repo root, then from
 // internal/ (DESIGN.md writes `picker/io.go`); a bare file name, which a doc
 // section uses for a file of the package it describes, must exist somewhere.
 func TestDocsPointAtWhatExists(t *testing.T) {
 	makeRef := regexp.MustCompile("(?m)(?:`|^|run:\\s+)make ([a-z][a-z0-9-]*)")
-	fileRef := regexp.MustCompile(`[\w./{},*-]+\.(?:json|awk|go)\b`)
+	fileRef := regexp.MustCompile(`[\w./{},*-]+\.(?:md|json|awk|go)\b`)
 	braces := regexp.MustCompile(`\{([^{}]*)\}`)
 
 	mk, err := os.ReadFile("Makefile")
@@ -54,17 +75,15 @@ func TestDocsPointAtWhatExists(t *testing.T) {
 		return false
 	}
 
-	for _, doc := range operatorDocs {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range makeRef.FindAllSubmatch(text, -1) {
-			if !targets[string(m[1])] {
+	names, texts := readDocs(t)
+	for i, doc := range names {
+		text := texts[i]
+		for _, m := range makeRef.FindAllStringSubmatch(text, -1) {
+			if !targets[m[1]] {
 				t.Errorf("%s names `make %s`, which the Makefile does not define", doc, m[1])
 			}
 		}
-		for _, ref := range fileRef.FindAllString(string(text), -1) {
+		for _, ref := range fileRef.FindAllString(text, -1) {
 			if strings.Contains(ref, "*") || strings.HasPrefix(ref, "/") {
 				continue // a glob or an absolute scratch path, not a file of the repo
 			}
@@ -105,12 +124,9 @@ func TestDocsNameOnlyDefinedFlags(t *testing.T) {
 	}
 	token := regexp.MustCompile("\\bps3(?:gen|serve|train|query|bench)\\b|(?:^|[\\s(])--?([a-z][a-z0-9-]*)|`|\\||;|&&")
 
-	for _, doc := range operatorDocs {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.ReplaceAll(string(text), "\\\n", " "), "\n")
+	names, texts := readDocs(t)
+	for i, doc := range names {
+		lines := strings.Split(strings.ReplaceAll(texts[i], "\\\n", " "), "\n")
 		for n, line := range lines {
 			cmd := ""
 			for _, m := range token.FindAllStringSubmatch(line, -1) {

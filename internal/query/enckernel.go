@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"ps3/internal/table"
@@ -11,23 +12,27 @@ import (
 // Encoded-space predicate evaluation. Partitions served from an encoded
 // store (internal/store v2) keep their columns in the form the block arrived
 // in; the clause compilers here wrap the raw reference loops with a
-// per-partition dispatch that evaluates directly on the encoded
-// representation when one is present:
+// per-partition dispatch that reads a column in the form the admission rule
+// of the decode memo gives it (scratch.touch): encoded by the evaluation that
+// first touches it, the memoized decoded slice through the raw loops from the
+// next evaluation on, because a gather through EncodedCol.At costs several
+// plain loads. What reads no row touches nothing:
 //
-//   - Bit-packed dictionary codes compare against the clause's code(s)
-//     without materializing the column.
-//   - RLE runs are accepted or rejected wholesale: the seed form emits whole
-//     selection spans, the narrowing form re-evaluates only on run
-//     transitions.
 //   - Frame-of-reference clauses are first put to the block header: every
 //     value lies in [Min, Min+mask], which decides most comparisons for all
-//     rows at once (forBounds). Otherwise equality rebases the constant into
-//     packed delta space (one integer compare per row); ordered comparisons
-//     fuse the exact reconstruction min+float64(delta) into the loop, which
-//     is bit-identical to comparing the decoded value.
-//   - Raw numeric columns are compared in place, from the block's bytes, the
-//     first time anything reads the column (table.Partition.FirstTouch);
-//     after that the memoized decoded slice and the raw loops are as fast.
+//     rows at once (forBounds) and on every scan. Otherwise, on the first
+//     touch, equality rebases the constant into packed delta space (one
+//     integer compare per row); ordered comparisons fuse the exact
+//     reconstruction min+float64(delta) into the loop, which is
+//     bit-identical to comparing the decoded value.
+//   - Bit-packed dictionary codes compare against the clause's code(s) on
+//     the first touch; a wanted code wider than the column's width is
+//     settled without a row.
+//   - Raw numeric columns are compared in place, from the block's bytes, on
+//     the first touch.
+//   - RLE runs are accepted or rejected wholesale, on every scan and without
+//     a touch: the seed form emits whole selection spans, the narrowing form
+//     re-evaluates only on run transitions.
 //
 // Every per-row outcome matches the raw loops exactly — the FoR
 // reconstruction is exact by the encoding's 53-bit bound, a raw numeric value
@@ -44,9 +49,31 @@ var encodedEvals atomic.Int64
 
 // EncodedKernelEvals reports how many clause evaluations ran directly on an
 // encoded column (no materialization) in the scans and single-partition
-// evaluations that have returned since process start. Tests assert it
-// advances while the store's decode counters stay flat.
+// evaluations that have returned since process start: the ones a column's
+// first touch ran encoded, the ones its block header settled, and every
+// run-length one. Tests assert it advances while the store's decode counters
+// stay flat.
 func EncodedKernelEvals() int64 { return encodedEvals.Load() }
+
+// touch is the one admission rule of every column read in this package: it
+// returns column c's encoded form if this evaluation of p is the first reader
+// of the column's values (table.Partition.FirstTouch) — and, to every later
+// read site of the same evaluation, the same encoded form again — and nil
+// when the column is held decoded or an earlier evaluation read it, so the
+// caller takes NumCol/CatCol. A touch therefore counts once per evaluation,
+// not once per read site: a column that a clause, a FILTER and two
+// aggregates of one evaluation read is decoded by none of them, only by the
+// next scan of the partition, if there is one.
+func (sc *scratch) touch(p *table.Partition, c int) *table.EncodedCol {
+	if e := p.FirstTouch(c); e != nil {
+		sc.touched = append(sc.touched, c)
+		return e
+	}
+	if slices.Contains(sc.touched, c) {
+		return p.EncCol(c)
+	}
+	return nil
+}
 
 // maxExactDelta is the FoR exactness bound: 2^53, above which float64 skips
 // integers.
@@ -63,15 +90,16 @@ func compileClauseSeed(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, e
 	if s.Col(ci).IsNumeric() {
 		op, v := c.Op, c.Num
 		return func(p *table.Partition, rows int, out []int32, sc *scratch) []int32 {
-			if e := p.EncCol(ci); e != nil {
-				if e.Kind == table.EncFoR {
+			switch e := p.EncCol(ci); {
+			case e == nil:
+			case e.Kind == table.EncFoR:
+				if forDecided(e, op, v) || sc.touch(p, ci) != nil {
 					sc.encEvals++
 					return forSeed(e, op, v, rows, out)
 				}
-				if p.FirstTouch(ci) != nil {
-					sc.encEvals++
-					return rawNumSeed(e, op, v, rows, out)
-				}
+			case sc.touch(p, ci) != nil:
+				sc.encEvals++
+				return rawNumSeed(e, op, v, rows, out)
 			}
 			return raw(p, rows, out, sc)
 		}, nil
@@ -89,8 +117,10 @@ func compileClauseSeed(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, e
 		switch e := p.EncCol(ci); {
 		case e == nil:
 		case e.Kind == table.EncBitPack:
-			sc.encEvals++
-			return cp.bitpackSeed(e, rows, out)
+			if cp.outOfWidth(e) || sc.touch(p, ci) != nil {
+				sc.encEvals++
+				return cp.bitpackSeed(e, rows, out)
+			}
 		case e.Kind == table.EncRLE:
 			sc.encEvals++
 			return cp.rleSeed(e, out)
@@ -110,15 +140,16 @@ func compileClauseKernel(c *Clause, s *table.Schema, d *table.Dict) (kernel, err
 	if s.Col(ci).IsNumeric() {
 		op, v := c.Op, c.Num
 		return func(p *table.Partition, sel []int32, sc *scratch) []int32 {
-			if e := p.EncCol(ci); e != nil {
-				if e.Kind == table.EncFoR {
+			switch e := p.EncCol(ci); {
+			case e == nil:
+			case e.Kind == table.EncFoR:
+				if forDecided(e, op, v) || sc.touch(p, ci) != nil {
 					sc.encEvals++
 					return forKern(e, op, v, sel)
 				}
-				if p.FirstTouch(ci) != nil {
-					sc.encEvals++
-					return rawNumKern(e, op, v, sel)
-				}
+			case sc.touch(p, ci) != nil:
+				sc.encEvals++
+				return rawNumKern(e, op, v, sel)
 			}
 			return raw(p, sel, sc)
 		}, nil
@@ -134,8 +165,10 @@ func compileClauseKernel(c *Clause, s *table.Schema, d *table.Dict) (kernel, err
 		switch e := p.EncCol(ci); {
 		case e == nil:
 		case e.Kind == table.EncBitPack:
-			sc.encEvals++
-			return cp.bitpackKern(e, sel)
+			if cp.outOfWidth(e) || sc.touch(p, ci) != nil {
+				sc.encEvals++
+				return cp.bitpackKern(e, sel)
+			}
 		case e.Kind == table.EncRLE:
 			sc.encEvals++
 			return cp.rleKern(e, sel)
@@ -198,6 +231,13 @@ func forBounds(e *table.EncodedCol, op Op, v float64) (t uint64, all, none bool)
 	default:
 		panic(fmt.Sprintf("query: unreachable numeric operator %v on encoded column", op))
 	}
+}
+
+// forDecided reports whether the header settles (op, v) for every row of a
+// frame-of-reference column, so that evaluating it reads no row.
+func forDecided(e *table.EncodedCol, op Op, v float64) bool {
+	_, all, none := forBounds(e, op, v)
+	return all || none
 }
 
 // forSeed fills out with the rows of a frame-of-reference column passing
@@ -474,19 +514,24 @@ func (cp *catPred) accept(code uint32) bool {
 	return in != cp.neg
 }
 
+// outOfWidth reports whether the clause's one wanted code cannot appear at a
+// bit-packed column's width, which settles the clause for every row.
+func (cp *catPred) outOfWidth(e *table.EncodedCol) bool {
+	return cp.single && uint64(cp.want) > e.Mask()
+}
+
 // bitpackSeed fills out with the rows of a bit-packed column passing the
 // clause, comparing packed codes in place.
 func (cp *catPred) bitpackSeed(e *table.EncodedCol, rows int, out []int32) []int32 {
+	if cp.outOfWidth(e) {
+		if !cp.neg {
+			return out[:0]
+		}
+		return identity(out, rows)
+	}
 	n := 0
 	if cp.single {
 		want := uint64(cp.want)
-		if want > e.Mask() {
-			// The wanted code cannot appear at this pack width.
-			if !cp.neg {
-				return out[:0]
-			}
-			return identity(out, rows)
-		}
 		if cp.neg {
 			for r := 0; r < rows; r++ {
 				if e.At(r) != want {
@@ -525,15 +570,15 @@ func (cp *catPred) bitpackSeed(e *table.EncodedCol, rows int, out []int32) []int
 
 // bitpackKern narrows sel against a bit-packed column.
 func (cp *catPred) bitpackKern(e *table.EncodedCol, sel []int32) []int32 {
+	if cp.outOfWidth(e) {
+		if !cp.neg {
+			return sel[:0]
+		}
+		return sel
+	}
 	n := 0
 	if cp.single {
 		want := uint64(cp.want)
-		if want > e.Mask() {
-			if !cp.neg {
-				return sel[:0]
-			}
-			return sel
-		}
 		if cp.neg {
 			for _, r := range sel {
 				if e.At(int(r)) != want {

@@ -140,18 +140,18 @@ func (k *exprKernel) evalRow(p *table.Partition, r int) float64 {
 // terms in declaration order — the same addition sequence as evalRow — so
 // per-row results are bit-identical to the row-at-a-time path.
 //
-// A term whose column nothing has read yet (table.Partition.FirstTouch) is
+// A term whose column this evaluation is the first to read (scratch.touch) is
 // evaluated on the encoded column, over the selected rows only: a
 // frame-of-reference value as Min + float64(At(r)), the expression
 // DecodeNum stores, and a raw numeric one from the block's bytes — the same
 // float64 in either case, so which arm ran never shows in the result.
-func (k *exprKernel) evalInto(p *table.Partition, sel []int32, dst []float64) {
+func (k *exprKernel) evalInto(p *table.Partition, sel []int32, dst []float64, sc *scratch) {
 	for i := range dst {
 		dst[i] = k.konst
 	}
 	for _, t := range k.terms {
 		coef := t.coef
-		if e := p.FirstTouch(t.col); e != nil {
+		if e := sc.touch(p, t.col); e != nil {
 			if e.Kind == table.EncFoR {
 				min := e.Min
 				for i, r := range sel {

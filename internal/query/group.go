@@ -213,7 +213,7 @@ func (c *Compiled) keyBits() uint { return c.packBits * uint(len(c.groupIdx)) }
 // rows and resolved to dense slots through the scratch's group table —
 // direct-indexed when the key space is small (see directKeyBits), which
 // keeps the one-column case a code-indexed loop on all but very wide
-// dictionaries. A column nothing has read yet (table.Partition.FirstTouch)
+// dictionaries. A column this evaluation is the first to read (scratch.touch)
 // gives its codes in encoded form: bit-packed ones through At, run-length
 // ones from a walk over the runs that only moves forward, the selection
 // being ascending. They are the codes the decoded column would hold.
@@ -222,7 +222,7 @@ func (c *Compiled) evalPackedGroups(p *table.Partition, sel []int32, sc *scratch
 	clear(keys)
 	var seen uint32
 	for _, gi := range c.groupIdx {
-		if e := p.FirstTouch(gi); e != nil {
+		if e := sc.touch(p, gi); e != nil {
 			if e.Kind == table.EncRLE {
 				run := 0
 				for i, r := range sel {

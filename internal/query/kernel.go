@@ -82,6 +82,9 @@ type scratch struct {
 	// encEvals counts the clause evaluations that ran on an encoded column
 	// since the scratch was taken; release adds it to encodedEvals.
 	encEvals int64
+	// touched lists the columns the current partition evaluation was first
+	// to touch (see touch); selectRows empties it.
+	touched []int
 }
 
 // scratchPool recycles scratches across every compiled query of the process:

@@ -231,6 +231,60 @@ func TestConjunctionOrderIsNotObservable(t *testing.T) {
 	}
 }
 
+// TestTouchStatesBitIdentical is the contract of the one admission rule
+// (scratch.touch) over predicates: a scan reaches every column a query reads
+// in one of three states — cold (the evaluation that first touches it reads
+// it encoded), first-touched (the next evaluation decodes it) and warm (the
+// memoized decoded slice) — and which one never shows in an answer. For
+// seeded random queries — nested And/Or/Not, FILTER conjunctions, columns
+// repeating within an evaluation, header-decided, out-of-frame and constant
+// clauses — three weighted scans over one set of freshly encoded partitions,
+// at Parallelism 1 and N, each equal the decoded table's answer bit for bit.
+func TestTouchStatesBitIdentical(t *testing.T) {
+	tbl := storeFixture(t, 59, 2_400, 300)
+	s := tbl.Schema
+	g := &predGen{rng: rand.New(rand.NewSource(61)), tbl: tbl}
+	rng := rand.New(rand.NewSource(67))
+	decodedOnScan2 := 0
+	for qi := 0; qi < 60; qi++ {
+		q := g.query()
+		c := mustCompile(t, q, tbl)
+		var sel []WeightedPartition
+		for _, i := range rng.Perm(len(tbl.Parts)) {
+			sel = append(sel, WeightedPartition{Part: i, Weight: 0.25 + 3*rng.Float64()})
+		}
+		for _, par := range []int{1, 4} {
+			c.Exec = exec.Options{Parallelism: par}
+			want, err := c.Estimate(tbl, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ds table.DecodeStats
+			parts := make([]*table.Partition, len(tbl.Parts))
+			for i, p := range tbl.Parts {
+				parts[i] = storeCopy(t, s, p, &ds)
+			}
+			src := &table.Table{Schema: s, Dict: tbl.Dict, Parts: parts}
+			var after [3]int64
+			for scan, state := range []string{"cold", "first-touched", "warm"} {
+				got, err := c.Estimate(src, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, fmt.Sprintf("query %d (%s), par %d, %s", qi, q, par, state), got, want)
+				after[scan], _ = ds.Snapshot()
+			}
+			if after[1] > after[0] {
+				decodedOnScan2++
+			}
+		}
+	}
+	// The corpus must reach the second state, or "first-touched" went untested.
+	if decodedOnScan2 < 60 {
+		t.Fatalf("only %d of 120 scan triples decoded a column on their second scan", decodedOnScan2)
+	}
+}
+
 // TestSortByPassRate: the order a conjunction leaves behind is its children
 // by out/in ascending, ties and children no row reached in place.
 func TestSortByPassRate(t *testing.T) {

@@ -272,8 +272,10 @@ func (c *Compiled) evalPartition(p *table.Partition, sc *scratch) partial {
 }
 
 // selectRows returns the rows of p that pass the predicate, ascending, in
-// sc's primary selection buffer: the one place the predicate is run from.
+// sc's primary selection buffer: the one place the predicate is run from, and
+// so where an evaluation of p starts touching its columns afresh.
 func (c *Compiled) selectRows(p *table.Partition, sc *scratch) []int32 {
+	sc.touched = sc.touched[:0]
 	if c.where == nil {
 		return sc.fullSel(p.Rows())
 	}
@@ -311,7 +313,7 @@ func (c *Compiled) accumulate(p *table.Partition, sel, gidx []int32, accs []floa
 			}
 		case Sum:
 			buf := sc.exprBuf(len(rows))
-			s.expr.evalInto(p, rows, buf)
+			s.expr.evalInto(p, rows, buf, sc)
 			if idx == nil {
 				for _, v := range buf {
 					accs[at] += v
@@ -323,7 +325,7 @@ func (c *Compiled) accumulate(p *table.Partition, sel, gidx []int32, accs []floa
 			}
 		case Avg:
 			buf := sc.exprBuf(len(rows))
-			s.expr.evalInto(p, rows, buf)
+			s.expr.evalInto(p, rows, buf, sc)
 			if idx == nil {
 				for _, v := range buf {
 					accs[at] += v

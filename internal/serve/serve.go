@@ -772,8 +772,10 @@ type Metrics struct {
 	// report; zero-valued when healthy.
 	StoreHealth *store.HealthStats `json:"store_health,omitempty"`
 	// EncodedKernelEvals counts predicate clauses evaluated directly on
-	// encoded columns (process-wide) — the work the encodings let scans
-	// skip.
+	// encoded columns (process-wide): those that were the first to touch
+	// their column in a partition, those the block header settled (a
+	// frame-of-reference range, a bit-packed width), and run-length ones. A clause on a column a previous scan already read
+	// runs on the decoded column and does not count.
 	EncodedKernelEvals int64 `json:"encoded_kernel_evals"`
 }
 

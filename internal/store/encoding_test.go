@@ -403,6 +403,143 @@ func TestDecodeAdmittedOnSecondTouch(t *testing.T) {
 	}
 }
 
+// requireDecodesPerScan runs q over sel three times on a fresh resident and a
+// fresh thrashing (1-byte cache) reader of data, at Parallelism 1, and checks
+// every answer against want and the reader's materialized-column count after
+// each scan against resident and thrashing. It returns how far
+// query.EncodedKernelEvals advanced on each of the resident reader's scans.
+func requireDecodesPerScan(t *testing.T, label string, data []byte, q *query.Query, sel []query.WeightedPartition, want *query.Answer, resident, thrashing [3]int64) (residentEvals [3]int64) {
+	t.Helper()
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		decoded    [3]int64
+	}{{"resident", -1, resident}, {"thrashing", 1, thrashing}} {
+		r := openStore(t, data, tc.cacheBytes)
+		c, err := query.Compile(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Exec = exec.Options{Parallelism: 1}
+		for scan, wantCols := range tc.decoded {
+			evals := query.EncodedKernelEvals()
+			got, err := c.Estimate(r, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cacheBytes < 0 {
+				residentEvals[scan] = query.EncodedKernelEvals() - evals
+			}
+			requireSameAnswer(t, fmt.Sprintf("%s, %s reader, scan %d", label, tc.name, scan+1), want, got)
+			if es := r.EncodingStats(); es.LazyDecodeCols != wantCols {
+				t.Fatalf("%s, %s reader: %d columns materialized after scan %d, want %d", label, tc.name, es.LazyDecodeCols, scan+1, wantCols)
+			}
+		}
+	}
+	return residentEvals
+}
+
+// everyPartition selects every partition of tbl, each at its own weight.
+func everyPartition(tbl *table.Table) []query.WeightedPartition {
+	sel := make([]query.WeightedPartition, tbl.NumParts())
+	for i := range sel {
+		sel[i] = query.WeightedPartition{Part: i, Weight: 1 + float64(i)/4}
+	}
+	return sel
+}
+
+// TestColumnTouchedOncePerEvaluation: a query that reads one column at two
+// sites — two aggregates over it, or one expression naming it twice — touches
+// it once per partition evaluation, so the second site reads the encoded
+// column the first one did instead of decoding it. A thrashing reader
+// therefore never decodes the column, and a resident one decodes it once per
+// partition, on the second scan.
+func TestColumnTouchedOncePerEvaluation(t *testing.T) {
+	tbl := encFixture(t, 800, 100, 5)
+	data := writeStore(t, tbl)
+	sel := everyPartition(tbl)
+	parts := int64(tbl.NumParts())
+	for _, q := range []*query.Query{
+		{Aggs: []query.Aggregate{{Kind: query.Sum, Expr: query.Col("n")}, {Kind: query.Avg, Expr: query.Col("n")}}},
+		{Aggs: []query.Aggregate{{Kind: query.Sum, Expr: query.Col("n").Add(query.Col("n"))}}},
+	} {
+		cr, err := query.Compile(q, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cr.Estimate(tbl, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireDecodesPerScan(t, q.String(), data, q, sel, want, [3]int64{0, parts, parts}, [3]int64{})
+	}
+}
+
+// TestPredicateColumnsAdmittedOnSecondTouch follows columns only a predicate
+// reads through the reader. A frame-of-reference clause the block header
+// leaves open and a bit-packed IN read their column's rows: encoded on a
+// partition's first scan, decoded (once) from its second on a resident
+// reader, never on a thrashing one — and the encoded-kernel counter, which
+// moves on the first scan, stands still on the third. A header-decided
+// frame-of-reference clause, a wanted code wider than the bit-packed
+// column's width and a run-length clause read no row: they never
+// materialize their column, and count as encoded evaluations on every scan.
+func TestPredicateColumnsAdmittedOnSecondTouch(t *testing.T) {
+	tbl := encFixture(t, 800, 100, 5)
+	// A value whose code is past the 4 bits every block packs "cat" at.
+	var wide string
+	for i := 0; ; i++ {
+		if wide = fmt.Sprintf("unused%d", i); tbl.Dict.Code(wide) > 15 {
+			break
+		}
+	}
+	data := writeStore(t, tbl)
+	probe := openStore(t, data, -1)
+	for pi := 0; pi < probe.NumParts(); pi++ {
+		p, err := probe.loadBlock(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, kind := range []table.EncKind{table.EncRawNum, table.EncFoR, table.EncBitPack, table.EncRLE} {
+			if e := p.EncCol(c); e == nil || e.Kind != kind || kind == table.EncBitPack && e.Width != 4 {
+				t.Fatalf("partition %d column %d is held as %+v, want %v (bit-packed at 4 bits)", pi, c, e, kind)
+			}
+		}
+	}
+	sel := everyPartition(tbl)
+	parts := int64(tbl.NumParts())
+	for _, tc := range []struct {
+		name     string
+		pred     query.Pred
+		admitted bool // reads rows: decoded on a resident reader's second scan
+	}{
+		{"FoR, open", &query.Clause{Col: "n", Op: query.OpLt, Num: 2048}, true},
+		{"bit-packed IN", &query.Clause{Col: "cat", Op: query.OpIn, Strs: []string{"c1", "c5", "c8"}}, true},
+		{"FoR, header-decided", &query.Clause{Col: "n", Op: query.OpGe, Num: -3}, false},
+		{"bit-packed, out of width", &query.Clause{Col: "cat", Op: query.OpNe, Strs: []string{wide}}, false},
+		{"run-length", &query.Clause{Col: "run", Op: query.OpEq, Strs: []string{"r1"}}, false},
+	} {
+		q := &query.Query{Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: tc.pred}
+		cr, err := query.Compile(q, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cr.Estimate(tbl, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident, late := [3]int64{}, parts
+		if tc.admitted {
+			resident, late = [3]int64{0, parts, parts}, 0
+		}
+		evals := requireDecodesPerScan(t, tc.name, data, q, sel, want, resident, [3]int64{})
+		if evals[0] != parts || evals[2] != late {
+			t.Fatalf("%s: encoded clause evaluations per scan on a resident reader %v, want %d on the first and %d on the third",
+				tc.name, evals, parts, late)
+		}
+	}
+}
+
 // TestChooserDeterministicBytes pins writer determinism: the same table
 // produces byte-identical v2 files on every write, and re-encoding a block
 // from a decoded partition (raw round-trip) picks the same encodings.

@@ -10,11 +10,13 @@ import (
 
 // Lightweight per-column block encodings. A partition loaded from an encoded
 // store block keeps its columns in their encoded form. The kernels in
-// internal/query evaluate on that form directly — predicates always, the
-// first aggregate or GROUP BY read of a column too (Partition.FirstTouch) —
-// so a column is decoded (NumCol/CatCol, memoized) only once something reads
-// its values a second time: a partition evicted after one scan never pays for
-// a decoded copy, a resident one gets it on its second scan.
+// internal/query evaluate on that form directly when they are the first to
+// read a column's values — predicate, aggregate and GROUP BY reads alike
+// (Partition.FirstTouch) — so a column is decoded (NumCol/CatCol, memoized)
+// only once a second scan reads it: a partition evicted after one scan never
+// pays for a decoded copy, a resident one gets it on its second scan. What
+// reads no row — a clause a frame-of-reference header settles, a run-length
+// clause evaluated run by run — does not count as a read.
 //
 // A column loaded from a store block does not own its bytes: Packed is a view
 // into the block buffer the reader checksummed, which every column of the

@@ -241,8 +241,11 @@ func (p *Partition) EncCol(c int) *EncodedCol {
 //
 // Two scans racing on a column's first touch may both be handed the encoded
 // form (load, then store): both answers are right, and the next reader
-// decodes. Predicate kernels that never need decoded values (EncCol) do not
-// count as a touch.
+// decodes. The query layer asks once per partition evaluation, whichever of
+// its aggregates, group keys and predicate clauses reads the column first,
+// and hands later read sites of that evaluation the same encoded form; a
+// clause settled without reading a row — from a frame-of-reference header,
+// a bit-packed width, or run by run — does not ask at all.
 func (p *Partition) FirstTouch(c int) *EncodedCol {
 	if p.enc == nil {
 		return nil

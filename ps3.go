@@ -34,8 +34,9 @@
 //	res, _ := sys.Run(q, 0.01) // read ~1% of partitions
 //
 // The sub-packages live under internal/ and are re-exported here; see
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every table and figure.
+// DESIGN.md for the system inventory, internal/experiments for the code
+// that reproduces the paper's tables and figures (run by cmd/ps3bench), and
+// CHANGES.md for the measured record of every change.
 package ps3
 
 import (
