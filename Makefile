@@ -60,7 +60,11 @@ bench:
 # encoded partitions on their first read against ones already decoded,
 # /cold and /warm), and one conjunction written best- and worst-first
 # (BenchmarkEvalPartition/conjunction: a scan learns the order, so the two
-# agree), and the label-ordered rendering of a scan's total at 8, 512 and
+# agree), one clause at 5, 50 and 95 % pass over 256 rotating 500-row
+# partitions, rows random and sorted, decoded and first-touch encoded
+# (BenchmarkEvalPartition/passrate, ns/row: the selection loops compact
+# without a branch, so the pass rate does not set the cost), and the
+# label-ordered rendering of a scan's total at 8, 512 and
 # 2 048 groups (BenchmarkFinalizeGroups: label memo /cold and /warm, /paired
 # against the maps-and-sort rendering the serving path used to take).
 bench-exec:
@@ -78,16 +82,19 @@ bench-exec:
 # release, no per-column copies; a thrashing ad-hoc scan allocating less than
 # a block in all; the one scratch pool serving every grouping shape, each
 # query starting from its own conjunction order; a warm ordered answer
-# allocating nothing per group; the conjunction-order, group-finalization and
-# warm-predicate layer benchmarks; and the kdd cache-budget claim: encoded at
-# a third of the raw budget, equal-or-better hit rate);
+# allocating nothing per group; every branch-free selection loop, decoded and
+# first-touch encoded, against the row loop over NaN, signed zeros,
+# infinities and out-of-table codes; the conjunction-order, pass-rate,
+# group-finalization and warm-predicate layer benchmarks; and the kdd
+# cache-budget claim: encoded at a third of the raw budget, equal-or-better
+# hit rate);
 # wired into CI so the benchmark fixtures, the encoded-kernel counters and
 # the allocation-free load can never rot.
 bench-store-smoke:
 	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestColumnTouchedOncePerEvaluation|TestPredicateColumnsAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestThrashingScanAllocatesNoBlockMemory|TestEncodedCacheBudgetClaim' -v ./internal/store/
-	$(GO) test -run 'TestScratchSharedAcrossQueries|TestOrderedAllocsIndependentOfGroups|TestTouchStatesBitIdentical' -v ./internal/query/
+	$(GO) test -run 'TestScratchSharedAcrossQueries|TestOrderedAllocsIndependentOfGroups|TestTouchStatesBitIdentical|TestCompactionEdgeCases' -v ./internal/query/
 	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
-	$(GO) test -bench 'BenchmarkEvalPartition/conjunction|BenchmarkFinalizeGroups|BenchmarkEstimateGrouped/.*/encoded/.*/warm-predicates' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkEvalPartition/conjunction|BenchmarkEvalPartition/passrate|BenchmarkFinalizeGroups|BenchmarkEstimateGrouped/.*/encoded/.*/warm-predicates' -benchtime 1x -run '^$$' .
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +
 # fold-table funnel) vs the retained pointer-tree reference, across serving

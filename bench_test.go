@@ -504,6 +504,101 @@ func BenchmarkEvalPartition(b *testing.B) {
 		b.ReportMetric(float64(worstNs)/float64(b.N), "worst-first-ns/op")
 		b.ReportMetric(float64(worstNs)/float64(bestNs), "worst/best")
 	})
+	b.Run("passrate", benchPassRate)
+}
+
+// benchPassRate prices one clause, x < t, by the share of rows it passes:
+// 256 partitions of 500 rows whose x is uniform on 0..999, so t = 50, 500 and
+// 950 pass 5 %, 50 % and 95 % of every partition's rows. "random" keeps the
+// rows in the order they were drawn, "sorted" orders each partition by x.
+// "decoded" scans a resident table's slices; "encoded" scans the store-v2
+// frame-of-reference partitions of the same table before any scan has read
+// them — the first-touch loop over packed deltas — rebuilt before every op,
+// untimed. One op is Selectivity over all 256 partitions, sequentially;
+// ns/row is the figure to read. The rotation is the point: over one repeated
+// partition the branch predictor learns its 500 outcomes, and a loop that
+// branches on every row's outcome reads as fast as one that does not. A
+// branch-free selection loop costs the same at every pass rate and order.
+func benchPassRate(b *testing.B) {
+	const parts, rows = 256, 500
+	s := table.MustSchema(table.Column{Name: "x", Kind: table.Numeric})
+	rng := rand.New(rand.NewSource(9))
+	for _, order := range []string{"random", "sorted"} {
+		bld, err := table.NewBuilder(s, rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vals := make([]float64, rows)
+		for i := 0; i < parts; i++ {
+			for r := range vals {
+				vals[r] = float64(rng.Intn(1000))
+			}
+			if order == "sorted" {
+				slices.Sort(vals)
+			}
+			for _, v := range vals {
+				if err := bld.Append([]float64{v}, []string{""}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		decoded := bld.Finish()
+		path := filepath.Join(b.TempDir(), order+".ps3")
+		if _, err := store.WriteFile(path, decoded); err != nil {
+			b.Fatal(err)
+		}
+		reader, err := store.Open(path, store.Options{CacheBytes: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer reader.Close()
+		loaded, err := reader.Materialize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if e := loaded.Parts[0].EncCol(0); e == nil || e.Kind != table.EncFoR {
+			b.Fatal("x does not load frame-of-reference encoded")
+		}
+		// cold returns the loaded partitions as no scan has read them: the
+		// same encoded columns behind fresh first-touch state.
+		cold := func() *table.Table {
+			fresh := &table.Table{Schema: s, Dict: loaded.Dict, Parts: make([]*table.Partition, parts)}
+			for i, p := range loaded.Parts {
+				var err error
+				fresh.Parts[i], err = table.MakeEncodedPartition(s, i, rows, make([][]float64, 1), make([][]uint32, 1), []*table.EncodedCol{p.EncCol(0)}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			return fresh
+		}
+		for _, form := range []string{"decoded", "encoded"} {
+			for _, pass := range []int{5, 50, 95} {
+				c, err := query.Compile(&query.Query{
+					Pred: &query.Clause{Col: "x", Op: query.OpLt, Num: float64(10 * pass)},
+					Aggs: []query.Aggregate{{Kind: query.Count}},
+				}, decoded)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Exec = exec.Options{Parallelism: 1}
+				b.Run(fmt.Sprintf("%s/%s/pass%02d", order, form, pass), func(b *testing.B) {
+					src := decoded
+					for i := 0; i < b.N; i++ {
+						if form == "encoded" {
+							b.StopTimer()
+							src = cold()
+							b.StartTimer()
+						}
+						if got := c.Selectivity(src); got < float64(pass-2)/100 || got > float64(pass+2)/100 {
+							b.Fatalf("x < %d passes %.3f of the rows, want %d %%", 10*pass, got, pass)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*parts*rows), "ns/row")
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkEstimateGrouped measures the grouped weighted scan — Estimate

@@ -39,7 +39,10 @@ import (
 // is the same 8 bytes either way, and dictionary codes are compared as the
 // same uint32s the decoded column would hold — so in-place ascending
 // compaction (the kernel contract) yields bit-identical selections, and
-// everything downstream is unchanged.
+// everything downstream is unchanged. The per-row loops compact branch-free
+// like the raw ones (b2i): the first touch of a column the header leaves
+// open costs the same whatever share of rows passes; so does the narrowing
+// run-length loop, whose outcome changes only at run ends.
 
 // encodedEvals is the process-wide total behind EncodedKernelEvals. Kernels
 // count in their scratch (scratch.encEvals); a scratch adds its count here
@@ -255,17 +258,13 @@ func forSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []int
 	switch op {
 	case OpEq:
 		for r := 0; r < rows; r++ {
-			if e.At(r) == t {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(e.At(r) == t)
 		}
 	case OpNe:
 		for r := 0; r < rows; r++ {
-			if e.At(r) != t {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(e.At(r) != t)
 		}
 	// Ordered comparisons fuse the exact reconstruction into the loop:
 	// min+float64(delta) is bit-identical to the decoded value, so the
@@ -273,34 +272,26 @@ func forSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []int
 	case OpLt:
 		min := e.Min
 		for r := 0; r < rows; r++ {
-			if min+float64(e.At(r)) < v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(min+float64(e.At(r)) < v)
 		}
 	case OpLe:
 		min := e.Min
 		for r := 0; r < rows; r++ {
-			if min+float64(e.At(r)) <= v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(min+float64(e.At(r)) <= v)
 		}
 	case OpGt:
 		min := e.Min
 		for r := 0; r < rows; r++ {
-			if min+float64(e.At(r)) > v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(min+float64(e.At(r)) > v)
 		}
 	case OpGe:
 		min := e.Min
 		for r := 0; r < rows; r++ {
-			if min+float64(e.At(r)) >= v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(min+float64(e.At(r)) >= v)
 		}
 	}
 	return out[:n]
@@ -320,49 +311,37 @@ func forKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
 	switch op {
 	case OpEq:
 		for _, r := range sel {
-			if e.At(int(r)) == t {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(e.At(int(r)) == t)
 		}
 	case OpNe:
 		for _, r := range sel {
-			if e.At(int(r)) != t {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(e.At(int(r)) != t)
 		}
 	case OpLt:
 		min := e.Min
 		for _, r := range sel {
-			if min+float64(e.At(int(r))) < v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(min+float64(e.At(int(r))) < v)
 		}
 	case OpLe:
 		min := e.Min
 		for _, r := range sel {
-			if min+float64(e.At(int(r))) <= v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(min+float64(e.At(int(r))) <= v)
 		}
 	case OpGt:
 		min := e.Min
 		for _, r := range sel {
-			if min+float64(e.At(int(r))) > v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(min+float64(e.At(int(r))) > v)
 		}
 	case OpGe:
 		min := e.Min
 		for _, r := range sel {
-			if min+float64(e.At(int(r))) >= v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(min+float64(e.At(int(r))) >= v)
 		}
 	}
 	return sel[:n]
@@ -377,45 +356,33 @@ func rawNumSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []
 	switch op {
 	case OpEq:
 		for r := 0; r < rows; r++ {
-			if e.Float(r) == v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(e.Float(r) == v)
 		}
 	case OpNe:
 		for r := 0; r < rows; r++ {
-			if e.Float(r) != v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(e.Float(r) != v)
 		}
 	case OpLt:
 		for r := 0; r < rows; r++ {
-			if e.Float(r) < v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(e.Float(r) < v)
 		}
 	case OpLe:
 		for r := 0; r < rows; r++ {
-			if e.Float(r) <= v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(e.Float(r) <= v)
 		}
 	case OpGt:
 		for r := 0; r < rows; r++ {
-			if e.Float(r) > v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(e.Float(r) > v)
 		}
 	case OpGe:
 		for r := 0; r < rows; r++ {
-			if e.Float(r) >= v {
-				out[n] = int32(r)
-				n++
-			}
+			out[n] = int32(r)
+			n += b2i(e.Float(r) >= v)
 		}
 	default:
 		panic(fmt.Sprintf("query: unreachable numeric operator %v on encoded column", op))
@@ -430,45 +397,33 @@ func rawNumKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
 	switch op {
 	case OpEq:
 		for _, r := range sel {
-			if e.Float(int(r)) == v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(e.Float(int(r)) == v)
 		}
 	case OpNe:
 		for _, r := range sel {
-			if e.Float(int(r)) != v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(e.Float(int(r)) != v)
 		}
 	case OpLt:
 		for _, r := range sel {
-			if e.Float(int(r)) < v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(e.Float(int(r)) < v)
 		}
 	case OpLe:
 		for _, r := range sel {
-			if e.Float(int(r)) <= v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(e.Float(int(r)) <= v)
 		}
 	case OpGt:
 		for _, r := range sel {
-			if e.Float(int(r)) > v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(e.Float(int(r)) > v)
 		}
 	case OpGe:
 		for _, r := range sel {
-			if e.Float(int(r)) >= v {
-				sel[n] = r
-				n++
-			}
+			sel[n] = r
+			n += b2i(e.Float(int(r)) >= v)
 		}
 	default:
 		panic(fmt.Sprintf("query: unreachable numeric operator %v on encoded column", op))
@@ -534,17 +489,13 @@ func (cp *catPred) bitpackSeed(e *table.EncodedCol, rows int, out []int32) []int
 		want := uint64(cp.want)
 		if cp.neg {
 			for r := 0; r < rows; r++ {
-				if e.At(r) != want {
-					out[n] = int32(r)
-					n++
-				}
+				out[n] = int32(r)
+				n += b2i(e.At(r) != want)
 			}
 		} else {
 			for r := 0; r < rows; r++ {
-				if e.At(r) == want {
-					out[n] = int32(r)
-					n++
-				}
+				out[n] = int32(r)
+				n += b2i(e.At(r) == want)
 			}
 		}
 		return out[:n]
@@ -552,17 +503,15 @@ func (cp *catPred) bitpackSeed(e *table.EncodedCol, rows int, out []int32) []int
 	lut := cp.lut
 	if cp.neg {
 		for r := 0; r < rows; r++ {
-			if c := e.At(r); c >= uint64(len(lut)) || !lut[c] {
-				out[n] = int32(r)
-				n++
-			}
+			c := e.At(r)
+			out[n] = int32(r)
+			n += b2i(c >= uint64(len(lut)) || !lut[c])
 		}
 	} else {
 		for r := 0; r < rows; r++ {
-			if c := e.At(r); c < uint64(len(lut)) && lut[c] {
-				out[n] = int32(r)
-				n++
-			}
+			c := e.At(r)
+			out[n] = int32(r)
+			n += b2i(c < uint64(len(lut)) && lut[c])
 		}
 	}
 	return out[:n]
@@ -581,17 +530,13 @@ func (cp *catPred) bitpackKern(e *table.EncodedCol, sel []int32) []int32 {
 		want := uint64(cp.want)
 		if cp.neg {
 			for _, r := range sel {
-				if e.At(int(r)) != want {
-					sel[n] = r
-					n++
-				}
+				sel[n] = r
+				n += b2i(e.At(int(r)) != want)
 			}
 		} else {
 			for _, r := range sel {
-				if e.At(int(r)) == want {
-					sel[n] = r
-					n++
-				}
+				sel[n] = r
+				n += b2i(e.At(int(r)) == want)
 			}
 		}
 		return sel[:n]
@@ -599,17 +544,15 @@ func (cp *catPred) bitpackKern(e *table.EncodedCol, sel []int32) []int32 {
 	lut := cp.lut
 	if cp.neg {
 		for _, r := range sel {
-			if c := e.At(int(r)); c >= uint64(len(lut)) || !lut[c] {
-				sel[n] = r
-				n++
-			}
+			c := e.At(int(r))
+			sel[n] = r
+			n += b2i(c >= uint64(len(lut)) || !lut[c])
 		}
 	} else {
 		for _, r := range sel {
-			if c := e.At(int(r)); c < uint64(len(lut)) && lut[c] {
-				sel[n] = r
-				n++
-			}
+			c := e.At(int(r))
+			sel[n] = r
+			n += b2i(c < uint64(len(lut)) && lut[c])
 		}
 	}
 	return sel[:n]
@@ -650,10 +593,8 @@ func (cp *catPred) rleKern(e *table.EncodedCol, sel []int32) []int32 {
 			acc = cp.accept(e.RunVals[run])
 			cur = run
 		}
-		if acc {
-			sel[n] = r
-			n++
-		}
+		sel[n] = r
+		n += b2i(acc)
 	}
 	return sel[:n]
 }

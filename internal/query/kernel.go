@@ -15,14 +15,24 @@ import (
 // one indirect call per clause per partition instead of one (or more) per
 // row, which is what makes every scan in the repo run at columnar speed.
 //
+// Every selection loop compacts without a branch: it writes the candidate row
+// at the next free slot n unconditionally and advances n by the comparison's
+// 0 or 1 (b2i). A loop that jumps on each row's outcome is mispredicted on a
+// large share of rows whenever the pass rate is away from 0 and 1 and the
+// rows are not sorted by the column; the branch-free loop costs the same at
+// every pass rate. TestNoConditionalCompaction keeps it that way, with one
+// exception: filterSelection's merge, which says why.
+//
 // Kernel contract:
 //
 //   - sel holds row indices in strictly ascending order.
 //   - Child order of a conjunction is not part of the contract; selection
 //     order is (see conj).
-//   - A kernel compacts passing rows into sel in place (reads at index i
-//     happen before any write at i, and writes only move entries left), so
-//     the input selection is consumed.
+//   - A kernel compacts passing rows into sel in place, branch-free: row i's
+//     candidate is written at n ≤ i after sel[i] has been read, and n
+//     advances only if the row passes, so writes only move entries left and
+//     the input selection is consumed. A seed writes row r at n ≤ r, so a
+//     buffer of exactly rows entries is always long enough.
 //   - The returned slice is a prefix of sel, still in ascending order —
 //     selection order is row order, which is what keeps downstream float
 //     accumulation bit-identical to the row-at-a-time reference evaluator.
@@ -30,13 +40,28 @@ import (
 //     state lives in the per-evaluation scratch.
 type kernel func(p *table.Partition, sel []int32, sc *scratch) []int32
 
-// scratch holds the reusable buffers one partition evaluation needs, so that
-// steady-state scans allocate only the Answer they return. One scratch is
-// owned by one goroutine at a time: parallel scans thread a scratch per
-// worker (exec.MapWith), drawn like EvalPartition's from scratchPool
-// (takeScratch). No buffer in a scratch belongs to a query — each is sized on
-// use, and the group table is re-shaped by begin — and what does, the
-// conjunction orders a scan learns, is reset where the scratch is taken.
+// b2i is 1 for true and 0 for false. go1.24 lowers it to SETcc; MOVBLZX, no
+// jump, which is what lets a selection loop advance its write index by a
+// comparison's outcome.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// scratch holds the reusable buffers one partition evaluation needs. A
+// steady-state scan allocates nothing per partition or per row: its partials
+// are carved from the scratch's arenas (allocAccs), so it allocates a
+// constant for the fan-out plus what its rendering builds — the Answer map
+// of EstimateCtx, or the label-ordered groups and their one values slab of
+// EstimateGroupsCtx, which is what the served path takes
+// (TestEstimateGroupedAllocs, TestOrderedAllocsIndependentOfGroups). One
+// scratch is owned by one goroutine at a time: parallel scans thread a
+// scratch per worker (exec.MapWith), drawn like EvalPartition's from
+// scratchPool (takeScratch). No buffer in a scratch belongs to a query — each
+// is sized on use, and the group table is re-shaped by begin — and what does,
+// the conjunction orders a scan learns, is reset where the scratch is taken.
 type scratch struct {
 	// sel is the primary selection vector, sized to the partition's rows.
 	sel []int32
@@ -416,9 +441,12 @@ func codeTable(codes map[uint32]bool, d *table.Dict) []bool {
 // per-operator loop bodies deliberately mirror compileClauseKernel's —
 // fusing the two ladders behind an abstraction would reintroduce a per-row
 // indirect call, which is exactly what kernels exist to avoid. Keep the two
-// switch ladders in sync when adding operators; the randomized equivalence
+// switch ladders in sync when adding operators, and in the b2i form — write
+// the candidate, then n += b2i(pass) — in both; the randomized equivalence
 // corpus exercises both (a seed runs for whichever clause the root
-// conjunction currently puts first, narrowing kernels for everything else).
+// conjunction currently puts first, narrowing kernels for everything else),
+// and TestCompactionEdgeCases puts every loop to NaN, signed zeros,
+// infinities and exactly-sized buffers.
 func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, error) {
 	ci := s.ColIndex(c.Col)
 	if ci < 0 {
@@ -429,73 +457,55 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 		switch c.Op {
 		case OpEq:
 			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				col := p.NumCol(ci)
 				n := 0
-				for r := 0; r < rows; r++ {
-					if col[r] == v {
-						out[n] = int32(r)
-						n++
-					}
+				for r, x := range p.NumCol(ci)[:rows] {
+					out[n] = int32(r)
+					n += b2i(x == v)
 				}
 				return out[:n]
 			}, nil
 		case OpNe:
 			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				col := p.NumCol(ci)
 				n := 0
-				for r := 0; r < rows; r++ {
-					if col[r] != v {
-						out[n] = int32(r)
-						n++
-					}
+				for r, x := range p.NumCol(ci)[:rows] {
+					out[n] = int32(r)
+					n += b2i(x != v)
 				}
 				return out[:n]
 			}, nil
 		case OpLt:
 			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				col := p.NumCol(ci)
 				n := 0
-				for r := 0; r < rows; r++ {
-					if col[r] < v {
-						out[n] = int32(r)
-						n++
-					}
+				for r, x := range p.NumCol(ci)[:rows] {
+					out[n] = int32(r)
+					n += b2i(x < v)
 				}
 				return out[:n]
 			}, nil
 		case OpLe:
 			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				col := p.NumCol(ci)
 				n := 0
-				for r := 0; r < rows; r++ {
-					if col[r] <= v {
-						out[n] = int32(r)
-						n++
-					}
+				for r, x := range p.NumCol(ci)[:rows] {
+					out[n] = int32(r)
+					n += b2i(x <= v)
 				}
 				return out[:n]
 			}, nil
 		case OpGt:
 			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				col := p.NumCol(ci)
 				n := 0
-				for r := 0; r < rows; r++ {
-					if col[r] > v {
-						out[n] = int32(r)
-						n++
-					}
+				for r, x := range p.NumCol(ci)[:rows] {
+					out[n] = int32(r)
+					n += b2i(x > v)
 				}
 				return out[:n]
 			}, nil
 		case OpGe:
 			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				col := p.NumCol(ci)
 				n := 0
-				for r := 0; r < rows; r++ {
-					if col[r] >= v {
-						out[n] = int32(r)
-						n++
-					}
+				for r, x := range p.NumCol(ci)[:rows] {
+					out[n] = int32(r)
+					n += b2i(x >= v)
 				}
 				return out[:n]
 			}, nil
@@ -522,25 +532,19 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 		want := singleCode(codes)
 		if neg {
 			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				col := p.CatCol(ci)
 				n := 0
-				for r := 0; r < rows; r++ {
-					if col[r] != want {
-						out[n] = int32(r)
-						n++
-					}
+				for r, x := range p.CatCol(ci)[:rows] {
+					out[n] = int32(r)
+					n += b2i(x != want)
 				}
 				return out[:n]
 			}, nil
 		}
 		return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-			col := p.CatCol(ci)
 			n := 0
-			for r := 0; r < rows; r++ {
-				if col[r] == want {
-					out[n] = int32(r)
-					n++
-				}
+			for r, x := range p.CatCol(ci)[:rows] {
+				out[n] = int32(r)
+				n += b2i(x == want)
 			}
 			return out[:n]
 		}, nil
@@ -548,25 +552,19 @@ func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel
 		lut := codeTable(codes, d)
 		if neg {
 			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				col := p.CatCol(ci)
 				n := 0
-				for r := 0; r < rows; r++ {
-					if c := col[r]; int(c) >= len(lut) || !lut[c] {
-						out[n] = int32(r)
-						n++
-					}
+				for r, c := range p.CatCol(ci)[:rows] {
+					out[n] = int32(r)
+					n += b2i(int(c) >= len(lut) || !lut[c])
 				}
 				return out[:n]
 			}, nil
 		}
 		return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-			col := p.CatCol(ci)
 			n := 0
-			for r := 0; r < rows; r++ {
-				if c := col[r]; int(c) < len(lut) && lut[c] {
-					out[n] = int32(r)
-					n++
-				}
+			for r, c := range p.CatCol(ci)[:rows] {
+				out[n] = int32(r)
+				n += b2i(int(c) < len(lut) && lut[c])
 			}
 			return out[:n]
 		}, nil
@@ -615,11 +613,10 @@ func (cc *compiler) kernel(pred Pred) (kernel, error) {
 			sc.putSel(tmp)
 			n := 0
 			for _, r := range sel {
-				if marks[r] {
-					marks[r] = false
-					sel[n] = r
-					n++
-				}
+				m := marks[r]
+				marks[r] = false
+				sel[n] = r
+				n += b2i(m)
 			}
 			sc.putMarks(marks)
 			return sel[:n]
@@ -643,12 +640,10 @@ func (cc *compiler) kernel(pred Pred) (kernel, error) {
 			sc.putSel(tmp)
 			n := 0
 			for _, r := range sel {
-				if marks[r] {
-					marks[r] = false
-				} else {
-					sel[n] = r
-					n++
-				}
+				m := marks[r]
+				marks[r] = false
+				sel[n] = r
+				n += b2i(!m)
 			}
 			sc.putMarks(marks)
 			return sel[:n]
@@ -676,10 +671,8 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 				col := p.NumCol(ci)
 				n := 0
 				for _, r := range sel {
-					if col[r] == v {
-						sel[n] = r
-						n++
-					}
+					sel[n] = r
+					n += b2i(col[r] == v)
 				}
 				return sel[:n]
 			}, nil
@@ -688,10 +681,8 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 				col := p.NumCol(ci)
 				n := 0
 				for _, r := range sel {
-					if col[r] != v {
-						sel[n] = r
-						n++
-					}
+					sel[n] = r
+					n += b2i(col[r] != v)
 				}
 				return sel[:n]
 			}, nil
@@ -700,10 +691,8 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 				col := p.NumCol(ci)
 				n := 0
 				for _, r := range sel {
-					if col[r] < v {
-						sel[n] = r
-						n++
-					}
+					sel[n] = r
+					n += b2i(col[r] < v)
 				}
 				return sel[:n]
 			}, nil
@@ -712,10 +701,8 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 				col := p.NumCol(ci)
 				n := 0
 				for _, r := range sel {
-					if col[r] <= v {
-						sel[n] = r
-						n++
-					}
+					sel[n] = r
+					n += b2i(col[r] <= v)
 				}
 				return sel[:n]
 			}, nil
@@ -724,10 +711,8 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 				col := p.NumCol(ci)
 				n := 0
 				for _, r := range sel {
-					if col[r] > v {
-						sel[n] = r
-						n++
-					}
+					sel[n] = r
+					n += b2i(col[r] > v)
 				}
 				return sel[:n]
 			}, nil
@@ -736,10 +721,8 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 				col := p.NumCol(ci)
 				n := 0
 				for _, r := range sel {
-					if col[r] >= v {
-						sel[n] = r
-						n++
-					}
+					sel[n] = r
+					n += b2i(col[r] >= v)
 				}
 				return sel[:n]
 			}, nil
@@ -771,10 +754,8 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 				col := p.CatCol(ci)
 				n := 0
 				for _, r := range sel {
-					if col[r] != want {
-						sel[n] = r
-						n++
-					}
+					sel[n] = r
+					n += b2i(col[r] != want)
 				}
 				return sel[:n]
 			}, nil
@@ -783,10 +764,8 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 			col := p.CatCol(ci)
 			n := 0
 			for _, r := range sel {
-				if col[r] == want {
-					sel[n] = r
-					n++
-				}
+				sel[n] = r
+				n += b2i(col[r] == want)
 			}
 			return sel[:n]
 		}, nil
@@ -797,10 +776,9 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 				col := p.CatCol(ci)
 				n := 0
 				for _, r := range sel {
-					if c := col[r]; int(c) >= len(lut) || !lut[c] {
-						sel[n] = r
-						n++
-					}
+					c := col[r]
+					sel[n] = r
+					n += b2i(int(c) >= len(lut) || !lut[c])
 				}
 				return sel[:n]
 			}, nil
@@ -809,10 +787,9 @@ func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, 
 			col := p.CatCol(ci)
 			n := 0
 			for _, r := range sel {
-				if c := col[r]; int(c) < len(lut) && lut[c] {
-					sel[n] = r
-					n++
-				}
+				c := col[r]
+				sel[n] = r
+				n += b2i(int(c) < len(lut) && lut[c])
 			}
 			return sel[:n]
 		}, nil

@@ -358,7 +358,10 @@ func filterSelection(k kernel, p *table.Partition, sel, gidx []int32, sc *scratc
 		return nil, nil
 	}
 	// passed is an ascending subset of sel (kernel contract), so a linear
-	// merge re-aligns the group slots — no marks buffer needed.
+	// merge re-aligns the group slots — no marks buffer needed. Unlike the
+	// kernels it keeps its branch: its next comparison reads passed[j], so
+	// in the b2i form every row waits on the previous row's outcome, which
+	// costs more than the mispredictions it saves except near half passing.
 	fsel, fidx := sc.filterBufs(len(passed))
 	if gidx == nil {
 		copy(fsel, passed)
