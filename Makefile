@@ -63,7 +63,11 @@ bench:
 # agree), one clause at 5, 50 and 95 % pass over 256 rotating 500-row
 # partitions, rows random and sorted, decoded and first-touch encoded
 # (BenchmarkEvalPartition/passrate, ns/row: the selection loops compact
-# without a branch, so the pass rate does not set the cost), and the
+# without a branch, so the pass rate does not set the cost), SUM(a),
+# SUM(a − b) and AVG(a) ungrouped and over 1, 3, 20 and 200 groups on 64
+# rotating 4 500-row partitions, decoded and first-touch frame-of-reference
+# and raw (BenchmarkEvalPartition/accumulate, ns/row: each aggregate adds
+# its values straight into its accumulators, one loop per aggregate), and the
 # label-ordered rendering of a scan's total at 8, 512 and
 # 2 048 groups (BenchmarkFinalizeGroups: label memo /cold and /warm, /paired
 # against the maps-and-sort rendering the serving path used to take).
@@ -84,17 +88,20 @@ bench-exec:
 # query starting from its own conjunction order; a warm ordered answer
 # allocating nothing per group; every branch-free selection loop, decoded and
 # first-touch encoded, against the row loop over NaN, signed zeros,
-# infinities and out-of-table codes; the conjunction-order, pass-rate,
+# infinities and out-of-table codes; every aggregate accumulation shape —
+# fused or through the expression buffer, each input form, 0 to 3 terms, 1
+# to 300 groups — against the reference over the same kind of values, and a
+# −0 surviving the store; the conjunction-order, pass-rate, accumulation,
 # group-finalization and warm-predicate layer benchmarks; and the kdd
 # cache-budget claim: encoded at a third of the raw budget, equal-or-better
 # hit rate);
 # wired into CI so the benchmark fixtures, the encoded-kernel counters and
 # the allocation-free load can never rot.
 bench-store-smoke:
-	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestColumnTouchedOncePerEvaluation|TestPredicateColumnsAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestLoadBlockAllocatesTheBlockOnce|TestThrashingScanAllocatesNoBlockMemory|TestEncodedCacheBudgetClaim' -v ./internal/store/
-	$(GO) test -run 'TestScratchSharedAcrossQueries|TestOrderedAllocsIndependentOfGroups|TestTouchStatesBitIdentical|TestCompactionEdgeCases' -v ./internal/query/
+	$(GO) test -run 'TestEncodedVsRawQueryEquivalence|TestCatPredicateEvaluatesWithoutDecode|TestDecodeAdmittedOnSecondTouch|TestColumnTouchedOncePerEvaluation|TestPredicateColumnsAdmittedOnSecondTouch|TestGoldenFiles|TestChooserHintConsistency|TestNegativeZeroSurvivesStore|TestLoadBlockAllocatesTheBlockOnce|TestThrashingScanAllocatesNoBlockMemory|TestEncodedCacheBudgetClaim' -v ./internal/store/
+	$(GO) test -run 'TestScratchSharedAcrossQueries|TestOrderedAllocsIndependentOfGroups|TestTouchStatesBitIdentical|TestCompactionEdgeCases|TestAccumulateEdgeCases' -v ./internal/query/
 	$(GO) test -bench 'BenchmarkStore|BenchmarkLoadBlock' -benchtime 1x -run '^$$' ./internal/store/
-	$(GO) test -bench 'BenchmarkEvalPartition/conjunction|BenchmarkEvalPartition/passrate|BenchmarkFinalizeGroups|BenchmarkEstimateGrouped/.*/encoded/.*/warm-predicates' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkEvalPartition/conjunction|BenchmarkEvalPartition/passrate|BenchmarkEvalPartition/accumulate|BenchmarkFinalizeGroups|BenchmarkEstimateGrouped/.*/encoded/.*/warm-predicates' -benchtime 1x -run '^$$' .
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +
 # fold-table funnel) vs the retained pointer-tree reference, across serving
@@ -132,8 +139,12 @@ bench-ingest-smoke:
 	$(GO) test -run 'TestOfflineEquivalence|TestCrashRecovery|TestRecoveryResumesAppends|TestServeSwapUnderAppendTraffic' -v ./internal/ingest/ ./internal/serve/
 	$(GO) test -bench 'BenchmarkIngest' -benchtime 1x -run '^$$' ./internal/ingest/
 
+# Vets the benchmark module (bench/) too: `go test ./...` here does not reach
+# it, so this is where verify, and CI through it, sees a product change that
+# breaks bench/'s build.
 vet: fmt-check
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Custom invariant linters (internal/analyzers, driven by cmd/ps3lint):
 # mapiter (determinism), decodebypass (lazy-decode seam), scratchescape

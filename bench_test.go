@@ -505,6 +505,133 @@ func BenchmarkEvalPartition(b *testing.B) {
 		b.ReportMetric(float64(worstNs)/float64(bestNs), "worst/best")
 	})
 	b.Run("passrate", benchPassRate)
+	b.Run("accumulate", benchAccumulate)
+}
+
+// benchAccumulate prices the aggregate loops: SUM(a), SUM(a − b) and AVG(a),
+// ungrouped and over 1, 3, 20 and 200 groups, on 64 partitions of 4 500 rows
+// (the serving benchmark's kdd shape). a and b are integers, which the store
+// holds frame-of-reference; x and y are a and b plus a half and a quarter,
+// which it holds raw. "decoded" scans a and b in a resident table; "for" (a
+// and b) and "raw" (x and y) scan the store-v2 partitions of the same table
+// before any scan has read them — the aggregate columns on their first
+// touch, the group keys decoded — rebuilt before every op, untimed. No
+// predicate: every row is aggregated. One op is Estimate over all 64
+// partitions, sequentially; ns/row is the figure to read. The rotation keeps
+// any one partition's groups from staying in a predictor or cache the next
+// op relies on.
+func benchAccumulate(b *testing.B) {
+	const parts, rows, numCols = 64, 4500, 4
+	groupCounts := []int{1, 3, 20, 200}
+	cols := []table.Column{
+		{Name: "a", Kind: table.Numeric}, {Name: "b", Kind: table.Numeric},
+		{Name: "x", Kind: table.Numeric}, {Name: "y", Kind: table.Numeric},
+	}
+	for _, g := range groupCounts {
+		cols = append(cols, table.Column{Name: fmt.Sprintf("g%d", g), Kind: table.Categorical})
+	}
+	s := table.MustSchema(cols...)
+	bld, err := table.NewBuilder(s, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	num := make([]float64, len(cols))
+	cat := make([]string, len(cols))
+	for i := 0; i < parts*rows; i++ {
+		num[0], num[1] = float64(rng.Intn(100_000)), float64(rng.Intn(1_000))
+		num[2], num[3] = num[0]+0.5, num[1]+0.25
+		for j, g := range groupCounts {
+			cat[numCols+j] = fmt.Sprintf("v%d", rng.Intn(g))
+		}
+		if err := bld.Append(num, cat); err != nil {
+			b.Fatal(err)
+		}
+	}
+	decoded := bld.Finish()
+	path := filepath.Join(b.TempDir(), "acc.ps3")
+	if _, err := store.WriteFile(path, decoded); err != nil {
+		b.Fatal(err)
+	}
+	reader, err := store.Open(path, store.Options{CacheBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer reader.Close()
+	loaded, err := reader.Materialize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c, want := range []table.EncKind{table.EncFoR, table.EncFoR, table.EncRawNum, table.EncRawNum} {
+		if e := loaded.Parts[0].EncCol(c); e == nil || e.Kind != want {
+			b.Fatalf("column %s does not load %v encoded", cols[c].Name, want)
+		}
+	}
+	// cold returns the loaded partitions as no scan has read them: the
+	// numeric columns encoded behind fresh first-touch state, the group
+	// columns decoded.
+	cold := func() *table.Table {
+		fresh := &table.Table{Schema: s, Dict: decoded.Dict, Parts: make([]*table.Partition, parts)}
+		for i, p := range loaded.Parts {
+			enc := make([]*table.EncodedCol, len(cols))
+			cats := make([][]uint32, len(cols))
+			for c := range cols {
+				if c < numCols {
+					enc[c] = p.EncCol(c)
+				} else {
+					cats[c] = decoded.Parts[i].CatCol(c)
+				}
+			}
+			var err error
+			if fresh.Parts[i], err = table.MakeEncodedPartition(s, i, rows, make([][]float64, len(cols)), cats, enc, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return fresh
+	}
+	sel := make([]query.WeightedPartition, parts)
+	for i := range sel {
+		sel[i] = query.WeightedPartition{Part: i, Weight: 1}
+	}
+	for _, form := range []struct{ name, a, b string }{{"decoded", "a", "b"}, {"for", "a", "b"}, {"raw", "x", "y"}} {
+		aggs := []struct {
+			name string
+			agg  query.Aggregate
+		}{
+			{"sum", query.Aggregate{Kind: query.Sum, Expr: query.Col(form.a)}},
+			{"diff", query.Aggregate{Kind: query.Sum, Expr: query.Col(form.a).Sub(query.Col(form.b))}},
+			{"avg", query.Aggregate{Kind: query.Avg, Expr: query.Col(form.a)}},
+		}
+		for _, agg := range aggs {
+			for _, g := range append([]int{0}, groupCounts...) {
+				q := &query.Query{Aggs: []query.Aggregate{agg.agg}}
+				name := "ungrouped"
+				if g > 0 {
+					q.GroupBy = []string{fmt.Sprintf("g%d", g)}
+					name = fmt.Sprintf("G=%d", g)
+				}
+				c, err := query.Compile(q, decoded)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Exec = exec.Options{Parallelism: 1}
+				b.Run(fmt.Sprintf("%s/%s/%s", form.name, agg.name, name), func(b *testing.B) {
+					src := decoded
+					for i := 0; i < b.N; i++ {
+						if form.name != "decoded" {
+							b.StopTimer()
+							src = cold()
+							b.StartTimer()
+						}
+						if _, err := c.Estimate(src, sel); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*parts*rows), "ns/row")
+				})
+			}
+		}
+	}
 }
 
 // benchPassRate prices one clause, x < t, by the share of rows it passes:

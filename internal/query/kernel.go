@@ -71,7 +71,8 @@ type scratch struct {
 	// markFree recycles row-mark buffers. Invariant: every buffer in the
 	// freelist is all-false; users clear the marks they set before putMarks.
 	markFree [][]bool
-	// expr is the vectorized LinearExpr accumulation buffer.
+	// expr holds one expression value per selected row for the aggregate
+	// shapes exprKernel.addInto does not fuse (see evalInto).
 	expr []float64
 	// gidx maps each selected row to its dense group slot.
 	gidx []int32
@@ -195,7 +196,7 @@ func (sc *scratch) putMarks(m []bool) {
 	sc.markFree = append(sc.markFree, m[:cap(m)])
 }
 
-// exprBuf returns the LinearExpr accumulation buffer, uninitialized.
+// exprBuf returns the expression value buffer, uninitialized.
 func (sc *scratch) exprBuf(n int) []float64 {
 	if cap(sc.expr) < n {
 		sc.expr = make([]float64, n)

@@ -285,10 +285,12 @@ func (c *Compiled) selectRows(p *table.Partition, sc *scratch) []int32 {
 // accumulate adds each selected row's contribution to its group's
 // accumulators. accs is a flat [group][comps] buffer; gidx maps selected
 // rows to group slots (nil means one group at slot 0). Work is slot-major —
-// one pass over the selection per aggregate component — but row-ordered
-// within each slot, and distinct slots write distinct accumulator indices,
-// so every accumulator sees the same additions in the same order as the
-// row-at-a-time reference: results are bit-identical.
+// one pass over the selection per aggregate: a SUM or AVG forms each row's
+// value and adds it, with AVG's count, in the same loop (exprKernel.addInto)
+// — but row-ordered within each aggregate, and distinct aggregates write
+// distinct accumulator indices, so every accumulator sees the same additions
+// in the same order as the row-at-a-time reference: results are
+// bit-identical.
 func (c *Compiled) accumulate(p *table.Partition, sel, gidx []int32, accs []float64, sc *scratch) {
 	stride := c.comps
 	for _, s := range c.slots {
@@ -300,43 +302,17 @@ func (c *Compiled) accumulate(p *table.Partition, sel, gidx []int32, accs []floa
 			}
 		}
 		at := s.at
-		switch s.kind {
-		case Count:
-			if idx == nil {
-				// One integral add equals len(rows) repeated ++s exactly
-				// (counts stay far below 2^53).
-				accs[at] += float64(len(rows))
-			} else {
-				for _, g := range idx {
-					accs[int(g)*stride+at]++
-				}
-			}
-		case Sum:
-			buf := sc.exprBuf(len(rows))
-			s.expr.evalInto(p, rows, buf, sc)
-			if idx == nil {
-				for _, v := range buf {
-					accs[at] += v
-				}
-			} else {
-				for i, v := range buf {
-					accs[int(idx[i])*stride+at] += v
-				}
-			}
-		case Avg:
-			buf := sc.exprBuf(len(rows))
-			s.expr.evalInto(p, rows, buf, sc)
-			if idx == nil {
-				for _, v := range buf {
-					accs[at] += v
-				}
-				accs[at+1] += float64(len(rows))
-			} else {
-				for i, v := range buf {
-					base := int(idx[i]) * stride
-					accs[base+at] += v
-					accs[base+at+1]++
-				}
+		if s.kind != Count {
+			s.expr.addInto(p, rows, &sink{accs: accs, idx: idx, stride: stride, at: at, count: s.kind == Avg}, sc)
+			continue
+		}
+		if idx == nil {
+			// One integral add equals len(rows) repeated ++s exactly
+			// (counts stay far below 2^53).
+			accs[at] += float64(len(rows))
+		} else {
+			for _, g := range idx {
+				accs[int(g)*stride+at]++
 			}
 		}
 	}

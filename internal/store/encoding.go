@@ -91,10 +91,12 @@ type numPlan struct {
 }
 
 // chooseNumeric picks the encoding for a numeric column: frame-of-reference
-// when every value is an integral float64 within 2^53, the delta range fits
-// 53 bits, and the FoR payload is strictly smaller than raw; raw otherwise.
-// The hint, when present, can only rule FoR out early (non-integral or
-// too-wide range), never rule it in, so hinted and unhinted choices match.
+// when every value is an integral float64 within 2^53, none is −0, the delta
+// range fits 53 bits, and the FoR payload is strictly smaller than raw; raw
+// otherwise, so that every block reads back the bits it was written with.
+// The hint, when present, can only rule FoR out
+// early (non-integral or too-wide range), never rule it in, so hinted and
+// unhinted choices match.
 func chooseNumeric(vals []float64, hint ColHint, hintOK bool) numPlan {
 	raw := numPlan{tag: tagRawNum}
 	rows := len(vals)
@@ -106,8 +108,9 @@ func chooseNumeric(vals []float64, hint ColHint, hintOK bool) numPlan {
 	}
 	min, max := vals[0], vals[0]
 	for _, v := range vals {
-		if v != math.Trunc(v) || math.Abs(v) > maxExactInt {
-			// Covers NaN and infinities: Trunc(NaN) != NaN, Abs(Inf) > 2^53.
+		if v != math.Trunc(v) || math.Abs(v) > maxExactInt || v == 0 && math.Signbit(v) {
+			// Covers NaN and infinities: Trunc(NaN) != NaN, Abs(Inf) > 2^53;
+			// −0 is integral, but its frame would decode it as +0.
 			return raw
 		}
 		if v < min {

@@ -631,6 +631,82 @@ func TestChooserHintsPruneOnly(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroSurvivesStore: a block of integers that holds −0 is
+// written raw, since a frame of reference would decode the −0 as +0, and
+// reads back with every sign bit. A numeric GROUP BY over it therefore keys
+// −0 apart from +0 on the store reader exactly as on the resident table.
+// requireSamePartition compares with !=, which cannot see a sign.
+func TestNegativeZeroSurvivesStore(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	s := table.MustSchema(
+		table.Column{Name: "v", Kind: table.Numeric},
+		table.Column{Name: "n", Kind: table.Numeric},
+	)
+	b, err := table.NewBuilder(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 128; i++ {
+		v := float64(i % 5)
+		if i%7 == 3 {
+			v = negZero
+		}
+		if err := b.Append([]float64{v, float64(i % 11)}, []string{"", ""}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl := b.Finish()
+	r := openStore(t, writeStore(t, tbl), -1)
+	for pi, want := range tbl.Parts {
+		loaded, err := r.loadBlock(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kinds [2]table.EncKind
+		for c := range kinds {
+			if e := loaded.EncCol(c); e != nil {
+				kinds[c] = e.Kind
+			}
+		}
+		if kinds != [2]table.EncKind{table.EncRawNum, table.EncFoR} {
+			t.Fatalf("partition %d: v and n load as %v; want v raw (it holds −0) and n a frame", pi, kinds)
+		}
+		got, err := r.Read(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row, v := range want.NumCol(0) {
+			if g := got.NumCol(0)[row]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("partition %d row %d: v reads back as %v (bits %x), wrote %v (bits %x)", pi, row, g, math.Float64bits(g), v, math.Float64bits(v))
+			}
+		}
+	}
+
+	q := &query.Query{
+		GroupBy: []string{"v"},
+		Aggs:    []query.Aggregate{{Kind: query.Sum, Expr: query.Col("n")}, {Kind: query.Count}},
+	}
+	sel := []query.WeightedPartition{{Part: 0, Weight: 1}, {Part: 1, Weight: 2.5}}
+	answer := func(src table.PartitionSource) *query.Answer {
+		c, err := query.Compile(q, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := c.Estimate(src, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans
+	}
+	want := answer(tbl)
+	if want.NumGroups() != 6 {
+		t.Fatalf("resident answer has %d groups, want 6: 0 to 4 and −0", want.NumGroups())
+	}
+	for _, src := range []table.PartitionSource{r, materialize(t, r)} {
+		requireSameAnswer(t, "GROUP BY v", want, answer(src))
+	}
+}
+
 // mixedFixture builds a table whose partitions are byte-identical to each
 // other (content depends only on the row's offset within its partition) and
 // mix raw and encoded columns, so cache-accounting arithmetic is exact.
