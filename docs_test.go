@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -138,6 +139,56 @@ func TestDocsNameOnlyDefinedFlags(t *testing.T) {
 				case cmd != "" && !defined[cmd][m[1]]:
 					t.Errorf("%s line ~%d: `%s -%s`, which %s does not define", doc, n+1, cmd, m[1], cmd)
 				}
+			}
+		}
+	}
+}
+
+// TestDocsNameOnlyDefinedTests: every Test…, Benchmark… or Fuzz… name the
+// operator docs or the Makefile cite is a prefix of a function some _test.go
+// file of the repo defines, bench/ included — so deleting or renaming a test
+// cannot leave a doc or a target running nothing. A prefix, not an exact
+// name, because -run and -bench patterns match by prefix (TestChaos).
+func TestDocsNameOnlyDefinedTests(t *testing.T) {
+	nameRe := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	defRe := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	var defined []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range defRe.FindAllSubmatch(src, -1) {
+			defined = append(defined, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defined) == 0 {
+		t.Fatal("found no test function in the repo")
+	}
+
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, texts := readDocs(t)
+	names, texts = append(names, "Makefile"), append(texts, string(mk))
+	for i, doc := range names {
+		for _, name := range nameRe.FindAllString(texts[i], -1) {
+			if !slices.ContainsFunc(defined, func(fn string) bool { return strings.HasPrefix(fn, name) }) {
+				t.Errorf("%s names %s, which no test function of the repo starts with", doc, name)
 			}
 		}
 	}

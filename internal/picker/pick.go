@@ -18,11 +18,6 @@ import (
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// clusterGreedy adapts cluster.GreedyFeatureSelection for the trainer.
-func clusterGreedy(candidates []int, eval func(map[int]bool) float64, restarts int, rng *rand.Rand) []int {
-	return cluster.GreedyFeatureSelection(candidates, eval, restarts, rng)
-}
-
 // PickStats reports where picking time went (Table 5's overhead metrics).
 type PickStats struct {
 	Total   time.Duration

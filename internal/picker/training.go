@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"ps3/internal/cluster"
 	"ps3/internal/gbt"
 	"ps3/internal/metrics"
 	"ps3/internal/query"
@@ -248,7 +249,7 @@ func (p *Picker) selectFeatures(examples []Example) {
 		return sum / float64(cnt)
 	}
 
-	best := clusterGreedy(candidates, eval, p.Cfg.FeatureSelRestarts, rng)
+	best := cluster.GreedyFeatureSelection(candidates, eval, p.Cfg.FeatureSelRestarts, rng)
 	p.Excluded = make(map[stats.Kind]bool, len(best))
 	for _, id := range best {
 		p.Excluded[stats.Kind(id)] = true

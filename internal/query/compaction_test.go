@@ -33,7 +33,8 @@ var passPatterns = []struct {
 	{"last row", func(r int) bool { return r == compactionRows-1 }},
 }
 
-// compactionInputs are the selections a narrowing kernel is handed, each in a
+// compactionInputs are the selections a kernel is handed — every row, as the
+// root conjunction hands its first clause, and the odd rows — each in a
 // buffer exactly as long as the selection: an unconditional write past the
 // input panics.
 func compactionInputs() map[string][]int32 {
@@ -153,10 +154,10 @@ func encodedOnly(t *testing.T, s *table.Schema, e *table.EncodedCol) *table.Part
 }
 
 // TestCompactionEdgeCases runs every compaction loop of the package — the
-// raw seed and narrowing ladders, their first-touch encoded twins over raw
-// numeric, frame-of-reference and bit-packed columns, the run-length
-// narrowing loop, Or's and Not's mark sweeps and filterSelection's merge —
-// over columns holding one value on the rows of a pass pattern and another
+// raw clause ladder, its first-touch encoded twins over raw numeric,
+// frame-of-reference and bit-packed columns, the run-length loop, Or's and
+// Not's mark sweeps and filterSelection's merge — over columns holding one
+// value on the rows of a pass pattern and another
 // elsewhere, and requires each selection to be the rows the row-at-a-time
 // rowFn passes, in order. Values include NaN, both zeros, both infinities,
 // ±MaxFloat64 and subnormals; constants NaN, −0 and ±Inf besides the
@@ -289,10 +290,6 @@ func checkCompaction(t *testing.T, label string, s *table.Schema, d *table.Dict,
 		}
 	}
 
-	seed, err := compileClauseSeed(cl, s, d)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cc := &compiler{schema: s, dict: d}
 	kern, err := cc.kernel(cl)
 	if err != nil {
@@ -311,14 +308,9 @@ func checkCompaction(t *testing.T, label string, s *table.Schema, d *table.Dict,
 		t.Fatal(err)
 	}
 
-	all := identity(make([]int32, compactionRows), compactionRows)
-	p, sc := fresh(), &scratch{}
-	same("seed", seed(p, compactionRows, make([]int32, compactionRows), sc), passing(cl, all))
-	ran("seed", p, sc, 1)
-
 	for name, in := range compactionInputs() {
 		want := passing(cl, in)
-		p, sc = fresh(), &scratch{}
+		p, sc := fresh(), &scratch{}
 		same("narrowing "+name, kern(p, slices.Clone(in), sc), want)
 		ran("narrowing "+name, p, sc, 1)
 

@@ -31,8 +31,7 @@ import (
 //   - Raw numeric columns are compared in place, from the block's bytes, on
 //     the first touch.
 //   - RLE runs are accepted or rejected wholesale, on every scan and without
-//     a touch: the seed form emits whole selection spans, the narrowing form
-//     re-evaluates only on run transitions.
+//     a touch: the loop re-evaluates the clause only on run transitions.
 //
 // Every per-row outcome matches the raw loops exactly — the FoR
 // reconstruction is exact by the encoding's 53-bit bound, a raw numeric value
@@ -41,8 +40,11 @@ import (
 // compaction (the kernel contract) yields bit-identical selections, and
 // everything downstream is unchanged. The per-row loops compact branch-free
 // like the raw ones (b2i): the first touch of a column the header leaves
-// open costs the same whatever share of rows passes; so does the narrowing
-// run-length loop, whose outcome changes only at run ends.
+// open costs the same whatever share of rows passes; so does the run-length
+// loop, whose outcome changes only at run ends.
+//
+// Each clause has one kernel, which narrows a selection: the root conjunction
+// hands whichever clause runs first the identity selection (scratch.fullSel).
 
 // encodedEvals is the process-wide total behind EncodedKernelEvals. Kernels
 // count in their scratch (scratch.encEvals); a scratch adds its count here
@@ -81,56 +83,6 @@ func (sc *scratch) touch(p *table.Partition, c int) *table.EncodedCol {
 // maxExactDelta is the FoR exactness bound: 2^53, above which float64 skips
 // integers.
 const maxExactDelta = float64(1 << 53)
-
-// compileClauseSeed lowers one clause to its fill form with encoded-space
-// dispatch layered over the raw reference loop.
-func compileClauseSeed(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, error) {
-	raw, err := compileClauseSeedRaw(c, s, d)
-	if err != nil {
-		return nil, err
-	}
-	ci := s.ColIndex(c.Col)
-	if s.Col(ci).IsNumeric() {
-		op, v := c.Op, c.Num
-		return func(p *table.Partition, rows int, out []int32, sc *scratch) []int32 {
-			switch e := p.EncCol(ci); {
-			case e == nil:
-			case e.Kind == table.EncFoR:
-				if forDecided(e, op, v) || sc.touch(p, ci) != nil {
-					sc.encEvals++
-					return forSeed(e, op, v, rows, out)
-				}
-			case sc.touch(p, ci) != nil:
-				sc.encEvals++
-				return rawNumSeed(e, op, v, rows, out)
-			}
-			return raw(p, rows, out, sc)
-		}, nil
-	}
-	cp, err := newCatPred(c, d)
-	if err != nil {
-		return nil, err
-	}
-	if cp == nil {
-		// Constant clause (no dictionary code matches): the raw closure
-		// never touches the column, so there is nothing to short-circuit.
-		return raw, nil
-	}
-	return func(p *table.Partition, rows int, out []int32, sc *scratch) []int32 {
-		switch e := p.EncCol(ci); {
-		case e == nil:
-		case e.Kind == table.EncBitPack:
-			if cp.outOfWidth(e) || sc.touch(p, ci) != nil {
-				sc.encEvals++
-				return cp.bitpackSeed(e, rows, out)
-			}
-		case e.Kind == table.EncRLE:
-			sc.encEvals++
-			return cp.rleSeed(e, out)
-		}
-		return raw(p, rows, out, sc)
-	}, nil
-}
 
 // compileClauseKernel lowers one clause to a narrowing kernel with
 // encoded-space dispatch layered over the raw reference loop.
@@ -243,62 +195,9 @@ func forDecided(e *table.EncodedCol, op Op, v float64) bool {
 	return all || none
 }
 
-// forSeed fills out with the rows of a frame-of-reference column passing
-// (op, v): decided from the header when it can be, otherwise by scanning
-// packed deltas directly.
-func forSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []int32 {
-	t, all, none := forBounds(e, op, v)
-	if none {
-		return out[:0]
-	}
-	if all {
-		return identity(out, rows)
-	}
-	n := 0
-	switch op {
-	case OpEq:
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(e.At(r) == t)
-		}
-	case OpNe:
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(e.At(r) != t)
-		}
-	// Ordered comparisons fuse the exact reconstruction into the loop:
-	// min+float64(delta) is bit-identical to the decoded value, so the
-	// comparison outcome matches the raw loop row for row.
-	case OpLt:
-		min := e.Min
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(min+float64(e.At(r)) < v)
-		}
-	case OpLe:
-		min := e.Min
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(min+float64(e.At(r)) <= v)
-		}
-	case OpGt:
-		min := e.Min
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(min+float64(e.At(r)) > v)
-		}
-	case OpGe:
-		min := e.Min
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(min+float64(e.At(r)) >= v)
-		}
-	}
-	return out[:n]
-}
-
 // forKern narrows sel to the rows of a frame-of-reference column passing
-// (op, v), header first like forSeed.
+// (op, v): decided from the header when it can be, otherwise by scanning
+// packed deltas in place.
 func forKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
 	t, all, none := forBounds(e, op, v)
 	if none {
@@ -347,51 +246,10 @@ func forKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
 	return sel[:n]
 }
 
-// rawNumSeed fills out with the rows of a raw numeric column passing (op, v),
-// reading the values where the block holds them. The loops are the raw
-// reference ladder's (compileClauseSeedRaw) with the load changed; see there
-// for why they are written out.
-func rawNumSeed(e *table.EncodedCol, op Op, v float64, rows int, out []int32) []int32 {
-	n := 0
-	switch op {
-	case OpEq:
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(e.Float(r) == v)
-		}
-	case OpNe:
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(e.Float(r) != v)
-		}
-	case OpLt:
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(e.Float(r) < v)
-		}
-	case OpLe:
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(e.Float(r) <= v)
-		}
-	case OpGt:
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(e.Float(r) > v)
-		}
-	case OpGe:
-		for r := 0; r < rows; r++ {
-			out[n] = int32(r)
-			n += b2i(e.Float(r) >= v)
-		}
-	default:
-		panic(fmt.Sprintf("query: unreachable numeric operator %v on encoded column", op))
-	}
-	return out[:n]
-}
-
 // rawNumKern narrows sel to the rows of a raw numeric column passing (op, v),
-// in place like rawNumSeed.
+// reading the values where the block holds them. The loops are the raw
+// reference ladder's (compileClauseKernelRaw) with the load changed; see there
+// for why they are written out.
 func rawNumKern(e *table.EncodedCol, op Op, v float64, sel []int32) []int32 {
 	n := 0
 	switch op {
@@ -475,48 +333,6 @@ func (cp *catPred) outOfWidth(e *table.EncodedCol) bool {
 	return cp.single && uint64(cp.want) > e.Mask()
 }
 
-// bitpackSeed fills out with the rows of a bit-packed column passing the
-// clause, comparing packed codes in place.
-func (cp *catPred) bitpackSeed(e *table.EncodedCol, rows int, out []int32) []int32 {
-	if cp.outOfWidth(e) {
-		if !cp.neg {
-			return out[:0]
-		}
-		return identity(out, rows)
-	}
-	n := 0
-	if cp.single {
-		want := uint64(cp.want)
-		if cp.neg {
-			for r := 0; r < rows; r++ {
-				out[n] = int32(r)
-				n += b2i(e.At(r) != want)
-			}
-		} else {
-			for r := 0; r < rows; r++ {
-				out[n] = int32(r)
-				n += b2i(e.At(r) == want)
-			}
-		}
-		return out[:n]
-	}
-	lut := cp.lut
-	if cp.neg {
-		for r := 0; r < rows; r++ {
-			c := e.At(r)
-			out[n] = int32(r)
-			n += b2i(c >= uint64(len(lut)) || !lut[c])
-		}
-	} else {
-		for r := 0; r < rows; r++ {
-			c := e.At(r)
-			out[n] = int32(r)
-			n += b2i(c < uint64(len(lut)) && lut[c])
-		}
-	}
-	return out[:n]
-}
-
 // bitpackKern narrows sel against a bit-packed column.
 func (cp *catPred) bitpackKern(e *table.EncodedCol, sel []int32) []int32 {
 	if cp.outOfWidth(e) {
@@ -556,24 +372,6 @@ func (cp *catPred) bitpackKern(e *table.EncodedCol, sel []int32) []int32 {
 		}
 	}
 	return sel[:n]
-}
-
-// rleSeed fills out with the rows of a run-length column passing the
-// clause: one predicate evaluation per run, whole spans emitted wholesale.
-func (cp *catPred) rleSeed(e *table.EncodedCol, out []int32) []int32 {
-	n := 0
-	start := int32(0)
-	for i, v := range e.RunVals {
-		end := e.RunEnds[i]
-		if cp.accept(v) {
-			for r := start; r < end; r++ {
-				out[n] = r
-				n++
-			}
-		}
-		start = end
-	}
-	return out[:n]
 }
 
 // rleKern narrows sel against a run-length column, re-evaluating the clause

@@ -11,10 +11,10 @@ import (
 
 // TestForBounds checks the header decision of a frame-of-reference clause
 // case by case: what forBounds says about (op, v) for the whole column, and
-// that the seed and narrowing kernels built on it select exactly the rows
-// the row loop over the decoded values selects. decided lists, per operator
-// in the order = != < <= > >=, whether the header must settle the clause
-// ('a' every row, 'n' no row) or leave it to the loop ('-').
+// that the kernel built on it, handed every row or the odd rows, selects
+// exactly the rows the row loop over the decoded values selects. decided
+// lists, per operator in the order = != < <= > >=, whether the header must
+// settle the clause ('a' every row, 'n' no row) or leave it to the loop ('-').
 func TestForBounds(t *testing.T) {
 	const top = float64(1 << 53)
 	frame := []uint64{0, 15, 3, 9, 15, 0, 7, 1} // both ends of a 4-bit frame occur
@@ -77,8 +77,8 @@ func TestForBounds(t *testing.T) {
 			if all && len(want) != rows || none && len(want) != 0 {
 				t.Errorf("%s: header says all=%v none=%v, the row loop passes %d of %d rows", label, all, none, len(want), rows)
 			}
-			if seed := forSeed(e, op, tc.v, rows, make([]int32, rows)); !slices.Equal(seed, want) {
-				t.Errorf("%s: forSeed selects %v, the row loop %v", label, seed, want)
+			if every := forKern(e, op, tc.v, identity(make([]int32, rows), rows)); !slices.Equal(every, want) {
+				t.Errorf("%s: forKern narrows every row to %v, the row loop to %v", label, every, want)
 			}
 			// Narrow the odd rows only, so "all" must mean "sel unchanged".
 			var sel, wantOdd []int32

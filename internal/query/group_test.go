@@ -424,6 +424,69 @@ func TestScratchTrim(t *testing.T) {
 	}
 }
 
+// TestFullSelAcrossPartitionSizes: a scratch starts every evaluation from the
+// identity selection, copied from a prefix it keeps as long as the largest
+// partition it has seen. One scratch evaluates partitions of 67, 5 000, 3 and
+// again 5 000 rows, each with no predicate, one clause and an Or root, and
+// every answer equals the reference bit for bit; the prefix is reallocated
+// only when a partition is larger than every earlier one, and fullSel itself
+// allocates nothing once it has.
+func TestFullSelAcrossPartitionSizes(t *testing.T) {
+	schema := table.MustSchema(
+		table.Column{Name: "x", Kind: table.Numeric},
+		table.Column{Name: "k", Kind: table.Categorical},
+	)
+	dict, err := table.DictFromValues([]string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	tbl := &table.Table{Schema: schema, Dict: dict}
+	for id, rows := range []int{67, 5_000, 3, 5_000} {
+		x, k := make([]float64, rows), make([]uint32, rows)
+		for r := range x {
+			x[r], k[r] = float64(rng.Intn(100)), uint32(rng.Intn(3))
+		}
+		p, err := table.MakePartition(schema, id, rows, [][]float64{x, nil}, [][]uint32{nil, k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.Parts = append(tbl.Parts, p)
+	}
+	aggs := []Aggregate{{Kind: Count}, {Kind: Sum, Expr: Col("x")}}
+	var queries []*Compiled
+	for _, pred := range []Pred{
+		nil,
+		&Clause{Col: "x", Op: OpGe, Num: 40},
+		NewOr(&Clause{Col: "x", Op: OpLt, Num: 10}, &Clause{Col: "k", Op: OpEq, Strs: []string{"b"}}),
+	} {
+		queries = append(queries, mustCompile(t, &Query{Aggs: aggs, Pred: pred}, tbl))
+	}
+
+	sc := &scratch{}
+	largest := 0
+	for _, p := range tbl.Parts {
+		for _, c := range queries {
+			before := sc.ident
+			sc.resetOrder(c)
+			requireBitIdentical(t, fmt.Sprintf("%s over %d rows", c.Q, p.Rows()), c.evalAnswer(p, sc), c.EvalPartitionReference(p))
+			grew := p.Rows() > largest
+			largest = max(largest, p.Rows())
+			if len(sc.ident) != largest || grew == (len(before) > 0 && &sc.ident[0] == &before[0]) {
+				t.Fatalf("%s over %d rows: the prefix went from %d to %d entries, reallocated %v; want %d, reallocated only for a larger partition",
+					c.Q, p.Rows(), len(before), len(sc.ident), grew, largest)
+			}
+		}
+		n := p.Rows()
+		if got := sc.fullSel(n); !slices.Equal(got, identity(make([]int32, n), n)) {
+			t.Fatalf("fullSel(%d) after a %d-row prefix is not the identity", n, largest)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { sc.fullSel(n) }); allocs != 0 {
+			t.Fatalf("fullSel(%d) allocates %v times", n, allocs)
+		}
+	}
+}
+
 // TestScratchCleanAfterKernelPanic: a kernel that panics mid-evaluation —
 // after the partition's groups were resolved, so the group table and the
 // arenas are dirty — must not poison later evaluations. The scratch that
@@ -728,20 +791,28 @@ type conjRun struct {
 	order []int32
 }
 
-// traceRoot wraps the kernels of c's root conjunction, every child of which
-// must be a clause, so that each partition c evaluates appends a conjRun to
-// the returned slice. Sequential scans only.
+// traceRoot wraps the kernels of c's root conjunction so that each partition
+// c evaluates appends a conjRun to the returned slice: a run opens when the
+// child first in the current order is handed every row of the partition.
+// Sequential scans only.
 func traceRoot(c *Compiled) *[]conjRun {
 	runs := new([]conjRun)
 	cj := c.where
 	for i := range cj.kerns {
-		i, seed, kern := int32(i), cj.seeds[i], cj.kerns[i]
-		cj.seeds[i] = func(p *table.Partition, rows int, out []int32, sc *scratch) []int32 {
-			clean := !slices.ContainsFunc(sc.tallies[cj.at:][:len(cj.kerns)], func(t tally) bool { return t != tally{} })
-			*runs = append(*runs, conjRun{sc: sc, clean: clean, order: []int32{i}})
-			return seed(p, rows, out, sc)
-		}
+		i, kern := int32(i), cj.kerns[i]
 		cj.kerns[i] = func(p *table.Partition, sel []int32, sc *scratch) []int32 {
+			if sc.order[cj.at] == i && len(sel) == p.Rows() {
+				// The conjunction has tallied this child's input already.
+				clean := true
+				for j, t := range sc.tallies[cj.at:][:len(cj.kerns)] {
+					want := tally{}
+					if int32(j) == i {
+						want.in = uint64(len(sel))
+					}
+					clean = clean && t == want
+				}
+				*runs = append(*runs, conjRun{sc: sc, clean: clean})
+			}
 			last := &(*runs)[len(*runs)-1]
 			last.order = append(last.order, i)
 			return kern(p, sel, sc)

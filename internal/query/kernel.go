@@ -31,8 +31,7 @@ import (
 //   - A kernel compacts passing rows into sel in place, branch-free: row i's
 //     candidate is written at n ≤ i after sel[i] has been read, and n
 //     advances only if the row passes, so writes only move entries left and
-//     the input selection is consumed. A seed writes row r at n ≤ r, so a
-//     buffer of exactly rows entries is always long enough.
+//     the input selection is consumed.
 //   - The returned slice is a prefix of sel, still in ascending order —
 //     selection order is row order, which is what keeps downstream float
 //     accumulation bit-identical to the row-at-a-time reference evaluator.
@@ -63,8 +62,11 @@ func b2i(b bool) int {
 // is sized on use, and the group table is re-shaped by begin — and what does,
 // the conjunction orders a scan learns, is reset where the scratch is taken.
 type scratch struct {
-	// sel is the primary selection vector, sized to the partition's rows.
-	sel []int32
+	// sel is the primary selection vector, and ident the identity selection
+	// fullSel copies into it; both are as long as the largest partition the
+	// scratch has evaluated.
+	sel   []int32
+	ident []int32
 	// selFree recycles temporary selection copies (OR/NOT/FILTER operands).
 	// Depth is bounded by predicate nesting, so the freelist stays tiny.
 	selFree [][]int32
@@ -140,18 +142,19 @@ func (sc *scratch) release() {
 	scratchPool.Put(sc)
 }
 
-// selBuf returns the primary selection buffer, uninitialized — the target a
-// seed kernel fills.
-func (sc *scratch) selBuf(n int) []int32 {
-	if cap(sc.sel) < n {
+// fullSel returns the identity selection [0, n) in the primary selection
+// buffer, copied from the scratch's prefix of it, which grows to the largest
+// partition the scratch has seen. A copy runs at memory speed; writing each
+// index in a loop, on every partition, is measurable end to end (DESIGN.md,
+// "One ordered-conjunction evaluator").
+func (sc *scratch) fullSel(n int) []int32 {
+	if len(sc.ident) < n {
+		sc.ident = identity(make([]int32, n), n)
 		sc.sel = make([]int32, n)
 	}
-	return sc.sel[:n]
-}
-
-// fullSel returns the identity selection [0, n).
-func (sc *scratch) fullSel(n int) []int32 {
-	return identity(sc.selBuf(n), n)
+	sel := sc.sel[:n]
+	copy(sel, sc.ident)
+	return sel
 }
 
 // identity fills out with the selection of all rows.
@@ -241,11 +244,6 @@ func (sc *scratch) groupLut() map[string]int32 {
 	return sc.lut
 }
 
-// seedKernel is the "fill" form of a clause kernel: it scans every row of
-// the partition directly, writing passing row indices into out, so that a
-// clause that runs first never materializes the identity selection.
-type seedKernel func(p *table.Partition, rows int, out []int32, sc *scratch) []int32
-
 // compiler lowers the predicate trees of one query — its WHERE clause and
 // every FILTER — to kernels, numbering their And nodes as it meets them.
 type compiler struct {
@@ -269,24 +267,16 @@ type conj struct {
 	// at is the node's first slot in scratch.order and scratch.tallies.
 	at    int
 	kerns []kernel
-	// seeds, on the WHERE clause's root only, is the fill form of each child
-	// that is a clause (nil for the others): the root is handed a whole
-	// partition, so whichever clause is currently first reads its column
-	// straight through.
-	seeds []seedKernel
 }
 
 // tally is what a scratch has seen of one conjunction child since resetOrder.
 type tally struct{ in, out uint64 }
 
 // conj compiles an And node's children and gives the node its slots.
-func (cc *compiler) conj(children []Pred, root bool) (*conj, error) {
+func (cc *compiler) conj(children []Pred) (*conj, error) {
 	cj := &conj{at: len(cc.textual), kerns: make([]kernel, len(children))}
 	for i := range children {
 		cc.textual = append(cc.textual, int32(i))
-	}
-	if root {
-		cj.seeds = make([]seedKernel, len(children))
 	}
 	for i, child := range children {
 		k, err := cc.kernel(child)
@@ -294,56 +284,30 @@ func (cc *compiler) conj(children []Pred, root bool) (*conj, error) {
 			return nil, err
 		}
 		cj.kerns[i] = k
-		if cl, ok := child.(*Clause); ok && root {
-			if cj.seeds[i], err = compileClauseSeed(cl, cc.schema, cc.dict); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return cj, nil
 }
 
-// where compiles a WHERE predicate to the root conjunction selectRows fills
-// from: an And node as it is, anything else as the one child of a
-// conjunction, nil for no predicate.
+// where compiles a WHERE predicate to the root conjunction selectRows narrows
+// the identity selection through: an And node as it is, anything else as the
+// one child of a conjunction, nil for no predicate.
 func (cc *compiler) where(pred Pred) (*conj, error) {
 	switch n := pred.(type) {
 	case nil:
 		return nil, nil
 	case *And:
-		return cc.conj(n.Children, true)
+		return cc.conj(n.Children)
 	default:
-		return cc.conj([]Pred{pred}, true)
+		return cc.conj([]Pred{pred})
 	}
 }
 
-// fill selects the rows of p that pass the root conjunction.
-func (cj *conj) fill(p *table.Partition, sc *scratch) []int32 {
-	rows := p.Rows()
-	if len(cj.kerns) > 0 {
-		first := sc.order[cj.at]
-		if seed := cj.seeds[first]; seed != nil {
-			sel := seed(p, rows, sc.selBuf(rows), sc)
-			t := &sc.tallies[cj.at+int(first)]
-			t.in += uint64(rows)
-			t.out += uint64(len(sel))
-			return cj.run(p, sel, sc, 1)
-		}
-	}
-	return cj.run(p, sc.fullSel(rows), sc, 0)
-}
-
-// narrow is the conjunction as a kernel.
+// narrow is the conjunction as a kernel: it narrows sel through the children
+// in the current order, then re-sorts the order by what the tallies now say.
 func (cj *conj) narrow(p *table.Partition, sel []int32, sc *scratch) []int32 {
-	return cj.run(p, sel, sc, 0)
-}
-
-// run narrows sel through the children from position from of the current
-// order on, then re-sorts the order by what the tallies now say.
-func (cj *conj) run(p *table.Partition, sel []int32, sc *scratch, from int) []int32 {
 	order := sc.order[cj.at:][:len(cj.kerns)]
 	tallies := sc.tallies[cj.at:][:len(cj.kerns)]
-	for _, k := range order[from:] {
+	for _, k := range order {
 		if len(sel) == 0 {
 			break
 		}
@@ -437,141 +401,6 @@ func codeTable(codes map[uint32]bool, d *table.Dict) []bool {
 	return lut
 }
 
-// compileClauseSeed lowers one clause to its fill form, scanning [0, rows)
-// directly instead of filtering a materialized identity selection. The
-// per-operator loop bodies deliberately mirror compileClauseKernel's —
-// fusing the two ladders behind an abstraction would reintroduce a per-row
-// indirect call, which is exactly what kernels exist to avoid. Keep the two
-// switch ladders in sync when adding operators, and in the b2i form — write
-// the candidate, then n += b2i(pass) — in both; the randomized equivalence
-// corpus exercises both (a seed runs for whichever clause the root
-// conjunction currently puts first, narrowing kernels for everything else),
-// and TestCompactionEdgeCases puts every loop to NaN, signed zeros,
-// infinities and exactly-sized buffers.
-func compileClauseSeedRaw(c *Clause, s *table.Schema, d *table.Dict) (seedKernel, error) {
-	ci := s.ColIndex(c.Col)
-	if ci < 0 {
-		return nil, fmt.Errorf("query: unknown column %q in predicate", c.Col)
-	}
-	if s.Col(ci).IsNumeric() {
-		v := c.Num
-		switch c.Op {
-		case OpEq:
-			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				n := 0
-				for r, x := range p.NumCol(ci)[:rows] {
-					out[n] = int32(r)
-					n += b2i(x == v)
-				}
-				return out[:n]
-			}, nil
-		case OpNe:
-			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				n := 0
-				for r, x := range p.NumCol(ci)[:rows] {
-					out[n] = int32(r)
-					n += b2i(x != v)
-				}
-				return out[:n]
-			}, nil
-		case OpLt:
-			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				n := 0
-				for r, x := range p.NumCol(ci)[:rows] {
-					out[n] = int32(r)
-					n += b2i(x < v)
-				}
-				return out[:n]
-			}, nil
-		case OpLe:
-			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				n := 0
-				for r, x := range p.NumCol(ci)[:rows] {
-					out[n] = int32(r)
-					n += b2i(x <= v)
-				}
-				return out[:n]
-			}, nil
-		case OpGt:
-			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				n := 0
-				for r, x := range p.NumCol(ci)[:rows] {
-					out[n] = int32(r)
-					n += b2i(x > v)
-				}
-				return out[:n]
-			}, nil
-		case OpGe:
-			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				n := 0
-				for r, x := range p.NumCol(ci)[:rows] {
-					out[n] = int32(r)
-					n += b2i(x >= v)
-				}
-				return out[:n]
-			}, nil
-		default:
-			return nil, fmt.Errorf("query: operator %s not supported on numeric column %q", c.Op, c.Col)
-		}
-	}
-	codes, err := catCodeSet(c, d)
-	if err != nil {
-		return nil, err
-	}
-	neg := c.Op == OpNe
-	switch len(codes) {
-	case 0:
-		if neg {
-			return func(_ *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				return identity(out, rows)
-			}, nil
-		}
-		return func(_ *table.Partition, _ int, out []int32, _ *scratch) []int32 {
-			return out[:0]
-		}, nil
-	case 1:
-		want := singleCode(codes)
-		if neg {
-			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				n := 0
-				for r, x := range p.CatCol(ci)[:rows] {
-					out[n] = int32(r)
-					n += b2i(x != want)
-				}
-				return out[:n]
-			}, nil
-		}
-		return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-			n := 0
-			for r, x := range p.CatCol(ci)[:rows] {
-				out[n] = int32(r)
-				n += b2i(x == want)
-			}
-			return out[:n]
-		}, nil
-	default:
-		lut := codeTable(codes, d)
-		if neg {
-			return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-				n := 0
-				for r, c := range p.CatCol(ci)[:rows] {
-					out[n] = int32(r)
-					n += b2i(int(c) >= len(lut) || !lut[c])
-				}
-				return out[:n]
-			}, nil
-		}
-		return func(p *table.Partition, rows int, out []int32, _ *scratch) []int32 {
-			n := 0
-			for r, c := range p.CatCol(ci)[:rows] {
-				out[n] = int32(r)
-				n += b2i(int(c) < len(lut) && lut[c])
-			}
-			return out[:n]
-		}, nil
-	}
-}
-
 // kernel lowers a predicate tree to a selection kernel. A nil predicate
 // compiles to a nil kernel, meaning "all rows pass" — callers skip the call
 // instead of copying the identity selection through it.
@@ -581,7 +410,7 @@ func (cc *compiler) kernel(pred Pred) (kernel, error) {
 	}
 	switch n := pred.(type) {
 	case *And:
-		cj, err := cc.conj(n.Children, false)
+		cj, err := cc.conj(n.Children)
 		if err != nil {
 			return nil, err
 		}
@@ -658,7 +487,11 @@ func (cc *compiler) kernel(pred Pred) (kernel, error) {
 
 // compileClauseKernelRaw lowers one comparison clause to a column kernel
 // over decoded slices — the frozen reference loops the encoded dispatch in
-// enckernel.go falls back to.
+// enckernel.go falls back to. The loop is written out once per operator:
+// one loop behind a comparison function would reintroduce a per-row indirect
+// call, which is exactly what kernels exist to avoid. Every loop is in the b2i
+// form — write the candidate, then n += b2i(pass) — and TestCompactionEdgeCases
+// puts each to NaN, signed zeros, infinities and exactly-sized buffers.
 func compileClauseKernelRaw(c *Clause, s *table.Schema, d *table.Dict) (kernel, error) {
 	ci := s.ColIndex(c.Col)
 	if ci < 0 {

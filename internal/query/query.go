@@ -276,10 +276,11 @@ func (c *Compiled) evalPartition(p *table.Partition, sc *scratch) partial {
 // so where an evaluation of p starts touching its columns afresh.
 func (c *Compiled) selectRows(p *table.Partition, sc *scratch) []int32 {
 	sc.touched = sc.touched[:0]
+	sel := sc.fullSel(p.Rows())
 	if c.where == nil {
-		return sc.fullSel(p.Rows())
+		return sel
 	}
-	return c.where.fill(p, sc)
+	return c.where.narrow(p, sel, sc)
 }
 
 // accumulate adds each selected row's contribution to its group's

@@ -390,7 +390,7 @@ func TestFirstTouchMatchesReference(t *testing.T) {
 			Aggs:    []Aggregate{{Kind: Sum, Expr: Col("f")}, {Kind: Avg, Expr: Col("f"), Filter: lt("f", 50)}},
 			Pred:    ge("f", -80),
 		},
-		// Raw numeric clauses in seed and narrowing position, under OR / NOT.
+		// Raw numeric clauses in first and narrowing position, under OR / NOT.
 		{
 			Aggs: []Aggregate{{Kind: Count}, {Kind: Sum, Expr: Col("n")}},
 			Pred: NewAnd(lt("f", 120), &Not{Child: NewOr(ge("f", 90), &Clause{Col: "f", Op: OpEq, Num: 0.25})}),
@@ -406,7 +406,7 @@ func TestFirstTouchMatchesReference(t *testing.T) {
 		{Aggs: []Aggregate{{Kind: Count}}, Pred: &Clause{Col: "w", Op: OpEq, Num: 13}},
 	}
 	// Every operator on a raw numeric and a frame-of-reference column, as
-	// the seeding clause and as a narrowing one (a column's clauses after its
+	// the first clause and as a narrowing one (a column's clauses after its
 	// first in a query are second touches), against a value the column holds.
 	for _, op := range []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
 		for _, clause := range []*Clause{{Col: "f", Op: op, Num: tbl.Parts[0].NumCol(0)[3]}, {Col: "n", Op: op, Num: 17}} {
