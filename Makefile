@@ -105,25 +105,26 @@ bench-store-smoke:
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +
 # fold-table funnel) vs the retained pointer-tree reference, across serving
-# budgets, plus the flat predictor micro-benchmarks and one funnel stage at
-# the serving benchmark's shape (BenchmarkFunnelStage: the per-binding table
-# build, the per-query bind + sweep, and /paired against the unspecialized
-# PredictBatch sweep over full rows). The zero-alloc contract of the steady
-# path is asserted by tests (TestPredictBatchZeroAllocs,
-# TestFillRowZeroAllocs, TestBatchScorerZeroAllocsAfterBind), not just
+# budgets, plus the flat predictor micro-benchmark (BenchmarkPredict: the
+# per-row walk against the pointer trees) and one funnel stage at the
+# serving benchmark's shape (BenchmarkFunnelStage: the per-binding table
+# build, the per-query bind + sweep, and /paired against the per-row
+# Predict walk over full rows that a stage without a fold table runs). The
+# zero-alloc contract of the steady path is asserted by tests
+# (TestFillRowZeroAllocs, TestBatchScorerZeroAllocsAfterBind), not just
 # observed in -benchmem.
 # Nothing is recorded from this target: the recorded pick figure is the
 # served adhoc-pick workload of the serving benchmark (bench/).
 bench-pick:
 	$(GO) test -bench 'BenchmarkPick|BenchmarkPickInference' -benchmem -run '^$$' ./internal/picker/
-	$(GO) test -bench 'BenchmarkPredictBatch|BenchmarkFunnelStage' -benchmem -run '^$$' ./internal/gbt/
+	$(GO) test -bench 'BenchmarkPredict|BenchmarkFunnelStage' -benchmem -run '^$$' ./internal/gbt/
 
 # One-iteration smoke run of the pick benchmarks plus the zero-alloc tests;
 # wired into CI so the benchmark fixtures can never rot. Two separate
 # invocations so a failure in either exits nonzero (no output filtering).
 bench-pick-smoke:
 	$(GO) test -run 'ZeroAllocs' -v ./internal/picker/ ./internal/gbt/ ./internal/stats/
-	$(GO) test -bench 'BenchmarkPick|BenchmarkPredictBatch|BenchmarkFunnelStage' -benchtime 1x -run '^$$' ./internal/picker/ ./internal/gbt/
+	$(GO) test -bench 'BenchmarkPick|BenchmarkPredict|BenchmarkFunnelStage' -benchtime 1x -run '^$$' ./internal/picker/ ./internal/gbt/
 
 # One-iteration smoke of the clustering benchmarks plus the skip-fraction
 # and equivalence contracts; wired into CI next to bench-pick-smoke so the

@@ -14,6 +14,7 @@ import (
 
 	"ps3/internal/core"
 	"ps3/internal/dataset"
+	"ps3/internal/exec"
 	"ps3/internal/picker"
 	"ps3/internal/query"
 )
@@ -59,7 +60,7 @@ func main() {
 		fmt.Printf("%-6s%10d", tmpl.Name, len(ex.TruthVals))
 		for _, b := range budgets {
 			n := int(b*float64(ds.Table.NumParts()) + 0.5)
-			sel := sys.Picker.Pick(q, ex.Features, n, rng)
+			sel := sys.Picker.PickBatch(q, n, rng, exec.Options{Parallelism: 1})
 			est := picker.EstimateFromPerPart(ex.Compiled, ex.PerPart, sel)
 			fmt.Printf("%13.1f%%", avgRelErr(ex.TruthVals, est)*100)
 		}

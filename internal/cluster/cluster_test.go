@@ -51,7 +51,7 @@ func agreesWithBlobs(t *testing.T, a Assignment, blob []int) {
 func TestKMeansRecoversSeparatedBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	points, blob := threeBlobs(20, rng)
-	a := KMeans(points, 3, rand.New(rand.NewSource(2)), 0)
+	a := KMeansBounded(points, 3, rand.New(rand.NewSource(2)), KMeansOpts{})
 	if a.K != 3 {
 		t.Fatalf("K = %d, want 3", a.K)
 	}
@@ -80,7 +80,7 @@ func TestHACSingleRecoversSeparatedBlobs(t *testing.T) {
 
 func TestKMeansClampsKToN(t *testing.T) {
 	points := [][]float64{{0}, {1}, {2}}
-	a := KMeans(points, 10, rand.New(rand.NewSource(1)), 0)
+	a := KMeansBounded(points, 10, rand.New(rand.NewSource(1)), KMeansOpts{})
 	if a.K != 3 {
 		t.Fatalf("K = %d, want clamp to 3", a.K)
 	}
@@ -103,7 +103,7 @@ func TestHACClampsKToN(t *testing.T) {
 }
 
 func TestKMeansEmptyInput(t *testing.T) {
-	a := KMeans(nil, 3, rand.New(rand.NewSource(1)), 0)
+	a := KMeansBounded(nil, 3, rand.New(rand.NewSource(1)), KMeansOpts{})
 	if len(a.Labels) != 0 {
 		t.Fatalf("labels = %v, want empty", a.Labels)
 	}
@@ -119,8 +119,8 @@ func TestHACEmptyInput(t *testing.T) {
 func TestKMeansDeterministicGivenSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	points, _ := threeBlobs(10, rng)
-	a := KMeans(points, 4, rand.New(rand.NewSource(9)), 0)
-	b := KMeans(points, 4, rand.New(rand.NewSource(9)), 0)
+	a := KMeansBounded(points, 4, rand.New(rand.NewSource(9)), KMeansOpts{})
+	b := KMeansBounded(points, 4, rand.New(rand.NewSource(9)), KMeansOpts{})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different assignments")
 	}
@@ -141,7 +141,7 @@ func TestKMeansIdenticalPointsOneEffectiveCluster(t *testing.T) {
 	for i := range points {
 		points[i] = []float64{3, 3, 3}
 	}
-	a := KMeans(points, 2, rand.New(rand.NewSource(1)), 0)
+	a := KMeansBounded(points, 2, rand.New(rand.NewSource(1)), KMeansOpts{})
 	// All points are identical; whatever the labels, each cluster center is
 	// the same point, so every member must be distance 0 from its center.
 	for _, members := range a.Members() {
@@ -156,7 +156,7 @@ func TestKMeansIdenticalPointsOneEffectiveCluster(t *testing.T) {
 func TestMembersPartitionInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	points, _ := threeBlobs(9, rng)
-	a := KMeans(points, 4, rand.New(rand.NewSource(8)), 0)
+	a := KMeansBounded(points, 4, rand.New(rand.NewSource(8)), KMeansOpts{})
 	total := 0
 	seen := make([]bool, len(points))
 	for _, members := range a.Members() {
@@ -184,7 +184,7 @@ func TestLinkageString(t *testing.T) {
 func TestMedianExemplarsWeightsSumToN(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	points, _ := threeBlobs(12, rng)
-	a := KMeans(points, 5, rand.New(rand.NewSource(11)), 0)
+	a := KMeansBounded(points, 5, rand.New(rand.NewSource(11)), KMeansOpts{})
 	exs := MedianExemplars(points, a)
 	var sum float64
 	for _, e := range exs {
@@ -242,7 +242,7 @@ func TestMedianVectorEvenCount(t *testing.T) {
 func TestRandomExemplarsStayInCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	points, _ := threeBlobs(8, rng)
-	a := KMeans(points, 4, rand.New(rand.NewSource(14)), 0)
+	a := KMeansBounded(points, 4, rand.New(rand.NewSource(14)), KMeansOpts{})
 	for trial := 0; trial < 20; trial++ {
 		exs := RandomExemplars(points, a, rand.New(rand.NewSource(int64(trial))))
 		var sum float64
@@ -351,7 +351,7 @@ func TestKMeansAssignmentAlwaysValid(t *testing.T) {
 		for i := range points {
 			points[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
-		a := KMeans(points, k, rng, 0)
+		a := KMeansBounded(points, k, rng, KMeansOpts{})
 		if len(a.Labels) != n {
 			return false
 		}
@@ -420,7 +420,7 @@ func TestExemplarWeightsAlwaysPartitionN(t *testing.T) {
 		for i := range points {
 			points[i] = []float64{rng.Float64() * 10}
 		}
-		a := KMeans(points, k, rng, 0)
+		a := KMeansBounded(points, k, rng, KMeansOpts{})
 		exs := MedianExemplars(points, a)
 		var sum float64
 		for _, e := range exs {
@@ -441,9 +441,9 @@ func TestKMeansLloydNeverIncreasesSSE(t *testing.T) {
 	// to a single global mean when k > 1 and the data has spread.
 	rng := rand.New(rand.NewSource(20))
 	points, _ := threeBlobs(20, rng)
-	a := KMeans(points, 3, rand.New(rand.NewSource(21)), 0)
+	a := KMeansBounded(points, 3, rand.New(rand.NewSource(21)), KMeansOpts{})
 	sse := assignmentSSE(points, a)
-	one := KMeans(points, 1, rand.New(rand.NewSource(22)), 0)
+	one := KMeansBounded(points, 1, rand.New(rand.NewSource(22)), KMeansOpts{})
 	sse1 := assignmentSSE(points, one)
 	if sse >= sse1 {
 		t.Fatalf("k=3 SSE %v not below k=1 SSE %v on separable blobs", sse, sse1)
@@ -478,7 +478,7 @@ func TestHACWardMatchesKMeansQualityOnBlobs(t *testing.T) {
 	// should recover near-zero SSE on tight separable blobs.
 	rng := rand.New(rand.NewSource(30))
 	points, _ := threeBlobs(15, rng)
-	km := assignmentSSE(points, KMeans(points, 3, rand.New(rand.NewSource(31)), 0))
+	km := assignmentSSE(points, KMeansBounded(points, 3, rand.New(rand.NewSource(31)), KMeansOpts{}))
 	wd := assignmentSSE(points, HAC(points, 3, Ward))
 	if math.Abs(km-wd) > 1e-6 && (km > 50 || wd > 50) {
 		t.Fatalf("kmeans SSE %v vs ward SSE %v; both should be tiny on separable blobs", km, wd)

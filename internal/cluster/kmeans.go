@@ -6,7 +6,7 @@
 //
 // Two k-means implementations share the k-means++ seeding and the in-place
 // Lloyd center update: KMeansReference is the frozen exact sweep (every
-// point scans every center each iteration), and KMeans is the
+// point scans every center each iteration), and KMeansBounded is the
 // triangle-inequality-bounded production path (bounded.go) that skips the
 // vast majority of those scans while assigning identical labels whenever
 // nearest centers are unique.
@@ -302,8 +302,8 @@ func updateCenters(points [][]float64, labels []int, centers [][]float64, counts
 // exact Lloyd iterations: every point computes its distance to every center
 // each iteration. Deterministic given rng. k is clamped to len(points).
 //
-// This is the frozen baseline the bounded production path (KMeans) is
-// equivalence-tested against; serving never calls it.
+// This is the frozen baseline the bounded production path (KMeansBounded)
+// is equivalence-tested against; serving never calls it.
 func KMeansReference(points [][]float64, k int, rng *rand.Rand, maxIter int) Assignment {
 	n := len(points)
 	if k > n {
@@ -353,12 +353,4 @@ func KMeansReference(points [][]float64, k int, rng *rand.Rand, maxIter int) Ass
 		}
 	}
 	return Assignment{Labels: labels, K: k}
-}
-
-// KMeans clusters points into k clusters on the triangle-inequality-bounded
-// production path with default options. Deterministic given rng. k is
-// clamped to len(points). See KMeansBounded for the bounds machinery and
-// the (tie-break-only) divergence contract against KMeansReference.
-func KMeans(points [][]float64, k int, rng *rand.Rand, maxIter int) Assignment {
-	return KMeansBounded(points, k, rng, KMeansOpts{MaxIter: maxIter})
 }

@@ -212,11 +212,11 @@ func (s *System) Train(queries []*query.Query, examples []picker.Example) error 
 
 // Pick selects a weighted partition sample for q at the given budget
 // (fraction of partitions to read). The system must be trained. Picking
-// runs on the batched inference path: features are computed into pooled
+// runs picker.PickBatch: the selectivity estimates are computed into pooled
 // scratch (in parallel across partition blocks, bounded by
-// Options.Parallelism) and the funnel regressors evaluate whole groups on
-// their compiled flat form — bit-identical to the reference
-// Features+Pick pipeline at every parallelism setting.
+// Options.Parallelism) and the funnel regressors score whole groups from
+// their fold tables — the same selection at every parallelism setting, and
+// the same as the reference pipeline (picker.PickReference).
 func (s *System) Pick(q *query.Query, budgetFrac float64) ([]query.WeightedPartition, error) {
 	sel, _, err := s.PickWithStats(q, budgetFrac)
 	return sel, err

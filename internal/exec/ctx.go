@@ -10,27 +10,14 @@ import "context"
 // is the right trade for deadline-driven serving: a finer granularity
 // would put branch checks inside the vectorized kernels.
 
-// ForEachWithCtx is ForEachWith under a context. It returns ctx.Err() when
-// cancellation prevented at least one index from running, nil when every
-// index ran. Determinism is unaffected on the nil-error path: if the
-// function returns nil, every fn(i) executed exactly once.
-func ForEachWithCtx[W any](ctx context.Context, n int, o Options, newW func() W, fn func(w W, i int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return forEachCtx(ctx, n, o, newW, fn)
-}
-
-// MapErrWithCtx is MapErrWith under a context. On the nil-error path the
-// returned slice is complete and index-ordered — bit-identical to the
-// context-free variant. On cancellation some indices were never attempted,
-// so no partial results are returned. Error priority follows the
-// sequential-loop convention: the lowest-index item error wins; a
+// MapErrWithCtx is MapErr with per-worker state (see ForEachWith), under a
+// context (nil disables cancellation). On the nil-error path every fn(i)
+// ran exactly once and the returned slice is complete and index-ordered —
+// bit-identical to MapErr. On cancellation some indices were never
+// attempted, so no partial results are returned. Error priority follows
+// the sequential-loop convention: the lowest-index item error wins; a
 // cancellation with no item errors returns ctx.Err().
 func MapErrWithCtx[W, T any](ctx context.Context, n int, o Options, newW func() W, fn func(w W, i int) (T, error)) ([]T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	out := make([]T, n)
 	errs := make([]error, n)
 	ctxErr := forEachCtx(ctx, n, o, newW, func(w W, i int) { out[i], errs[i] = fn(w, i) })

@@ -39,15 +39,15 @@ func TestForEachWithPanicRepanics(t *testing.T) {
 	}
 }
 
-// TestMapErrWithPanicDoesNotDeadlockMerge: the ordered merge sits after
-// wg.Wait — a panic mid-map must tear the pool down and re-raise, never
-// leave the merge waiting on results that will not come.
+// TestMapErrWithPanicDoesNotDeadlockMerge: MapErrWithCtx's ordered merge
+// sits after wg.Wait — a panic mid-map must tear the pool down and re-raise,
+// never leave the merge waiting on results that will not come.
 func TestMapErrWithPanicDoesNotDeadlockMerge(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	done := make(chan any, 1)
 	go func() { //lint:nakedgo-ok test watchdog: bounds the deadlock check, joined via the done channel below
 		defer func() { done <- recover() }()
-		_, _ = MapErrWith(128, Options{Parallelism: 4},
+		_, _ = MapErrWithCtx(context.Background(), 128, Options{Parallelism: 4},
 			func() int { return 0 },
 			func(_ int, i int) (int, error) {
 				if i == 50 {
@@ -59,15 +59,16 @@ func TestMapErrWithPanicDoesNotDeadlockMerge(t *testing.T) {
 	select {
 	case r := <-done:
 		if r == nil {
-			t.Fatal("MapErrWith returned normally despite a panicking item")
+			t.Fatal("MapErrWithCtx returned normally despite a panicking item")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("MapErrWith deadlocked after worker panic")
+		t.Fatal("MapErrWithCtx deadlocked after worker panic")
 	}
 }
 
-// TestForEachWithCtxCancelMidScan: cancelling mid-scan stops the pool
-// before all items run, returns ctx.Err(), and leaks nothing. Items that
+// TestForEachWithCtxCancelMidScan: cancelling mid-scan stops the pool's
+// context path (MapErrWithCtx) before all items run, returns ctx.Err(),
+// and leaks nothing. Items that
 // started still complete (item-granular cancellation).
 func TestForEachWithCtxCancelMidScan(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -77,12 +78,13 @@ func TestForEachWithCtxCancelMidScan(t *testing.T) {
 			defer cancel()
 			const n = 1000
 			var ran atomic.Int64
-			err := ForEachWithCtx(ctx, n, Options{Parallelism: workers},
+			_, err := MapErrWithCtx(ctx, n, Options{Parallelism: workers},
 				func() struct{} { return struct{}{} },
-				func(_ struct{}, i int) {
+				func(_ struct{}, i int) (struct{}, error) {
 					if ran.Add(1) == 10 {
 						cancel()
 					}
+					return struct{}{}, nil
 				})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
@@ -94,15 +96,15 @@ func TestForEachWithCtxCancelMidScan(t *testing.T) {
 	}
 }
 
-// TestForEachWithCtxCompleteRunsEverything: an un-cancelled context is
-// invisible — every index runs exactly once and the error is nil.
+// TestForEachWithCtxCompleteRunsEverything: to MapErrWithCtx an
+// un-cancelled context is invisible — every index runs exactly once and the error is nil.
 func TestForEachWithCtxCompleteRunsEverything(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	const n = 500
 	counts := make([]atomic.Int32, n)
-	err := ForEachWithCtx(context.Background(), n, Options{Parallelism: 4},
+	_, err := MapErrWithCtx(context.Background(), n, Options{Parallelism: 4},
 		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) { counts[i].Add(1) })
+		func(_ struct{}, i int) (struct{}, error) { counts[i].Add(1); return struct{}{}, nil })
 	if err != nil {
 		t.Fatalf("err = %v, want nil", err)
 	}
@@ -113,8 +115,8 @@ func TestForEachWithCtxCompleteRunsEverything(t *testing.T) {
 	}
 }
 
-// TestForEachWithCtxPreCancelled: a context already done at entry runs
-// nothing on the sequential path and at most a handful of items on the
+// TestForEachWithCtxPreCancelled: a context already done at entry of
+// MapErrWithCtx runs nothing on the sequential path and at most a handful of items on the
 // parallel one (each worker may claim one index before its first check is
 // observed — the contract is "stops promptly", not "runs zero").
 func TestForEachWithCtxPreCancelled(t *testing.T) {
@@ -122,9 +124,9 @@ func TestForEachWithCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := ForEachWithCtx(ctx, 1000, Options{Parallelism: 4},
+	_, err := MapErrWithCtx(ctx, 1000, Options{Parallelism: 4},
 		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) { ran.Add(1) })
+		func(_ struct{}, i int) (struct{}, error) { ran.Add(1); return struct{}{}, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -134,12 +136,12 @@ func TestForEachWithCtxPreCancelled(t *testing.T) {
 }
 
 // TestMapErrWithCtxMatchesContextFree: on the nil-error path the ctx
-// variant is bit-identical to MapErrWith — same values, same order.
+// variant is bit-identical to MapErr — same values, same order.
 func TestMapErrWithCtxMatchesContextFree(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	fn := func(_ struct{}, i int) (int, error) { return i * i, nil }
 	newW := func() struct{} { return struct{}{} }
-	want, err := MapErrWith(300, Options{Parallelism: 4}, newW, fn)
+	want, err := MapErr(300, Options{Parallelism: 4}, func(i int) (int, error) { return fn(struct{}{}, i) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,16 +178,16 @@ func TestMapErrWithCtxItemErrorBeatsCancellation(t *testing.T) {
 	}
 }
 
-// TestForEachWithCtxCancelDuringSlowItems: workers blocked inside items
-// when the cancel lands still finish their item and exit; wg.Wait joins
+// TestForEachWithCtxCancelDuringSlowItems: MapErrWithCtx's workers blocked
+// inside items when the cancel lands still finish their item and exit; wg.Wait joins
 // them all — the test would leak (and fail VerifyNoLeaks) otherwise.
 func TestForEachWithCtxCancelDuringSlowItems(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 8)
-	err := ForEachWithCtx(ctx, 64, Options{Parallelism: 4},
+	_, err := MapErrWithCtx(ctx, 64, Options{Parallelism: 4},
 		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) {
+		func(_ struct{}, i int) (struct{}, error) {
 			select {
 			case started <- struct{}{}:
 				if len(started) == 4 {
@@ -194,6 +196,7 @@ func TestForEachWithCtxCancelDuringSlowItems(t *testing.T) {
 			default:
 			}
 			time.Sleep(time.Millisecond)
+			return struct{}{}, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

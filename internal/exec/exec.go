@@ -63,7 +63,7 @@ func ForEachWith[W any](n int, o Options, newW func() W, fn func(w W, i int)) {
 }
 
 // forEachCtx is the one worker-pool implementation behind ForEachWith and
-// ForEachWithCtx. A nil ctx disables cancellation entirely (the check
+// MapErrWithCtx. A nil ctx disables cancellation entirely (the check
 // degenerates to a nil compare, so the context-free entry points pay
 // nothing). With a non-nil ctx, workers poll ctx.Err() after claiming an
 // index and before running it: an item that started always completes (the
@@ -164,22 +164,6 @@ func MapErr[T any](n int, o Options, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
 	ForEach(n, o, func(i int) { out[i], errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// MapErrWith is MapErr with per-worker state (see ForEachWith): each worker
-// allocates one W and reuses it for every item it computes. Like MapErr, all
-// indices are attempted and the lowest-index error wins, matching what a
-// sequential loop would have reported.
-func MapErrWith[W, T any](n int, o Options, newW func() W, fn func(w W, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	ForEachWith(n, o, newW, func(w W, i int) { out[i], errs[i] = fn(w, i) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"ps3/internal/dataset"
+	"ps3/internal/exec"
 	"ps3/internal/metrics"
 	"ps3/internal/picker"
 	"ps3/internal/query"
@@ -27,7 +28,7 @@ func clusteringOnlyCurve(env *Env, algo picker.ClusterAlgo, name Method) Curve {
 	})
 	return env.CurveFor(name, true, env.TestEx,
 		func(ex picker.Example, n int, rng *rand.Rand) []query.WeightedPartition {
-			return variant.Pick(ex.Query, ex.Features, n, rng)
+			return variant.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 		})
 }
 

@@ -198,39 +198,39 @@ func (e *Env) SelectionFor(m Method, ex picker.Example, n int, rng *rand.Rand) [
 	case MethodLSS:
 		return e.Sys.LSS.PickN(ex.Features, n, rng)
 	case MethodPS3:
-		return e.Sys.Picker.Pick(ex.Query, ex.Features, n, rng)
+		return e.Sys.Picker.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 	case MethodPS3Unbiased:
 		p := e.pickerVariant(func(c *picker.Config) { c.UnbiasedExemplar = true })
-		return p.Pick(ex.Query, ex.Features, n, rng)
+		return p.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 	case MethodOracle:
 		return e.Sys.Picker.PickWithOracle(ex.Query, ex.Features, ex.Contrib, n, rng)
 	case MethodNoCluster:
 		p := e.pickerVariant(func(c *picker.Config) { c.DisableCluster = true })
-		return p.Pick(ex.Query, ex.Features, n, rng)
+		return p.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 	case MethodNoOutlier:
 		p := e.pickerVariant(func(c *picker.Config) { c.DisableOutlier = true })
-		return p.Pick(ex.Query, ex.Features, n, rng)
+		return p.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 	case MethodNoRegressor:
 		p := e.pickerVariant(func(c *picker.Config) { c.DisableRegressor = true })
-		return p.Pick(ex.Query, ex.Features, n, rng)
+		return p.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 	case MethodOnlyOutlier:
 		p := e.pickerVariant(func(c *picker.Config) {
 			c.DisableCluster = true
 			c.DisableRegressor = true
 		})
-		return p.Pick(ex.Query, ex.Features, n, rng)
+		return p.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 	case MethodOnlyRegressor:
 		p := e.pickerVariant(func(c *picker.Config) {
 			c.DisableCluster = true
 			c.DisableOutlier = true
 		})
-		return p.Pick(ex.Query, ex.Features, n, rng)
+		return p.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 	case MethodOnlyCluster:
 		p := e.pickerVariant(func(c *picker.Config) {
 			c.DisableRegressor = true
 			c.DisableOutlier = true
 		})
-		return p.Pick(ex.Query, ex.Features, n, rng)
+		return p.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 	default:
 		panic(fmt.Sprintf("experiments: unknown method %q", m))
 	}

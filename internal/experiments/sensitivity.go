@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"ps3/internal/dataset"
+	"ps3/internal/exec"
 	"ps3/internal/metrics"
 	"ps3/internal/picker"
 	"ps3/internal/query"
@@ -47,7 +48,7 @@ func RunFig10(w io.Writer, dsName string, cfg Config, alphas []float64) (*AlphaS
 		})
 		lc := env.CurveFor(Method(fmt.Sprintf("learned α=%.0f", a)), false, env.TestEx,
 			func(ex picker.Example, n int, rng *rand.Rand) []query.WeightedPartition {
-				return variant.Pick(ex.Query, ex.Features, n, rng)
+				return variant.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1})
 			})
 		res.Learned = append(res.Learned, lc)
 		oc := env.CurveFor(Method(fmt.Sprintf("oracle α=%.0f", a)), false, env.TestEx,

@@ -1,7 +1,5 @@
 package gbt
 
-import "math/bits"
-
 // This file is the flat, struct-of-arrays inference engine for trained
 // ensembles. The index-linked node structs that training builds (tree.go)
 // are the reference evaluator; before serving, every model is compiled into
@@ -10,19 +8,18 @@ import "math/bits"
 //  1. Flattened traversal arrays — feature index, threshold, left child,
 //     right child in contiguous parallel slices shared by the whole
 //     ensemble, leaf weights in a fifth slice, negative child references
-//     -r encoding leaf r-1. Single-row Predict walks these (24 bytes per
-//     split node against 40 for the training-time struct).
+//     -r encoding leaf r-1. Predict walks these (24 bytes per split node
+//     against 40 for the training-time struct).
 //
 //  2. Feature-major batch tables (buildScorer) — every split condition of
 //     every tree regrouped by feature with thresholds ascending, each entry
-//     carrying a bitmask over its tree's leaves. Batch prediction keeps one
-//     live-leaf bitvector per tree: scanning a feature's entries stops at
-//     the first threshold ≥ the row's value (all later conditions hold),
-//     and each failed condition clears the leaves of its node's left
-//     subtree. The exit leaf of every tree is then the lowest surviving
-//     bit. This replaces O(trees × depth) dependent loads and
-//     unpredictable branches per row with a short run of independent
-//     bitmask ANDs, which is what makes whole-matrix funnel evaluation fast.
+//     carrying a bitmask over its tree's leaves. They are the raw material
+//     of the fold tables (scorer.go) that score the picker's funnel: a
+//     row's live leaves start as all ones per tree, scanning a feature's
+//     entries stops at the first threshold ≥ the row's value (all later
+//     conditions hold), and each failed condition clears the leaves of its
+//     node's left subtree. The exit leaf of every tree is then the lowest
+//     surviving bit.
 //
 // The bitmask evaluation is exact (the QuickScorer insight): a root-to-leaf
 // descent goes right exactly at the ancestors whose conditions fail, and
@@ -79,8 +76,7 @@ const (
 	// qsMaxLeaves bounds per-tree leaves so a tree's live-leaf set fits one
 	// uint64 (trees up to depth 6; the picker's funnel trains depth 4).
 	qsMaxLeaves = 64
-	// qsMaxTrees bounds the per-row bitvector so it stays in a fixed-size
-	// stack array in the batch loops.
+	// qsMaxTrees bounds the ensembles the batch tables are built for.
 	qsMaxTrees = 128
 )
 
@@ -206,76 +202,6 @@ func (f *Flat) predictRow(x []float64) float64 {
 		v += f.lr * leafVal[-ref-1]
 	}
 	return v
-}
-
-// scoreRow evaluates one row through the feature-major batch tables: bv must
-// hold len(roots) bitvectors and is clobbered.
-func (f *Flat) scoreRow(x []float64, bv []uint64) float64 {
-	entries, featOff := f.qsEntries, f.qsFeatOff
-	for t := range bv {
-		bv[t] = ^uint64(0)
-	}
-	for fi := 0; fi < len(featOff)-1; fi++ {
-		lo, hi := featOff[fi], featOff[fi+1]
-		if lo == hi {
-			continue
-		}
-		xv := x[fi]
-		for e := lo; e < hi; e++ {
-			// NaN satisfies no condition, so it falls through every mask —
-			// the bitvector analogue of "NaN descends right".
-			if xv <= entries[e].thresh {
-				break
-			}
-			bv[entries[e].tree] &= entries[e].mask
-		}
-	}
-	v := f.base
-	leafOff, leafVal := f.qsLeafOff, f.qsLeafVal
-	for t := range bv {
-		v += f.lr * leafVal[leafOff[t]+int32(bits.TrailingZeros64(bv[t]))]
-	}
-	return v
-}
-
-// predictBatch fills dst[i] with the prediction for xs[i], via the batch
-// tables when available. It allocates nothing (the per-tree bitvectors live
-// in a fixed stack array), and per-row results are bit-identical to
-// predictRow.
-func (f *Flat) predictBatch(dst []float64, xs [][]float64) {
-	if f.qsOK {
-		var bvArr [qsMaxTrees]uint64
-		bv := bvArr[:len(f.roots)]
-		for i, x := range xs {
-			dst[i] = f.scoreRow(x, bv)
-		}
-		return
-	}
-	for i, x := range xs {
-		dst[i] = f.predictRow(x)
-	}
-}
-
-// predictFlat is predictBatch over a row-major matrix: row i of the batch is
-// x[i*stride : i*stride+dim], and len(dst) rows are evaluated. This is the
-// entry point for callers that keep features in one contiguous scratch
-// buffer (the picker's per-worker feature matrix).
-func (f *Flat) predictFlat(dst []float64, x []float64, stride int) {
-	if f.qsOK {
-		var bvArr [qsMaxTrees]uint64
-		bv := bvArr[:len(f.roots)]
-		off := 0
-		for i := range dst {
-			dst[i] = f.scoreRow(x[off:off+f.dim], bv)
-			off += stride
-		}
-		return
-	}
-	off := 0
-	for i := range dst {
-		dst[i] = f.predictRow(x[off : off+f.dim])
-		off += stride
-	}
 }
 
 // NumNodes returns the total split-node count across all trees (the length

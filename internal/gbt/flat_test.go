@@ -45,35 +45,11 @@ func TestFlatMatchesReferenceBitIdentical(t *testing.T) {
 			}
 			probe = append(probe, row)
 		}
-		dst := make([]float64, len(probe))
-		m.PredictBatch(dst, probe)
 		for i, x := range probe {
 			ref := m.PredictReference(x)
 			if got := m.Predict(x); got != ref {
 				t.Fatalf("seed %d row %d: Predict %v != reference %v", seed, i, got, ref)
 			}
-			if dst[i] != ref {
-				t.Fatalf("seed %d row %d: PredictBatch %v != reference %v", seed, i, dst[i], ref)
-			}
-		}
-	}
-}
-
-// TestPredictFlatMatchesBatch checks the row-major entry point against the
-// slice-of-rows one, including a stride wider than the model dimension.
-func TestPredictFlatMatchesBatch(t *testing.T) {
-	m, xs := trainRandomModel(t, 3, 200, 5)
-	for _, stride := range []int{5, 8} {
-		flat := make([]float64, len(xs)*stride)
-		for i, row := range xs {
-			copy(flat[i*stride:], row)
-		}
-		want := make([]float64, len(xs))
-		m.PredictBatch(want, xs)
-		got := make([]float64, len(xs))
-		m.PredictFlat(got, flat, stride)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("stride %d: PredictFlat diverges from PredictBatch", stride)
 		}
 	}
 }
@@ -102,7 +78,6 @@ func TestNaNGoesRight(t *testing.T) {
 	m, _ := trainRandomModel(t, 11, 300, 4)
 	rng := rand.New(rand.NewSource(12))
 	specials := []float64{nan, math.Inf(1), math.Inf(-1), 0, -1e300, 1e300}
-	var probe [][]float64
 	for i := 0; i < 500; i++ {
 		row := make([]float64, 4)
 		for j := range row {
@@ -112,7 +87,6 @@ func TestNaNGoesRight(t *testing.T) {
 				row[j] = rng.NormFloat64() * 10
 			}
 		}
-		probe = append(probe, row)
 		ref := m.PredictReference(row)
 		if got := m.Predict(row); got != ref {
 			t.Fatalf("non-finite row %v: flat %v != reference %v", row, got, ref)
@@ -121,15 +95,6 @@ func TestNaNGoesRight(t *testing.T) {
 			t.Fatalf("non-finite prediction %v for row %v", ref, row)
 		}
 	}
-	// The batch tables route non-finite features identically.
-	batch := make([]float64, len(probe))
-	m.PredictBatch(batch, probe)
-	for i, row := range probe {
-		if ref := m.PredictReference(row); batch[i] != ref {
-			t.Fatalf("non-finite row %v: batch %v != reference %v", row, batch[i], ref)
-		}
-	}
-
 	// A NaN feature must take the right subtree of a split on that feature:
 	// build a deterministic one-split model via snapshot.
 	s := ModelSnapshot{
@@ -167,12 +132,10 @@ func TestSnapshotRoundTripsThroughFlatCompiler(t *testing.T) {
 	if !reflect.DeepEqual(m.flat, back.flat) {
 		t.Fatal("flat compile of restored snapshot differs from original")
 	}
-	a := make([]float64, len(xs))
-	b := make([]float64, len(xs))
-	m.PredictBatch(a, xs)
-	back.PredictBatch(b, xs)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("restored snapshot predicts differently through the flat engine")
+	for i, x := range xs {
+		if a, b := m.Predict(x), back.Predict(x); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("row %d: restored snapshot predicts %v through the flat engine, original %v", i, b, a)
+		}
 	}
 }
 
@@ -233,29 +196,10 @@ func TestFlatTopologyCounts(t *testing.T) {
 	}
 }
 
-// TestPredictBatchZeroAllocs asserts the steady-state allocation contract of
-// the batch entry points: reusing dst (and the row-major matrix), repeated
-// batch predictions allocate nothing.
-func TestPredictBatchZeroAllocs(t *testing.T) {
-	m, xs := trainRandomModel(t, 9, 256, 6)
-	dst := make([]float64, len(xs))
-	if allocs := testing.AllocsPerRun(20, func() { m.PredictBatch(dst, xs) }); allocs != 0 {
-		t.Fatalf("PredictBatch allocates %.0f objects per run, want 0", allocs)
-	}
-	stride := 6
-	flat := make([]float64, len(xs)*stride)
-	for i, row := range xs {
-		copy(flat[i*stride:], row)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { m.PredictFlat(dst, flat, stride) }); allocs != 0 {
-		t.Fatalf("PredictFlat allocates %.0f objects per run, want 0", allocs)
-	}
-}
-
-// BenchmarkPredictBatch compares the pointer-tree reference against the flat
-// batch engine on one partition-batch-sized matrix; the flat sub-benchmark
-// reports its in-run speedup over the reference.
-func BenchmarkPredictBatch(b *testing.B) {
+// BenchmarkPredict compares the pointer-tree reference against the flat
+// traversal arrays on one partition-batch-sized matrix, row by row; the
+// flat sub-benchmark reports its in-run speedup over the reference.
+func BenchmarkPredict(b *testing.B) {
 	m, _ := trainRandomModel(b, 13, 400, 24)
 	rng := rand.New(rand.NewSource(14))
 	const rows = 512
@@ -268,13 +212,16 @@ func BenchmarkPredictBatch(b *testing.B) {
 		xs[i] = row
 	}
 	dst := make([]float64, rows)
+	sweep := func(predict func([]float64) float64) {
+		for j, x := range xs {
+			dst[j] = predict(x)
+		}
+	}
 
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for j, x := range xs {
-				dst[j] = m.PredictReference(x)
-			}
+			sweep(m.PredictReference)
 		}
 	})
 	b.Run("flat", func(b *testing.B) {
@@ -282,14 +229,12 @@ func BenchmarkPredictBatch(b *testing.B) {
 		const refIters = 20
 		refStart := time.Now()
 		for i := 0; i < refIters; i++ {
-			for j, x := range xs {
-				dst[j] = m.PredictReference(x)
-			}
+			sweep(m.PredictReference)
 		}
 		refPer := time.Since(refStart) / refIters
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.PredictBatch(dst, xs)
+			sweep(m.Predict)
 		}
 		b.StopTimer()
 		flatPer := b.Elapsed() / time.Duration(b.N)

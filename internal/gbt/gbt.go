@@ -178,38 +178,13 @@ func (m *Model) Predict(x []float64) float64 { return m.flat.predictRow(x) }
 // PredictReference is the retained pointer-tree evaluator: it walks the
 // training-time node structs tree by tree. It exists as the independent
 // reference implementation the flat engine is equivalence-tested against;
-// hot paths use Predict / PredictBatch / PredictFlat.
+// hot paths use Predict or a FoldTable (scorer.go).
 func (m *Model) PredictReference(x []float64) float64 {
 	v := m.base
 	for _, t := range m.trees {
 		v += m.params.LearningRate * t.predict(x)
 	}
 	return v
-}
-
-// PredictBatch fills dst[i] with the model output for xs[i], evaluating all
-// trees over the whole batch in tight array sweeps. dst and xs must have
-// equal length. It performs zero allocations, so callers can reuse dst across
-// batches; per-row results are bit-identical to Predict.
-func (m *Model) PredictBatch(dst []float64, xs [][]float64) {
-	if len(dst) != len(xs) {
-		panic("gbt: PredictBatch dst/xs length mismatch")
-	}
-	m.flat.predictBatch(dst, xs)
-}
-
-// PredictFlat is PredictBatch over a row-major feature matrix: row i is
-// x[i*stride : i*stride+Dim()], and len(dst) rows are evaluated. Zero
-// allocations; this is the entry point for batch featurization scratch
-// buffers.
-func (m *Model) PredictFlat(dst []float64, x []float64, stride int) {
-	if stride < m.dim {
-		panic("gbt: PredictFlat stride smaller than model dimension")
-	}
-	if len(dst) > 0 && (len(dst)-1)*stride+m.dim > len(x) {
-		panic("gbt: PredictFlat matrix shorter than dst rows require")
-	}
-	m.flat.predictFlat(dst, x, stride)
 }
 
 // Importance returns per-feature total split gain ("gain" importance, the

@@ -183,27 +183,6 @@ func TestSubsamplingStillLearns(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([][]float64, 30)
-	ys := make([]float64, 30)
-	for i := range xs {
-		xs[i] = []float64{rng.Float64(), rng.Float64()}
-		ys[i] = xs[i][0] + xs[i][1]
-	}
-	m, err := Train(xs, ys, Params{Trees: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]float64, len(xs))
-	m.PredictBatch(batch, xs)
-	for i, x := range xs {
-		if batch[i] != m.Predict(x) {
-			t.Fatalf("batch[%d] = %v, Predict = %v", i, batch[i], m.Predict(x))
-		}
-	}
-}
-
 func TestModelAccessors(t *testing.T) {
 	xs := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11, 12}}
 	ys := []float64{1, 2, 3, 4, 5, 6}

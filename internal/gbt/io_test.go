@@ -134,8 +134,8 @@ func TestFromSnapshotAcceptsMissingImportance(t *testing.T) {
 // nanThresholdSnapshot is three one-split trees on feature 0 with thresholds
 // 5, NaN, 3 and leaves {1, 10}. Before FromSnapshot rejected it, the batch
 // tables ordered the NaN entry first (NaN defeats the insertion sort's `<`),
-// the early-exit scan stopped on it, and row x = 4 scored 3 through
-// PredictBatch against 21 through PredictReference.
+// the early-exit scan stopped on it, and row x = 4 scored 3 through the
+// batch tables against 21 through PredictReference.
 func nanThresholdSnapshot() ModelSnapshot {
 	s := ModelSnapshot{Params: Params{LearningRate: 1}, Dim: 1}
 	for _, th := range []float64{5, math.NaN(), 3} {
@@ -162,11 +162,21 @@ func TestFromSnapshotRejectsNaNThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []float64{4, 6, math.Inf(1), math.Inf(-1), math.NaN()} {
-		got := make([]float64, 1)
-		m.PredictBatch(got, [][]float64{{x}})
-		if want := m.PredictReference([]float64{x}); math.Float64bits(got[0]) != math.Float64bits(want) {
-			t.Fatalf("x = %v: PredictBatch %v, PredictReference %v", x, got[0], want)
+	// The batch tables, read through a fold table whose one column holds x
+	// as a base value, and the flat walk both agree with the pointer trees.
+	base := []float64{4, 6, math.Inf(1), math.Inf(-1), math.NaN()}
+	ft := m.NewFoldTable(base, 1, len(base), FoldLayout{Group: []int32{0}, Groups: 1})
+	var bs BatchScorer
+	bs.Bind(ft, []bool{true})
+	folded := make([]float64, len(base))
+	bs.Predict(folded, []int{0, 1, 2, 3, 4}, make([][]float64, len(base)))
+	for i, x := range base {
+		want := m.PredictReference([]float64{x})
+		if got := m.Predict([]float64{x}); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("x = %v: Predict %v, PredictReference %v", x, got, want)
+		}
+		if math.Float64bits(folded[i]) != math.Float64bits(want) {
+			t.Fatalf("x = %v: folded %v, PredictReference %v", x, folded[i], want)
 		}
 	}
 }

@@ -22,11 +22,11 @@ import "math/bits"
 //   - per row (BatchScorer.Predict): one word-AND per tree per named column,
 //     and a scan of the surviving free-slot conditions only.
 //
-// Masks commute under AND and every fold is built by the ascending-threshold
-// scan scoreRow runs (NaN fails every condition, ±Inf compare as floats do),
-// so every tree keeps the live leaves scoreRow leaves it — hence the same exit
-// leaf and a tree-order sum bit-identical to Model.PredictBatch over the full
-// rows.
+// Masks commute under AND and every fold is built by the same
+// ascending-threshold scan of the batch tables (NaN fails every condition,
+// ±Inf compare as floats do), so every tree keeps the live leaves a scan of
+// the full row leaves it — hence the same exit leaf and a tree-order sum
+// bit-identical to Model.Predict over the full rows.
 
 // FoldLayout describes how a model's feature slots relate to the rows a
 // FoldTable will score.
@@ -152,7 +152,7 @@ func (m *Model) NewFoldTable(base []float64, stride, rows int, lay FoldLayout) *
 }
 
 // foldInto ANDs into bv the masks of the conditions of es (one feature's
-// entries, thresholds ascending) that fail at value xv — scoreRow's scan.
+// entries, thresholds ascending) that fail at value xv.
 func foldInto(bv []uint16, es []qsEntry, xv float64) {
 	for _, e := range es {
 		if xv <= e.thresh {
@@ -218,8 +218,8 @@ func (s *BatchScorer) Bind(t *FoldTable, named []bool) {
 
 // Predict fills dst[k] with the bound model's output for table row rows[k],
 // whose free-slot values are xs[rows[k]] (indexed by free-slot number). It is
-// bit-identical to Model.PredictBatch over the full rows the binding stands
-// for, and performs zero allocations.
+// bit-identical to Model.Predict over the full rows the binding stands for,
+// and performs zero allocations.
 func (s *BatchScorer) Predict(dst []float64, rows []int, xs [][]float64) {
 	if len(dst) != len(rows) {
 		panic("gbt: BatchScorer.Predict dst/rows length mismatch")

@@ -146,27 +146,25 @@ func (fx *foldFixture) namedShapes(rng *rand.Rand) [][]bool {
 func (fx *foldFixture) check(t *testing.T, ft *FoldTable, s *BatchScorer, named []bool, idx []int) {
 	t.Helper()
 	full := fx.fullRows(named)
-	want := make([]float64, fx.rows)
-	fx.m.PredictBatch(want, full)
 	got := make([]float64, len(idx))
 	s.Bind(ft, named)
 	s.Predict(got, idx, fx.free)
 	for k, i := range idx {
-		ref := fx.m.PredictReference(full[i])
-		if math.Float64bits(got[k]) != math.Float64bits(want[i]) || math.Float64bits(got[k]) != math.Float64bits(ref) {
-			t.Fatalf("named %v row %d: folded %v, PredictBatch %v, PredictReference %v", named, i, got[k], want[i], ref)
+		want, ref := fx.m.Predict(full[i]), fx.m.PredictReference(full[i])
+		if math.Float64bits(got[k]) != math.Float64bits(want) || math.Float64bits(got[k]) != math.Float64bits(ref) {
+			t.Fatalf("named %v row %d: folded %v, Predict %v, PredictReference %v", named, i, got[k], want, ref)
 		}
 	}
 }
 
-// TestBatchScorerMatchesPredictBatch is the fold tables' bit-identity
+// TestBatchScorerMatchesPredict is the fold tables' bit-identity
 // contract: for random ensembles (single-leaf trees, ±Inf thresholds, a
 // group no tree splits on) over base matrices holding NaN, ±Inf, exact
 // threshold ties and a constant column, a scorer bound with any subset of
-// named groups reproduces Model.PredictBatch and PredictReference over the
+// named groups reproduces Model.Predict and PredictReference over the
 // materialized rows, bit for bit — over all rows, a scattered subset, and
 // none.
-func TestBatchScorerMatchesPredictBatch(t *testing.T) {
+func TestBatchScorerMatchesPredict(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		fx := newFoldFixture(t, seed, 60, 12+int(seed)*5, 0, 1)
 		ft := fx.m.NewFoldTable(fx.base, fx.dim, fx.rows, fx.lay)
@@ -284,9 +282,9 @@ func TestBatchScorerZeroAllocsAfterBind(t *testing.T) {
 // 11 columns × 17 statistics, 54 bitmap bits), a 40-tree depth-4 model, a
 // query naming three columns. `tables` is the once-per-binding fold;
 // `folded` the per-query Bind + Predict; `paired` interleaves `folded` with
-// Model.PredictBatch over the materialized full rows — the surviving
-// unspecialized sweep, here not even charged for filling its rows — and
-// reports the per-op ratio.
+// the per-row Model.Predict walk over the materialized full rows — what the
+// picker runs for a stage without a fold table, here not even charged for
+// filling its rows — and reports the per-op ratio.
 func BenchmarkFunnelStage(b *testing.B) {
 	const rows, nFree, cols, perCol, bitmapCols, bitsPerCol = 400, 4, 11, 17, 2, 27
 	dim := nFree + cols*perCol + bitmapCols*bitsPerCol
@@ -376,7 +374,9 @@ func BenchmarkFunnelStage(b *testing.B) {
 		var sweepNs, foldedNs int64
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
-			m.PredictBatch(dst, full)
+			for k, x := range full {
+				dst[k] = m.Predict(x)
+			}
 			t1 := time.Now()
 			folded()
 			sweepNs += int64(t1.Sub(t0))

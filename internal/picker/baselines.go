@@ -9,18 +9,25 @@ import (
 
 // Uniform samples n partitions uniformly at random out of total, scaling
 // weights by total/n (§5.1.3 "Random Sampling").
+// A budget of everything reads every partition at weight 1, and one of
+// nothing reads none; neither draws from rng.
 func Uniform(total, n int, rng *rand.Rand) []query.WeightedPartition {
 	if n >= total {
-		sel := make([]query.WeightedPartition, total)
-		for i := range sel {
-			sel[i] = query.WeightedPartition{Part: i, Weight: 1}
-		}
-		return sel
+		return whole(allParts(total))
 	}
 	if n <= 0 {
 		return nil
 	}
 	return randomSelect(allParts(total), n, rng)
+}
+
+// whole is the exact selection of parts: every one read, weight 1.
+func whole(parts []int) []query.WeightedPartition {
+	sel := make([]query.WeightedPartition, len(parts))
+	for k, i := range parts {
+		sel[k] = query.WeightedPartition{Part: i, Weight: 1}
+	}
+	return sel
 }
 
 // UniformFilter samples uniformly among partitions that pass the
@@ -39,11 +46,7 @@ func UniformFilter(ts *stats.TableStats, features [][]float64, n int, rng *rand.
 		return nil
 	}
 	if n >= len(candidates) {
-		sel := make([]query.WeightedPartition, 0, len(candidates))
-		for _, i := range candidates {
-			sel = append(sel, query.WeightedPartition{Part: i, Weight: 1})
-		}
-		return sel
+		return whole(candidates)
 	}
 	if n <= 0 {
 		return nil

@@ -16,6 +16,8 @@
 package picker
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"ps3/internal/cluster"
@@ -115,6 +117,28 @@ func (c Config) withDefaults() Config {
 		c.TopFrac = 0.01
 	}
 	return c
+}
+
+// validate rejects a config a pick cannot run under: an outlier share
+// outside [0, 1] slices the outlier list out of range or overspends the
+// budget, a non-finite or non-positive α stalls or skews the budget
+// allocation, and a NaN size fraction or an unknown algorithm has no
+// meaning. Training's withDefaults never produces one; a corrupt snapshot
+// can.
+func (c Config) validate() error {
+	switch {
+	case !(c.OutlierBudgetFrac >= 0 && c.OutlierBudgetFrac <= 1):
+		return fmt.Errorf("outlier budget fraction %v outside [0, 1]", c.OutlierBudgetFrac)
+	case !(c.Alpha > 0) || math.IsInf(c.Alpha, 1):
+		return fmt.Errorf("decay rate α = %v, want finite and positive", c.Alpha)
+	case math.IsNaN(c.OutlierRelSize):
+		return fmt.Errorf("outlier relative size is NaN")
+	case math.IsNaN(c.TopFrac):
+		return fmt.Errorf("top fraction is NaN")
+	case c.Algo > AlgoHACSingle:
+		return fmt.Errorf("unknown clustering algorithm %d", c.Algo)
+	}
+	return nil
 }
 
 // clusterize runs the configured clustering algorithm on the production

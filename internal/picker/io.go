@@ -67,7 +67,8 @@ func (p *Picker) WriteTo(w io.Writer) (int64, error) {
 // ReadPicker deserializes a picker written with WriteTo and binds it to ts,
 // the statistics store it was trained against. Funnel models are validated
 // against the store's feature dimension, so a picker cannot be rebound to a
-// store with a different feature space.
+// store with a different feature space, and the config against the values a
+// pick can run under.
 func ReadPicker(r io.Reader, ts *stats.TableStats) (*Picker, error) {
 	if ts == nil || ts.Space == nil {
 		return nil, fmt.Errorf("picker: cannot restore against a nil or spaceless statistics store")
@@ -78,6 +79,9 @@ func ReadPicker(r io.Reader, ts *stats.TableStats) (*Picker, error) {
 	}
 	if wire.Version != pickerWireVersion {
 		return nil, fmt.Errorf("picker: snapshot version %d, this build reads %d", wire.Version, pickerWireVersion)
+	}
+	if err := wire.Cfg.validate(); err != nil {
+		return nil, fmt.Errorf("picker: corrupt snapshot: %w", err)
 	}
 	if len(wire.Thresholds) != len(wire.Regs) {
 		return nil, fmt.Errorf("picker: corrupt snapshot: %d thresholds for %d funnel stages",

@@ -2,9 +2,12 @@ package picker
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"ps3/internal/exec"
 	"ps3/internal/query"
 	"ps3/internal/stats"
 )
@@ -16,7 +19,7 @@ func pickAll(p *Picker, exs []Example, budgets []int, seed int64) [][]query.Weig
 	for qi, ex := range exs {
 		for _, n := range budgets {
 			rng := rand.New(rand.NewSource(seed + int64(qi)))
-			out = append(out, p.Pick(ex.Query, ex.Features, n, rng))
+			out = append(out, p.PickBatch(ex.Query, n, rng, exec.Options{Parallelism: 1}))
 		}
 	}
 	return out
@@ -90,6 +93,87 @@ func TestReadPickerRejectsGarbage(t *testing.T) {
 	if _, err := ReadPicker(bytes.NewReader([]byte("junk")), env.ts); err == nil {
 		t.Fatal("want error decoding garbage")
 	}
+}
+
+// corruptConfigs are the snapshot configs a pick cannot run under, one per
+// rejected field value: a negative or NaN outlier share sliced the outlier
+// list out of range, a NaN α never returned from the budget allocation.
+var corruptConfigs = []struct {
+	name   string
+	mutate func(*Config)
+}{
+	{"outlier budget -1", func(c *Config) { c.OutlierBudgetFrac = -1 }},
+	{"outlier budget NaN", func(c *Config) { c.OutlierBudgetFrac = math.NaN() }},
+	{"outlier budget 1.5", func(c *Config) { c.OutlierBudgetFrac = 1.5 }},
+	{"alpha NaN", func(c *Config) { c.Alpha = math.NaN() }},
+	{"alpha +Inf", func(c *Config) { c.Alpha = math.Inf(1) }},
+	{"alpha 0", func(c *Config) { c.Alpha = 0 }},
+	{"alpha -2", func(c *Config) { c.Alpha = -2 }},
+	{"outlier rel size NaN", func(c *Config) { c.OutlierRelSize = math.NaN() }},
+	{"top frac NaN", func(c *Config) { c.TopFrac = math.NaN() }},
+	{"algo 3", func(c *Config) { c.Algo = AlgoHACSingle + 1 }},
+}
+
+// snapshotWith returns p's snapshot with its config mutated.
+func snapshotWith(t testing.TB, p *Picker, mutate func(*Config)) []byte {
+	t.Helper()
+	bad := *p
+	mutate(&bad.Cfg)
+	var buf bytes.Buffer
+	if _, err := bad.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestReadPickerRejectsCorruptConfig(t *testing.T) {
+	env := newTestEnv(t, 10, 15, Config{K: 2, Seed: 7})
+	if _, err := ReadPicker(bytes.NewReader(snapshotWith(t, env.p, func(*Config) {})), env.ts); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	for _, tc := range corruptConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadPicker(bytes.NewReader(snapshotWith(t, env.p, tc.mutate)), env.ts); err == nil {
+				t.Fatal("ReadPicker accepted a config a pick cannot run under")
+			}
+		})
+	}
+}
+
+// FuzzReadPicker: ReadPicker decodes the one untrusted file a server loads
+// besides the statistics and the table. Whatever it accepts must pick —
+// two queries at two budgets — without panicking or hanging.
+func FuzzReadPicker(f *testing.F) {
+	env := newTestEnv(f, 10, 15, Config{K: 2, Seed: 7})
+	valid := snapshotWith(f, env.p, func(*Config) {})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte("garbage"))
+	f.Add([]byte{})
+	for _, tc := range corruptConfigs {
+		f.Add(snapshotWith(f, env.p, tc.mutate))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadPicker(bytes.NewReader(data), env.ts)
+		if err != nil {
+			return
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, ex := range env.exs[:2] {
+				for _, n := range []int{3, 7} {
+					p.PickBatch(ex.Query, n, rand.New(rand.NewSource(1)), exec.Options{Parallelism: 1})
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("PickBatch on an accepted snapshot did not return")
+		}
+	})
 }
 
 func TestLSSRoundTripBitIdenticalPicks(t *testing.T) {

@@ -135,11 +135,7 @@ func (l *LSS) pickWithStrataSize(features [][]float64, budget, strataSize int, r
 		return nil
 	}
 	if budget >= len(candidates) {
-		sel := make([]query.WeightedPartition, 0, len(candidates))
-		for _, i := range candidates {
-			sel = append(sel, query.WeightedPartition{Part: i, Weight: 1})
-		}
-		return sel
+		return whole(candidates)
 	}
 
 	// Rank candidates by predicted contribution, then cut the prediction
@@ -193,9 +189,7 @@ func (l *LSS) pickWithStrataSize(features [][]float64, budget, strataSize int, r
 			continue
 		}
 		if ni >= len(s) {
-			for _, i := range s {
-				sel = append(sel, query.WeightedPartition{Part: i, Weight: 1})
-			}
+			sel = append(sel, whole(s)...)
 			continue
 		}
 		sel = append(sel, randomSelect(s, ni, rng)...)

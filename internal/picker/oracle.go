@@ -6,21 +6,15 @@ import (
 	"ps3/internal/query"
 )
 
-// PickWithOracle is Pick with the learned funnel replaced by an oracle that
-// groups partitions by their *true* contributions using the same
-// exponentially spaced thresholds the funnel targets. It upper-bounds the
-// benefit of importance-style sampling (Fig 10, right).
+// PickWithOracle is Algorithm 1 without outliers or clustering, and with
+// the learned funnel replaced by an oracle that groups partitions by their
+// *true* contributions using the same exponentially spaced thresholds the
+// funnel targets. It upper-bounds the benefit of importance-style sampling
+// (Fig 10, right).
 func (p *Picker) PickWithOracle(q *query.Query, features [][]float64, contrib []float64, n int, rng *rand.Rand) []query.WeightedPartition {
 	total := len(features)
-	if n >= total {
-		sel := make([]query.WeightedPartition, total)
-		for i := range sel {
-			sel[i] = query.WeightedPartition{Part: i, Weight: 1}
-		}
-		return sel
-	}
-	if n <= 0 {
-		return nil
+	if n <= 0 || n >= total {
+		return Uniform(total, n, rng)
 	}
 	if rng == nil {
 		rng = newRand(p.Cfg.Seed)
@@ -40,10 +34,7 @@ func (p *Picker) PickWithOracle(q *query.Query, features [][]float64, contrib []
 		return selection
 	}
 	if budget >= len(candidates) {
-		for _, i := range candidates {
-			selection = append(selection, query.WeightedPartition{Part: i, Weight: 1})
-		}
-		return selection
+		return whole(candidates)
 	}
 
 	// Oracle funnel: thresholds from true contributions over the candidate
@@ -85,9 +76,7 @@ func (p *Picker) PickWithOracle(q *query.Query, features [][]float64, contrib []
 			continue
 		}
 		if ni >= len(g) {
-			for _, i := range g {
-				selection = append(selection, query.WeightedPartition{Part: i, Weight: 1})
-			}
+			selection = append(selection, whole(g)...)
 			continue
 		}
 		selection = append(selection, randomSelect(g, ni, rng)...)

@@ -36,12 +36,10 @@ type PickStats struct {
 type funnelEval uint8
 
 const (
-	// evalFlat predicts row-at-a-time on the compiled flat ensembles (the
-	// path behind the legacy Pick signature).
-	evalFlat funnelEval = iota
-	// evalReference predicts on the retained pointer-tree evaluator; the
-	// baseline the batch path is equivalence-tested against.
-	evalReference
+	// evalReference predicts on the retained pointer-tree evaluator over
+	// full feature rows; the baseline the batch path is equivalence-tested
+	// against.
+	evalReference funnelEval = iota
 	// evalBatch predicts each funnel group in one sweep over the binding's
 	// fold tables (tables.go) and the four per-query selectivity columns,
 	// allocating nothing per partition. Rows are selWidth wide.
@@ -129,48 +127,30 @@ func (sc *pickScratch) setMasks(p *Picker, plan *stats.FeaturePlan) {
 	}
 }
 
-// Pick runs Algorithm 1: outliers → importance funnel → α-decayed budget
-// allocation → per-group clustering selection. features is the raw N×M
-// matrix for q from stats.TableStats.Features; budget n is the number of
-// partitions to read. The returned weights combine per §2.4.
-//
-// Callers that do not already hold a feature matrix should prefer PickBatch,
-// which featurizes into pooled scratch (in parallel) instead of allocating
-// an N×M matrix per query.
-func (p *Picker) Pick(q *query.Query, features [][]float64, n int, rng *rand.Rand) []query.WeightedPartition {
-	sel, _ := p.PickWithStats(q, features, n, rng)
-	return sel
-}
-
-// PickWithStats is Pick with timing instrumentation.
-func (p *Picker) PickWithStats(q *query.Query, features [][]float64, n int, rng *rand.Rand) ([]query.WeightedPartition, PickStats) {
-	var st PickStats
-	start := time.Now()
-	sel := p.pick(q, features, n, rng, &st, evalFlat, nil, exec.Options{})
-	st.Total = time.Since(start)
-	return sel, st
-}
-
-// PickReference is Pick evaluated end to end on the reference
-// implementations: per-partition feature rows and the pointer-tree funnel
-// evaluator. It exists as the equivalence baseline for PickBatch; serving
-// paths never call it.
+// PickReference is PickBatch evaluated end to end on the reference
+// implementations: a materialized feature matrix (features is the raw N×M
+// matrix for q from stats.TableStats.Features), the pointer-tree funnel
+// evaluator and exact k-means sweeps. It exists as the equivalence baseline
+// for PickBatch; serving and the experiments never call it.
 func (p *Picker) PickReference(q *query.Query, features [][]float64, n int, rng *rand.Rand) []query.WeightedPartition {
 	var st PickStats
 	return p.pick(q, features, n, rng, &st, evalReference, nil, exec.Options{})
 }
 
-// PickBatch is the batched fast path of Algorithm 1. It computes only what
-// the query changes about a partition's feature row — the four selectivity
-// estimates — into a pooled N×4 scratch matrix (in parallel over partition
-// blocks on the shared exec pool, bounded by eo.Parallelism); everything
-// else in a row is the partition's base feature or a masked zero, which the
-// funnel scores from per-binding fold tables (tables.go) and cluster
-// preparation reads from TableStats.NormBase. Zero allocations per partition
-// in the steady state. The selection is bit-identical to
-// Pick(q, p.TS.Features(q), n, rng) — and to PickReference — at every
-// parallelism setting: estimates are filled into disjoint rows indexed by
-// partition, and the selection logic consumes them in partition order.
+// PickBatch runs Algorithm 1: outliers → importance funnel → α-decayed
+// budget allocation → per-group clustering selection. Budget n is the number
+// of partitions to read; the returned weights combine per §2.4. It computes
+// only what the query changes about a partition's feature row — the four
+// selectivity estimates — into a pooled N×4 scratch matrix (in parallel over
+// partition blocks on the shared exec pool, bounded by eo.Parallelism);
+// everything else in a row is the partition's base feature or a masked
+// zero, which the funnel scores from per-binding fold tables (tables.go) and
+// cluster preparation reads from TableStats.NormBase. Zero allocations per
+// partition in the steady state. The selection is bit-identical to
+// PickReference(q, p.TS.Features(q), n, rng) whenever the bounded k-means
+// assigns the reference's labels (cluster.KMeansBounded), and the same at
+// every parallelism setting: estimates are filled into disjoint rows indexed
+// by partition, and the selection logic consumes them in partition order.
 func (p *Picker) PickBatch(q *query.Query, n int, rng *rand.Rand, eo exec.Options) []query.WeightedPartition {
 	sel, _ := p.PickBatchWithStats(q, n, rng, eo)
 	return sel
@@ -186,19 +166,10 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 	var st PickStats
 	start := time.Now()
 	total := len(p.TS.Parts)
-	if n >= total {
-		// Budget covers everything (mirrors pick's first branch without
-		// featurizing): exact answer, weight 1 each.
-		sel := make([]query.WeightedPartition, total)
-		for i := range sel {
-			sel[i] = query.WeightedPartition{Part: i, Weight: 1}
-		}
+	if n <= 0 || n >= total {
+		// Nothing or everything: pick's first branch, without featurizing.
 		st.Total = time.Since(start)
-		return sel, st
-	}
-	if n <= 0 {
-		st.Total = time.Since(start)
-		return nil, st
+		return Uniform(total, n, rng), st
 	}
 	plan := p.TS.NewFeaturePlan(q)
 	sc := getPickScratch(total, plan.Dim())
@@ -223,16 +194,9 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 
 func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Rand, st *PickStats, ev funnelEval, sc *pickScratch, eo exec.Options) []query.WeightedPartition {
 	total := len(features)
-	if n >= total {
-		// Budget covers everything: exact answer, weight 1 each.
-		sel := make([]query.WeightedPartition, total)
-		for i := range sel {
-			sel[i] = query.WeightedPartition{Part: i, Weight: 1}
-		}
-		return sel
-	}
-	if n <= 0 {
-		return nil
+	if n <= 0 || n >= total {
+		// Nothing to pick, or an exact answer: every partition at weight 1.
+		return Uniform(total, n, rng)
 	}
 	if rng == nil {
 		rng = newRand(p.Cfg.Seed)
@@ -263,9 +227,7 @@ func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Ran
 				}
 			}
 		}
-		for _, o := range outliers {
-			selection = append(selection, query.WeightedPartition{Part: o, Weight: 1})
-		}
+		selection = whole(outliers)
 		inliers = rest
 	}
 	budget := n - len(selection)
@@ -287,10 +249,7 @@ func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Ran
 		return selection
 	}
 	if budget >= len(candidates) {
-		for _, i := range candidates {
-			selection = append(selection, query.WeightedPartition{Part: i, Weight: 1})
-		}
-		return selection
+		return append(selection, whole(candidates)...)
 	}
 
 	// 3. Importance funnel (Algorithm 2), least-important group first.
@@ -307,9 +266,7 @@ func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Ran
 			continue
 		}
 		if ni >= len(g) {
-			for _, i := range g {
-				selection = append(selection, query.WeightedPartition{Part: i, Weight: 1})
-			}
+			selection = append(selection, whole(g)...)
 			continue
 		}
 		if p.Cfg.DisableCluster || tooComplex(q, p.Cfg.MaxPredClauses) {
@@ -421,10 +378,10 @@ func (p *Picker) findOutliers(q *query.Query, total int) (outliers, rest []int) 
 
 // importanceGroups runs the funnel (Algorithm 2): candidates that pass more
 // regressors advance further. The result is ordered least → most important.
-// All three evaluators visit the same rows in the same order and score with
+// Both evaluators visit the same rows in the same order and score with
 // bit-identical ensemble outputs, so grouping is evaluator-independent.
 // Under evalBatch, features holds selWidth-wide rows and sc the pick's
-// scratch; the other evaluators read full rows.
+// scratch; evalReference reads full rows.
 func (p *Picker) importanceGroups(features [][]float64, candidates []int, ev funnelEval, sc *pickScratch) [][]int {
 	if p.Cfg.DisableRegressor || len(p.Regs) == 0 {
 		return [][]int{candidates}
@@ -437,30 +394,26 @@ func (p *Picker) importanceGroups(features [][]float64, candidates []int, ev fun
 	for stage, reg := range p.Regs {
 		last := groups[len(groups)-1]
 		var preds []float64
-		if ev == evalBatch {
-			preds = sc.preds[:len(last)]
-			if stage < len(tables) && tables[stage] != nil {
-				// One sweep per stage over the advancing group: per row, one
-				// word-AND per tree per named column plus the selectivity
-				// conditions.
-				sc.scorer.Bind(tables[stage], sc.named)
-				sc.scorer.Predict(preds, last, features)
-			} else {
-				p.walkFullRows(preds, reg, last, features, sc)
+		switch {
+		case ev == evalReference:
+			preds = make([]float64, len(last))
+			for k, i := range last {
+				preds[k] = reg.PredictReference(features[i])
 			}
+		case stage < len(tables) && tables[stage] != nil:
+			// One sweep per stage over the advancing group: per row, one
+			// word-AND per tree per named column plus the selectivity
+			// conditions.
+			preds = sc.preds[:len(last)]
+			sc.scorer.Bind(tables[stage], sc.named)
+			sc.scorer.Predict(preds, last, features)
+		default:
+			preds = sc.preds[:len(last)]
+			p.walkFullRows(preds, reg, last, features, sc)
 		}
 		var stay, advance []int
 		for k, i := range last {
-			var pred float64
-			switch {
-			case preds != nil:
-				pred = preds[k]
-			case ev == evalReference:
-				pred = reg.PredictReference(features[i])
-			default:
-				pred = reg.Predict(features[i])
-			}
-			if pred > p.Thresholds[stage] {
+			if preds[k] > p.Thresholds[stage] {
 				advance = append(advance, i)
 			} else {
 				stay = append(stay, i)

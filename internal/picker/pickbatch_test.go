@@ -28,20 +28,15 @@ func selectionsEqual(a, b []query.WeightedPartition) bool {
 
 // TestPickBatchMatchesReference is the end-to-end bit-identity contract of
 // the batched pick path: for every test query, every budget and every
-// parallelism setting, PickBatch must return exactly the selection of the
-// legacy Pick (reference feature matrix + flat per-row funnel) and of
-// PickReference (reference features + pointer-tree funnel), with identical
-// RNG streams.
+// parallelism setting, PickBatch must return exactly the selection of
+// PickReference (reference feature matrix + pointer-tree funnel + exact
+// k-means), with identical RNG streams.
 func TestPickBatchMatchesReference(t *testing.T) {
 	env := newTestEnv(t, 20, 25, Config{Seed: 5})
 	budgets := []int{1, 2, 4, 7, 12, 19, 20, 25}
 	for qi, ex := range env.exs {
 		for _, n := range budgets {
 			ref := env.p.PickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*100+n))))
-			legacy := env.p.Pick(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*100+n))))
-			if !selectionsEqual(ref, legacy) {
-				t.Fatalf("query %d budget %d: flat per-row pick diverges from pointer-tree reference", qi, n)
-			}
 			for _, par := range []int{1, 2, 0} {
 				got := env.p.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(qi*100+n))), exec.Options{Parallelism: par})
 				if !selectionsEqual(ref, got) {
@@ -53,10 +48,12 @@ func TestPickBatchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPickBatchMatchesReferenceLesions re-runs the bit-identity check with
-// each pipeline component disabled, so the batch path is exercised through
-// every branch of Algorithm 1 (no outliers, no funnel, no clustering, random
-// fallback under complex predicates).
+// TestPickBatchMatchesReferenceLesions re-runs the bit-identity check under
+// every picker variant the paper's experiments pick with: each pipeline
+// component disabled (no outliers, no funnel, no clustering, random
+// fallback under complex predicates), the factor-analysis pairs, both HAC
+// linkages, unbiased exemplars, α sweeps, and trained feature selection
+// (a non-empty exclusion set), alone and with unbiased exemplars.
 func TestPickBatchMatchesReferenceLesions(t *testing.T) {
 	lesions := []Config{
 		{Seed: 6, DisableOutlier: true},
@@ -64,15 +61,26 @@ func TestPickBatchMatchesReferenceLesions(t *testing.T) {
 		{Seed: 6, DisableCluster: true},
 		{Seed: 6, MaxPredClauses: 1}, // force the random-fallback branch
 		{Seed: 6, Alpha: 1},
+		{Seed: 6, Alpha: 3},
+		{Seed: 6, UnbiasedExemplar: true},
+		{Seed: 6, Algo: AlgoHACWard},
+		{Seed: 6, Algo: AlgoHACSingle},
+		{Seed: 6, DisableCluster: true, DisableRegressor: true},
+		{Seed: 6, DisableRegressor: true, DisableOutlier: true, Algo: AlgoHACWard},
+		{Seed: 6, FeatureSelection: true, FeatureSelRestarts: 2},
+		{Seed: 6, FeatureSelection: true, FeatureSelRestarts: 2, UnbiasedExemplar: true},
 	}
 	for li, cfg := range lesions {
 		env := newTestEnv(t, 14, 20, cfg)
+		if cfg.FeatureSelection && len(env.p.Excluded) == 0 {
+			t.Fatalf("lesion %d: feature selection excluded no kind; the exclusion mask goes unexercised", li)
+		}
 		for qi, ex := range env.exs[:8] {
 			for _, n := range []int{2, 5, 9} {
 				ref := env.p.PickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*31+n))))
 				got := env.p.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(qi*31+n))), exec.Options{Parallelism: 0})
 				if !selectionsEqual(ref, got) {
-					t.Fatalf("lesion %d query %d budget %d: PickBatch diverges from reference", li, qi, n)
+					t.Fatalf("lesion %d (%+v) query %d budget %d: PickBatch diverges from reference", li, cfg, qi, n)
 				}
 			}
 		}

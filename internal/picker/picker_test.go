@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ps3/internal/exec"
 	"ps3/internal/metrics"
 	"ps3/internal/query"
 	"ps3/internal/stats"
@@ -117,7 +118,7 @@ func TestPickRespectsBudget(t *testing.T) {
 	env := newTestEnv(t, 15, 20, Config{Seed: 2})
 	for _, ex := range env.exs[:5] {
 		for _, n := range []int{1, 3, 7, 14} {
-			sel := env.p.Pick(ex.Query, ex.Features, n, rand.New(rand.NewSource(3)))
+			sel := env.p.PickBatch(ex.Query, n, rand.New(rand.NewSource(3)), exec.Options{Parallelism: 1})
 			if len(sel) > n {
 				t.Fatalf("budget %d, selected %d partitions", n, len(sel))
 			}
@@ -141,7 +142,7 @@ func TestPickRespectsBudget(t *testing.T) {
 func TestPickFullBudgetIsExact(t *testing.T) {
 	env := newTestEnv(t, 10, 20, Config{Seed: 3})
 	ex := env.exs[0]
-	sel := env.p.Pick(ex.Query, ex.Features, 10, rand.New(rand.NewSource(1)))
+	sel := env.p.PickBatch(ex.Query, 10, rand.New(rand.NewSource(1)), exec.Options{Parallelism: 1})
 	if len(sel) != 10 {
 		t.Fatalf("full budget selected %d of 10", len(sel))
 	}
@@ -160,7 +161,7 @@ func TestPickFullBudgetIsExact(t *testing.T) {
 func TestPickZeroBudget(t *testing.T) {
 	env := newTestEnv(t, 8, 15, Config{Seed: 4})
 	ex := env.exs[0]
-	if sel := env.p.Pick(ex.Query, ex.Features, 0, rand.New(rand.NewSource(1))); len(sel) != 0 {
+	if sel := env.p.PickBatch(ex.Query, 0, rand.New(rand.NewSource(1)), exec.Options{Parallelism: 1}); len(sel) != 0 {
 		t.Fatalf("zero budget selected %d partitions", len(sel))
 	}
 }
@@ -175,8 +176,7 @@ func TestPickerWeightsCoverFilteredPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	features := env.ts.Features(q)
-	sel := env.p.Pick(q, features, 8, rand.New(rand.NewSource(6)))
+	sel := env.p.PickBatch(q, 8, rand.New(rand.NewSource(6)), exec.Options{Parallelism: 1})
 	est, err := c.Estimate(env.tbl, sel)
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +396,7 @@ func TestFunnelOrdersByContribution(t *testing.T) {
 				candidates = append(candidates, i)
 			}
 		}
-		groups := env.p.importanceGroups(ex.Features, candidates, evalFlat, nil)
+		groups := env.p.importanceGroups(ex.Features, candidates, evalReference, nil)
 		if len(groups) < 2 {
 			continue
 		}
@@ -467,7 +467,7 @@ func TestLesionVariantsStillPick(t *testing.T) {
 		cfg := p.Cfg
 		mutate(&cfg)
 		p.Cfg = cfg
-		sel := p.Pick(ex.Query, ex.Features, 5, rand.New(rand.NewSource(1)))
+		sel := p.PickBatch(ex.Query, 5, rand.New(rand.NewSource(1)), exec.Options{Parallelism: 1})
 		if len(sel) == 0 || len(sel) > 5 {
 			t.Fatalf("lesion variant selected %d partitions for budget 5", len(sel))
 		}
@@ -559,7 +559,7 @@ func TestPickerErrorDecreasesWithBudget(t *testing.T) {
 			if len(ex.TruthVals) == 0 {
 				continue
 			}
-			sel := env.p.Pick(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(n))))
+			sel := env.p.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(n))), exec.Options{Parallelism: 1})
 			est := EstimateFromPerPart(ex.Compiled, ex.PerPart, sel)
 			errSum += metrics.Compare(ex.TruthVals, est).AvgRelErr
 			cnt++
@@ -598,8 +598,7 @@ func TestComplexPredicateFallsBackToRandom(t *testing.T) {
 		Aggs: []query.Aggregate{{Kind: query.Count}},
 		Pred: query.NewAnd(clauses...),
 	}
-	feats := env.ts.Features(q)
-	sel := env.p.Pick(q, feats, 5, rand.New(rand.NewSource(1)))
+	sel := env.p.PickBatch(q, 5, rand.New(rand.NewSource(1)), exec.Options{Parallelism: 1})
 	if len(sel) == 0 || len(sel) > 5 {
 		t.Fatalf("complex-predicate fallback selected %d", len(sel))
 	}

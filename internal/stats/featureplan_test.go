@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 
 	"ps3/internal/query"
@@ -66,6 +67,36 @@ func testPreds() []query.Pred {
 	}
 }
 
+// featuresReference is the reference featurizer FeaturePlan is
+// equivalence-tested against: one fresh slice per partition, the column mask
+// resolved through a map, and the per-partition selectivity estimator that
+// re-walks the predicate for every partition.
+func featuresReference(ts *TableStats, q *query.Query) [][]float64 {
+	used := make(map[int]bool)
+	for _, name := range q.Columns() {
+		if ci := ts.Schema.ColIndex(name); ci >= 0 {
+			used[ci] = true
+		}
+	}
+	m := ts.Space.Dim()
+	out := make([][]float64, len(ts.Parts))
+	est := newSelEstimator(ts, q.Pred)
+	for i, ps := range ts.Parts {
+		v := make([]float64, m)
+		copy(v, ts.base[i*m:(i+1)*m])
+		// Mask features of unused columns.
+		for j, meta := range ts.Space.Meta {
+			if meta.Col >= 0 && !used[meta.Col] {
+				v[j] = 0
+			}
+		}
+		upper, indep, minS, maxS := est.estimate(ps)
+		v[0], v[1], v[2], v[3] = upper, indep, minS, maxS
+		out[i] = v
+	}
+	return out
+}
+
 // TestSelProgramMatchesReference: the compiled selectivity program must
 // reproduce the reference estimator bit for bit on every partition, for
 // every predicate shape.
@@ -86,9 +117,9 @@ func TestSelProgramMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFeaturePlanMatchesFeatures: FillRow must reproduce the reference
-// Features matrix bit for bit, across queries that mask different column
-// subsets.
+// TestFeaturePlanMatchesFeatures: FillRow, and Features built from it, must
+// reproduce the reference matrix bit for bit, across queries that mask
+// different column subsets.
 func TestFeaturePlanMatchesFeatures(t *testing.T) {
 	tbl := buildTestTable(t, 6, 40)
 	ts := buildStats(t, tbl)
@@ -112,7 +143,8 @@ func TestFeaturePlanMatchesFeatures(t *testing.T) {
 		})
 	}
 	for qi, q := range queries {
-		want := ts.Features(q)
+		want := featuresReference(ts, q)
+		features := ts.Features(q)
 		plan := ts.NewFeaturePlan(q)
 		if plan.NumParts() != len(want) || plan.Dim() != ts.Space.Dim() {
 			t.Fatalf("query %d: plan shape %dx%d, want %dx%d", qi, plan.NumParts(), plan.Dim(), len(want), ts.Space.Dim())
@@ -121,8 +153,11 @@ func TestFeaturePlanMatchesFeatures(t *testing.T) {
 		for i := range want {
 			plan.FillRow(dst, i)
 			for j := range dst {
-				if dst[j] != want[i][j] {
-					t.Fatalf("query %d partition %d slot %d: plan %v != Features %v", qi, i, j, dst[j], want[i][j])
+				if math.Float64bits(dst[j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("query %d partition %d slot %d: plan %v != reference %v", qi, i, j, dst[j], want[i][j])
+				}
+				if math.Float64bits(features[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("query %d partition %d slot %d: Features %v != reference %v", qi, i, j, features[i][j], want[i][j])
 				}
 			}
 		}
@@ -164,7 +199,7 @@ func TestFeaturePlanConcurrentFill(t *testing.T) {
 		Aggs: []query.Aggregate{{Kind: query.Sum, Expr: query.Col("x")}},
 		Pred: &query.Clause{Col: "cat", Op: query.OpIn, Strs: []string{"a", "rare"}},
 	}
-	want := ts.Features(q)
+	want := featuresReference(ts, q)
 	plan := ts.NewFeaturePlan(q)
 	m := plan.Dim()
 	got := make([]float64, plan.NumParts()*m)
@@ -187,8 +222,8 @@ func TestFeaturePlanConcurrentFill(t *testing.T) {
 	}
 }
 
-// BenchmarkFeaturize compares the reference Features matrix build against a
-// compiled plan filling a reused scratch matrix for the same query.
+// BenchmarkFeaturize compares the reference matrix build against a compiled
+// plan filling a reused scratch matrix for the same query.
 func BenchmarkFeaturize(b *testing.B) {
 	tbl := buildTestTable(b, 64, 500)
 	ts, err := Build(tbl, Options{GroupableCols: []string{"cat"}})
@@ -207,7 +242,7 @@ func BenchmarkFeaturize(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ts.Features(q)
+			featuresReference(ts, q)
 		}
 	})
 	b.Run("plan", func(b *testing.B) {

@@ -241,40 +241,23 @@ func (ts *TableStats) fillBaseRow(v []float64, ps *PartitionStats) {
 // Features builds the N×M feature matrix for query q: the precomputed base
 // features with the query-dependent column mask applied (features of unused
 // columns zeroed, §3.2) and the four per-partition selectivity estimates
-// filled in. This is the reference featurizer — one fresh slice per
-// partition, the per-partition selectivity estimator — kept as the
-// implementation FeaturePlan is equivalence-tested against; hot paths build
-// a FeaturePlan once per query and fill pooled scratch rows instead.
+// filled in — one FeaturePlan.FillRow per partition into a fresh row. Hot
+// paths build a FeaturePlan once per query and fill pooled scratch rows
+// instead.
 func (ts *TableStats) Features(q *query.Query) [][]float64 {
-	used := make(map[int]bool)
-	for _, name := range q.Columns() {
-		if ci := ts.Schema.ColIndex(name); ci >= 0 {
-			used[ci] = true
-		}
-	}
-	m := ts.Space.Dim()
+	plan := ts.NewFeaturePlan(q)
 	out := make([][]float64, len(ts.Parts))
-	est := newSelEstimator(ts, q.Pred)
-	for i, ps := range ts.Parts {
-		v := make([]float64, m)
-		copy(v, ts.base[i*m:(i+1)*m])
-		// Mask features of unused columns.
-		for j, meta := range ts.Space.Meta {
-			if meta.Col >= 0 && !used[meta.Col] {
-				v[j] = 0
-			}
-		}
-		upper, indep, minS, maxS := est.estimate(ps)
-		v[0], v[1], v[2], v[3] = upper, indep, minS, maxS
-		out[i] = v
+	for i := range out {
+		out[i] = make([]float64, plan.Dim())
+		plan.FillRow(out[i], i)
 	}
 	return out
 }
 
 // FeaturePlan is the query-compiled featurizer: the query-static work of
-// Features — column-mask resolution and predicate analysis (selprogram.go)
-// — done once, leaving the fills with only the partition-varying work. It
-// offers two:
+// featurization — column-mask resolution and predicate analysis
+// (selprogram.go) — done once, leaving the fills with only the
+// partition-varying work. It offers two:
 //
 //   - FillSel writes the four selectivity estimates and nothing else. This is
 //     the fill of the serving path (picker.PickBatch): the rest of a row is
@@ -283,8 +266,8 @@ func (ts *TableStats) Features(q *query.Query) [][]float64 {
 //     binding and cluster preparation reads them from NormBase — nobody reads
 //     a copy.
 //   - FillRow writes the whole row — a base-row copy, a sweep zeroing the
-//     masked slots and the same four estimates — bit-identical to Features(q). It is what the
-//     serving path's rows stand for, and the form equivalence tests and
+//     masked slots and the same four estimates. It is what the serving
+//     path's rows stand for, and the form Features, equivalence tests and
 //     callers that need a materialized matrix use.
 //
 // Both perform zero allocations. A plan is immutable after construction and
@@ -321,7 +304,7 @@ func (p *FeaturePlan) UsedCols() []bool { return p.used }
 func (p *FeaturePlan) NumParts() int { return len(p.ts.Parts) }
 
 // FillRow writes partition part's feature vector into dst (which must have
-// length ≥ Dim()); the result is bit-identical to Features(q)[part].
+// length ≥ Dim()).
 func (p *FeaturePlan) FillRow(dst []float64, part int) {
 	m := p.ts.Space.Dim()
 	copy(dst[:m], p.ts.base[part*m:(part+1)*m])

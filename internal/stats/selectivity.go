@@ -16,6 +16,9 @@ import (
 //
 // Clauses over the same column inside a conjunction are evaluated jointly by
 // intersecting their ranges against the column histogram.
+//
+// It is the reference the compiled selProgram (selprogram.go), which every
+// featurization runs, is equivalence-tested against.
 type selEstimator struct {
 	ts   *TableStats
 	pred query.Pred

@@ -93,8 +93,8 @@ type TableStats struct {
 	// base is the precomputed query-independent feature matrix, stored
 	// row-major (partition i's features at [i*M, (i+1)*M)); selectivity
 	// slots are zero and filled per query. Built once at Build/ReadStats
-	// time, it is the query-static half of featurization: Features and
-	// FeaturePlan.FillRow only copy it and fill the query-dependent slots.
+	// time, it is the query-static half of featurization: FeaturePlan.FillRow
+	// only copies it and fills the query-dependent slots.
 	base []float64
 
 	// normMu guards the lazily built normalized base matrix below.
