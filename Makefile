@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-procs test-bench race race-serve chaos-smoke bench bench-exec bench-store-smoke bench-pick bench-pick-smoke bench-cluster-smoke bench-ingest-smoke vet fmt-check lint verify
+.PHONY: build test test-procs test-bench race race-serve chaos-smoke bench bench-exec bench-store-smoke bench-pick bench-pick-smoke bench-cluster-smoke bench-ingest-smoke bench-train-smoke vet fmt-check lint verify
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,9 @@ test-bench:
 	cd bench && $(GO) test -count=1 ./...
 
 # Race pass over the parallel execution surface: the scan engine, every
-# layer that fans out onto it, the concurrent serving layer, the one cache
+# layer that fans out onto it (the picker's concurrently trained funnel
+# stages too: TestTrainFunnelParallelismInvariant), the concurrent serving
+# layer, the one cache
 # (internal/lru) under its compiled-query, pick and block memos, and the
 # partition itself (internal/table), whose decode memo, first-touch flag and
 # holder count concurrent scans of one cached block share. Like every test
@@ -139,6 +141,17 @@ bench-cluster-smoke:
 bench-ingest-smoke:
 	$(GO) test -run 'TestOfflineEquivalence|TestCrashRecovery|TestRecoveryResumesAppends|TestServeSwapUnderAppendTraffic' -v ./internal/ingest/ ./internal/serve/
 	$(GO) test -bench 'BenchmarkIngest' -benchtime 1x -run '^$$' ./internal/ingest/
+
+# One-iteration smoke of the training benchmark (BenchmarkTrain at the
+# serving benchmark's aria-many funnel shape: one stage, the frozen
+# row-major trainer, four stages in parallel; at one and two CPUs) plus the
+# three set-up equivalence contracts: the feature-major trainer against the
+# row-major one, the AKMV eviction index against the map rescan, and SortBy
+# against its string-comparing reference, each bit for bit. Wired into CI so
+# the training fixture can never rot.
+bench-train-smoke:
+	$(GO) test -run 'TestTrainMatchesReference|TestAKMVMatchesReference|TestSortByMatchesReference' -v ./internal/gbt/ ./internal/sketch/ ./internal/table/
+	$(GO) test -bench 'BenchmarkTrain' -benchtime 1x -cpu 1,2 -run '^$$' ./internal/gbt/
 
 # Vets the benchmark module (bench/) too: `go test ./...` here does not reach
 # it, so this is where verify, and CI through it, sees a product change that

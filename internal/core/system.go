@@ -44,9 +44,10 @@ type Options struct {
 	Seed int64
 	// Parallelism bounds the worker goroutines of every partition scan the
 	// system performs — ground truth, estimation, selectivity, and the
-	// per-query fan-out of MakeExamples (0 = GOMAXPROCS, matching
-	// stats.Options.Parallelism). Answers are bit-identical at every
-	// setting.
+	// per-query fan-out of MakeExamples — and of training, whose funnel
+	// stages fit concurrently (0 = GOMAXPROCS, matching
+	// stats.Options.Parallelism). Answers and trained models are
+	// bit-identical at every setting.
 	Parallelism int
 }
 
@@ -191,7 +192,7 @@ func (s *System) Train(queries []*query.Query, examples []picker.Example) error 
 			return err
 		}
 	}
-	p, err := picker.Train(s.Stats, examples, s.Opts.Picker)
+	p, err := picker.Train(s.Stats, examples, s.Opts.Picker, s.Opts.execOpts())
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ type Params struct {
 	Gamma float64
 	// MinLeaf is the minimum rows per leaf (default 5).
 	MinLeaf int
-	// MaxBins caps histogram bins per feature (default 32).
+	// MaxBins caps histogram bins per feature (default 32, at most 256).
 	MaxBins int
 	// Subsample is the row sampling rate per round (default 1.0).
 	Subsample float64
@@ -85,6 +85,9 @@ func Train(xs [][]float64, ys []float64, params Params) (*Model, error) {
 		return nil, fmt.Errorf("gbt: need equal, non-zero xs (%d) and ys (%d)", len(xs), len(ys))
 	}
 	p := params.withDefaults()
+	if p.MaxBins > maxBins {
+		return nil, fmt.Errorf("gbt: MaxBins %d exceeds %d (bin codes are one byte)", p.MaxBins, maxBins)
+	}
 	dim := len(xs[0])
 	for i, row := range xs {
 		if len(row) != dim {
@@ -106,35 +109,31 @@ func Train(xs [][]float64, ys []float64, params Params) (*Model, error) {
 		pred[i] = base
 	}
 	grad := make([]float64, len(ys))
-	hess := make([]float64, len(ys))
 
 	// Precompute cut candidates and the binned matrix once.
 	allCuts := make([][]float64, dim)
 	for f := 0; f < dim; f++ {
 		allCuts[f] = binCuts(xs, f, p.MaxBins)
 	}
-	codes := binMatrix(xs, allCuts)
 
 	allIdx := make([]int, len(ys))
 	for i := range allIdx {
 		allIdx[i] = i
 	}
 	ctx := &splitCtx{
-		xs: xs, codes: codes, cuts: allCuts,
-		grad: grad, hess: hess,
+		codes: binMatrix(xs, allCuts), cuts: allCuts, grad: grad,
 		lambda: p.Lambda, minLeaf: p.MinLeaf, gamma: p.Gamma,
 		importance: m.importance,
-		gBin:       make([]float64, p.MaxBins+1),
-		hBin:       make([]float64, p.MaxBins+1),
-		nBin:       make([]int, p.MaxBins+1),
-		active:     make([]bool, dim),
+		nodeGrad:   make([]float64, len(ys)),
+		right:      make([]int, 0, len(ys)),
 	}
+	active := make([]bool, dim)
+	rows := make([]int, len(ys))
 
 	for round := 0; round < p.Trees; round++ {
 		// Squared loss: g = pred - y, h = 1.
 		for i := range ys {
 			grad[i] = pred[i] - ys[i]
-			hess[i] = 1
 		}
 		idx := allIdx
 		if p.Subsample < 1 {
@@ -142,12 +141,20 @@ func Train(xs [][]float64, ys []float64, params Params) (*Model, error) {
 		}
 		anyActive := false
 		for f := 0; f < dim; f++ {
-			ctx.active[f] = p.ColSample >= 1 || rng.Float64() < p.ColSample
-			anyActive = anyActive || ctx.active[f]
+			active[f] = p.ColSample >= 1 || rng.Float64() < p.ColSample
+			anyActive = anyActive || active[f]
 		}
 		if !anyActive {
-			ctx.active[rng.Intn(dim)] = true
+			active[rng.Intn(dim)] = true
 		}
+		ctx.feats = ctx.feats[:0]
+		for f, on := range active {
+			if on && len(allCuts[f]) > 0 {
+				ctx.feats = append(ctx.feats, f)
+			}
+		}
+		// grow reorders the rows it is given; allIdx stays ascending.
+		idx = rows[:copy(rows, idx)]
 		t := ctx.grow(idx, p.MaxDepth)
 		m.trees = append(m.trees, t)
 		for i := range pred {

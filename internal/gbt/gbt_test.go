@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ps3/internal/exec"
 )
 
 func TestTrainRejectsEmptyInput(t *testing.T) {
@@ -305,4 +307,90 @@ func TestMoreTreesNeverHurtTrainMSE(t *testing.T) {
 	if m50 > m5+1e-9 {
 		t.Fatalf("50 trees MSE %v worse than 5 trees MSE %v", m50, m5)
 	}
+}
+
+// TestTrainRejectsTooManyBins: bin codes are one byte, so a 257th bin would
+// wrap into bin 0 and corrupt every histogram; Train refuses it instead.
+func TestTrainRejectsTooManyBins(t *testing.T) {
+	xs := make([][]float64, 600)
+	ys := make([]float64, 600)
+	for i := range xs {
+		xs[i] = []float64{float64(i)}
+		ys[i] = float64(i % 2)
+	}
+	if _, err := Train(xs, ys, Params{Trees: 1, MaxBins: 257}); err == nil {
+		t.Fatal("want an error for MaxBins 257")
+	}
+	if _, err := Train(xs, ys, Params{Trees: 1, MaxBins: 256}); err != nil {
+		t.Fatalf("MaxBins 256 is the largest legal setting: %v", err)
+	}
+}
+
+// funnelShapeSet is one funnel stage's training set at the shape of the
+// serving benchmark's aria-many fixture: 10 queries × 400 partitions over
+// 245 features, Algorithm 4's ±√(1/class size) labels. Feature columns mix
+// continuous values, a few tied levels, sparse counts and constants.
+func funnelShapeSet(seed int64) ([][]float64, []float64) {
+	const rows, dim = 4000, 245
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([][]float64, rows)
+	ys := make([]float64, rows)
+	for i := range xs {
+		row := make([]float64, dim)
+		for f := range row {
+			switch f % 4 {
+			case 0:
+				row[f] = rng.Float64()
+			case 1:
+				row[f] = float64(rng.Intn(6))
+			case 2:
+				if rng.Intn(8) == 0 {
+					row[f] = rng.ExpFloat64()
+				}
+			case 3:
+				row[f] = float64(f)
+			}
+		}
+		xs[i] = row
+		ys[i] = -math.Sqrt(1.0 / 3000)
+		if row[0]+row[4]/2 > 0.9 {
+			ys[i] = math.Sqrt(1.0 / 1000)
+		}
+	}
+	return xs, ys
+}
+
+// BenchmarkTrain times funnel training at the aria-many shape (4 000 rows,
+// 245 features, 40 trees of depth 4): /stage is one regressor, /reference
+// the frozen row-major trainer on the same input, /funnel the four stages
+// of a funnel on exec.MapErr, as picker.Train runs them (run with -cpu 1,2).
+func BenchmarkTrain(b *testing.B) {
+	xs, ys := funnelShapeSet(1)
+	p := Params{Trees: 40, MaxDepth: 4, LearningRate: 0.25, Subsample: 0.9, ColSample: 0.9, Seed: 3}
+	b.Run("stage", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Train(xs, ys, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := trainReference(xs, ys, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("funnel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, err := exec.MapErr(4, exec.Options{}, func(stage int) (*Model, error) {
+				sp := p
+				sp.Seed += int64(stage)
+				return Train(xs, ys, sp)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

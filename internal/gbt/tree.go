@@ -71,49 +71,67 @@ func binCuts(xs [][]float64, feature, maxBins int) []float64 {
 	return cuts
 }
 
+// maxBins is the most bins a feature may have: bin codes are uint8.
+const maxBins = 256
+
 // binMatrix pre-bins every value into its cut bucket so split search is a
 // direct histogram accumulation (bin b means value <= cuts[b], the last bin
-// means value > all cuts).
+// means value > all cuts). Codes are stored feature-major — codes[f][i] is
+// row i's bin of feature f — so a histogram pass over one feature reads one
+// contiguous column.
 func binMatrix(xs [][]float64, cuts [][]float64) [][]uint8 {
 	n := len(xs)
-	m := len(cuts)
-	codes := make([][]uint8, n)
-	for i := 0; i < n; i++ {
-		row := make([]uint8, m)
-		for f := 0; f < m; f++ {
-			row[f] = uint8(sort.SearchFloat64s(cuts[f], xs[i][f]))
+	backing := make([]uint8, n*len(cuts))
+	codes := make([][]uint8, len(cuts))
+	for f, fc := range cuts {
+		col := backing[f*n : (f+1)*n : (f+1)*n]
+		for i, row := range xs {
+			col[i] = uint8(sort.SearchFloat64s(fc, row[f]))
 		}
-		codes[i] = row
+		codes[f] = col
 	}
 	return codes
 }
 
-// splitCtx carries shared state while growing one tree.
+// splitCtx carries shared state while growing one tree. Squared loss fixes
+// every row's Hessian at 1, so a node's Hessian sum is its row count: the
+// histograms keep gradient sums and counts only, and every h of the Newton
+// formulas is float64(count), the same value a sum of count ones gives.
 type splitCtx struct {
-	xs      [][]float64
-	codes   [][]uint8
-	cuts    [][]float64
-	active  []bool // feature participation this round (column sampling)
+	codes [][]uint8 // feature-major, see binMatrix
+	cuts  [][]float64
+	// feats lists, ascending, the features that may split this round:
+	// sampled (column sampling) and with at least one cut.
+	feats   []int
 	grad    []float64
-	hess    []float64
 	lambda  float64
 	minLeaf int
 	gamma   float64
 	// importance accumulates split gain per feature.
 	importance []float64
-	// scratch histograms, reused across nodes.
-	gBin, hBin []float64
-	nBin       []int
+	// nodeGrad holds the current node's gradients in node order; right
+	// buffers the right child's rows while a node's rows are partitioned.
+	nodeGrad []float64
+	right    []int
+	// hists are scratch histograms, reused across nodes: up to len(hists)
+	// features are binned in one pass over a node's rows.
+	hists [4]hist
+}
+
+// hist is one feature's histogram over a node's rows: per bin, the sum of
+// the rows' gradients in node order and the row count.
+type hist struct {
+	g [maxBins]float64
+	n [maxBins]int
 }
 
 // leafValue is the Newton-step optimal leaf weight -G/(H+λ).
 func (c *splitCtx) leafValue(idx []int) float64 {
-	var g, h float64
+	var g float64
 	for _, i := range idx {
 		g += c.grad[i]
-		h += c.hess[i]
 	}
-	return -g / (h + c.lambda)
+	return -g / (float64(len(idx)) + c.lambda)
 }
 
 // scoreGain computes the XGBoost split gain for a candidate partition of
@@ -123,56 +141,87 @@ func scoreGain(gl, hl, gr, hr, lambda float64) float64 {
 	return 0.5 * (score(gl, hl) + score(gr, hr) - score(gl+gr, hl+hr))
 }
 
-// bestSplit finds the best (feature, bin-threshold) for the rows in idx, or
-// ok=false if no split improves the objective beyond gamma.
-func (c *splitCtx) bestSplit(idx []int) (feat int, thresh float64, gain float64, ok bool) {
-	var gTot, hTot float64
-	for _, i := range idx {
-		gTot += c.grad[i]
-		hTot += c.hess[i]
+// bestSplit finds the best (feature, bin) for the rows in idx, or ok=false
+// if no split improves the objective beyond gamma. Rows whose code is at most
+// bin go left; they are exactly the rows whose value is <= cuts[feat][bin].
+// Each bin's gradient sum adds the same gradients in the same (node) order
+// as a row-at-a-time pass would, so the choice does not depend on layout.
+func (c *splitCtx) bestSplit(idx []int) (feat, bin int, gain float64, ok bool) {
+	gs := c.nodeGrad[:len(idx)]
+	var gTot float64
+	for k, i := range idx {
+		gs[k] = c.grad[i]
+		gTot += gs[k]
 	}
+	hTot := float64(len(idx))
 	bestGain := c.gamma
-	for f := range c.cuts {
-		if !c.active[f] {
-			continue
-		}
-		cuts := c.cuts[f]
-		nb := len(cuts) + 1
-		if nb < 2 {
-			continue
-		}
-		gBin := c.gBin[:nb]
-		hBin := c.hBin[:nb]
-		nBin := c.nBin[:nb]
-		for b := 0; b < nb; b++ {
-			gBin[b], hBin[b], nBin[b] = 0, 0, 0
-		}
-		for _, i := range idx {
-			b := c.codes[i][f]
-			gBin[b] += c.grad[i]
-			hBin[b] += c.hess[i]
-			nBin[b]++
-		}
-		var gl, hl float64
-		nl := 0
-		for b := 0; b < len(cuts); b++ {
-			gl += gBin[b]
-			hl += hBin[b]
-			nl += nBin[b]
-			nr := len(idx) - nl
-			if nl < c.minLeaf || nr < c.minLeaf {
-				continue
-			}
-			g := scoreGain(gl, hl, gTot-gl, hTot-hl, c.lambda)
-			if g > bestGain {
-				bestGain, feat, thresh, ok = g, f, cuts[b], true
+	for feats := c.feats; len(feats) > 0; {
+		group := feats[:min(len(feats), len(c.hists))]
+		feats = feats[len(group):]
+		c.fill(group, idx, gs)
+		for j, f := range group {
+			h, cuts := &c.hists[j], c.cuts[f]
+			var gl float64
+			nl := 0
+			for b := 0; b < len(cuts); b++ {
+				gl += h.g[b]
+				nl += h.n[b]
+				nr := len(idx) - nl
+				if nl < c.minLeaf || nr < c.minLeaf {
+					continue
+				}
+				hl := float64(nl)
+				g := scoreGain(gl, hl, gTot-gl, hTot-hl, c.lambda)
+				if g > bestGain {
+					bestGain, feat, bin, ok = g, f, b, true
+				}
 			}
 		}
 	}
-	return feat, thresh, bestGain, ok
+	return feat, bin, bestGain, ok
 }
 
-// grow builds a tree of at most maxDepth on the rows in idx.
+// fill bins the rows idx, whose gradients are gs in the same order, into
+// hists[j] for each feature group[j]. Four features share one pass: their
+// histograms are independent, so the adds of one row overlap instead of
+// waiting on each other, while each bin still adds its rows one at a time
+// in node order.
+func (c *splitCtx) fill(group []int, idx []int, gs []float64) {
+	for j, f := range group {
+		nb := len(c.cuts[f]) + 1
+		clear(c.hists[j].g[:nb])
+		clear(c.hists[j].n[:nb])
+	}
+	if len(group) == 4 {
+		h0, h1, h2, h3 := &c.hists[0], &c.hists[1], &c.hists[2], &c.hists[3]
+		c0, c1, c2, c3 := c.codes[group[0]], c.codes[group[1]], c.codes[group[2]], c.codes[group[3]]
+		for k, i := range idx {
+			g := gs[k]
+			b0, b1, b2, b3 := c0[i], c1[i], c2[i], c3[i]
+			h0.g[b0] += g
+			h0.n[b0]++
+			h1.g[b1] += g
+			h1.n[b1]++
+			h2.g[b2] += g
+			h2.n[b2]++
+			h3.g[b3] += g
+			h3.n[b3]++
+		}
+		return
+	}
+	for j, f := range group {
+		h, col := &c.hists[j], c.codes[f]
+		for k, i := range idx {
+			b := col[i]
+			h.g[b] += gs[k]
+			h.n[b]++
+		}
+	}
+}
+
+// grow builds a tree of at most maxDepth on the rows in idx, which it
+// reorders in place: each node's rows are partitioned stably into its left
+// then its right child's, so every child sees its rows in the parent's order.
 func (c *splitCtx) grow(idx []int, maxDepth int) *tree {
 	t := &tree{}
 	var build func(idx []int, depth int) int
@@ -183,27 +232,27 @@ func (c *splitCtx) grow(idx []int, maxDepth int) *tree {
 			t.nodes[id].value = c.leafValue(idx)
 			return id
 		}
-		f, th, gain, ok := c.bestSplit(idx)
+		f, b, gain, ok := c.bestSplit(idx)
 		if !ok {
 			t.nodes[id].value = c.leafValue(idx)
 			return id
 		}
 		c.importance[f] += gain
-		var left, right []int
+		col, code := c.codes[f], uint8(b)
+		right := c.right[:0]
+		nl := 0
 		for _, i := range idx {
-			if c.xs[i][f] <= th {
-				left = append(left, i)
+			if col[i] <= code {
+				idx[nl] = i
+				nl++
 			} else {
 				right = append(right, i)
 			}
 		}
-		if len(left) == 0 || len(right) == 0 {
-			t.nodes[id].value = c.leafValue(idx)
-			return id
-		}
-		l := build(left, depth+1)
-		r := build(right, depth+1)
-		t.nodes[id] = node{feature: f, thresh: th, left: l, right: r}
+		copy(idx[nl:], right)
+		l := build(idx[:nl], depth+1)
+		r := build(idx[nl:], depth+1)
+		t.nodes[id] = node{feature: f, thresh: c.cuts[f][b], left: l, right: r}
 		return id
 	}
 	build(idx, 0)

@@ -256,7 +256,7 @@ func newBenchEnv(b testing.TB, parts, rowsPer int) *testEnv {
 			TruthVals: c.FinalValues(totalAns),
 		})
 	}
-	p, err := Train(ts, exs, Config{Seed: 12})
+	p, err := Train(ts, exs, Config{Seed: 12}, exec.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,10 +3,12 @@ package picker
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"ps3/internal/exec"
+	"ps3/internal/gbt"
 	"ps3/internal/metrics"
 	"ps3/internal/query"
 	"ps3/internal/stats"
@@ -91,7 +93,7 @@ func newEnvFromRows(t testing.TB, parts, rowsPer int, cfg Config, gen func(part,
 			TruthVals: c.FinalValues(totalAns),
 		})
 	}
-	p, err := Train(ts, exs, cfg)
+	p, err := Train(ts, exs, cfg, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func newEnvFromRows(t testing.TB, parts, rowsPer int, cfg Config, gen func(part,
 }
 
 func TestTrainRequiresExamples(t *testing.T) {
-	if _, err := Train(&stats.TableStats{}, nil, Config{}); err == nil {
+	if _, err := Train(&stats.TableStats{}, nil, Config{}, exec.Options{}); err == nil {
 		t.Fatal("want error with no training examples")
 	}
 }
@@ -111,6 +113,56 @@ func TestTrainBuildsKRegressors(t *testing.T) {
 	}
 	if len(env.p.Thresholds) != 3 {
 		t.Fatalf("got %d thresholds, want 3", len(env.p.Thresholds))
+	}
+}
+
+// snapshotBits flattens a regressor snapshot to integers, every float by its
+// bits, so two snapshots compare equal only when they are identical.
+func snapshotBits(s gbt.ModelSnapshot) []uint64 {
+	p := s.Params
+	out := []uint64{uint64(p.Trees), uint64(p.MaxDepth), math.Float64bits(p.LearningRate),
+		math.Float64bits(p.Lambda), math.Float64bits(p.Gamma), uint64(p.MinLeaf), uint64(p.MaxBins),
+		math.Float64bits(p.Subsample), math.Float64bits(p.ColSample), uint64(p.Seed),
+		math.Float64bits(s.Base), uint64(s.Dim)}
+	for _, v := range s.Importance {
+		out = append(out, math.Float64bits(v))
+	}
+	for _, tr := range s.Trees {
+		out = append(out, uint64(len(tr.Nodes)))
+		for _, n := range tr.Nodes {
+			out = append(out, uint64(n.Feature), math.Float64bits(n.Thresh), uint64(n.Left), uint64(n.Right), math.Float64bits(n.Value))
+		}
+	}
+	return out
+}
+
+// TestTrainFunnelParallelismInvariant: the funnel stages train concurrently,
+// yet the regressors, in stage order, are the same at every parallelism.
+func TestTrainFunnelParallelismInvariant(t *testing.T) {
+	for _, k := range []int{4, 5} {
+		cfg := Config{K: k, Seed: 9}
+		env := newTestEnv(t, 16, 30, cfg)
+		var want [][]uint64
+		for _, par := range []int{1, 2, 4} {
+			p, err := Train(env.ts, env.exs, cfg, exec.Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.Regs) != k || len(p.Thresholds) != k {
+				t.Fatalf("K=%d parallelism %d: %d regressors, %d thresholds", k, par, len(p.Regs), len(p.Thresholds))
+			}
+			got := make([][]uint64, k)
+			for i, r := range p.Regs {
+				got[i] = snapshotBits(r.Snapshot())
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("K=%d: regressors at parallelism %d differ from parallelism 1", k, par)
+			}
+		}
 	}
 }
 

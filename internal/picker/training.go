@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ps3/internal/cluster"
+	"ps3/internal/exec"
 	"ps3/internal/gbt"
 	"ps3/internal/metrics"
 	"ps3/internal/query"
@@ -83,8 +84,9 @@ type Picker struct {
 
 // Train fits the funnel regressors (Algorithm 4 labels, exponentially
 // spaced contribution bins) and optionally runs clustering feature
-// selection, returning a ready Picker.
-func Train(ts *stats.TableStats, examples []Example, cfg Config) (*Picker, error) {
+// selection, returning a ready Picker. The funnel stages train concurrently
+// on eo's workers; the regressors are the same at every setting.
+func Train(ts *stats.TableStats, examples []Example, cfg Config, eo exec.Options) (*Picker, error) {
 	cfg = cfg.withDefaults()
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("picker: no training examples")
@@ -99,7 +101,7 @@ func Train(ts *stats.TableStats, examples []Example, cfg Config) (*Picker, error
 	ts.Space.Fit(allRows)
 
 	if !cfg.DisableRegressor {
-		if err := p.trainFunnel(examples); err != nil {
+		if err := p.trainFunnel(examples, eo); err != nil {
 			return nil, err
 		}
 	}
@@ -114,8 +116,9 @@ func Train(ts *stats.TableStats, examples []Example, cfg Config) (*Picker, error
 // (stage 0) down to the top TopFrac (stage K-1), per §4.3. Labels follow
 // Algorithm 4: positives get +sqrt(1/positives), negatives
 // -sqrt(1/negatives), per query, so each query contributes equal weight
-// regardless of class balance.
-func (p *Picker) trainFunnel(examples []Example) error {
+// regardless of class balance. Each stage has its own labels and seed and
+// only reads the shared feature rows, so the stages train in parallel.
+func (p *Picker) trainFunnel(examples []Example, eo exec.Options) error {
 	k := p.Cfg.K
 	n := len(examples[0].Features)
 	var xs [][]float64
@@ -127,11 +130,10 @@ func (p *Picker) trainFunnel(examples []Example) error {
 		xs = append(xs, ex.Features...)
 	}
 
-	for stage := 0; stage < k; stage++ {
+	regs, err := exec.MapErr(k, eo, func(stage int) (*gbt.Model, error) {
 		ys := make([]float64, 0, len(xs))
 		for _, ex := range examples {
-			labels := stageLabels(ex.Contrib, stage, k, p.Cfg.TopFrac)
-			ys = append(ys, labels...)
+			ys = append(ys, stageLabels(ex.Contrib, stage, k, p.Cfg.TopFrac)...)
 		}
 		model, err := gbt.Train(xs, ys, gbt.Params{
 			Trees:        40,
@@ -142,11 +144,15 @@ func (p *Picker) trainFunnel(examples []Example) error {
 			Seed:         p.Cfg.Seed + int64(stage),
 		})
 		if err != nil {
-			return fmt.Errorf("picker: training funnel stage %d: %w", stage, err)
+			return nil, fmt.Errorf("picker: training funnel stage %d: %w", stage, err)
 		}
-		p.Regs = append(p.Regs, model)
-		p.Thresholds = append(p.Thresholds, 0)
+		return model, nil
+	})
+	if err != nil {
+		return err
 	}
+	p.Regs = regs
+	p.Thresholds = make([]float64, k)
 	return nil
 }
 

@@ -2,7 +2,7 @@ package sketch
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // DefaultAKMVK matches the paper's default of k = 128 minimum hashed values.
@@ -21,6 +21,11 @@ type AKMV struct {
 	// maxHash caches the current k-th smallest (i.e. largest retained) hash.
 	maxHash uint64
 	rows    int64
+	// sorted indexes the retained hashes in ascending order while the sketch
+	// is being built, so an eviction finds the next largest hash without a
+	// pass over entries. It is made at the first eviction and dropped by
+	// Finalize and Merge; a restored sketch has none.
+	sorted []uint64
 }
 
 // NewAKMV returns an empty sketch with budget k (0 means DefaultAKMVK).
@@ -48,16 +53,34 @@ func (a *AKMV) Add(h uint64) {
 	if h >= a.maxHash {
 		return
 	}
-	// Evict current max, insert h.
+	// Evict the current max (the index's last hash), insert h in order, and
+	// take the new last hash as the max.
+	if a.sorted == nil {
+		a.sorted = a.hashes()
+	}
 	delete(a.entries, a.maxHash)
 	a.entries[h] = 1
-	a.maxHash = 0
-	for e := range a.entries { //lint:mapiter-ok max over the key set is order-free
-		if e > a.maxHash {
-			a.maxHash = e
-		}
-	}
+	kept := a.sorted[:len(a.sorted)-1]
+	i, _ := slices.BinarySearch(kept, h)
+	copy(a.sorted[i+1:], kept[i:])
+	a.sorted[i] = h
+	a.maxHash = a.sorted[len(a.sorted)-1]
 }
+
+// hashes returns the retained hashes in ascending order.
+func (a *AKMV) hashes() []uint64 {
+	hs := make([]uint64, 0, len(a.entries))
+	for h := range a.entries { //lint:mapiter-ok the keys are sorted below
+		hs = append(hs, h)
+	}
+	slices.Sort(hs)
+	return hs
+}
+
+// Finalize ends the build: it drops the eviction index, so a sketch kept for
+// serving holds its retained hashes and nothing else. Adding after Finalize
+// still works; the next eviction rebuilds the index.
+func (a *AKMV) Finalize() { a.sorted = nil }
 
 // Merge folds other into a, keeping the k smallest hashes of the union and
 // summing multiplicities of shared hashes.
@@ -66,13 +89,9 @@ func (a *AKMV) Merge(other *AKMV) {
 	for h, c := range other.entries { //lint:mapiter-ok independent integer adds into disjoint keys, order-free
 		a.entries[h] += c
 	}
+	a.sorted = nil
 	if len(a.entries) > a.K {
-		hashes := make([]uint64, 0, len(a.entries))
-		for h := range a.entries {
-			hashes = append(hashes, h)
-		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		for _, h := range hashes[a.K:] {
+		for _, h := range a.hashes()[a.K:] {
 			delete(a.entries, h)
 		}
 	}

@@ -277,6 +277,7 @@ func buildPartition(s *table.Schema, p *table.Partition, opts Options) *Partitio
 			}
 		}
 		cs.Hist.Finalize()
+		cs.AKMV.Finalize()
 		cs.HH.Finalize()
 		ps.Cols[ci] = cs
 	}
