@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-procs test-bench race race-serve chaos-smoke bench bench-exec bench-store-smoke bench-pick bench-pick-smoke bench-cluster-smoke bench-ingest-smoke bench-train-smoke vet fmt-check lint verify
+.PHONY: build refs-check test test-procs test-bench race race-serve chaos-smoke bench bench-exec bench-store-smoke bench-pick bench-pick-smoke bench-cluster-smoke bench-ingest-smoke bench-train-smoke vet fmt-check lint verify
 
 build:
 	$(GO) build ./...
@@ -106,8 +106,8 @@ bench-store-smoke:
 	$(GO) test -bench 'BenchmarkEvalPartition/conjunction|BenchmarkEvalPartition/passrate|BenchmarkEvalPartition/accumulate|BenchmarkFinalizeGroups|BenchmarkEstimateGrouped/.*/encoded/.*/warm-predicates' -benchtime 1x -run '^$$' .
 
 # Pick-time inference: the batched pick path (pooled selectivity fill +
-# fold-table funnel) vs the retained pointer-tree reference, across serving
-# budgets, plus the flat predictor micro-benchmark (BenchmarkPredict: the
+# fold-table funnel) vs the full-row reference pick of the picker tests,
+# across serving budgets, plus the flat predictor micro-benchmark (BenchmarkPredict: the
 # per-row walk against the pointer trees) and one funnel stage at the
 # serving benchmark's shape (BenchmarkFunnelStage: the per-binding table
 # build, the per-query bind + sweep, and /paired against the per-row
@@ -176,4 +176,19 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-verify: build vet lint test
+# Every frozen reference implementation lives in a _test.go file of its own
+# package, so no binary links one: build each command into a temporary
+# directory and fail if go tool nm lists a ps3/internal symbol named
+# *Reference*, or one of the full-row pick pipeline's names (clusterSelect,
+# clusterizeRef, compressActive, FeatureSpace.Normalize — exact names, not
+# clusterSelectFast or NormalizeValue).
+refs-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./cmd/... || exit 1; \
+	bad=0; for bin in "$$dir"/*; do \
+		hits=$$($(GO) tool nm "$$bin" | awk '{print $$NF}' | \
+			grep -E 'ps3/internal/[^ ]*(Reference|\.(clusterSelect|clusterizeRef|compressActive|Normalize)(\.|$$))' | sort -u); \
+		if [ -n "$$hits" ]; then echo "$$(basename "$$bin") links reference code:"; echo "$$hits"; bad=1; fi; \
+	done; exit $$bad
+
+verify: build refs-check vet lint test

@@ -120,18 +120,14 @@ func BenchmarkTable4StatsSize(b *testing.B) {
 // --- Table 5: picker latency ---
 
 // BenchmarkTable5PickerLatency measures the production pick path — batched
-// featurization plus the flat-ensemble funnel — against the retained
-// reference pipeline on the same query and budget.
+// featurization plus the fold-table funnel and bounded k-means. Its cost
+// against the full-row reference pick is picker's BenchmarkPick (/reference,
+// /paired).
 func BenchmarkTable5PickerLatency(b *testing.B) {
 	env := benchEnv(b, "aria")
 	ex := env.TestEx[0]
 	rng := rand.New(rand.NewSource(1))
 	n := env.DS.Table.NumParts() / 10
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			env.Sys.Picker.PickReference(ex.Query, env.Sys.Stats.Features(ex.Query), n, rng)
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		eo := exec.Options{Parallelism: 1}
 		for i := 0; i < b.N; i++ {

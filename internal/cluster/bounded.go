@@ -20,11 +20,13 @@ type KMeansOpts struct {
 	Parallelism int
 	// Strict disables triangle-inequality pruning: every point scans every
 	// center each iteration with exactly the reference's comparison
-	// sequence, so the result is bit-identical to KMeansReference by
-	// construction. The equivalence suite uses it to prove the flat center
-	// storage, the parallel sweep and the shared center update introduce no
-	// divergence of their own; serving always runs the default (pruned)
-	// mode.
+	// sequence, so the result is bit-identical to the exact sweep
+	// (KMeansReference in the package tests) by construction. Training's
+	// feature selection runs it, so an exclusion set never turns on a
+	// near-tie the pruned sweeps break differently; the equivalence suite
+	// uses it to prove the flat center storage, the parallel sweep and the
+	// shared center update introduce no divergence of their own. Serving
+	// always runs the default (pruned) mode.
 	Strict bool
 	// Stats, when non-nil, accumulates the assignment sweeps' work counters.
 	Stats *KMeansStats
@@ -144,13 +146,13 @@ const kmBlock = 64
 // whose upper bound is below half the distance to its assigned center's
 // nearest peer skips the sweep entirely.
 //
-// Divergence contract vs KMeansReference: the initial sweep is the
-// reference's scan verbatim (ascending centers, strict-< tie-break,
-// bit-exact early abandoning — whose partial sums are banked as initial
-// lower bounds), and later sweeps compute exact squared distances for
-// every candidate the bounds cannot eliminate, pruning strictly (an exact
-// tie is computed, never skipped) and breaking ties toward the lower
-// center index like the reference's ascending scan. Labels — and with
+// Divergence contract vs the exact sweep (KMeansReference, in the package
+// tests): the initial sweep is the reference's scan verbatim (ascending
+// centers, strict-< tie-break, bit-exact early abandoning — whose partial
+// sums are banked as initial lower bounds), and later sweeps compute exact
+// squared distances for every candidate the bounds cannot eliminate,
+// pruning strictly (an exact tie is computed, never skipped) and breaking
+// ties toward the lower center index like the reference's ascending scan. Labels — and with
 // them the shared center-update trajectory — are therefore identical
 // whenever distance comparisons are decided by exact arithmetic,
 // including exact ties (duplicate points). The one residual divergence:

@@ -4,18 +4,16 @@
 // (biased closest-to-median or unbiased random member, Appendix D), and the
 // greedy leave-one-out feature selection of Algorithm 3.
 //
-// Two k-means implementations share the k-means++ seeding and the in-place
-// Lloyd center update: KMeansReference is the frozen exact sweep (every
-// point scans every center each iteration), and KMeansBounded is the
-// triangle-inequality-bounded production path (bounded.go) that skips the
-// vast majority of those scans while assigning identical labels whenever
-// nearest centers are unique.
+// k-means is KMeansBounded (bounded.go): k-means++ seeding and Lloyd
+// iterations whose assignment sweeps skip, by the triangle inequality, the
+// vast majority of point-to-center scans while assigning the labels of the
+// exact sweep whenever nearest centers are unique; its Strict mode runs the
+// exact sweep itself. The frozen exact implementation it is
+// equivalence-tested against, KMeansReference, lives in the package tests
+// and shares this file's seeding and center update.
 package cluster
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Assignment maps each input point to a cluster id in [0, K).
 type Assignment struct {
@@ -296,61 +294,4 @@ func updateCenters(points [][]float64, labels []int, centers [][]float64, counts
 		}
 	}
 	return reseeded
-}
-
-// KMeansReference clusters points into k clusters with k-means++ seeding and
-// exact Lloyd iterations: every point computes its distance to every center
-// each iteration. Deterministic given rng. k is clamped to len(points).
-//
-// This is the frozen baseline the bounded production path (KMeansBounded)
-// is equivalence-tested against; serving never calls it.
-func KMeansReference(points [][]float64, k int, rng *rand.Rand, maxIter int) Assignment {
-	n := len(points)
-	if k > n {
-		k = n
-	}
-	if k <= 0 || n == 0 {
-		return Assignment{Labels: make([]int, n), K: max(k, 1)}
-	}
-	if maxIter <= 0 {
-		maxIter = 25
-	}
-	dim := len(points[0])
-
-	centers := make([][]float64, k)
-	for c := range centers {
-		centers[c] = make([]float64, dim)
-	}
-	seedKMeansPP(points, k, rng, centers, make([]float64, n), nil, nil, nil)
-
-	labels := make([]int, n)
-	counts := make([]int, k)
-	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i, p := range points {
-			best, bestD := 0, math.Inf(1)
-			for c := range centers {
-				if d := sqDistBounded(p, centers[c], bestD); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if labels[i] != best {
-				labels[i] = best
-				changed = true
-			}
-		}
-		if iter > 0 && !changed {
-			// The centers are already the means of these labels (computed
-			// by the previous iteration's update, whose reseeds would have
-			// set changed), so the update would recompute them bit for bit.
-			break
-		}
-		if len(updateCenters(points, labels, centers, counts)) > 0 {
-			changed = true
-		}
-		if !changed {
-			break
-		}
-	}
-	return Assignment{Labels: labels, K: k}
 }

@@ -217,7 +217,7 @@ func (s *System) Train(queries []*query.Query, examples []picker.Example) error 
 // scratch (in parallel across partition blocks, bounded by
 // Options.Parallelism) and the funnel regressors score whole groups from
 // their fold tables — the same selection at every parallelism setting, and
-// the same as the reference pipeline (picker.PickReference).
+// the same as the full-row reference pick in picker's tests.
 func (s *System) Pick(q *query.Query, budgetFrac float64) ([]query.WeightedPartition, error) {
 	sel, _, err := s.PickWithStats(q, budgetFrac)
 	return sel, err

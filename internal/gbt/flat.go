@@ -29,9 +29,9 @@ package gbt
 // that are not the exit leaf.
 //
 // Determinism contract: for every row, both forms accumulate
-// base + Σ_t lr·leaf_t in tree order — exactly the order of
-// Model.PredictReference — so flat predictions are bit-identical to the
-// pointer walk. The traversal arrays use the shared goesRight rule (NaN
+// base + Σ_t lr·leaf_t in tree order — exactly the order of the
+// pointer-tree walk (Model.PredictReference, in the package tests) — so
+// flat predictions are bit-identical to it. The traversal arrays use the shared goesRight rule (NaN
 // descends right); the batch tables inherit it because NaN satisfies no
 // "value ≤ threshold" condition, fails every mask test, and therefore exits
 // at the rightmost reachable leaf, exactly like the walk.

@@ -62,7 +62,8 @@ func (p Params) withDefaults() Params {
 }
 
 // Model is a trained gradient-boosted regression ensemble. The pointer trees
-// are the training-time representation and the reference evaluator; every
+// are the training-time representation (and what the tests' reference
+// evaluator walks); every
 // trained or restored model also carries a compiled flat struct-of-arrays
 // form (flat.go) that the prediction entry points run on.
 type Model struct {
@@ -179,20 +180,9 @@ func sampleIdx(idx []int, rate float64, rng *rand.Rand) []int {
 }
 
 // Predict returns the model output for one feature vector, evaluated on the
-// compiled flat form. Bit-identical to PredictReference.
+// compiled flat form. Bit-identical to the pointer-tree walk
+// (PredictReference, in the package tests).
 func (m *Model) Predict(x []float64) float64 { return m.flat.predictRow(x) }
-
-// PredictReference is the retained pointer-tree evaluator: it walks the
-// training-time node structs tree by tree. It exists as the independent
-// reference implementation the flat engine is equivalence-tested against;
-// hot paths use Predict or a FoldTable (scorer.go).
-func (m *Model) PredictReference(x []float64) float64 {
-	v := m.base
-	for _, t := range m.trees {
-		v += m.params.LearningRate * t.predict(x)
-	}
-	return v
-}
 
 // Importance returns per-feature total split gain ("gain" importance, the
 // metric of Fig 5). The slice aliases internal state; callers must not

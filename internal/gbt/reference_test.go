@@ -327,3 +327,14 @@ func TestTrainMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// PredictReference is the pointer-tree evaluator: it walks the
+// training-time node structs tree by tree. It is the independent reference
+// the flat engine and the fold tables are equivalence-tested against.
+func (m *Model) PredictReference(x []float64) float64 {
+	v := m.base
+	for _, t := range m.trees {
+		v += m.params.LearningRate * t.predict(x)
+	}
+	return v
+}

@@ -21,8 +21,6 @@ import (
 	"math/rand"
 
 	"ps3/internal/cluster"
-	"ps3/internal/exec"
-	"ps3/internal/stats"
 )
 
 // ClusterAlgo selects the clustering algorithm for sample selection.
@@ -123,8 +121,8 @@ func (c Config) withDefaults() Config {
 // outside [0, 1] slices the outlier list out of range or overspends the
 // budget, a non-finite or non-positive α stalls or skews the budget
 // allocation, and a NaN size fraction or an unknown algorithm has no
-// meaning. Training's withDefaults never produces one; a corrupt snapshot
-// can.
+// meaning. Train refuses one after filling in the defaults, and ReadPicker
+// refuses one from a corrupt snapshot.
 func (c Config) validate() error {
 	switch {
 	case !(c.OutlierBudgetFrac >= 0 && c.OutlierBudgetFrac <= 1):
@@ -141,37 +139,21 @@ func (c Config) validate() error {
 	return nil
 }
 
-// clusterize runs the configured clustering algorithm on the production
-// path: triangle-inequality-bounded k-means with the scan engine's
-// parallelism threaded into its assignment sweeps and distance-work
-// counters accumulated into st (when non-nil). The HAC algorithms have no
-// bounded variant and ignore both.
-func (c Config) clusterize(points [][]float64, k int, rng *rand.Rand, eo exec.Options, st *cluster.KMeansStats) cluster.Assignment {
+// clusterize runs the configured clustering algorithm. k-means is the
+// triangle-inequality-bounded KMeansBounded under o: a pick passes the scan
+// engine's parallelism and its distance-work counters, training's feature
+// selection passes Strict, whose sweeps are the exact reference sweeps bit
+// for bit (pruned sweeps may split a nearest-center near-tie at rounding
+// scale differently, which would move a feature-selection score). The HAC
+// algorithms have no bounded variant and ignore o.
+func (c Config) clusterize(points [][]float64, k int, rng *rand.Rand, o cluster.KMeansOpts) cluster.Assignment {
 	switch c.Algo {
 	case AlgoHACWard:
 		return cluster.HAC(points, k, cluster.Ward)
 	case AlgoHACSingle:
 		return cluster.HAC(points, k, cluster.Single)
 	default:
-		return cluster.KMeansBounded(points, k, rng, cluster.KMeansOpts{
-			Parallelism: eo.Parallelism,
-			Stats:       st,
-		})
-	}
-}
-
-// clusterizeRef runs the configured clustering algorithm on the frozen
-// reference path (exact k-means sweeps); training-time feature selection
-// and the equivalence baselines use it so their outputs stay bit-stable
-// regardless of how the bounded path evolves.
-func (c Config) clusterizeRef(points [][]float64, k int, rng *rand.Rand) cluster.Assignment {
-	switch c.Algo {
-	case AlgoHACWard:
-		return cluster.HAC(points, k, cluster.Ward)
-	case AlgoHACSingle:
-		return cluster.HAC(points, k, cluster.Single)
-	default:
-		return cluster.KMeansReference(points, k, rng, 0)
+		return cluster.KMeansBounded(points, k, rng, o)
 	}
 }
 
@@ -181,23 +163,4 @@ func (c Config) exemplars(points [][]float64, a cluster.Assignment, rng *rand.Ra
 		return cluster.RandomExemplars(points, a, rng)
 	}
 	return cluster.MedianExemplars(points, a)
-}
-
-// maskKinds zeroes the feature slots whose kind is in excluded; used to
-// apply the feature-selection result before clustering.
-func maskKinds(space *stats.FeatureSpace, rows [][]float64, excluded map[stats.Kind]bool) [][]float64 {
-	if len(excluded) == 0 {
-		return rows
-	}
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		m := append([]float64(nil), r...)
-		for j, meta := range space.Meta {
-			if excluded[meta.Kind] {
-				m[j] = 0
-			}
-		}
-		out[i] = m
-	}
-	return out
 }

@@ -42,7 +42,7 @@ func selectBoth(t *testing.T, env *testEnv, q *query.Query, group []int, ni int,
 	total, m := len(p.TS.Parts), plan.Dim()
 	sc := getPickScratch(total, m)
 	defer putPickScratch(sc)
-	sc.setMasks(p, plan)
+	sc.setMasks(p.TS.Space, p.Excluded, plan.UsedCols())
 	full := make([][]float64, total)
 	for i := 0; i < total; i++ {
 		full[i] = make([]float64, m)
@@ -54,11 +54,11 @@ func selectBoth(t *testing.T, env *testEnv, q *query.Query, group []int, ni int,
 		mutate(sc.rows)
 	}
 	refRng, fastRng := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
-	ref := p.clusterSelect(full, group, ni, p.Excluded, refRng)
+	ref := p.refClusterSelect(full, group, ni, p.Excluded, refRng)
 	var ks cluster.KMeansStats
-	fast := p.clusterSelectFast(sc.rows, group, ni, fastRng, sc, exec.Options{Parallelism: 1}, &ks)
+	fast := p.clusterSelectFast(sc.rows, group, ni, fastRng, sc, cluster.KMeansOpts{Parallelism: 1, Stats: &ks})
 	if !selectionsEqual(ref, fast) {
-		t.Fatalf("clusterSelectFast diverges from clusterSelect\nref:  %v\nfast: %v", ref, fast)
+		t.Fatalf("clusterSelectFast diverges from refClusterSelect\nref:  %v\nfast: %v", ref, fast)
 	}
 	if a, b := refRng.Int63(), fastRng.Int63(); a != b {
 		t.Fatalf("the two paths consumed the rng differently (next draw %d vs %d)", a, b)
@@ -107,7 +107,7 @@ func TestPickBatchMatchesReferenceWithDuplicates(t *testing.T) {
 	env := newDupEnv(t, Config{Seed: 5})
 	for qi, ex := range env.exs {
 		for _, n := range []int{1, 2, 3, 5, 8, 13} {
-			ref := env.p.PickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*100+n))))
+			ref := env.p.pickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*100+n))))
 			for _, par := range []int{1, 3, 0} {
 				got := env.p.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(qi*100+n))), exec.Options{Parallelism: par})
 				if !selectionsEqual(ref, got) {

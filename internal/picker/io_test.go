@@ -140,6 +140,31 @@ func TestReadPickerRejectsCorruptConfig(t *testing.T) {
 	}
 }
 
+// TestTrainWritesOnlyReadableSnapshots walks the corrupt configs through
+// Train: each must be refused, or (where the defaults replace the value)
+// trained into a picker whose snapshot ReadPicker reads back. A trained
+// system must never write a snapshot its own reader refuses.
+func TestTrainWritesOnlyReadableSnapshots(t *testing.T) {
+	env := newTestEnv(t, 10, 15, Config{K: 2, Seed: 7})
+	for _, tc := range corruptConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{K: 2, Seed: 7}
+			tc.mutate(&cfg)
+			p, err := Train(env.ts, env.exs, cfg, exec.Options{})
+			if err != nil {
+				return
+			}
+			var buf bytes.Buffer
+			if _, err := p.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadPicker(&buf, env.ts); err != nil {
+				t.Fatalf("Train accepted the config, ReadPicker refuses its snapshot: %v", err)
+			}
+		})
+	}
+}
+
 // FuzzReadPicker: ReadPicker decodes the one untrusted file a server loads
 // besides the statistics and the table. Whatever it accepts must pick —
 // two queries at two budgets — without panicking or hanging.

@@ -23,28 +23,12 @@ type PickStats struct {
 	Total   time.Duration
 	Cluster time.Duration
 	// Featurize is the time spent on the per-query feature fill (the
-	// selectivity estimates of every partition); only populated by
-	// PickBatch, where featurization is part of the pick.
+	// selectivity estimates of every partition).
 	Featurize time.Duration
 	// KMeans accumulates the bounded k-means distance-work counters across
-	// the pick's per-group clusterings; only populated by PickBatch (the
-	// reference paths run exact sweeps and count nothing).
+	// the pick's per-group clusterings.
 	KMeans cluster.KMeansStats
 }
-
-// funnelEval selects which evaluator the importance funnel runs on.
-type funnelEval uint8
-
-const (
-	// evalReference predicts on the retained pointer-tree evaluator over
-	// full feature rows; the baseline the batch path is equivalence-tested
-	// against.
-	evalReference funnelEval = iota
-	// evalBatch predicts each funnel group in one sweep over the binding's
-	// fold tables (tables.go) and the four per-query selectivity columns,
-	// allocating nothing per partition. Rows are selWidth wide.
-	evalBatch
-)
 
 // selWidth is the width of a batched pick's per-partition row: the four
 // selectivity estimates, which lead the feature vector
@@ -116,25 +100,17 @@ func getPickScratch(n, m int) *pickScratch {
 
 func putPickScratch(sc *pickScratch) { pickScratchPool.Put(sc) }
 
-// setMasks rebuilds the per-pick lookups (scratch is pooled across pickers):
-// the feature-selection exclusion set, the query's named columns, and the
-// feature slots masked to zero because their column is not named.
-func (sc *pickScratch) setMasks(p *Picker, plan *stats.FeaturePlan) {
-	sc.named = plan.UsedCols()
-	for j, meta := range p.TS.Space.Meta {
-		sc.excluded[j] = p.Excluded[meta.Kind]
-		sc.masked[j] = meta.Col >= 0 && !sc.named[meta.Col]
+// setMasks fills the two lookups cluster preparation reads (scratch is
+// pooled across pickers and training runs): the slots whose kind is in
+// excluded, and the slots masked to zero because their column is not named.
+// named (the query's FeaturePlan.UsedCols) is also what the funnel's fold
+// tables are bound with.
+func (sc *pickScratch) setMasks(space *stats.FeatureSpace, excluded map[stats.Kind]bool, named []bool) {
+	sc.named = named
+	for j, meta := range space.Meta {
+		sc.excluded[j] = excluded[meta.Kind]
+		sc.masked[j] = meta.Col >= 0 && !named[meta.Col]
 	}
-}
-
-// PickReference is PickBatch evaluated end to end on the reference
-// implementations: a materialized feature matrix (features is the raw N×M
-// matrix for q from stats.TableStats.Features), the pointer-tree funnel
-// evaluator and exact k-means sweeps. It exists as the equivalence baseline
-// for PickBatch; serving and the experiments never call it.
-func (p *Picker) PickReference(q *query.Query, features [][]float64, n int, rng *rand.Rand) []query.WeightedPartition {
-	var st PickStats
-	return p.pick(q, features, n, rng, &st, evalReference, nil, exec.Options{})
 }
 
 // PickBatch runs Algorithm 1: outliers → importance funnel → α-decayed
@@ -146,11 +122,9 @@ func (p *Picker) PickReference(q *query.Query, features [][]float64, n int, rng 
 // everything else in a row is the partition's base feature or a masked
 // zero, which the funnel scores from per-binding fold tables (tables.go) and
 // cluster preparation reads from TableStats.NormBase. Zero allocations per
-// partition in the steady state. The selection is bit-identical to
-// PickReference(q, p.TS.Features(q), n, rng) whenever the bounded k-means
-// assigns the reference's labels (cluster.KMeansBounded), and the same at
-// every parallelism setting: estimates are filled into disjoint rows indexed
-// by partition, and the selection logic consumes them in partition order.
+// partition in the steady state. The selection is the same at every
+// parallelism setting: estimates are filled into disjoint rows indexed by
+// partition, and the selection logic consumes them in partition order.
 func (p *Picker) PickBatch(q *query.Query, n int, rng *rand.Rand, eo exec.Options) []query.WeightedPartition {
 	sel, _ := p.PickBatchWithStats(q, n, rng, eo)
 	return sel
@@ -162,19 +136,22 @@ func (p *Picker) PickBatch(q *query.Query, n int, rng *rand.Rand, eo exec.Option
 const pickFillBlock = 32
 
 // PickBatchWithStats is PickBatch with timing instrumentation.
-func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo exec.Options) ([]query.WeightedPartition, PickStats) {
-	var st PickStats
+func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo exec.Options) (selection []query.WeightedPartition, st PickStats) {
 	start := time.Now()
+	defer func() { st.Total = time.Since(start) }()
 	total := len(p.TS.Parts)
 	if n <= 0 || n >= total {
-		// Nothing or everything: pick's first branch, without featurizing.
-		st.Total = time.Since(start)
+		// Nothing to pick, or an exact answer: every partition at weight 1,
+		// without featurizing.
 		return Uniform(total, n, rng), st
+	}
+	if rng == nil {
+		rng = newRand(p.Cfg.Seed)
 	}
 	plan := p.TS.NewFeaturePlan(q)
 	sc := getPickScratch(total, plan.Dim())
 	defer putPickScratch(sc)
-	sc.setMasks(p, plan)
+	sc.setMasks(p.TS.Space, p.Excluded, plan.UsedCols())
 	blocks := (total + pickFillBlock - 1) / pickFillBlock
 	exec.ForEach(blocks, eo, func(b int) {
 		lo := b * pickFillBlock
@@ -187,22 +164,7 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 		}
 	})
 	st.Featurize = time.Since(start)
-	sel := p.pick(q, sc.rows, n, rng, &st, evalBatch, sc, eo)
-	st.Total = time.Since(start)
-	return sel, st
-}
-
-func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Rand, st *PickStats, ev funnelEval, sc *pickScratch, eo exec.Options) []query.WeightedPartition {
-	total := len(features)
-	if n <= 0 || n >= total {
-		// Nothing to pick, or an exact answer: every partition at weight 1.
-		return Uniform(total, n, rng)
-	}
-	if rng == nil {
-		rng = newRand(p.Cfg.Seed)
-	}
-
-	var selection []query.WeightedPartition
+	features := sc.rows
 
 	// 1. Outliers (§4.4): partitions with rare group-by bitmap signatures
 	// are evaluated exactly, weight 1, consuming up to OutlierBudgetFrac of
@@ -232,7 +194,7 @@ func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Ran
 	}
 	budget := n - len(selection)
 	if budget <= 0 {
-		return selection
+		return selection, st
 	}
 
 	// 2. Predicate filter: keep only partitions that may contain matching
@@ -246,20 +208,21 @@ func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Ran
 		}
 	}
 	if len(candidates) == 0 {
-		return selection
+		return selection, st
 	}
 	if budget >= len(candidates) {
-		return append(selection, whole(candidates)...)
+		return append(selection, whole(candidates)...), st
 	}
 
 	// 3. Importance funnel (Algorithm 2), least-important group first.
-	groups := p.importanceGroups(features, candidates, ev, sc)
+	groups := p.importanceGroups(candidates, sc)
 
 	// 4. Allocate budget across groups with rate decaying by α from more to
 	// less important groups.
 	alloc := allocateSamples(groups, budget, p.Cfg.Alpha)
 
 	// 5. Select within each group via clustering (or random fallback).
+	ko := cluster.KMeansOpts{Parallelism: eo.Parallelism, Stats: &st.KMeans}
 	for gi, g := range groups {
 		ni := alloc[gi]
 		if ni <= 0 || len(g) == 0 {
@@ -274,14 +237,10 @@ func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Ran
 			continue
 		}
 		cstart := time.Now()
-		if sc != nil {
-			selection = append(selection, p.clusterSelectFast(features, g, ni, rng, sc, eo, &st.KMeans)...)
-		} else {
-			selection = append(selection, p.clusterSelect(features, g, ni, p.Excluded, rng)...)
-		}
+		selection = append(selection, p.clusterSelectFast(features, g, ni, rng, sc, ko)...)
 		st.Cluster += time.Since(cstart)
 	}
-	return selection
+	return selection, st
 }
 
 // tooComplex reports whether the predicate exceeds the clause budget beyond
@@ -376,40 +335,26 @@ func (p *Picker) findOutliers(q *query.Query, total int) (outliers, rest []int) 
 	return outliers, rest
 }
 
-// importanceGroups runs the funnel (Algorithm 2): candidates that pass more
-// regressors advance further. The result is ordered least → most important.
-// Both evaluators visit the same rows in the same order and score with
-// bit-identical ensemble outputs, so grouping is evaluator-independent.
-// Under evalBatch, features holds selWidth-wide rows and sc the pick's
-// scratch; evalReference reads full rows.
-func (p *Picker) importanceGroups(features [][]float64, candidates []int, ev funnelEval, sc *pickScratch) [][]int {
+// importanceGroups runs the funnel (Algorithm 2) over the pick's
+// selWidth-wide rows in sc: candidates that pass more regressors advance
+// further. The result is ordered least → most important.
+func (p *Picker) importanceGroups(candidates []int, sc *pickScratch) [][]int {
 	if p.Cfg.DisableRegressor || len(p.Regs) == 0 {
 		return [][]int{candidates}
 	}
 	groups := [][]int{candidates}
-	var tables []*gbt.FoldTable
-	if ev == evalBatch {
-		tables = p.foldTables()
-	}
+	tables := p.foldTables()
 	for stage, reg := range p.Regs {
 		last := groups[len(groups)-1]
-		var preds []float64
-		switch {
-		case ev == evalReference:
-			preds = make([]float64, len(last))
-			for k, i := range last {
-				preds[k] = reg.PredictReference(features[i])
-			}
-		case stage < len(tables) && tables[stage] != nil:
+		preds := sc.preds[:len(last)]
+		if stage < len(tables) && tables[stage] != nil {
 			// One sweep per stage over the advancing group: per row, one
 			// word-AND per tree per named column plus the selectivity
 			// conditions.
-			preds = sc.preds[:len(last)]
 			sc.scorer.Bind(tables[stage], sc.named)
-			sc.scorer.Predict(preds, last, features)
-		default:
-			preds = sc.preds[:len(last)]
-			p.walkFullRows(preds, reg, last, features, sc)
+			sc.scorer.Predict(preds, last, sc.rows)
+		} else {
+			p.walkFullRows(preds, reg, last, sc)
 		}
 		var stay, advance []int
 		for k, i := range last {
@@ -441,7 +386,7 @@ func (p *Picker) importanceGroups(features [][]float64, candidates []int, ev fun
 // assembled without a table holder. Each partition's full feature row is
 // gathered into one scratch row — base features of named columns, zeros for
 // masked slots, the pick's selectivity estimates — and walked tree by tree.
-func (p *Picker) walkFullRows(preds []float64, reg *gbt.Model, parts []int, sel [][]float64, sc *pickScratch) {
+func (p *Picker) walkFullRows(preds []float64, reg *gbt.Model, parts []int, sc *pickScratch) {
 	m := p.TS.Space.Dim()
 	if cap(sc.fullRow) < m {
 		sc.fullRow = make([]float64, m)
@@ -455,7 +400,7 @@ func (p *Picker) walkFullRows(preds []float64, reg *gbt.Model, parts []int, sel 
 			}
 			row[j] = x
 		}
-		copy(row, sel[i])
+		copy(row, sc.rows[i])
 		preds[k] = reg.Predict(row)
 	}
 }
@@ -536,43 +481,6 @@ func allocateSamples(groups [][]int, budget int, alpha float64) []int {
 	return alloc
 }
 
-// compressActive drops feature dimensions that hold one value across all
-// rows: masked columns and excluded kinds (all zero), and statistics the
-// group happens to share. A constant column adds exactly zero to every
-// point-to-point distance (seeding, re-seeds) and to every distance from a
-// member to its cluster's median, and at most a rounding residue to
-// distances from Lloyd means, so the clustering is the same while its cost
-// shrinks to the columns that tell the group's partitions apart.
-// clusterSelectFast applies the same test to the same normalized values;
-// the two must keep dropping the same columns.
-func compressActive(rows [][]float64) [][]float64 {
-	if len(rows) == 0 {
-		return rows
-	}
-	m := len(rows[0])
-	var active []int
-	for j := 0; j < m; j++ {
-		for _, r := range rows[1:] {
-			if r[j] != rows[0][j] {
-				active = append(active, j)
-				break
-			}
-		}
-	}
-	if len(active) == m {
-		return rows
-	}
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		c := make([]float64, len(active))
-		for k, j := range active {
-			c[k] = r[j]
-		}
-		out[i] = c
-	}
-	return out
-}
-
 // randomSelect samples ni partitions uniformly without replacement; each
 // carries weight |group|/ni so the estimator stays unbiased.
 func randomSelect(group []int, ni int, rng *rand.Rand) []query.WeightedPartition {
@@ -585,40 +493,27 @@ func randomSelect(group []int, ni int, rng *rand.Rand) []query.WeightedPartition
 	return out
 }
 
-// clusterSelect clusters the group's feature vectors into ni clusters and
-// returns one weighted exemplar per cluster (§4.2). This is the reference
-// implementation — full-width normalization, kind masking and active-column
-// compression as separate allocating passes — retained for training-time
-// feature selection and the equivalence baseline; the batched pick path
-// runs clusterSelectFast instead.
-func (p *Picker) clusterSelect(features [][]float64, group []int, ni int, excluded map[stats.Kind]bool, rng *rand.Rand) []query.WeightedPartition {
-	rows := make([][]float64, len(group))
-	for i, g := range group {
-		rows[i] = p.TS.Space.Normalize(features[g])
-	}
-	rows = maskKinds(p.TS.Space, rows, excluded)
-	rows = compressActive(rows)
-	asg := p.Cfg.clusterizeRef(rows, ni, rng)
-	exs := p.Cfg.exemplars(rows, asg, rng)
-	out := make([]query.WeightedPartition, 0, len(exs))
-	for _, e := range exs {
-		out = append(out, query.WeightedPartition{Part: group[e.Point], Weight: e.Weight})
-	}
-	return out
-}
-
-// clusterSelectFast is clusterSelect fused into one scratch-backed pass over
-// selWidth-wide rows. It exploits two invariants of the full rows a
-// FeaturePlan stands for: masked slots are exactly zero in every row (so
-// they can never be active), and every other non-selectivity slot equals the
-// partition's base feature (so its normalized value is a lookup in the
-// precomputed TableStats.NormBase matrix instead of a transform + division)
-// — it reads nothing from features but the four selectivity estimates. The
-// compact matrix it hands to the clustering algorithm is bit-identical to
-// the reference pipeline's: NormBase and NormalizeValue produce Normalize's
-// values bit for bit, and a column is active exactly when compressActive
-// keeps it — some row's normalized value differs from the first row's.
-func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rng *rand.Rand, sc *pickScratch, eo exec.Options, ks *cluster.KMeansStats) []query.WeightedPartition {
+// clusterSelectFast clusters the group's feature rows into ni clusters and
+// returns one weighted exemplar per cluster (§4.2). The points it clusters
+// are the normalized rows (FeatureSpace.NormalizeValue per slot) restricted
+// to the active columns: neither an excluded kind (sc.excluded) nor a slot
+// masked for the query (sc.masked), and not constant over the group. A
+// constant column adds exactly zero to every point-to-point distance
+// (seeding, re-seeds) and to every distance from a member to its cluster's
+// median, and at most a rounding residue to distances from Lloyd means, so
+// dropping it leaves the clustering as it is while its cost shrinks to the
+// columns that tell the group's partitions apart.
+//
+// It reads nothing from features but the four selectivity estimates, which
+// lead the row: every other unmasked slot is the partition's base feature,
+// whose normalized value is a lookup in the precomputed TableStats.NormBase.
+// So features may be a pick's selWidth-wide rows or the full rows of
+// TableStats.Features (training's feature selection), and o is the k-means
+// mode: a pick's pruned, parallel, counted sweeps, or training's Strict
+// ones. Bit for bit, the points are what the full-row reference preparation
+// in the package tests builds — normalize, zero the excluded kinds, drop
+// the constant columns.
+func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rng *rand.Rand, sc *pickScratch, o cluster.KMeansOpts) []query.WeightedPartition {
 	m := p.TS.Space.Dim()
 	nb := p.TS.NormBase()
 	upper, indep, minS, maxS := p.TS.Space.SelectivitySlots()
@@ -683,7 +578,7 @@ func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rn
 		}
 		rows[k] = row
 	}
-	asg := p.Cfg.clusterize(rows, ni, rng, eo, ks)
+	asg := p.Cfg.clusterize(rows, ni, rng, o)
 	exs := p.Cfg.exemplars(rows, asg, rng)
 	out := make([]query.WeightedPartition, 0, len(exs))
 	for _, e := range exs {

@@ -29,14 +29,14 @@ func selectionsEqual(a, b []query.WeightedPartition) bool {
 // TestPickBatchMatchesReference is the end-to-end bit-identity contract of
 // the batched pick path: for every test query, every budget and every
 // parallelism setting, PickBatch must return exactly the selection of
-// PickReference (reference feature matrix + pointer-tree funnel + exact
+// pickReference (reference feature matrix + per-row funnel walk + exact
 // k-means), with identical RNG streams.
 func TestPickBatchMatchesReference(t *testing.T) {
 	env := newTestEnv(t, 20, 25, Config{Seed: 5})
 	budgets := []int{1, 2, 4, 7, 12, 19, 20, 25}
 	for qi, ex := range env.exs {
 		for _, n := range budgets {
-			ref := env.p.PickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*100+n))))
+			ref := env.p.pickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*100+n))))
 			for _, par := range []int{1, 2, 0} {
 				got := env.p.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(qi*100+n))), exec.Options{Parallelism: par})
 				if !selectionsEqual(ref, got) {
@@ -77,7 +77,7 @@ func TestPickBatchMatchesReferenceLesions(t *testing.T) {
 		}
 		for qi, ex := range env.exs[:8] {
 			for _, n := range []int{2, 5, 9} {
-				ref := env.p.PickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*31+n))))
+				ref := env.p.pickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*31+n))))
 				got := env.p.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(qi*31+n))), exec.Options{Parallelism: 0})
 				if !selectionsEqual(ref, got) {
 					t.Fatalf("lesion %d (%+v) query %d budget %d: PickBatch diverges from reference", li, cfg, qi, n)
@@ -105,7 +105,7 @@ func TestPickBatchConcurrent(t *testing.T) {
 	want := make([][]query.WeightedPartition, len(jobs))
 	for ji, j := range jobs {
 		ex := env.exs[j.qi]
-		want[ji] = env.p.PickReference(ex.Query, ex.Features, j.n, rand.New(rand.NewSource(int64(j.qi*7+j.n))))
+		want[ji] = env.p.pickReference(ex.Query, ex.Features, j.n, rand.New(rand.NewSource(int64(j.qi*7+j.n))))
 	}
 	got := make([][]query.WeightedPartition, len(jobs))
 	done := make(chan struct{}, len(jobs))
@@ -265,12 +265,11 @@ func newBenchEnv(b testing.TB, parts, rowsPer int) *testEnv {
 
 // BenchmarkPick is the acceptance benchmark of the batched pick path,
 // swept over the serving budget regime (the paper serves at 1–10%; the
-// server default is 5%). Per budget, `reference` is the pointer-tree
-// baseline — fresh feature matrix + per-row funnel walk + allocating
-// cluster pipeline, exactly what core.System.Pick ran before the flat
-// engine — and the batch sub-benchmarks run PickBatch at Parallelism=1 and
-// GOMAXPROCS. Each batch case reports its in-run speedup over the
-// reference.
+// server default is 5%). Per budget, `reference` is the full-row
+// reference pick (reference_test.go) — fresh feature matrix + per-row
+// funnel walk + allocating cluster pipeline with exact k-means sweeps — and
+// the batch sub-benchmarks run PickBatch at Parallelism=1 and GOMAXPROCS.
+// Each batch case reports its in-run speedup over the reference.
 //
 // The full pick mixes the rebuilt inference path (featurization + funnel,
 // where this PR's work lives and the speedup is >3x — see
@@ -294,7 +293,7 @@ func BenchmarkPick(b *testing.B) {
 	} {
 		n := bc.n
 		reference := func(q *query.Query) []query.WeightedPartition {
-			return env.p.PickReference(q, env.ts.Features(q), n, rng)
+			return env.p.pickReference(q, env.ts.Features(q), n, rng)
 		}
 		b.Run(bc.name+"/reference", func(b *testing.B) {
 			b.ReportAllocs()
@@ -344,8 +343,8 @@ func BenchmarkPick(b *testing.B) {
 // PR rebuilt — featurization, predicate filter, and the full importance
 // funnel — by running the paper's "w/o cluster" lesion (§5.4.1), which
 // replaces only the final within-group exemplar clustering with weighted
-// random draws. The reference is the same lesion on the pointer-tree
-// baseline, so the ratio measures exactly the flattened-inference work.
+// random draws. The reference is the same lesion on the full-row
+// reference pick, so the ratio measures exactly the batched-inference work.
 func BenchmarkPickInference(b *testing.B) {
 	env := newBenchEnv(b, 128, 40)
 	lesioned := *env.p
@@ -360,7 +359,7 @@ func BenchmarkPickInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n := 6 // the server-default 5% budget
 	reference := func(q *query.Query) []query.WeightedPartition {
-		return p.PickReference(q, env.ts.Features(q), n, rng)
+		return p.pickReference(q, env.ts.Features(q), n, rng)
 	}
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()

@@ -1,9 +1,11 @@
 package picker
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -63,7 +65,13 @@ func newEnvFromRows(t testing.TB, parts, rowsPer int, cfg Config, gen func(part,
 			t.Fatal(err)
 		}
 	}
-	tbl := b.Finish()
+	return newEnvOver(t, b.Finish(), cfg)
+}
+
+// newEnvOver builds tbl's statistics, 25 generated training queries over it
+// and a picker trained on them.
+func newEnvOver(t testing.TB, tbl *table.Table, cfg Config) *testEnv {
+	t.Helper()
 	ts, err := stats.Build(tbl, stats.Options{GroupableCols: []string{"g"}})
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +456,7 @@ func TestFunnelOrdersByContribution(t *testing.T) {
 				candidates = append(candidates, i)
 			}
 		}
-		groups := env.p.importanceGroups(ex.Features, candidates, evalReference, nil)
+		groups := env.p.refImportanceGroups(ex.Features, candidates)
 		if len(groups) < 2 {
 			continue
 		}
@@ -653,5 +661,43 @@ func TestComplexPredicateFallsBackToRandom(t *testing.T) {
 	sel := env.p.PickBatch(q, 5, rand.New(rand.NewSource(1)), exec.Options{Parallelism: 1})
 	if len(sel) == 0 || len(sel) > 5 {
 		t.Fatalf("complex-predicate fallback selected %d", len(sel))
+	}
+}
+
+// TestSelectFeaturesMatchesReference: training's feature selection clusters
+// through the pick's own preparation (clusterSelectFast, strict k-means) and
+// must find exactly the exclusion set of the full-row reference preparation
+// under every clustering variant, on a small and a larger fixture. The
+// variants run in parallel: HAC over the larger fixture dominates.
+func TestSelectFeaturesMatchesReference(t *testing.T) {
+	variants := []Config{
+		{Algo: AlgoKMeans},
+		{Algo: AlgoHACWard},
+		{Algo: AlgoHACSingle},
+		{UnbiasedExemplar: true},
+	}
+	var nonEmpty atomic.Int32
+	t.Run("variants", func(t *testing.T) {
+		for _, parts := range []int{10, 40} {
+			for _, cfg := range variants {
+				cfg.Seed = 13
+				cfg.FeatureSelection = true
+				cfg.FeatureSelRestarts = 2
+				t.Run(fmt.Sprintf("%dparts/%v/unbiased=%v", parts, cfg.Algo, cfg.UnbiasedExemplar), func(t *testing.T) {
+					t.Parallel()
+					env := newTestEnv(t, parts, 20, cfg)
+					want := env.p.refSelectFeatures(env.exs)
+					if !reflect.DeepEqual(env.p.Excluded, want) {
+						t.Fatalf("%+v: Excluded = %v, reference %v", cfg, env.p.Excluded, want)
+					}
+					if len(want) > 0 {
+						nonEmpty.Add(1)
+					}
+				})
+			}
+		}
+	})
+	if !t.Failed() && nonEmpty.Load() == 0 {
+		t.Fatal("every variant excluded nothing; the comparison exercises no exclusion mask")
 	}
 }

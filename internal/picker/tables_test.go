@@ -10,32 +10,31 @@ import (
 
 	"ps3/internal/exec"
 	"ps3/internal/gbt"
+	"ps3/internal/table"
 )
 
-// TestBatchedPickReadsOnlySelectivitySlots drives the batched pick over rows
-// that *are* four floats long — each its own allocation, so a read of any
-// other slot panics rather than landing in a neighbour — and checks the
-// selection against the reference over full rows. The candidate filter, the
-// funnel and cluster preparation may read the selectivity estimates from a
-// row and nothing else.
+// TestBatchedPickReadsOnlySelectivitySlots checks that a pick's pooled rows
+// are four floats long and capped there — a read of any other slot, or a
+// reslice past the selectivity estimates, panics rather than landing in a
+// neighbour's row — and that PickBatch over them selects what the reference
+// selects over full rows. The candidate filter, the funnel and cluster
+// preparation may read the selectivity estimates from a row and nothing
+// else.
 func TestBatchedPickReadsOnlySelectivitySlots(t *testing.T) {
 	env := newBenchEnv(t, 48, 30)
 	p := env.p
 	total, m := len(p.TS.Parts), p.TS.Space.Dim()
-	for qi, ex := range env.exs {
-		plan := p.TS.NewFeaturePlan(ex.Query)
-		rows := make([][]float64, total)
-		for i := range rows {
-			rows[i] = make([]float64, selWidth)
-			plan.FillSel(rows[i], i)
+	sc := getPickScratch(total, m)
+	for i, row := range sc.rows {
+		if len(row) != selWidth || cap(row) != selWidth {
+			t.Fatalf("scratch row %d has len %d cap %d, want both %d", i, len(row), cap(row), selWidth)
 		}
+	}
+	putPickScratch(sc)
+	for qi, ex := range env.exs {
 		for _, n := range []int{2, 5, 12} {
-			sc := getPickScratch(total, m)
-			sc.setMasks(p, plan)
-			var st PickStats
-			got := p.pick(ex.Query, rows, n, rand.New(rand.NewSource(int64(qi*10+n))), &st, evalBatch, sc, exec.Options{Parallelism: 1})
-			putPickScratch(sc)
-			ref := p.PickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*10+n))))
+			got := p.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(qi*10+n))), exec.Options{Parallelism: 1})
+			ref := p.pickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*10+n))))
 			if !selectionsEqual(ref, got) {
 				t.Fatalf("query %d budget %d: batched pick over 4-wide rows diverges from the reference", qi, n)
 			}
@@ -131,7 +130,7 @@ func TestPickBatchWithoutFoldTables(t *testing.T) {
 	for name, p := range map[string]*Picker{"129 trees": &big, "no holder": &bare, "repointed TS": &repointed} {
 		for qi, ex := range env.exs {
 			for _, n := range []int{3, 9} {
-				ref := p.PickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*10+n))))
+				ref := p.pickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*10+n))))
 				for _, par := range []int{1, 3} {
 					got := p.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(qi*10+n))), exec.Options{Parallelism: par})
 					if !selectionsEqual(ref, got) {
@@ -176,5 +175,40 @@ func TestReadPickerRejectsNaNThreshold(t *testing.T) {
 	}
 	if _, err := ReadPicker(&buf, env.ts); err == nil || !strings.Contains(err.Error(), "NaN threshold") {
 		t.Fatalf("ReadPicker on a NaN split threshold: %v, want a NaN-threshold error", err)
+	}
+}
+
+// TestReboundPicksMatchReference: a picker trained over 15 partitions and
+// rebound to statistics extended by five more folds its own tables over the
+// extended store, so its batched picks equal the reference over the
+// extended feature matrix — on picks that select new partitions.
+func TestReboundPicksMatchReference(t *testing.T) {
+	full := newTestEnv(t, 20, 25, Config{Seed: 3}).tbl
+	base := &table.Table{Schema: full.Schema, Dict: full.Dict, Parts: full.Parts[:15]}
+	env := newEnvOver(t, base, Config{Seed: 3})
+	for _, ex := range env.exs {
+		env.p.PickBatch(ex.Query, 4, rand.New(rand.NewSource(1)), exec.Options{Parallelism: 1})
+	}
+	ext, err := env.ts.ExtendedWith(nil, full.Parts[15:], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := env.p.Rebound(ext)
+	picksNew := false
+	for qi, ex := range env.exs {
+		feats := ext.Features(ex.Query)
+		for _, n := range []int{4, 9} {
+			got := grown.PickBatch(ex.Query, n, rand.New(rand.NewSource(int64(qi*10+n))), exec.Options{Parallelism: 1})
+			ref := grown.pickReference(ex.Query, feats, n, rand.New(rand.NewSource(int64(qi*10+n))))
+			if !selectionsEqual(ref, got) {
+				t.Fatalf("query %d budget %d: rebound PickBatch diverges from the reference\nref: %v\ngot: %v", qi, n, ref, got)
+			}
+			for _, wp := range got {
+				picksNew = picksNew || wp.Part >= 15
+			}
+		}
+	}
+	if !picksNew {
+		t.Fatal("no pick over the extended statistics selected a new partition; the fixture does not exercise the extension")
 	}
 }

@@ -88,6 +88,9 @@ type Picker struct {
 // on eo's workers; the regressors are the same at every setting.
 func Train(ts *stats.TableStats, examples []Example, cfg Config, eo exec.Options) (*Picker, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("picker: %w", err)
+	}
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("picker: no training examples")
 	}
@@ -224,7 +227,9 @@ func stageThreshold(contrib []float64, stage, k int, topFrac float64) float64 {
 // on probe training queries at two probe budgets. Every evaluation re-seeds
 // its RNG identically so that feature subsets are compared on *paired*
 // clusterings — without pairing, k-means seeding noise drowns the signal of
-// removing a single feature kind.
+// removing a single feature kind. The selection is the pick's own,
+// clusterSelectFast over each query's full feature rows, with strict k-means
+// (Config.clusterize says why strict).
 func (p *Picker) selectFeatures(examples []Example) {
 	candidates := clusteringKindIDs()
 	probe := len(examples)
@@ -235,6 +240,13 @@ func (p *Picker) selectFeatures(examples []Example) {
 	n := len(examples[0].Features)
 	budgets := []int{max(n/20, 2), max(n/8, 3)}
 	rng := newRand(p.Cfg.Seed + 977)
+	named := make([][]bool, len(exs))
+	for qi, ex := range exs {
+		named[qi] = p.TS.NewFeaturePlan(ex.Query).UsedCols()
+	}
+	sc := getPickScratch(n, p.TS.Space.Dim())
+	defer putPickScratch(sc)
+	group := allParts(n)
 
 	eval := func(excluded map[int]bool) float64 {
 		exSet := make(map[stats.Kind]bool, len(excluded))
@@ -244,9 +256,10 @@ func (p *Picker) selectFeatures(examples []Example) {
 		var sum float64
 		cnt := 0
 		for qi, ex := range exs {
+			sc.setMasks(p.TS.Space, exSet, named[qi])
 			for bi, budget := range budgets {
 				pairedRng := newRand(p.Cfg.Seed + int64(qi*17+bi))
-				sel := p.clusterSelect(ex.Features, allParts(n), budget, exSet, pairedRng)
+				sel := p.clusterSelectFast(ex.Features, group, budget, pairedRng, sc, cluster.KMeansOpts{Strict: true})
 				est := EstimateFromPerPart(ex.Compiled, ex.PerPart, sel)
 				sum += metrics.Compare(ex.TruthVals, est).AvgRelErr
 				cnt++

@@ -371,35 +371,12 @@ func (fs *FeatureSpace) transform(j int, x float64) float64 {
 }
 
 // NormalizeValue normalizes one feature slot: transform(j, x) divided by the
-// fitted scale (unit scale before Fit). Normalize(row)[j] ==
-// NormalizeValue(j, row[j]) bit for bit.
+// fitted scale (unit scale before Fit). A normalized row is NormalizeValue
+// applied slot by slot; TableStats.NormBase holds it for every base row.
 func (fs *FeatureSpace) NormalizeValue(j int, x float64) float64 {
 	v := fs.transform(j, x)
 	if fs.Scale != nil {
 		v /= fs.Scale[j]
 	}
 	return v
-}
-
-// Normalize maps a raw feature vector into normalized space using the fitted
-// scale. Without a fit, the transform is applied with unit scale.
-func (fs *FeatureSpace) Normalize(row []float64) []float64 {
-	out := make([]float64, len(row))
-	for j, x := range row {
-		v := fs.transform(j, x)
-		if fs.Scale != nil {
-			v /= fs.Scale[j]
-		}
-		out[j] = v
-	}
-	return out
-}
-
-// NormalizeMatrix normalizes every row of a feature matrix.
-func (fs *FeatureSpace) NormalizeMatrix(rows [][]float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = fs.Normalize(r)
-	}
-	return out
 }

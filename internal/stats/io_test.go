@@ -66,12 +66,9 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 
 	// Normalization survives.
-	row := orig.Features(q)[0]
-	no := orig.Space.Normalize(row)
-	nb := back.Space.Normalize(row)
-	for j := range no {
-		if no[j] != nb[j] {
-			t.Fatalf("normalized feature %d differs: %v vs %v", j, no[j], nb[j])
+	for j, x := range orig.Features(q)[0] {
+		if no, nb := orig.Space.NormalizeValue(j, x), back.Space.NormalizeValue(j, x); no != nb {
+			t.Fatalf("normalized feature %d differs: %v vs %v", j, no, nb)
 		}
 	}
 
@@ -235,7 +232,9 @@ func FuzzReadStats(f *testing.F) {
 		q := &query.Query{Aggs: []query.Aggregate{{Kind: query.Count}}}
 		feats := back.Features(q)
 		for _, row := range feats {
-			_ = back.Space.Normalize(row)
+			for j, x := range row {
+				_ = back.Space.NormalizeValue(j, x)
+			}
 		}
 	})
 }

@@ -17,8 +17,8 @@ import (
 // Clauses over the same column inside a conjunction are evaluated jointly by
 // intersecting their ranges against the column histogram.
 //
-// It is the reference the compiled selProgram (selprogram.go), which every
-// featurization runs, is equivalence-tested against.
+// It is the frozen reference the compiled selProgram (selprogram.go), which
+// every featurization runs, is equivalence-tested against.
 type selEstimator struct {
 	ts   *TableStats
 	pred query.Pred
@@ -35,27 +35,6 @@ func (se *selEstimator) estimate(ps *PartitionStats) (upper, indep, minS, maxS f
 	}
 	node := se.evalNode(se.pred, ps)
 	return node.upper, node.indep, node.minSel, node.maxSel
-}
-
-// selNode carries the four statistics through the recursive evaluation.
-type selNode struct {
-	upper, indep   float64
-	minSel, maxSel float64
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-func leaf(s float64) selNode {
-	s = clamp01(s)
-	return selNode{upper: s, indep: s, minSel: s, maxSel: s}
 }
 
 func (se *selEstimator) evalNode(p query.Pred, ps *PartitionStats) selNode {

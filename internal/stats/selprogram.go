@@ -8,14 +8,14 @@ import (
 )
 
 // This file is the compiled form of the selectivity estimator: the
-// query-static half of featurization. selEstimator (selectivity.go) re-walks
-// the predicate tree for every partition, resolving column names, building
-// per-conjunction range maps and looking categorical values up in the table
-// dictionary each time — all work that depends only on the query. A
-// selProgram does that analysis once per query at compile time and keeps
-// only the partition-varying work (histogram, dictionary-frequency and
-// heavy-hitter lookups) in the per-partition eval, which runs with zero
-// allocations.
+// query-static half of featurization. The reference estimator, selEstimator
+// (in the package tests), re-walks the predicate tree for every partition,
+// resolving column names, building per-conjunction range maps and looking
+// categorical values up in the table dictionary each time — all work that
+// depends only on the query. A selProgram does that analysis once per query
+// at compile time and keeps only the partition-varying work (histogram,
+// dictionary-frequency and heavy-hitter lookups) in the per-partition eval,
+// which runs with zero allocations.
 //
 // Determinism contract: eval mirrors selEstimator.evalNode operation for
 // operation — same traversal order, same fold order (columns sorted by
@@ -339,4 +339,25 @@ func catCodeFreq(cs *ColumnStats, code uint32) float64 {
 		ndv = 1
 	}
 	return 1 / ndv
+}
+
+// selNode carries the four statistics through the recursive evaluation.
+type selNode struct {
+	upper, indep   float64
+	minSel, maxSel float64
+}
+
+func clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
+}
+
+func leaf(s float64) selNode {
+	s = clamp01(s)
+	return selNode{upper: s, indep: s, minSel: s, maxSel: s}
 }

@@ -100,7 +100,7 @@ type TableStats struct {
 	// normMu guards the lazily built normalized base matrix below.
 	normMu sync.Mutex
 	// normBase is base with the fitted normalization applied elementwise —
-	// the query-independent part of FeatureSpace.Normalize, cached so
+	// the query-independent part of a normalized feature row, cached so
 	// cluster preparation copies precomputed values instead of re-running
 	// transform()/Scale division per pick. Rebuilt if the Scale it was
 	// computed under changes (Fit runs once per training).
@@ -118,10 +118,11 @@ func (ts *TableStats) Base() []float64 { return ts.base }
 
 // NormBase returns the normalized query-independent feature matrix,
 // row-major with stride Dim(): partition i's row is exactly
-// FeatureSpace.Normalize of its base row, precomputed once per fitted
-// scale. Entries at the selectivity slots are the normalization of zero and
-// must be recomputed by callers from per-query values. The returned slice
-// aliases the cache; callers must not mutate it. Safe for concurrent use.
+// FeatureSpace.NormalizeValue of its base row, slot by slot, computed once
+// per fitted scale. Entries at the selectivity slots are the normalization
+// of zero and must be recomputed by callers from per-query values. The
+// returned slice aliases the cache; callers must not mutate it. Safe for
+// concurrent use.
 func (ts *TableStats) NormBase() []float64 {
 	m := ts.Space.Dim()
 	ts.normMu.Lock()

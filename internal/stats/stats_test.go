@@ -242,26 +242,20 @@ func TestSelectivityOrderingInvariants(t *testing.T) {
 func TestNormalizeWithoutFitAppliesTransformOnly(t *testing.T) {
 	tbl := buildTestTable(t, 3, 10)
 	ts := buildStats(t, tbl)
-	raw := make([]float64, ts.Space.Dim())
-	raw[0] = 0.8 // selectivity slot → cube root
-	raw[4] = 100 // measure slot → log1p
-	got := ts.Space.Normalize(raw)
-	if math.Abs(got[0]-math.Cbrt(0.8)) > 1e-12 {
-		t.Fatalf("selectivity transform = %v, want cbrt", got[0])
+	// Slot 0 is a selectivity slot (cube root), slot 4 a measure (log1p).
+	if got := ts.Space.NormalizeValue(0, 0.8); math.Abs(got-math.Cbrt(0.8)) > 1e-12 {
+		t.Fatalf("selectivity transform = %v, want cbrt", got)
 	}
-	if math.Abs(got[4]-math.Log1p(100)) > 1e-12 {
-		t.Fatalf("measure transform = %v, want log1p", got[4])
+	if got := ts.Space.NormalizeValue(4, 100); math.Abs(got-math.Log1p(100)) > 1e-12 {
+		t.Fatalf("measure transform = %v, want log1p", got)
 	}
 }
 
 func TestNormalizeNegativeValuesSignedLog(t *testing.T) {
 	tbl := buildTestTable(t, 3, 10)
 	ts := buildStats(t, tbl)
-	raw := make([]float64, ts.Space.Dim())
-	raw[4] = -100
-	got := ts.Space.Normalize(raw)
-	if math.Abs(got[4]+math.Log1p(100)) > 1e-12 {
-		t.Fatalf("negative transform = %v, want -log1p(100)", got[4])
+	if got := ts.Space.NormalizeValue(4, -100); math.Abs(got+math.Log1p(100)) > 1e-12 {
+		t.Fatalf("negative transform = %v, want -log1p(100)", got)
 	}
 }
 
@@ -293,7 +287,7 @@ func TestFitScalesFeatures(t *testing.T) {
 	}
 	var sumAbs float64
 	for _, r := range rows {
-		sumAbs += math.Abs(ts.Space.Normalize(r)[slot])
+		sumAbs += math.Abs(ts.Space.NormalizeValue(slot, r[slot]))
 	}
 	if mean := sumAbs / float64(len(rows)); math.Abs(mean-1) > 1e-9 {
 		t.Fatalf("normalized x-mean magnitude = %v, want 1", mean)
