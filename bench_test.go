@@ -27,8 +27,10 @@ import (
 	"ps3/internal/dataset"
 	"ps3/internal/exec"
 	"ps3/internal/experiments"
+	"ps3/internal/fault"
 	"ps3/internal/picker"
 	"ps3/internal/query"
+	"ps3/internal/stats"
 	"ps3/internal/store"
 	"ps3/internal/table"
 )
@@ -292,7 +294,7 @@ func BenchmarkStatsBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildStats(ds.Table, StatsOptions{GroupableCols: ds.Workload.GroupableCols}); err != nil {
+		if _, err := stats.Build(ds.Table, stats.Options{GroupableCols: ds.Workload.GroupableCols}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -435,7 +437,7 @@ func BenchmarkEvalPartition(b *testing.B) {
 	})
 	// One four-clause conjunction over the serving benchmark's kdd shape
 	// (4 500-row partitions, encoded, from a warm store-v2 reader, through
-	// Estimate at Parallelism 1), written most selective clause first and
+	// EstimateCtx at Parallelism 1), written most selective clause first and
 	// last: 3 %, 40 %, 99 % and 99.9 % of rows pass the clauses on their own.
 	// The two are interleaved so both see the same machine noise; ns/op is
 	// the cost of the pair. A scan learns the order of a conjunction from the
@@ -449,7 +451,7 @@ func BenchmarkEvalPartition(b *testing.B) {
 			b.Fatal(err)
 		}
 		path := filepath.Join(b.TempDir(), "t.ps3")
-		if _, err := store.WriteFile(path, ds.Table); err != nil {
+		if _, err := store.WriteFileFS(fault.OS, path, ds.Table, store.WriteOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		reader, err := store.Open(path, store.Options{CacheBytes: -1})
@@ -483,7 +485,7 @@ func BenchmarkEvalPartition(b *testing.B) {
 		worst := compile([]query.Pred{clauses[3], clauses[2], clauses[1], clauses[0]})
 		scan := func(c *query.Compiled) time.Duration {
 			t0 := time.Now()
-			if _, err := c.Estimate(reader, sel); err != nil {
+			if _, err := c.EstimateCtx(context.Background(), reader, sel); err != nil {
 				b.Fatal(err)
 			}
 			return time.Since(t0)
@@ -512,7 +514,7 @@ func BenchmarkEvalPartition(b *testing.B) {
 // and b) and "raw" (x and y) scan the store-v2 partitions of the same table
 // before any scan has read them — the aggregate columns on their first
 // touch, the group keys decoded — rebuilt before every op, untimed. No
-// predicate: every row is aggregated. One op is Estimate over all 64
+// predicate: every row is aggregated. One op is EstimateCtx over all 64
 // partitions, sequentially; ns/row is the figure to read. The rotation keeps
 // any one partition's groups from staying in a predictor or cache the next
 // op relies on.
@@ -546,7 +548,7 @@ func benchAccumulate(b *testing.B) {
 	}
 	decoded := bld.Finish()
 	path := filepath.Join(b.TempDir(), "acc.ps3")
-	if _, err := store.WriteFile(path, decoded); err != nil {
+	if _, err := store.WriteFileFS(fault.OS, path, decoded, store.WriteOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	reader, err := store.Open(path, store.Options{CacheBytes: -1})
@@ -619,7 +621,7 @@ func benchAccumulate(b *testing.B) {
 							src = cold()
 							b.StartTimer()
 						}
-						if _, err := c.Estimate(src, sel); err != nil {
+						if _, err := c.EstimateCtx(context.Background(), src, sel); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -667,7 +669,7 @@ func benchPassRate(b *testing.B) {
 		}
 		decoded := bld.Finish()
 		path := filepath.Join(b.TempDir(), order+".ps3")
-		if _, err := store.WriteFile(path, decoded); err != nil {
+		if _, err := store.WriteFileFS(fault.OS, path, decoded, store.WriteOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		reader, err := store.Open(path, store.Options{CacheBytes: -1})
@@ -738,8 +740,8 @@ func benchPassRate(b *testing.B) {
 // decoded too. All runs are sequential (Parallelism 1) so the figures compare
 // code, not scheduling.
 //
-// Per case, the plain sub-benchmark is Estimate; "/paired" interleaves it
-// with the combine Estimate used before partial answers were flat — one
+// Per case, the plain sub-benchmark is EstimateCtx; "/paired" interleaves it
+// with the combine EstimateCtx used before partial answers were flat — one
 // Answer map per partition through EvalPartition, folded with AddWeighted —
 // and reports the per-op speedup and each side's allocations. Both sides of
 // the pair run today's kernels, so the ratio prices the per-partition maps
@@ -764,7 +766,7 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 			b.Fatal(err)
 		}
 		path := filepath.Join(b.TempDir(), "t.ps3")
-		if _, err := store.WriteFile(path, ds.Table); err != nil {
+		if _, err := store.WriteFileFS(fault.OS, path, ds.Table, store.WriteOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		reader, err := store.Open(path, store.Options{CacheBytes: -1})
@@ -800,7 +802,7 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 				}
 				c := compile(&query.Clause{Col: wl.AggCols[0], Op: query.OpGe, Num: 0})
 				flat := func() *query.Answer {
-					ans, err := c.Estimate(form.src, sel)
+					ans, err := c.EstimateCtx(context.Background(), form.src, sel)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -837,7 +839,7 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 							b.Fatal(err)
 						}
 						for ; scans > 0; scans-- {
-							if _, err := c.Estimate(tbl, sel); err != nil {
+							if _, err := c.EstimateCtx(context.Background(), tbl, sel); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -849,7 +851,7 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 							tbl := loaded(b, c, 2)
 							b.ResetTimer()
 							for i := 0; i < b.N; i++ {
-								if _, err := c.Estimate(tbl, sel); err != nil {
+								if _, err := c.EstimateCtx(context.Background(), tbl, sel); err != nil {
 									b.Fatal(err)
 								}
 							}
@@ -861,7 +863,7 @@ func BenchmarkEstimateGrouped(b *testing.B) {
 							b.StopTimer()
 							tbl := loaded(b, c, 0)
 							b.StartTimer()
-							if _, err := c.Estimate(tbl, sel); err != nil {
+							if _, err := c.EstimateCtx(context.Background(), tbl, sel); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -1034,7 +1036,7 @@ func BenchmarkSelectivity(b *testing.B) {
 	})
 	// One four-clause conjunction over the serving benchmark's kdd shape
 	// (4 500-row partitions, encoded, from a warm store-v2 reader, through
-	// Estimate at Parallelism 1), written most selective clause first and
+	// EstimateCtx at Parallelism 1), written most selective clause first and
 	// last: 3 %, 40 %, 99 % and 99.9 % of rows pass the clauses on their own.
 	// The two are interleaved so both see the same machine noise; ns/op is
 	// the cost of the pair. A scan learns the order of a conjunction from the
@@ -1048,7 +1050,7 @@ func BenchmarkSelectivity(b *testing.B) {
 			b.Fatal(err)
 		}
 		path := filepath.Join(b.TempDir(), "t.ps3")
-		if _, err := store.WriteFile(path, ds.Table); err != nil {
+		if _, err := store.WriteFileFS(fault.OS, path, ds.Table, store.WriteOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		reader, err := store.Open(path, store.Options{CacheBytes: -1})
@@ -1082,7 +1084,7 @@ func BenchmarkSelectivity(b *testing.B) {
 		worst := compile([]query.Pred{clauses[3], clauses[2], clauses[1], clauses[0]})
 		scan := func(c *query.Compiled) time.Duration {
 			t0 := time.Now()
-			if _, err := c.Estimate(reader, sel); err != nil {
+			if _, err := c.EstimateCtx(context.Background(), reader, sel); err != nil {
 				b.Fatal(err)
 			}
 			return time.Since(t0)

@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 
 	"ps3/internal/core"
 	"ps3/internal/dataset"
@@ -26,12 +27,16 @@ func main() {
 		name    = flag.String("dataset", "aria", "dataset: tpch|tpcds|aria|kdd")
 		rows    = flag.Int("rows", 60000, "row count")
 		parts   = flag.Int("parts", 150, "partition count")
-		budget  = flag.Float64("budget", 0.05, "fraction of partitions to read")
 		train   = flag.Int("train", 80, "training queries")
 		qIdx    = flag.Int("query", 0, "which of the sampled demo queries to run")
 		sqlText = flag.String("sql", "", "run this SQL query instead of a sampled demo query")
 		seed    = flag.Int64("seed", 42, "random seed")
 	)
+	budget := 0.05
+	flag.Func("budget", "fraction of partitions to read, in (0, 1] (default 0.05)", func(s string) (err error) {
+		budget, err = parseBudget(s)
+		return err
+	})
 	flag.Parse()
 
 	ds, err := dataset.ByName(*name, dataset.Config{Rows: *rows, Parts: *parts, Seed: *seed})
@@ -72,7 +77,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	approx, err := sys.Run(q, *budget)
+	approx, err := sys.Run(q, budget)
 	if err != nil {
 		fatal(err)
 	}
@@ -126,6 +131,21 @@ func main() {
 	}
 	fmt.Printf("partitions read: %d of %d (%.1f%%), weights sum %.1f\n",
 		approx.PartsRead, ds.Table.NumParts(), approx.FracRead*100, weightSum(approx.Selection))
+}
+
+// parseBudget parses -budget: a fraction of the partitions in (0, 1]. The
+// system would run any other float — NaN, ±Inf, 0 or a negative one as one
+// partition, one above 1 as all of them — and print the answer as if the
+// budget were what was asked.
+func parseBudget(s string) (float64, error) {
+	b, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(b > 0 && b <= 1) {
+		return 0, fmt.Errorf("budget must be a fraction in (0, 1], got %v", b)
+	}
+	return b, nil
 }
 
 func weightSum(sel []query.WeightedPartition) float64 {

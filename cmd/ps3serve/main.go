@@ -50,9 +50,9 @@ func main() {
 		tblPath    = flag.String("table", "", "table store file (written by ps3gen -out); required")
 		snapPath   = flag.String("snapshot", "", "trained-system snapshot (written by ps3train -out); required")
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		budget     = flag.Float64("budget", 0.05, "default budget fraction for requests that omit one")
+		budget     = flag.Float64("budget", 0.05, "default budget fraction in [0, 1] for requests that omit one (0 = 0.05)")
 		cache      = flag.Int("cache", 0, "compiled-query cache entries (0 = default 256)")
-		cacheBytes = flag.Int64("cachebytes", 0, "partition cache budget in bytes (0 = default 256 MiB, negative = unbounded)")
+		cacheBytes = flag.Int64("cachebytes", 0, "partition cache budget in bytes (0 = default 256 MiB, negative = unbounded); with -ingest each flushed segment has a cache of this size of its own, so resident bytes can reach (segments + 1) × this")
 		inflight   = flag.Int("maxinflight", 0, "max concurrent partition scans (0 = 2×GOMAXPROCS)")
 		maxQueue   = flag.Int("maxqueue", 0, "queries queued beyond -maxinflight before shedding with 503 (0 = 4×maxinflight, negative = unbounded)")
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request serving deadline; exceeded requests return 504 (0 = none)")

@@ -74,8 +74,11 @@ func main() {
 	for g := range ex.TruthVals {
 		keys = append(keys, g)
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		return ex.TruthVals[keys[a]][0] > ex.TruthVals[keys[b]][0]
+	sort.Slice(keys, func(a, b int) bool { // largest first, ties in label order
+		if va, vb := ex.TruthVals[keys[a]][0], ex.TruthVals[keys[b]][0]; va != vb {
+			return va > vb
+		}
+		return ex.Compiled.GroupLabel(keys[a]) < ex.Compiled.GroupLabel(keys[b])
 	})
 	fmt.Printf("\n%-28s%14s%14s%14s\n", "attack", "exact conns", "PS3(8%)", "uniform(8%)")
 	missPS3, missUni := 0, 0
@@ -101,7 +104,8 @@ func main() {
 	relErr := func(est map[string][]float64) float64 {
 		var sum float64
 		var cnt int
-		for g, tv := range ex.TruthVals {
+		for _, g := range keys {
+			tv := ex.TruthVals[g]
 			for j := range tv {
 				var e float64
 				if v, ok := est[g]; ok {

@@ -12,7 +12,10 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"ps3"
 )
@@ -98,7 +101,8 @@ func main() {
 	}
 	fmt.Printf("\n%s (reading %d of %d partitions)\n", q, approx.PartsRead, tbl.NumParts())
 	fmt.Printf("%-12s%16s%16s\n", "tenant", "exact avg_lat", "approx avg_lat")
-	for g, ev := range exact.Values {
+	for _, g := range byLabel(exact.Values, exact.Labels) {
+		ev := exact.Values[g]
 		av, ok := approx.Values[g]
 		if !ok {
 			av = make([]float64, len(ev))
@@ -129,4 +133,11 @@ func main() {
 	fmt.Printf("\nuniform-sampling variance for SUM(bytes) at 15%%:\n")
 	fmt.Printf("  row-level:       %.3g\n", rv)
 	fmt.Printf("  partition-level: %.3g  (%.0f× larger — Appendix D.2)\n", pv, pv/rv)
+}
+
+// byLabel returns the group keys of values in the order of their labels.
+func byLabel(values map[string][]float64, labels map[string]string) []string {
+	keys := slices.Collect(maps.Keys(values))
+	slices.SortFunc(keys, func(a, b string) int { return strings.Compare(labels[a], labels[b]) })
+	return keys
 }

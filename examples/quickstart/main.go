@@ -1,30 +1,34 @@
-// Quickstart: build a partitioned table, train PS3 on a workload, and
-// answer a query approximately by reading a fraction of the partitions.
+// Quickstart: build a partitioned table, train PS3 on a workload, persist
+// the trained system, restore it in a server and answer a query
+// approximately by reading a fraction of the partitions — the library flow
+// of README's "Library use", on the public ps3 package alone.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 
-	"ps3/internal/core"
-	"ps3/internal/query"
-	"ps3/internal/table"
+	"ps3"
 )
 
 func main() {
 	// 1. Ingest: a sales table of (region, product, amount, day), appended
 	// in time order and sealed into 500-row partitions — the layout big-data
 	// clusters actually have (§2.1: data stays in ingest order).
-	schema := table.MustSchema(
-		table.Column{Name: "region", Kind: table.Categorical},
-		table.Column{Name: "product", Kind: table.Categorical},
-		table.Column{Name: "amount", Kind: table.Numeric, Positive: true},
-		table.Column{Name: "day", Kind: table.Date},
+	schema := ps3.MustSchema(
+		ps3.Column{Name: "region", Kind: ps3.Categorical},
+		ps3.Column{Name: "product", Kind: ps3.Categorical},
+		ps3.Column{Name: "amount", Kind: ps3.Numeric, Positive: true},
+		ps3.Column{Name: "day", Kind: ps3.Date},
 	)
-	b, err := table.NewBuilder(schema, 500)
+	b, err := ps3.NewBuilder(schema, 500)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,17 +56,17 @@ func main() {
 
 	// 2. Offline: build summary statistics and train the picker on the
 	// workload specification (which columns get grouped, filtered,
-	// aggregated).
-	wl := query.Workload{
+	// aggregated), then persist the trained system.
+	wl := ps3.Workload{
 		GroupableCols: []string{"region", "product"},
 		PredicateCols: []string{"region", "product", "amount", "day"},
 		AggCols:       []string{"amount"},
 	}
-	sys, err := core.New(tbl, core.Options{Workload: wl, Seed: 1})
+	sys, err := ps3.Open(tbl, ps3.Options{Workload: wl, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	gen, err := query.NewGenerator(wl, tbl, 2)
+	gen, err := ps3.NewGenerator(wl, tbl, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,15 +74,28 @@ func main() {
 	if err := sys.Train(gen.SampleN(60), nil); err != nil {
 		log.Fatal(err)
 	}
+	var snapshot bytes.Buffer
+	if _, err := sys.WriteTo(&snapshot); err != nil {
+		log.Fatal(err)
+	}
 
-	// 3. Online: revenue by product for the last month, reading 10% of
-	// partitions.
-	q := &query.Query{
+	// 3. Online: a serving process restores the snapshot over the same data
+	// and answers revenue by product for the last month, reading 10% of
+	// partitions. The answer is the one sys.Run would give.
+	served, err := ps3.OpenSnapshot(&snapshot, tbl)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv, err := ps3.NewServer(served, ps3.ServeConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	q := &ps3.Query{
 		GroupBy: []string{"product"},
-		Pred:    &query.Clause{Col: "day", Op: query.OpGe, Num: 70},
-		Aggs: []query.Aggregate{
-			{Kind: query.Sum, Expr: query.Col("amount"), Name: "revenue"},
-			{Kind: query.Count, Name: "orders"},
+		Pred:    &ps3.Clause{Col: "day", Op: ps3.OpGe, Num: 70},
+		Aggs: []ps3.Aggregate{
+			{Kind: ps3.Sum, Expr: ps3.Col("amount"), Name: "revenue"},
+			{Kind: ps3.Count, Name: "orders"},
 		},
 	}
 	fmt.Printf("\nquery: %s\n\n", q)
@@ -86,17 +103,29 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	approx, err := sys.Run(q, 0.10)
+	approx, err := srv.Query(q, 0.10)
 	if err != nil {
 		log.Fatal(err)
 	}
+	approxByLabel := map[string][]float64{}
+	for _, g := range approx.Groups {
+		approxByLabel[g.Label] = g.Values
+	}
 	fmt.Printf("%-24s%14s%14s\n", "group", "exact", "approx(10%)")
-	for g, ev := range exact.Values {
-		av := approx.Values[g]
+	for _, g := range byLabel(exact.Values, exact.Labels) {
+		ev, label := exact.Values[g], exact.Labels[g]
+		av := approxByLabel[label]
 		if av == nil {
 			av = make([]float64, len(ev))
 		}
-		fmt.Printf("%-24s%14.0f%14.0f\n", exact.Labels[g], ev[0], av[0])
+		fmt.Printf("%-24s%14.0f%14.0f\n", label, ev[0], av[0])
 	}
 	fmt.Printf("\npartitions read: %d of %d\n", approx.PartsRead, tbl.NumParts())
+}
+
+// byLabel returns the group keys of values in the order of their labels.
+func byLabel(values map[string][]float64, labels map[string]string) []string {
+	keys := slices.Collect(maps.Keys(values))
+	slices.SortFunc(keys, func(a, b string) int { return strings.Compare(labels[a], labels[b]) })
+	return keys
 }

@@ -80,8 +80,11 @@ func main() {
 		for g := range exact.Values {
 			keys = append(keys, g)
 		}
-		sort.Slice(keys, func(a, b int) bool {
-			return math.Abs(exact.Values[keys[a]][0]) > math.Abs(exact.Values[keys[b]][0])
+		sort.Slice(keys, func(a, b int) bool { // largest first, ties in label order
+			if va, vb := math.Abs(exact.Values[keys[a]][0]), math.Abs(exact.Values[keys[b]][0]); va != vb {
+				return va > vb
+			}
+			return exact.Labels[keys[a]] < exact.Labels[keys[b]]
 		})
 		shown := keys
 		if len(shown) > 8 {

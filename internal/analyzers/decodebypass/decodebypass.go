@@ -64,10 +64,8 @@ func DefaultConfig() Config {
 		TypeName: "Partition",
 		Fields:   []string{"Num", "Cat"},
 		Allowed: map[string]bool{
-			"(*ps3/internal/table.Partition).Cols":             true,
 			"(*ps3/internal/table.Partition).NumCol":           true,
 			"(*ps3/internal/table.Partition).CatCol":           true,
-			"(*ps3/internal/table.Partition).Decoded":          true,
 			"(*ps3/internal/table.Partition).DecodedCols":      true,
 			"(*ps3/internal/table.Partition).SizeBytes":        true,
 			"(*ps3/internal/table.Partition).EncodedSizeBytes": true,
@@ -149,7 +147,7 @@ func run(cfg Config, pass *analysis.Pass) error {
 					return true
 				}
 				pass.Reportf(n.Sel.Pos(),
-					"direct access to %s.%s.%s bypasses the lazy-decode seam; use the accessors (NumCol/CatCol/EncCol/Decoded/DecodedCols) or justify with //lint:decodebypass-ok",
+					"direct access to %s.%s.%s bypasses the lazy-decode seam; use the accessors (NumCol/CatCol/EncCol/DecodedCols) or justify with //lint:decodebypass-ok",
 					cfg.PkgName, cfg.TypeName, field.Name())
 			case *ast.CompositeLit:
 				t := pass.TypeOf(n)

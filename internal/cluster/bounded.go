@@ -48,15 +48,6 @@ type KMeansStats struct {
 	PossibleDists int64
 }
 
-// SkippedFrac is the fraction of the reference sweep's distance
-// computations the bounds eliminated.
-func (s *KMeansStats) SkippedFrac() float64 {
-	if s.PossibleDists == 0 {
-		return 0
-	}
-	return 1 - float64(s.PointDists)/float64(s.PossibleDists)
-}
-
 // add merges the counters of one KMeansBounded run (s accumulates across
 // runs, e.g. the per-group clusterings of one pick).
 func (s *KMeansStats) add(o KMeansStats) {

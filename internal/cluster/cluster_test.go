@@ -173,12 +173,6 @@ func TestMembersPartitionInput(t *testing.T) {
 	}
 }
 
-func TestLinkageString(t *testing.T) {
-	if Single.String() != "single" || Ward.String() != "ward" {
-		t.Fatalf("Linkage strings: %q, %q", Single.String(), Ward.String())
-	}
-}
-
 // --- exemplars ---
 
 func TestMedianExemplarsWeightsSumToN(t *testing.T) {

@@ -17,13 +17,6 @@ const (
 	Ward
 )
 
-func (l Linkage) String() string {
-	if l == Single {
-		return "single"
-	}
-	return "ward"
-}
-
 // HAC performs bottom-up hierarchical agglomerative clustering down to k
 // clusters using the Lance–Williams update for the chosen linkage. Intended
 // for the picker's per-group budgets (hundreds of points); complexity is

@@ -21,15 +21,6 @@ import (
 // Degraded flag. Every other error fails the request: transient I/O is
 // retryable by the caller, and a wrong answer is never served silently.
 
-// RunCtx is Run under a context deadline.
-func (s *System) RunCtx(ctx context.Context, q *query.Query, budgetFrac float64) (*Result, error) {
-	c, err := s.compile(q)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunCompiledCtx(ctx, c, budgetFrac)
-}
-
 // RunCompiledCtx is RunCompiled under a context deadline.
 func (s *System) RunCompiledCtx(ctx context.Context, c *query.Compiled, budgetFrac float64) (*Result, error) {
 	if err := ctx.Err(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ps3/internal/fault"
 	"ps3/internal/query"
@@ -19,7 +20,7 @@ func storeBackedWithInjector(t *testing.T) (faulty, healthy *System, test []*que
 	t.Helper()
 	sys, _, test := buildSystem(t, 20)
 	path := filepath.Join(t.TempDir(), "t.ps3")
-	if _, err := store.WriteFile(path, sys.Table); err != nil {
+	if _, err := store.WriteFileFS(fault.OS, path, sys.Table, store.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var snapBuf bytes.Buffer
@@ -112,7 +113,7 @@ func TestRunSelectionCtxDegradesOnQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := healthy.RunSelection(hc, filtered)
+	want, err := healthy.RunSelectionCtx(context.Background(), hc, filtered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestRunCompiledCtxHonoursCancellation(t *testing.T) {
 	}
 }
 
-// TestRunCtxMatchesRun: with a background context, the ctx path is
+// TestRunCtxMatchesRun: under a deadline that does not fire, the ctx path is
 // bit-identical to the context-free one.
 func TestRunCtxMatchesRun(t *testing.T) {
 	_, healthy, test, _ := storeBackedWithInjector(t)
@@ -190,7 +191,13 @@ func TestRunCtxMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := healthy.RunCtx(context.Background(), q, 0.2)
+		c, err := healthy.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		got, err := healthy.RunCompiledCtx(ctx, c, 0.2)
+		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}

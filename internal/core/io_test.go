@@ -35,7 +35,7 @@ func restoreFresh(t *testing.T, sys *System) *System {
 func decodedCopy(t testing.TB, tbl *table.Table) *table.Table {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := store.Write(&buf, tbl); err != nil {
+	if _, err := store.WriteWith(&buf, tbl, store.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := store.NewReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{})
@@ -122,7 +122,7 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 func TestSnapshotStoreBacked(t *testing.T) {
 	sys, _, test := buildSystem(t, 25)
 	var storeBuf, snapBuf bytes.Buffer
-	if _, err := store.Write(&storeBuf, sys.Table); err != nil {
+	if _, err := store.WriteWith(&storeBuf, sys.Table, store.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.WriteTo(&snapBuf); err != nil {

@@ -299,8 +299,8 @@ func (s *System) Compile(q *query.Query) (*query.Compiled, error) {
 	return s.compile(q)
 }
 
-// Run picks partitions for q at the budget, reads them through the I/O
-// accountant, and returns the combined approximate answer.
+// Run picks partitions for q at the budget, reads them from the source, and
+// returns the combined approximate answer.
 func (s *System) Run(q *query.Query, budgetFrac float64) (*Result, error) {
 	c, err := s.compile(q)
 	if err != nil {
@@ -315,15 +315,6 @@ func (s *System) Run(q *query.Query, budgetFrac float64) (*Result, error) {
 // system the picked partitions are faulted in through the page cache.
 func (s *System) RunCompiled(c *query.Compiled, budgetFrac float64) (*Result, error) {
 	return s.RunCompiledCtx(context.Background(), c, budgetFrac)
-}
-
-// RunSelection scans an already-picked weighted partition sample and combines
-// the partial answers — the second half of RunCompiled. The serve layer calls
-// it directly when its pick-result cache already holds the selection for
-// (query, budget), skipping partition selection entirely. The selection is
-// read, never mutated. PickTime is zero: no picking happened here.
-func (s *System) RunSelection(c *query.Compiled, sel []query.WeightedPartition) (*Result, error) {
-	return s.RunSelectionCtx(context.Background(), c, sel)
 }
 
 // RunExact evaluates q exactly over every partition (the baseline a user

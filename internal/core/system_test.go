@@ -2,12 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ps3/internal/dataset"
 	"ps3/internal/metrics"
 	"ps3/internal/picker"
 	"ps3/internal/query"
+	"ps3/internal/testutil"
 )
 
 // buildSystem creates a small Aria dataset and a trained system shared by
@@ -219,17 +221,23 @@ func TestMakeExamplesPropagatesCompileErrors(t *testing.T) {
 }
 
 func TestRunChargesIOAccounting(t *testing.T) {
-	sys, ds, test := buildSystem(t, 15)
-	ds.Table.ResetIO()
+	sys, _, test := buildSystem(t, 15)
+	sel, _, err := sys.PickParts(test[0], sys.PartsForBudget(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for _, wp := range sel {
+		want = append(want, wp.Part)
+	}
+	slices.Sort(want)
+	src := testutil.CountReads(sys.Source)
+	sys.Source = src
 	res, err := sys.Run(test[0], 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, bytes := ds.Table.IOStats()
-	if int(parts) != res.PartsRead {
-		t.Fatalf("I/O accountant saw %d reads, result says %d", parts, res.PartsRead)
-	}
-	if res.PartsRead > 0 && bytes <= 0 {
-		t.Fatal("bytes read not accounted")
+	if got := src.Reads(); !slices.Equal(got, want) || len(got) != res.PartsRead {
+		t.Fatalf("Run read partitions %v, picked %v, result says %d reads", got, want, res.PartsRead)
 	}
 }

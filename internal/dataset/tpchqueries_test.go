@@ -119,7 +119,7 @@ func TestTPCHTemplateQ1HasRareGroupStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	total, _ := c.GroundTruth(d.Table)
-	n := total.NumGroups()
+	n := len(total.Groups)
 	if n < 2 || n > 20 {
 		t.Fatalf("Q1 produced %d groups; want a small grouped answer", n)
 	}

@@ -10,15 +10,12 @@
 //     picker falls back to random selection past 10 clauses),
 //   - highly selective predicates (§4.2: features are computed over whole
 //     partitions and stop being representative when few rows match),
-//   - random-looking layouts (§5.5.1/Fig 8: uniform sampling is already
-//     optimal; PS3 should not be used),
 //   - queries referencing columns outside the trained workload (§2.1: the
 //     picker should be retrained on workload change).
 package diagnose
 
 import (
 	"fmt"
-	"math"
 
 	"ps3/internal/query"
 	"ps3/internal/stats"
@@ -56,7 +53,6 @@ const (
 	CodeHighCardinalityGroupBy Code = "high-cardinality-group-by"
 	CodeComplexPredicate       Code = "complex-predicate"
 	CodeHighlySelective        Code = "highly-selective-predicate"
-	CodeRandomLayout           Code = "random-layout"
 	CodeUntrainedColumns       Code = "untrained-columns"
 	CodeNoMatchingPartitions   Code = "no-matching-partitions"
 )
@@ -83,10 +79,6 @@ type Options struct {
 	// MinSelectivity is the estimated fraction of matching rows below which
 	// clustering features stop being representative (default 0.001).
 	MinSelectivity float64
-	// LayoutSpreadRatio is the minimum ratio between the cross-partition
-	// spread and the within-partition spread of a used numeric column for
-	// the layout to count as informative (default 0.5).
-	LayoutSpreadRatio float64
 }
 
 func (o Options) withDefaults() Options {
@@ -98,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinSelectivity <= 0 {
 		o.MinSelectivity = 0.001
-	}
-	if o.LayoutSpreadRatio <= 0 {
-		o.LayoutSpreadRatio = 0.5
 	}
 	return o
 }
@@ -226,70 +215,5 @@ func checkWorkload(q *query.Query, wl query.Workload) []Finding {
 		Code:     CodeUntrainedColumns,
 		Message: fmt.Sprintf("columns %v are outside the trained workload; the importance models were never "+
 			"shown them — retrain with an updated workload specification (§2.1)", missing),
-	}}
-}
-
-// Layout inspects the data layout for the columns a workload uses: if no
-// used numeric column separates partitions (cross-partition spread of
-// per-partition means ≪ within-partition spread), the layout is effectively
-// random for this workload and uniform sampling is already optimal (§5.5.1,
-// Fig 8). Returns at most one finding.
-func Layout(ts *stats.TableStats, wl query.Workload) []Finding {
-	if len(ts.Parts) < 2 {
-		return nil
-	}
-	used := map[string]bool{}
-	for _, c := range wl.PredicateCols {
-		used[c] = true
-	}
-	for _, c := range wl.AggCols {
-		used[c] = true
-	}
-	informative := false
-	checked := 0
-	for ci, col := range ts.Schema.Cols {
-		if !col.IsNumeric() || (len(used) > 0 && !used[col.Name]) {
-			continue
-		}
-		var means []float64
-		var withinStd float64
-		n := 0
-		for _, ps := range ts.Parts {
-			m := ps.Cols[ci].Measures
-			if m == nil || m.Count == 0 {
-				continue
-			}
-			means = append(means, m.Mean())
-			withinStd += m.Std()
-			n++
-		}
-		if n < 2 {
-			continue
-		}
-		checked++
-		withinStd /= float64(n)
-		var mu, ss float64
-		for _, m := range means {
-			mu += m
-		}
-		mu /= float64(len(means))
-		for _, m := range means {
-			ss += (m - mu) * (m - mu)
-		}
-		acrossStd := math.Sqrt(ss / float64(len(means)))
-		if withinStd == 0 || acrossStd > 0.5*withinStd {
-			informative = true
-			break
-		}
-	}
-	if checked == 0 || informative {
-		return nil
-	}
-	return []Finding{{
-		Severity: Critical,
-		Code:     CodeRandomLayout,
-		Message: "no workload column separates partitions (per-partition means are near-identical); the layout " +
-			"is effectively random for this workload and uniform partition sampling is already optimal (Fig 8) — " +
-			"PS3 adds overhead without benefit here",
 	}}
 }

@@ -168,39 +168,6 @@ func TestUntrainedColumnsSkippedWithEmptyWorkload(t *testing.T) {
 	}
 }
 
-func TestLayoutInformativeNotFlagged(t *testing.T) {
-	tbl := buildTable(t, 10, 1000)
-	ts := buildStats(t, tbl)
-	if fs := Layout(ts, workload()); len(fs) != 0 {
-		t.Fatalf("sorted layout flagged as random: %v", fs)
-	}
-}
-
-func TestLayoutRandomFlagged(t *testing.T) {
-	tbl := buildTable(t, 10, 1000)
-	shuf, err := tbl.Shuffled(10, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := buildStats(t, shuf)
-	fs := Layout(ts, workload())
-	f := findCode(fs, CodeRandomLayout)
-	if f == nil {
-		t.Fatalf("random layout not flagged: %v", fs)
-	}
-	if f.Severity != Critical {
-		t.Fatalf("severity = %v, want critical", f.Severity)
-	}
-}
-
-func TestLayoutSinglePartitionNoFinding(t *testing.T) {
-	tbl := buildTable(t, 1, 100)
-	ts := buildStats(t, tbl)
-	if fs := Layout(ts, workload()); len(fs) != 0 {
-		t.Fatalf("single partition produced findings: %v", fs)
-	}
-}
-
 func TestFindingString(t *testing.T) {
 	f := Finding{Severity: Warn, Code: CodeComplexPredicate, Message: "m"}
 	s := f.String()

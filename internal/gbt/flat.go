@@ -203,10 +203,3 @@ func (f *Flat) predictRow(x []float64) float64 {
 	}
 	return v
 }
-
-// NumNodes returns the total split-node count across all trees (the length
-// of the flattened node arrays).
-func (f *Flat) NumNodes() int { return len(f.feat) }
-
-// NumLeaves returns the total leaf count across all trees.
-func (f *Flat) NumLeaves() int { return len(f.leafVal) }

@@ -154,20 +154,20 @@ func TestFlatTopologyCounts(t *testing.T) {
 			}
 		}
 	}
-	if m.flat.NumNodes() != splits {
-		t.Fatalf("flat has %d split nodes, trees have %d", m.flat.NumNodes(), splits)
+	if len(m.flat.feat) != splits {
+		t.Fatalf("flat has %d split nodes, trees have %d", len(m.flat.feat), splits)
 	}
-	if m.flat.NumLeaves() != leaves {
-		t.Fatalf("flat has %d leaves, trees have %d", m.flat.NumLeaves(), leaves)
+	if len(m.flat.leafVal) != leaves {
+		t.Fatalf("flat has %d leaves, trees have %d", len(m.flat.leafVal), leaves)
 	}
 	// Every child reference is either a valid node index or a valid negative
 	// leaf reference.
-	for j := 0; j < m.flat.NumNodes(); j++ {
+	for j := 0; j < len(m.flat.feat); j++ {
 		for _, ref := range []int32{m.flat.left[j], m.flat.right[j]} {
-			if ref >= 0 && int(ref) >= m.flat.NumNodes() {
+			if ref >= 0 && int(ref) >= len(m.flat.feat) {
 				t.Fatalf("node %d links to out-of-range node %d", j, ref)
 			}
-			if ref < 0 && int(-ref-1) >= m.flat.NumLeaves() {
+			if ref < 0 && int(-ref-1) >= len(m.flat.leafVal) {
 				t.Fatalf("node %d links to out-of-range leaf %d", j, -ref-1)
 			}
 		}

@@ -189,8 +189,5 @@ func (m *Model) Predict(x []float64) float64 { return m.flat.predictRow(x) }
 // mutate it.
 func (m *Model) Importance() []float64 { return m.importance }
 
-// NumTrees returns the number of boosting rounds performed.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
 // Dim returns the feature dimension the model was trained on.
 func (m *Model) Dim() int { return m.dim }

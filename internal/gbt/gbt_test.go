@@ -192,8 +192,8 @@ func TestModelAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumTrees() != 7 {
-		t.Fatalf("NumTrees = %d, want 7", m.NumTrees())
+	if len(m.trees) != 7 {
+		t.Fatalf("%d trees, want 7", len(m.trees))
 	}
 	if m.Dim() != 2 {
 		t.Fatalf("Dim = %d, want 2", m.Dim())

@@ -34,8 +34,8 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumTrees() != m.NumTrees() {
-		t.Fatalf("round trip: %d trees, want %d", back.NumTrees(), m.NumTrees())
+	if len(back.trees) != len(m.trees) {
+		t.Fatalf("round trip: %d trees, want %d", len(back.trees), len(m.trees))
 	}
 	if back.Dim() != m.Dim() {
 		t.Fatalf("round trip: dim %d, want %d", back.Dim(), m.Dim())

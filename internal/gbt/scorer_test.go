@@ -174,7 +174,7 @@ func TestBatchScorerMatchesPredict(t *testing.T) {
 		if ft.col[fx.silent] >= 0 {
 			t.Fatalf("group %d has no condition but got table column %d", fx.silent, ft.col[fx.silent])
 		}
-		if want := int64(fx.rows * ft.cols * fx.m.NumTrees() * 2); ft.Bytes() != want {
+		if want := int64(fx.rows * ft.cols * len(fx.m.trees) * 2); ft.Bytes() != want {
 			t.Fatalf("Bytes() = %d, want rows × columns × trees × 2 = %d", ft.Bytes(), want)
 		}
 		rng := rand.New(rand.NewSource(seed + 100))
@@ -243,7 +243,7 @@ func TestBatchScorerFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if leaves := m.flat.NumLeaves(); leaves <= 6*foldMaxLeaves || m.flat.qsOK != tc.wantQSOK {
+		if leaves := len(m.flat.leafVal); leaves <= 6*foldMaxLeaves || m.flat.qsOK != tc.wantQSOK {
 			t.Fatalf("depth %d: %d leaves over 6 trees, batch tables %v; the fixture no longer exercises the bound", tc.depth, leaves, m.flat.qsOK)
 		}
 		if ft := m.NewFoldTable(base, 3, 4, lay); ft != nil {
@@ -252,7 +252,7 @@ func TestBatchScorerFallback(t *testing.T) {
 	}
 	many := randomEnsemble(t, rng, 3, qsMaxTrees+1, 2, []float64{0, 1}, func(int) bool { return false })
 	if ft := many.NewFoldTable(base, 3, 4, lay); ft != nil {
-		t.Fatalf("fold table built for a model of %d trees", many.NumTrees())
+		t.Fatalf("fold table built for a model of %d trees", len(many.trees))
 	}
 }
 

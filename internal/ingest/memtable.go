@@ -63,22 +63,6 @@ func (m *memtable) append(num []float64, cat []uint32) error {
 	return nil
 }
 
-// sealPartial seals the building rows as a final short partition — the
-// freeze path, mirroring table.Builder.Finish. No-op when empty.
-func (m *memtable) sealPartial() error {
-	if m.rows == 0 {
-		return nil
-	}
-	p, err := table.MakePartition(m.schema, m.nextID, m.rows, m.num, m.cat)
-	if err != nil {
-		return fmt.Errorf("ingest: seal partial memtable partition: %w", err)
-	}
-	m.sealed = append(m.sealed, p)
-	m.nextID++
-	m.reset()
-	return nil
-}
-
 // takeSealed hands off the sealed partitions for flushing.
 func (m *memtable) takeSealed() []*table.Partition {
 	s := m.sealed

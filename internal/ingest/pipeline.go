@@ -42,8 +42,8 @@ type Config struct {
 	// CacheBytes is the per-segment block cache budget (store.Options).
 	CacheBytes int64
 	// ManualFlush disables the background flush loop; segments are cut
-	// only by explicit Flush/Freeze calls. Tests use this to control
-	// flush timing exactly.
+	// only by explicit Flush calls. Tests use this to control flush timing
+	// exactly.
 	ManualFlush bool
 	// OnPublish, when set, receives each published snapshot and its
 	// version — typically serve.(*Server).Swap behind an adapter. Called
@@ -92,8 +92,8 @@ type PipelineStats struct {
 // A pipeline is written to, never read from: whatever wants to see what it
 // holds — serving, a test, an operator — takes a published snapshot
 // (OnPublish, Snapshot), an immutable multiSource over base, segments and,
-// under PublishTail, the memtable. Appends, flushes and freeze are safe to
-// call concurrently.
+// under PublishTail, the memtable. Appends and flushes are safe to call
+// concurrently.
 type Pipeline struct {
 	cfg    Config
 	base   *core.System
@@ -110,7 +110,6 @@ type Pipeline struct {
 	segs    []*store.Reader
 	stats   *stats.TableStats
 	version int
-	frozen  bool
 	closed  bool
 	ingErr  error // sticky: a failed flush or diverged state poisons the pipeline
 
@@ -122,7 +121,7 @@ type Pipeline struct {
 	// flushMu serializes flushes so segment indexes and stats extensions
 	// advance one at a time.
 	flushMu  sync.Mutex
-	flushReq chan struct{} // nil under ManualFlush or after freeze
+	flushReq chan struct{} // nil under ManualFlush or after Close
 	loopDone chan struct{}
 }
 
@@ -357,8 +356,6 @@ func (p *Pipeline) usableLocked() error {
 		return p.ingErr
 	case p.closed:
 		return errors.New("ingest: pipeline is closed")
-	case p.frozen:
-		return errors.New("ingest: pipeline is frozen")
 	}
 	return nil
 }
@@ -416,13 +413,13 @@ func (p *Pipeline) AppendRows(num [][]float64, cat [][]string) error {
 }
 
 // flushLoop cuts a segment whenever appends seal partitions. Lifecycle
-// goroutine, joined by Freeze/Close. The request channel is passed in
-// rather than read off the struct: Freeze/Close nil the field under the
-// mutex, which this goroutine does not hold.
+// goroutine, joined by Close. The request channel is passed in rather than
+// read off the struct: Close nils the field under the mutex, which this
+// goroutine does not hold.
 func (p *Pipeline) flushLoop(req <-chan struct{}) {
 	defer close(p.loopDone)
 	for range req {
-		if err := p.flush(false); err != nil && !errors.Is(err, errNothingToFlush) {
+		if err := p.flush(); err != nil && !errors.Is(err, errNothingToFlush) {
 			return // pipeline is poisoned; appends now fail with ingErr
 		}
 	}
@@ -433,19 +430,18 @@ var errNothingToFlush = errors.New("ingest: nothing to flush")
 // Flush cuts a segment from the sealed memtable partitions now and
 // publishes a snapshot. Returns nil when there is nothing sealed.
 func (p *Pipeline) Flush() error {
-	err := p.flush(false)
+	err := p.flush()
 	if errors.Is(err, errNothingToFlush) {
 		return nil
 	}
 	return err
 }
 
-// flush is the segment-cut critical path; partial additionally seals the
-// building tail (the freeze path). Serialized by flushMu. Any error
+// flush is the segment-cut critical path. Serialized by flushMu. Any error
 // poisons the pipeline: the flush protocol's crash-safety argument relies
 // on its steps completing in order, so a half-applied flush must not be
 // silently retried over.
-func (p *Pipeline) flush(partial bool) error {
+func (p *Pipeline) flush() error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 
@@ -458,16 +454,6 @@ func (p *Pipeline) flush(partial bool) error {
 	case p.closed:
 		p.mu.Unlock()
 		return errors.New("ingest: pipeline is closed")
-	case p.frozen && !partial:
-		p.mu.Unlock()
-		return errors.New("ingest: pipeline is frozen")
-	}
-	if partial {
-		if err := p.mem.sealPartial(); err != nil {
-			p.ingErr = err
-			p.mu.Unlock()
-			return err
-		}
 	}
 	sealed := p.mem.takeSealed()
 	if len(sealed) == 0 {
@@ -661,36 +647,6 @@ func (p *Pipeline) Snapshot() (*core.System, int, error) {
 	return sys, p.version, err
 }
 
-// FreezeSource flushes everything buffered — including a final short
-// partition from the building tail — and seals the pipeline; further
-// appends fail. The final segment publishes through OnPublish like any
-// other flush.
-func (p *Pipeline) FreezeSource() error {
-	p.mu.Lock()
-	if p.ingErr != nil {
-		err := p.ingErr
-		p.mu.Unlock()
-		return err
-	}
-	if p.frozen || p.closed {
-		p.mu.Unlock()
-		return errors.New("ingest: pipeline already sealed")
-	}
-	p.frozen = true
-	req := p.flushReq
-	p.flushReq = nil
-	p.mu.Unlock()
-	if req != nil {
-		close(req)
-		<-p.loopDone
-	}
-	err := p.flush(true)
-	if errors.Is(err, errNothingToFlush) {
-		return nil
-	}
-	return err
-}
-
 // Close releases the pipeline without flushing: buffered rows stay in the
 // WAL and are replayed on the next Open — the crash-consistent shutdown.
 // Pending appends are committed (the WAL close fsyncs them).
@@ -747,12 +703,4 @@ func (p *Pipeline) Stats() PipelineStats {
 		st.SegmentParts += r.NumParts()
 	}
 	return st
-}
-
-// Version returns the current snapshot version (the number of segments
-// ever flushed).
-func (p *Pipeline) Version() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.version
 }

@@ -120,8 +120,9 @@ func view(t testing.TB, p *Pipeline) table.PartitionSource {
 // TestOfflineEquivalence is the tentpole's acceptance gate: streaming rows
 // through WAL → memtable → segments must reproduce the offline build bit
 // for bit — same partition boundaries, same dictionary codes, same cell
-// values — and exact query answers over the frozen pipeline must match the
-// offline table at every parallelism.
+// values — and exact query answers over a snapshot of the pipeline (its
+// short tail published with PublishTail) must match the offline table at
+// every parallelism.
 func TestOfflineEquivalence(t *testing.T) {
 	base, ref, num, cat, queries := ingestFixture(t, 12)
 	pipe, err := Open(Config{
@@ -135,8 +136,8 @@ func TestOfflineEquivalence(t *testing.T) {
 	}
 	defer pipe.Close()
 
-	// Stream in three legs with explicit flushes between, so the data ends
-	// up spread across multiple segments plus a frozen tail.
+	// Stream in three legs with explicit flushes after each, so the data
+	// ends up spread across multiple segments plus a short published tail.
 	appendRange(t, pipe, num, cat, fixBaseRows, 2500)
 	if err := pipe.Flush(); err != nil {
 		t.Fatal(err)
@@ -146,11 +147,8 @@ func TestOfflineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendRange(t, pipe, num, cat, 3300, len(num))
-	if err := pipe.FreezeSource(); err != nil {
+	if err := pipe.Flush(); err != nil {
 		t.Fatal(err)
-	}
-	if err := pipe.AppendRows(num[:1], cat[:1]); err == nil {
-		t.Fatal("append after freeze must fail")
 	}
 
 	// Dictionary: byte-identical value sequence (same codes for same
@@ -178,7 +176,7 @@ func TestOfflineEquivalence(t *testing.T) {
 		}
 	}
 
-	// Exact answers over the frozen snapshot must match the offline table
+	// Exact answers over the snapshot must match the offline table
 	// bit for bit at Parallelism 1, 3 and GOMAXPROCS.
 	refSys, err := core.New(ref, core.Options{Workload: base.Opts.Workload, Seed: 7})
 	if err != nil {
@@ -420,9 +418,6 @@ func TestRecoveryResumesAppends(t *testing.T) {
 	}
 	defer pipe.Close()
 	appendRange(t, pipe, num, cat, 3100, len(num))
-	if err := pipe.FreezeSource(); err != nil {
-		t.Fatal(err)
-	}
 	live := view(t, pipe)
 	if got, want := live.TableDict().Values(), ref.Dict.Values(); !reflect.DeepEqual(got, want) {
 		t.Fatal("dictionary diverged across recovery")
@@ -445,7 +440,7 @@ func TestRecoveryResumesAppends(t *testing.T) {
 
 // TestBackgroundFlushPublishes exercises the automatic path: background
 // flushes under concurrent appends, publishing versioned snapshots whose
-// row counts only ever grow.
+// row counts only ever grow, the last of them holding every row.
 func TestBackgroundFlushPublishes(t *testing.T) {
 	base, _, num, cat, _ := ingestFixture(t, 12)
 	var mu sync.Mutex
@@ -455,6 +450,7 @@ func TestBackgroundFlushPublishes(t *testing.T) {
 		Dir:          t.TempDir(),
 		RowsPerPart:  fixRowsPerPart,
 		CommitWindow: 200 * time.Microsecond,
+		PublishTail:  true,
 		OnPublish: func(sys *core.System, version int) {
 			mu.Lock()
 			versions = append(versions, version)
@@ -492,7 +488,11 @@ func TestBackgroundFlushPublishes(t *testing.T) {
 		}(lo, hi)
 	}
 	wg.Wait()
-	if err := pipe.FreezeSource(); err != nil {
+	if err := pipe.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap, version, err := pipe.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -509,13 +509,18 @@ func TestBackgroundFlushPublishes(t *testing.T) {
 			t.Fatalf("published row counts regressed: %v", rowCounts)
 		}
 	}
-	last := rowCounts[len(rowCounts)-1]
-	if want := base.Source.NumRows() + (len(num) - fixBaseRows); last != want {
-		t.Fatalf("final snapshot has %d rows, want %d", last, want)
+	if last := versions[len(versions)-1]; version != last {
+		t.Fatalf("snapshot version %d, last published %d", version, last)
+	}
+	if last := rowCounts[len(rowCounts)-1]; snap.Source.NumRows() < last {
+		t.Fatalf("final snapshot has %d rows, the last published %d", snap.Source.NumRows(), last)
+	}
+	if got, want := snap.Source.NumRows(), base.Source.NumRows()+(len(num)-fixBaseRows); got != want {
+		t.Fatalf("final snapshot has %d rows, want %d", got, want)
 	}
 	st := pipe.Stats()
-	if st.PendingRows != 0 {
-		t.Fatalf("%d rows pending after freeze", st.PendingRows)
+	if want := (len(num) - fixBaseRows) % fixRowsPerPart; st.PendingRows != want {
+		t.Fatalf("%d rows pending after the last flush, want the %d-row building tail", st.PendingRows, want)
 	}
 	if int(st.RowsAppended) != len(num)-fixBaseRows {
 		t.Fatalf("counted %d appended rows, want %d", st.RowsAppended, len(num)-fixBaseRows)

@@ -67,21 +67,6 @@ func (m *multiSource) Read(i int) (*table.Partition, error) {
 	return q, err
 }
 
-func (m *multiSource) ResetIO() {
-	for _, s := range m.subs {
-		s.ResetIO()
-	}
-}
-
-func (m *multiSource) IOStats() (parts int64, bytes int64) {
-	for _, s := range m.subs {
-		p, b := s.IOStats()
-		parts += p
-		bytes += b
-	}
-	return parts, bytes
-}
-
 // Health aggregates quarantine state across sub-sources, renumbering each
 // sub-source's local partition ids into the concatenation's global index
 // space (core's degradation loop drops by global id). Sub-sources without

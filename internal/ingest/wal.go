@@ -137,16 +137,12 @@ type WAL struct {
 	idle chan struct{} // closed when the commit loop exits
 }
 
-// OpenWAL opens (creating if absent) a log for appending. window > 0
-// starts a group-commit loop that fsyncs pending frames every window;
-// window <= 0 commits synchronously on every WaitDurable. The parent
-// directory is fsynced so a freshly created log survives a crash.
-func OpenWAL(path string, window time.Duration) (*WAL, error) {
-	return OpenWALFS(fault.OS, path, window)
-}
-
-// OpenWALFS is OpenWAL with the filesystem seam explicit; fault-injection
-// tests pass an *fault.Injector to script fsync and write failures.
+// OpenWALFS opens (creating if absent) a log for appending through the
+// filesystem seam fsys (fault.OS, or an *fault.Injector scripting fsync and
+// write failures). window > 0 starts a group-commit loop that fsyncs
+// pending frames every window; window <= 0 commits synchronously on every
+// WaitDurable. The parent directory is fsynced so a freshly created log
+// survives a crash.
 func OpenWALFS(fsys fault.FS, path string, window time.Duration) (*WAL, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ps3/internal/fault"
 )
 
 func frames(payloads ...[]byte) []byte {
@@ -112,7 +114,7 @@ func TestWALAppendDurableAndReadBack(t *testing.T) {
 	for _, window := range []time.Duration{0, time.Millisecond} {
 		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
-			w, err := OpenWAL(path, window)
+			w, err := OpenWALFS(fault.OS, path, window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +157,7 @@ func TestWALAppendDurableAndReadBack(t *testing.T) {
 // interleaved/torn frames), with all records present.
 func TestWALGroupCommitConcurrent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path, 500*time.Microsecond)
+	w, err := OpenWALFS(fault.OS, path, 500*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 
 func TestWALClosedAppendFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path, time.Millisecond)
+	w, err := OpenWALFS(fault.OS, path, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +222,7 @@ func TestWALClosedAppendFails(t *testing.T) {
 
 func TestWALEnqueueValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path, 0)
+	w, err := OpenWALFS(fault.OS, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,8 +223,9 @@ func TestLSSRoundTripBitIdenticalPicks(t *testing.T) {
 	}
 	for _, ex := range env.exs[:5] {
 		for _, frac := range []float64{0.1, 0.3, 0.5} {
-			a := l.Pick(ex.Features, frac, rand.New(rand.NewSource(3)))
-			b := back.Pick(ex.Features, frac, rand.New(rand.NewSource(3)))
+			n := int(frac*float64(len(ex.Features)) + 0.5)
+			a := l.PickN(ex.Features, n, rand.New(rand.NewSource(3)))
+			b := back.PickN(ex.Features, n, rand.New(rand.NewSource(3)))
 			if len(a) != len(b) {
 				t.Fatalf("lss pick lengths differ: %d vs %d", len(a), len(b))
 			}

@@ -99,20 +99,6 @@ func strataSizeCandidates(n int) []int {
 
 func budgetKey(b float64) int { return int(math.Round(b * 100)) }
 
-// Pick selects a weighted partition sample at the given budget fraction.
-func (l *LSS) Pick(features [][]float64, budgetFrac float64, rng *rand.Rand) []query.WeightedPartition {
-	n := len(features)
-	budget := int(math.Round(budgetFrac * float64(n)))
-	if budget < 1 {
-		budget = 1
-	}
-	size, ok := l.StrataSize[budgetKey(budgetFrac)]
-	if !ok || size <= 0 {
-		size = l.DefaultStrataSize
-	}
-	return l.pickWithStrataSize(features, budget, size, rng)
-}
-
 // PickN selects a weighted sample with an absolute partition budget.
 func (l *LSS) PickN(features [][]float64, budget int, rng *rand.Rand) []query.WeightedPartition {
 	frac := float64(budget) / float64(len(features))

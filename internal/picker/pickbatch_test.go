@@ -186,7 +186,7 @@ func TestPickBatchKMeansSkipsDistances(t *testing.T) {
 	if clustered < 4 {
 		t.Fatalf("only %d of %d bench queries reached the clustering stage", clustered, len(env.exs))
 	}
-	if frac := agg.SkippedFrac(); frac < 0.30 {
+	if frac := 1 - float64(agg.PointDists)/float64(agg.PossibleDists); frac < 0.30 {
 		t.Fatalf("pick-path bounded k-means skipped only %.1f%% of distances (%d of %d possible), want >= 30%%",
 			100*frac, agg.PossibleDists-agg.PointDists, agg.PossibleDists)
 	} else {

@@ -1,6 +1,7 @@
 package picker
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -237,7 +238,7 @@ func TestPickerWeightsCoverFilteredPopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := env.p.PickBatch(q, 8, rand.New(rand.NewSource(6)), exec.Options{Parallelism: 1})
-	est, err := c.Estimate(env.tbl, sel)
+	est, err := c.EstimateCtx(context.Background(), env.tbl, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,8 +569,8 @@ func TestLSSTrainAndPick(t *testing.T) {
 	}
 	ex := env.exs[0]
 	for _, b := range budgets {
-		sel := l.Pick(ex.Features, b, rand.New(rand.NewSource(2)))
 		want := int(b*15 + 0.5)
+		sel := l.PickN(ex.Features, want, rand.New(rand.NewSource(2)))
 		if len(sel) == 0 || len(sel) > want+1 {
 			t.Fatalf("LSS budget %v selected %d, want ≈%d", b, len(sel), want)
 		}
@@ -586,7 +587,7 @@ func TestEstimateFromPerPartMatchesDirectEval(t *testing.T) {
 	ex := env.exs[0]
 	sel := []query.WeightedPartition{{Part: 2, Weight: 3}, {Part: 7, Weight: 1.5}}
 	got := EstimateFromPerPart(ex.Compiled, ex.PerPart, sel)
-	direct, err := ex.Compiled.Estimate(env.tbl, sel)
+	direct, err := ex.Compiled.EstimateCtx(context.Background(), env.tbl, sel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,38 +1,14 @@
 package picker
 
-import (
-	"math"
-	"math/rand"
-	"sort"
+import "math"
 
-	"ps3/internal/query"
-)
-
-// This file implements the variance analysis of paper Appendix D:
-//
-//   - D.1 — the unbiased (random-exemplar) clustering estimator analyzed as
-//     stratified SRSWoR with one draw per stratum, plus a practical
-//     variance estimator that spends extra probe reads per stratum;
-//   - D.2 — Horvitz–Thompson variance estimators for uniform partition-
-//     and row-level Poisson sampling, demonstrating that partition-level
-//     sampling has strictly larger variance at equal sampling fraction
-//     (Eq 3–5).
-
-// HTVariance estimates the variance of the Horvitz–Thompson estimator for a
-// SUM/COUNT total under Poisson sampling where every unit is included
-// independently with probability p (Eq 3 of Appendix D.2). values are the
-// per-unit contributions y_i of the *sampled* units only.
-func HTVariance(values []float64, p float64) float64 {
-	if p <= 0 || p > 1 {
-		return math.NaN()
-	}
-	f := 1/(p*p) - 1/p
-	var v float64
-	for _, y := range values {
-		v += f * y * y
-	}
-	return v
-}
+// This file implements the variance analysis of paper Appendix D.2: the
+// Horvitz–Thompson variance of uniform partition- and row-level Poisson
+// sampling, showing that partition-level sampling has strictly larger
+// variance at equal sampling fraction (Eq 4–5). The D.1 estimator for the
+// unbiased clustering picker, and Eq 3's sampled HT estimate, live in
+// variance_test.go beside the coverage tests that use them, until a served
+// audit gives them a caller.
 
 // PartitionVsRowVariance compares, for one group total, the estimated
 // variance of uniform partition-level Poisson sampling against row-level
@@ -56,105 +32,4 @@ func PartitionVsRowVariance(partitionTotals []float64, rowValues [][]float64, p 
 		}
 	}
 	return partVar, rowVar
-}
-
-// StratumVariance holds one cluster's contribution to the unbiased
-// estimator's variance.
-type StratumVariance struct {
-	// Size is the number of partitions in the stratum (cluster).
-	Size int
-	// Probes is how many partitions were evaluated to estimate s².
-	Probes int
-	// S2 is the sample variance of the per-partition values within the
-	// stratum (per aggregate of the first group dimension aggregated; see
-	// VarianceEstimate for the reduction used).
-	S2 float64
-	// Var is the stratum's variance contribution N(N-n)/n · s² with n = 1
-	// draw: N(N-1)·s².
-	Var float64
-}
-
-// VarianceReport is the result of estimating the unbiased estimator's
-// variance for one query.
-type VarianceReport struct {
-	Strata []StratumVariance
-	// TotalVar is Σ stratum variances — the variance of the stratified
-	// estimator for the scalar reduction described in VarianceEstimate.
-	TotalVar float64
-	// ExtraReads is the number of additional partition evaluations spent on
-	// probing beyond the one exemplar per stratum.
-	ExtraReads int
-}
-
-// CI95 returns the ± half-width of the 95% confidence interval implied by
-// the variance estimate (±1.96·σ, Appendix D.1), assuming the CLT holds.
-func (r VarianceReport) CI95() float64 { return 1.96 * math.Sqrt(r.TotalVar) }
-
-// VarianceEstimate estimates the variance of the unbiased clustering
-// estimator (Appendix D.1) for one scalar query statistic: the first
-// aggregate summed over all groups. members lists the partition ids of each
-// cluster; value(p) evaluates the statistic on partition p (charging I/O if
-// the caller wires it to a real read). probesPerStratum ≥ 2 partitions are
-// evaluated in each stratum of size ≥ 2 to form the sample variance s²
-// (strata of size 1 contribute zero variance — their draw is a census).
-func VarianceEstimate(members [][]int, value func(part int) float64, probesPerStratum int, rng *rand.Rand) VarianceReport {
-	if probesPerStratum < 2 {
-		probesPerStratum = 2
-	}
-	var rep VarianceReport
-	for _, m := range members {
-		sv := StratumVariance{Size: len(m)}
-		if len(m) >= 2 {
-			probes := probesPerStratum
-			if probes > len(m) {
-				probes = len(m)
-			}
-			perm := rng.Perm(len(m))[:probes]
-			vals := make([]float64, probes)
-			var mean float64
-			for i, pi := range perm {
-				vals[i] = value(m[pi])
-				mean += vals[i]
-			}
-			mean /= float64(probes)
-			var s2 float64
-			for _, v := range vals {
-				d := v - mean
-				s2 += d * d
-			}
-			s2 /= float64(probes - 1)
-			sv.Probes = probes
-			sv.S2 = s2
-			// SRSWoR with n=1 draw from N: Var = N(N-n)/n · s² = N(N-1)·s².
-			N := float64(len(m))
-			sv.Var = N * (N - 1) * s2
-			rep.ExtraReads += probes - 1
-		}
-		rep.Strata = append(rep.Strata, sv)
-		rep.TotalVar += sv.Var
-	}
-	return rep
-}
-
-// UnbiasedSelectionVariance wires VarianceEstimate to a concrete compiled
-// query and cached per-partition answers: the scalar statistic is the first
-// aggregate's accumulator summed over groups. sel must come from the
-// unbiased (random-exemplar) picker so strata match the weights.
-func UnbiasedSelectionVariance(c *query.Compiled, perPart []*query.Answer, members [][]int, probes int, rng *rand.Rand) VarianceReport {
-	value := func(part int) float64 {
-		// Fold groups in sorted key order: float accumulation over raw map
-		// order would leave low-order bits dependent on iteration order.
-		gs := perPart[part].Groups
-		keys := make([]string, 0, len(gs))
-		for g := range gs {
-			keys = append(keys, g)
-		}
-		sort.Strings(keys)
-		var s float64
-		for _, g := range keys {
-			s += gs[g][0]
-		}
-		return s
-	}
-	return VarianceEstimate(members, value, probes, rng)
 }

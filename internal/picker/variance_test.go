@@ -195,3 +195,103 @@ func TestVarianceEstimateCoversTrueValue(t *testing.T) {
 		t.Fatalf("95%% CI covered truth in only %.0f%% of trials", frac*100)
 	}
 }
+
+// The Appendix D.1 variance estimator of the unbiased (random-exemplar)
+// clustering picker, analyzed as stratified SRSWoR with one draw per
+// stratum and estimated with extra probe reads per stratum, and Eq 3's
+// Horvitz–Thompson variance of a Poisson sample (D.2). The tests below are
+// their only callers.
+
+// HTVariance estimates the variance of the Horvitz–Thompson estimator for a
+// SUM/COUNT total under Poisson sampling where every unit is included
+// independently with probability p (Eq 3 of Appendix D.2). values are the
+// per-unit contributions y_i of the *sampled* units only.
+func HTVariance(values []float64, p float64) float64 {
+	if p <= 0 || p > 1 {
+		return math.NaN()
+	}
+	f := 1/(p*p) - 1/p
+	var v float64
+	for _, y := range values {
+		v += f * y * y
+	}
+	return v
+}
+
+// StratumVariance holds one cluster's contribution to the unbiased
+// estimator's variance.
+type StratumVariance struct {
+	// Size is the number of partitions in the stratum (cluster).
+	Size int
+	// Probes is how many partitions were evaluated to estimate s².
+	Probes int
+	// S2 is the sample variance of the per-partition values within the
+	// stratum (per aggregate of the first group dimension aggregated; see
+	// VarianceEstimate for the reduction used).
+	S2 float64
+	// Var is the stratum's variance contribution N(N-n)/n · s² with n = 1
+	// draw: N(N-1)·s².
+	Var float64
+}
+
+// VarianceReport is the result of estimating the unbiased estimator's
+// variance for one query.
+type VarianceReport struct {
+	Strata []StratumVariance
+	// TotalVar is Σ stratum variances — the variance of the stratified
+	// estimator for the scalar reduction described in VarianceEstimate.
+	TotalVar float64
+	// ExtraReads is the number of additional partition evaluations spent on
+	// probing beyond the one exemplar per stratum.
+	ExtraReads int
+}
+
+// CI95 returns the ± half-width of the 95% confidence interval implied by
+// the variance estimate (±1.96·σ, Appendix D.1), assuming the CLT holds.
+func (r VarianceReport) CI95() float64 { return 1.96 * math.Sqrt(r.TotalVar) }
+
+// VarianceEstimate estimates the variance of the unbiased clustering
+// estimator (Appendix D.1) for one scalar query statistic: the first
+// aggregate summed over all groups. members lists the partition ids of each
+// cluster; value(p) evaluates the statistic on partition p (a real read if
+// the caller wires it to one). probesPerStratum ≥ 2 partitions are
+// evaluated in each stratum of size ≥ 2 to form the sample variance s²
+// (strata of size 1 contribute zero variance — their draw is a census).
+func VarianceEstimate(members [][]int, value func(part int) float64, probesPerStratum int, rng *rand.Rand) VarianceReport {
+	if probesPerStratum < 2 {
+		probesPerStratum = 2
+	}
+	var rep VarianceReport
+	for _, m := range members {
+		sv := StratumVariance{Size: len(m)}
+		if len(m) >= 2 {
+			probes := probesPerStratum
+			if probes > len(m) {
+				probes = len(m)
+			}
+			perm := rng.Perm(len(m))[:probes]
+			vals := make([]float64, probes)
+			var mean float64
+			for i, pi := range perm {
+				vals[i] = value(m[pi])
+				mean += vals[i]
+			}
+			mean /= float64(probes)
+			var s2 float64
+			for _, v := range vals {
+				d := v - mean
+				s2 += d * d
+			}
+			s2 /= float64(probes - 1)
+			sv.Probes = probes
+			sv.S2 = s2
+			// SRSWoR with n=1 draw from N: Var = N(N-n)/n · s² = N(N-1)·s².
+			N := float64(len(m))
+			sv.Var = N * (N - 1) * s2
+			rep.ExtraReads += probes - 1
+		}
+		rep.Strata = append(rep.Strata, sv)
+		rep.TotalVar += sv.Var
+	}
+	return rep
+}

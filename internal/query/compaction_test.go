@@ -282,7 +282,7 @@ func checkCompaction(t *testing.T, label string, s *table.Schema, d *table.Dict,
 			if sc.encEvals != evals {
 				t.Fatalf("%s, %s: %d encoded evaluations, want %d", label, what, sc.encEvals, evals)
 			}
-			if p.Decoded(0) {
+			if p.EncCol(0) == nil {
 				t.Fatalf("%s, %s: the first touch decoded the column", label, what)
 			}
 		} else if sc.encEvals != 0 {

@@ -128,15 +128,6 @@ func (e LinearExpr) compile(s *table.Schema) (*exprKernel, error) {
 	return k, nil
 }
 
-// evalRow evaluates the expression on one row.
-func (k *exprKernel) evalRow(p *table.Partition, r int) float64 {
-	v := k.konst
-	for _, t := range k.terms {
-		v += t.coef * p.NumCol(t.col)[r]
-	}
-	return v
-}
-
 // sink is where an aggregate's per-row values go: accumulator at of the row's
 // group in accs, a flat [group][stride] slab. idx maps the i-th selected row
 // to its group slot; nil means one group, slot 0. count (AVG) also counts
@@ -173,7 +164,7 @@ func (d *sink) store(sum float64, n int) {
 // scratch buffer by evalInto and added from there (addBuffered), and only
 // those: a shape takes exactly one of the two routes.
 //
-// Each row's value is built as evalRow builds it, with the same operations
+// Each row's value is built as the reference's evalRow builds it, with the same operations
 // in the same order — konst + c1*x1, then + c2*x2 — and each accumulator
 // receives one addition per row in row order, as in the reference: the
 // result is bit-identical. Every column read goes through scratch.touch.

@@ -182,7 +182,7 @@ func forcedGeneric(c *Compiled) *Compiled {
 }
 
 // referenceFold is the oracle for a scan: per-partition reference answers
-// folded by weight in selection order, the way Estimate always has.
+// folded by weight in selection order, the way EstimateCtx always has.
 func referenceFold(c *Compiled, src *table.Table, sel []WeightedPartition) *Answer {
 	want := c.NewAnswer()
 	for _, wp := range sel {
@@ -231,7 +231,7 @@ func TestGroupedPathsBitIdentical(t *testing.T) {
 				for _, par := range parallelismLevels() {
 					for _, cc := range []*Compiled{c, generic} {
 						cc.Exec = exec.Options{Parallelism: par}
-						got, err := cc.Estimate(f.src, sel)
+						got, err := cc.EstimateCtx(context.Background(), f.src, sel)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -247,9 +247,9 @@ func TestGroupedPathsBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			got, err := c.Estimate(f.src, nil)
-			if err != nil || got.NumGroups() != 0 {
-				t.Fatalf("%s: empty selection gave %d groups, err %v", label, got.NumGroups(), err)
+			got, err := c.EstimateCtx(context.Background(), f.src, nil)
+			if err != nil || len(got.Groups) != 0 {
+				t.Fatalf("%s: empty selection gave %d groups, err %v", label, len(got.Groups), err)
 			}
 		}
 	}
@@ -301,7 +301,7 @@ func TestOverWideKeysTakeGenericPath(t *testing.T) {
 		}
 		checkQueryEquivalence(t, c, tbl)
 		sel := []WeightedPartition{{Part: 7, Weight: 2.5}, {Part: 0, Weight: 1.5}, {Part: 3, Weight: 9}}
-		got, err := c.Estimate(tbl, sel)
+		got, err := c.EstimateCtx(context.Background(), tbl, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestGroupTable(t *testing.T) {
 }
 
 // TestEstimateGroupedAllocs is the allocation ceiling of a warm grouped
-// scan: what Estimate allocates is the answer — a slab, a map and one key
+// scan: what EstimateCtx allocates is the answer — a slab, a map and one key
 // string per final group — plus a constant for the scan, and does not grow
 // with the number of partitions scanned.
 func TestEstimateGroupedAllocs(t *testing.T) {
@@ -371,11 +371,11 @@ func TestEstimateGroupedAllocs(t *testing.T) {
 				sel[i] = WeightedPartition{Part: i, Weight: 1.5}
 			}
 			run := func() {
-				ans, err := c.Estimate(tbl, sel)
+				ans, err := c.EstimateCtx(context.Background(), tbl, sel)
 				if err != nil {
 					t.Fatal(err)
 				}
-				groups = ans.NumGroups()
+				groups = len(ans.Groups)
 			}
 			run() // warm the pooled scratch
 			return testing.AllocsPerRun(50, run), groups
@@ -532,11 +532,11 @@ func TestScratchCleanAfterKernelPanic(t *testing.T) {
 			c.Exec = exec.Options{Parallelism: par}
 			for round := 0; round < 3; round++ {
 				// Warm the pool, then panic through both entry points.
-				if _, err := c.Estimate(tbl, healthy); err != nil {
+				if _, err := c.EstimateCtx(context.Background(), tbl, healthy); err != nil {
 					t.Fatal(err)
 				}
 				mustPanic("EvalPartition", func() { c.EvalPartition(tbl.Parts[bad]) })
-				mustPanic("Estimate", func() { c.Estimate(tbl, sel) })
+				mustPanic("EstimateCtx", func() { c.EstimateCtx(context.Background(), tbl, sel) })
 			}
 			var drawn []*scratch
 			for i := 0; i < 8; i++ {
@@ -559,7 +559,7 @@ func TestScratchCleanAfterKernelPanic(t *testing.T) {
 			for _, sc := range drawn {
 				scratchPool.Put(sc)
 			}
-			got, err := c.Estimate(tbl, healthy)
+			got, err := c.EstimateCtx(context.Background(), tbl, healthy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -732,7 +732,7 @@ func TestScratchSharedAcrossQueries(t *testing.T) {
 					sel = append(sel, WeightedPartition{Part: i, Weight: 1 + float64(i+round)/3})
 				}
 				ctx := fmt.Sprintf("%s over %d dictionary values, par %d, round %d", b.c.Q, b.tbl.Dict.Len(), par, round)
-				got, err := b.c.Estimate(b.tbl, sel)
+				got, err := b.c.EstimateCtx(context.Background(), b.tbl, sel)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -852,7 +852,7 @@ func TestScratchSharedAcrossQueriesResetsOrder(t *testing.T) {
 	}
 	scan := func(c *Compiled) {
 		t.Helper()
-		got, err := c.Estimate(tbl, sel)
+		got, err := c.EstimateCtx(context.Background(), tbl, sel)
 		if err != nil {
 			t.Fatal(err)
 		}

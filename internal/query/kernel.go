@@ -116,7 +116,7 @@ type scratch struct {
 }
 
 // scratchPool recycles scratches across every compiled query of the process:
-// one per call for EvalPartition, one per worker for Estimate, GroundTruth
+// one per call for EvalPartition, one per worker for EstimateCtx, GroundTruth
 // and Selectivity. A query that is compiled, run once and dropped — ad-hoc
 // traffic — therefore scans with buffers an earlier query warmed, and what the
 // pool pins is bounded by trim per pooled scratch, not per cached query.

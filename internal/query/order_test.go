@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -215,7 +216,7 @@ func TestConjunctionOrderIsNotObservable(t *testing.T) {
 		for _, par := range parallelismLevels() {
 			c.Exec = exec.Options{Parallelism: par}
 			for age, src := range []*table.Table{tbl, copies()} {
-				got, err := c.Estimate(src, sel)
+				got, err := c.EstimateCtx(context.Background(), src, sel)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -255,7 +256,7 @@ func TestTouchStatesBitIdentical(t *testing.T) {
 		}
 		for _, par := range []int{1, 4} {
 			c.Exec = exec.Options{Parallelism: par}
-			want, err := c.Estimate(tbl, sel)
+			want, err := c.EstimateCtx(context.Background(), tbl, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +268,7 @@ func TestTouchStatesBitIdentical(t *testing.T) {
 			src := &table.Table{Schema: s, Dict: tbl.Dict, Parts: parts}
 			var after [3]int64
 			for scan, state := range []string{"cold", "first-touched", "warm"} {
-				got, err := c.Estimate(src, sel)
+				got, err := c.EstimateCtx(context.Background(), src, sel)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,13 +1,16 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ps3/internal/exec"
 	"ps3/internal/table"
+	"ps3/internal/testutil"
 )
 
 // noisyFixture builds a table of irregular floating-point values: if the
@@ -113,26 +116,28 @@ func TestEstimateParallelEquivalence(t *testing.T) {
 	tbl := noisyFixture(t, 3000, 100, 12)
 	rng := rand.New(rand.NewSource(5))
 	var sel []WeightedPartition
+	var selParts []int
 	for i := 0; i < tbl.NumParts(); i += 2 {
 		sel = append(sel, WeightedPartition{Part: i, Weight: 1 + rng.Float64()*3})
+		selParts = append(selParts, i)
 	}
 	for _, q := range equivalenceQueries() {
 		c := mustCompile(t, q, tbl)
 		c.Exec = exec.Options{Parallelism: 1}
-		want, err := c.Estimate(tbl, sel)
+		want, err := c.EstimateCtx(context.Background(), tbl, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range parallelismLevels() {
 			c.Exec = exec.Options{Parallelism: par}
-			tbl.ResetIO()
-			got, err := c.Estimate(tbl, sel)
+			src := testutil.CountReads(tbl)
+			got, err := c.EstimateCtx(context.Background(), src, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireIdenticalAnswers(t, q.String(), want, got)
-			if parts, _ := tbl.IOStats(); parts != int64(len(sel)) {
-				t.Fatalf("par=%d: charged %d partition reads, want %d", par, parts, len(sel))
+			if reads := src.Reads(); !slices.Equal(reads, selParts) {
+				t.Fatalf("par=%d: read partitions %v, want %v", par, reads, selParts)
 			}
 		}
 	}

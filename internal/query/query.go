@@ -118,7 +118,7 @@ type Compiled struct {
 	// of a Compiled copies no lock.
 	labels *labelMemo
 
-	// Exec configures the parallel scans (GroundTruth, Estimate,
+	// Exec configures the parallel scans (GroundTruth, EstimateCtx,
 	// Selectivity). The zero value uses GOMAXPROCS workers; Parallelism 1
 	// forces a sequential scan. Results are bit-identical at every worker
 	// count: partitions are evaluated in parallel but always merged in
@@ -188,9 +188,6 @@ func Compile(q *Query, src table.PartitionSource) (*Compiled, error) {
 	return c, nil
 }
 
-// NumAggs returns d, the number of aggregates in the answer.
-func (c *Compiled) NumAggs() int { return len(c.Q.Aggs) }
-
 // Answer holds per-group accumulator vectors. The accumulators are linear
 // (sums and counts), so answers from different partitions combine by
 // weighted addition (§2.4).
@@ -203,9 +200,6 @@ type Answer struct {
 func (c *Compiled) NewAnswer() *Answer {
 	return &Answer{comps: c.comps, Groups: make(map[string][]float64)}
 }
-
-// NumGroups returns the number of groups in the answer.
-func (a *Answer) NumGroups() int { return len(a.Groups) }
 
 // AddWeighted accumulates w * other into a.
 func (a *Answer) AddWeighted(other *Answer, w float64) {
@@ -466,9 +460,8 @@ func (c *Compiled) finalInto(vals, acc []float64) {
 	}
 }
 
-// GroundTruth evaluates the query exactly over every partition of the table
-// (without charging the I/O accountant — it models the offline oracle used
-// to score experiments) and also returns the per-partition answers, which
+// GroundTruth evaluates the query exactly over every partition of the
+// resident table (the offline oracle used to score experiments) and also returns the per-partition answers, which
 // both training-label generation and error evaluation reuse.
 func (c *Compiled) GroundTruth(t *table.Table) (total *Answer, perPart []*Answer) {
 	// Partitions are scanned in parallel with one scratch per worker (no
@@ -518,26 +511,22 @@ func (c *Compiled) Selectivity(t *table.Table) float64 {
 	return float64(total.pass) / float64(total.rows)
 }
 
-// Estimate evaluates the query on a weighted selection of partition ids,
-// reading each selected partition from src through its I/O accountant, and
-// returns the combined approximate answer. Selected partitions are scanned
-// in parallel; the weighted combine runs in selection order, keeping the
-// answer bit-identical to a sequential evaluation. With a paged source a
-// read can fail (disk error, corrupted block); the error reported matches
-// what a sequential loop would have hit first.
-func (c *Compiled) Estimate(src table.PartitionSource, sel []WeightedPartition) (*Answer, error) {
-	return c.EstimateCtx(context.Background(), src, sel)
-}
-
-// EstimateCtx is Estimate under a context. The deadline contract: a request
-// whose context is done when the scan joins never returns success. The scan
-// pool stops claiming partitions once ctx is done, and ctx is checked once
-// more after the pool joins, so a scan whose every partition was claimed
-// before the deadline but finished after it (few partitions, several
-// workers, slow reads) reports ctx.Err() exactly like one that was cut
-// short — whether a blown deadline is reported does not depend on worker or
-// partition count. A read error still wins over the context error. On the
-// nil-error path the answer is bit-identical to Estimate.
+// EstimateCtx evaluates the query on a weighted selection of partition ids,
+// reading each selected partition from src, and returns the combined
+// approximate answer. Selected partitions are scanned in parallel; the
+// weighted combine runs in selection order, keeping the answer bit-identical
+// to a sequential evaluation. With a paged source a read can fail (disk
+// error, corrupted block); the error reported matches what a sequential loop
+// would have hit first.
+//
+// The deadline contract: a request whose context is done when the scan
+// joins never returns success. The scan pool stops claiming partitions once
+// ctx is done, and ctx is checked once more after the pool joins, so a scan
+// whose every partition was claimed before the deadline but finished after
+// it (few partitions, several workers, slow reads) reports ctx.Err() exactly
+// like one that was cut short — whether a blown deadline is reported does
+// not depend on worker or partition count. A read error still wins over the
+// context error.
 func (c *Compiled) EstimateCtx(ctx context.Context, src table.PartitionSource, sel []WeightedPartition) (*Answer, error) {
 	return scan(ctx, c, src, sel, func(total partial, _ *scratch) *Answer { return c.answer(total) })
 }

@@ -1,13 +1,16 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"ps3/internal/table"
+	"ps3/internal/testutil"
 )
 
 // fixture builds a small table:
@@ -83,7 +86,7 @@ func TestAvgIsWeightedCorrectly(t *testing.T) {
 	q := &Query{Aggs: []Aggregate{{Kind: Avg, Expr: Col("x")}}}
 	c := mustCompile(t, q, tbl)
 	_, perPart := c.GroundTruth(tbl)
-	// Estimate from two partitions with weight 2 each: AVG must still be
+	// EstimateCtx from two partitions with weight 2 each: AVG must still be
 	// the ratio of weighted sums, not the average of averages.
 	ans := c.NewAnswer()
 	ans.AddWeighted(perPart[0], 2) // rows 0..24
@@ -221,9 +224,9 @@ func TestSelectivityZeroRowTable(t *testing.T) {
 		t.Errorf("Selectivity on zero-row table = %g, want 0", got)
 	}
 	total, perPart := c.GroundTruth(empty)
-	if total.NumGroups() != 0 || len(perPart) != 0 {
+	if len(total.Groups) != 0 || len(perPart) != 0 {
 		t.Errorf("GroundTruth on zero-row table: %d groups / %d partitions, want 0/0",
-			total.NumGroups(), len(perPart))
+			len(total.Groups), len(perPart))
 	}
 }
 
@@ -324,14 +327,13 @@ func TestEstimateChargesIO(t *testing.T) {
 	tbl := fixture(t, 25)
 	q := &Query{Aggs: []Aggregate{{Kind: Count}}}
 	c := mustCompile(t, q, tbl)
-	tbl.ResetIO()
-	ans, err := c.Estimate(tbl, []WeightedPartition{{Part: 0, Weight: 4}, {Part: 2, Weight: 4}})
+	src := testutil.CountReads(tbl)
+	ans, err := c.EstimateCtx(context.Background(), src, []WeightedPartition{{Part: 0, Weight: 4}, {Part: 2, Weight: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, _ := tbl.IOStats()
-	if parts != 2 {
-		t.Errorf("Estimate read %d partitions, want 2", parts)
+	if got := src.Reads(); !slices.Equal(got, []int{0, 2}) {
+		t.Errorf("EstimateCtx read partitions %v, want [0 2]", got)
 	}
 	for _, v := range c.FinalValues(ans) {
 		if v[0] != 200 { // 2 partitions × 25 rows × weight 4

@@ -65,3 +65,12 @@ func (c *Compiled) SelectivityReference(t *table.Table) float64 {
 	}
 	return float64(pass) / float64(rows)
 }
+
+// evalRow evaluates the expression on one row, for the reference evaluator.
+func (k *exprKernel) evalRow(p *table.Partition, r int) float64 {
+	v := k.konst
+	for _, t := range k.terms {
+		v += t.coef * p.NumCol(t.col)[r]
+	}
+	return v
+}

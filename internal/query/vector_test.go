@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -207,11 +208,11 @@ func TestVectorizedEmptyPartition(t *testing.T) {
 		Pred:    &Clause{Col: "a", Op: OpGe, Num: 0},
 	}
 	c := mustCompile(t, q, tbl)
-	if got := c.EvalPartition(empty); got.NumGroups() != 0 {
-		t.Errorf("EvalPartition(empty) has %d groups, want 0", got.NumGroups())
+	if got := c.EvalPartition(empty); len(got.Groups) != 0 {
+		t.Errorf("EvalPartition(empty) has %d groups, want 0", len(got.Groups))
 	}
-	if got := c.EvalPartitionReference(empty); got.NumGroups() != 0 {
-		t.Errorf("EvalPartitionReference(empty) has %d groups, want 0", got.NumGroups())
+	if got := c.EvalPartitionReference(empty); len(got.Groups) != 0 {
+		t.Errorf("EvalPartitionReference(empty) has %d groups, want 0", len(got.Groups))
 	}
 }
 
@@ -456,7 +457,7 @@ func TestFirstTouchMatchesReference(t *testing.T) {
 		for _, par := range parallelismLevels() {
 			c.Exec = exec.Options{Parallelism: par}
 			for age, src := range []*table.Table{copies(), warm} {
-				got, err := c.Estimate(src, sel)
+				got, err := c.EstimateCtx(context.Background(), src, sel)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -87,6 +87,7 @@ func TestServeSwapUnderAppendTraffic(t *testing.T) {
 		Dir:          t.TempDir(),
 		RowsPerPart:  400,
 		CommitWindow: 200 * time.Microsecond,
+		PublishTail:  true,
 		OnPublish: func(snap *core.System, version int) {
 			if err := srv.Swap(snap); err != nil {
 				t.Errorf("swap: %v", err)
@@ -160,7 +161,16 @@ func TestServeSwapUnderAppendTraffic(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if err := pipe.FreezeSource(); err != nil {
+	// The last flush (once it returns, no publish is in flight), then the
+	// short tail, which PublishTail puts in the snapshot.
+	if err := pipe.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := pipe.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Swap(snap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -199,8 +209,8 @@ func TestServeSwapUnderAppendTraffic(t *testing.T) {
 			t.Fatalf("query %d at version %d: served answer differs from the frozen snapshot's", o.q, o.version)
 		}
 	}
-	// Every acknowledged row is visible after freeze: the final snapshot
-	// serves base + appended.
+	// Every acknowledged row is visible in the final snapshot: it serves
+	// base + appended.
 	if got, want := srv.System().Source.NumRows(), sys.Source.NumRows()+len(num); got != want {
 		t.Fatalf("final snapshot serves %d rows, want %d", got, want)
 	}
@@ -374,6 +384,7 @@ func TestHTTPNonFiniteAggregates(t *testing.T) {
 	pipe, err := ingest.Open(ingest.Config{
 		Dir:         t.TempDir(),
 		RowsPerPart: 400,
+		PublishTail: true,
 		OnPublish: func(snap *core.System, _ int) {
 			if err := srv.Swap(snap); err != nil {
 				t.Errorf("swap: %v", err)
@@ -425,7 +436,11 @@ func TestHTTPNonFiniteAggregates(t *testing.T) {
 	if status, out := post("/append", map[string]any{"rows": [][]any{row}}); status != http.StatusOK {
 		t.Fatalf("append: status %d: %s", status, out)
 	}
-	if err := pipe.FreezeSource(); err != nil { // flush the one-row tail and swap it in
+	snap, _, err := pipe.Snapshot() // the one-row tail, published with PublishTail
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Swap(snap); err != nil {
 		t.Fatal(err)
 	}
 

@@ -72,7 +72,8 @@ var (
 // Config tunes the server; zero values take the defaults noted per field.
 type Config struct {
 	// DefaultBudget is the budget fraction used when a request does not
-	// specify one (default 0.05).
+	// specify one: a fraction in [0, 1], 0 meaning 0.05 — the range a
+	// request's own budget must lie in. New rejects anything else.
 	DefaultBudget float64
 	// CacheSize caps the compiled-query LRU (default 256 entries).
 	CacheSize int
@@ -250,6 +251,9 @@ func newSnapState(sys *core.System, cfg Config, version int64) *snapState {
 func New(sys *core.System, cfg Config) (*Server, error) {
 	if sys.Picker == nil {
 		return nil, fmt.Errorf("serve: system is not trained; restore a trained snapshot or call Train first")
+	}
+	if !(cfg.DefaultBudget >= 0 && cfg.DefaultBudget <= 1) {
+		return nil, fmt.Errorf("serve: default budget must be a fraction in [0, 1] (0: the 0.05 default), got %v", cfg.DefaultBudget)
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -501,20 +505,15 @@ func appendJSONFloat(b []byte, v float64) []byte {
 	return b
 }
 
-// QuerySQL parses SQL text, executes it at the budget fraction (0 or less =
-// the server default; NaN and ±Inf are errors) and returns the
-// transport-shaped response.
-func (s *Server) QuerySQL(sqlText string, budget float64) (*Response, error) {
-	return s.QuerySQLCtx(context.Background(), sqlText, budget)
-}
-
-// QuerySQLCtx is QuerySQL under the caller's context (the HTTP layer
-// passes the request context, so a disconnected client cancels its scan).
+// QuerySQLCtx parses SQL text, executes it at the budget fraction (0 or
+// less = the server default; NaN and ±Inf are errors) under the caller's
+// context (the HTTP layer passes the request context, so a disconnected
+// client cancels its scan) and returns the transport-shaped response.
 func (s *Server) QuerySQLCtx(ctx context.Context, sqlText string, budget float64) (*Response, error) {
 	return s.serve(ctx, nil, sqlText, budget)
 }
 
-// Query executes q at the budget fraction (as for QuerySQL). The
+// Query executes q at the budget fraction (as for QuerySQLCtx). The
 // result is identical to sys.Run(q, budget): the caches and admission
 // control are invisible in the answer — a pick-cache hit returns the
 // byte-identical selection a cold pick would compute, because picking is
@@ -691,18 +690,6 @@ func (s *Server) serve(ctx context.Context, q *query.Query, sqlText string, budg
 		resp.Groups[i] = Group(g)
 	}
 	return resp, nil
-}
-
-// CacheLen returns the number of cached compiled queries.
-func (s *Server) CacheLen() int { return s.state.Load().compiled.Stats().Entries }
-
-// PickCacheStats snapshots the current snapshot's pick-result cache counters
-// (zero value when pick caching is disabled).
-func (s *Server) PickCacheStats() picker.SelectionCacheStats {
-	if p := s.state.Load().picks; p != nil {
-		return p.Stats()
-	}
-	return picker.SelectionCacheStats{}
 }
 
 // Metrics is a point-in-time snapshot of the server's counters.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -21,6 +22,7 @@ import (
 	"ps3/internal/sql"
 	"ps3/internal/store"
 	"ps3/internal/table"
+	"ps3/internal/testutil"
 )
 
 // fixtureConfig is the dataset every serving fixture builds from;
@@ -68,7 +70,7 @@ func restoredSystem(t testing.TB, trainN int) (*core.System, []*query.Query) {
 func decodedCopy(t testing.TB, tbl *table.Table) *table.Table {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := store.Write(&buf, tbl); err != nil {
+	if _, err := store.WriteWith(&buf, tbl, store.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := store.NewReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.Options{})
@@ -104,7 +106,7 @@ func residentAndPagedSystems(t testing.TB, trainN int, cacheBytes int64) (reside
 	sys, queries := restoredSystem(t, trainN)
 
 	var storeBuf, snapBuf bytes.Buffer
-	if _, err := store.Write(&storeBuf, sys.Table); err != nil {
+	if _, err := store.WriteWith(&storeBuf, sys.Table, store.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.WriteTo(&snapBuf); err != nil {
@@ -135,6 +137,34 @@ func TestNewRequiresTrainedSystem(t *testing.T) {
 	}
 	if _, err := New(sys, Config{}); err == nil {
 		t.Fatal("want error for untrained system")
+	}
+}
+
+// TestNewRejectsDefaultBudgetOutsideUnitRange: the default budget is held
+// to the range a request's own budget must lie in. A NaN or infinite one
+// made every request that omits a budget read one partition (and fail to
+// encode over HTTP), and 2 read every partition while echoing a budget
+// POST /query rejects.
+func TestNewRejectsDefaultBudgetOutsideUnitRange(t *testing.T) {
+	sys, queries := restoredSystem(t, 5)
+	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.5, 2} {
+		if _, err := New(sys, Config{DefaultBudget: b}); err == nil {
+			t.Errorf("New accepted DefaultBudget %v", b)
+		}
+	}
+	for _, tc := range []struct{ budget, want float64 }{{0, 0.05}, {0.25, 0.25}, {1, 1}} {
+		srv, err := New(sys, Config{DefaultBudget: tc.budget})
+		if err != nil {
+			t.Fatalf("DefaultBudget %v: %v", tc.budget, err)
+		}
+		resp, err := srv.Query(queries[0], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Budget != tc.want || resp.PartsRead != sys.PartsForBudget(tc.want) {
+			t.Errorf("DefaultBudget %v: served at budget %v reading %d partitions, want %v and %d",
+				tc.budget, resp.Budget, resp.PartsRead, tc.want, sys.PartsForBudget(tc.want))
+		}
 	}
 }
 
@@ -198,7 +228,7 @@ func TestServeCacheHitsAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.CacheLen(); got > 3 {
+	if got := srv.Stats().CacheLen; got > 3 {
 		t.Fatalf("cache grew to %d entries, cap is 3", got)
 	}
 	// SQL text canonicalization: differently-formatted SQL for the same
@@ -207,10 +237,10 @@ func TestServeCacheHitsAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv2.QuerySQL("SELECT COUNT(*) FROM t", 0.1); err != nil {
+	if _, err := srv2.QuerySQLCtx(context.Background(), "SELECT COUNT(*) FROM t", 0.1); err != nil {
 		t.Fatal(err)
 	}
-	resp2, err := srv2.QuerySQL("select   count(*)   from t", 0.1)
+	resp2, err := srv2.QuerySQLCtx(context.Background(), "select   count(*)   from t", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +250,14 @@ func TestServeCacheHitsAndEviction(t *testing.T) {
 	// The entry is now keyed on that text as well: a repeat finds it without
 	// parsing (one more entry, no new compilation), and still answers under
 	// the canonical text. Text that does not parse is not cached.
-	resp3, err := srv2.QuerySQL("select   count(*)   from t", 0.1)
+	resp3, err := srv2.QuerySQLCtx(context.Background(), "select   count(*)   from t", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp3.Cached || resp3.Query != "SELECT COUNT(*) FROM t" || !resp3.PickCached {
 		t.Fatalf("repeat of the same SQL text: cached %v, pick cached %v, query %q", resp3.Cached, resp3.PickCached, resp3.Query)
 	}
-	if _, err := srv2.QuerySQL("select count(*) from", 0.1); err == nil {
+	if _, err := srv2.QuerySQLCtx(context.Background(), "select count(*) from", 0.1); err == nil {
 		t.Fatal("malformed SQL was served")
 	}
 	if m := srv2.Stats(); m.CacheLen != 2 || m.CacheMisses != 1 || m.CacheHits != 2 || m.Failures != 1 {
@@ -350,8 +380,8 @@ func TestBudgetValidation(t *testing.T) {
 	} {
 		before := srv.Stats()
 		for entry, ask := range map[string]func() (*Response, error){
-			"Query":    func() (*Response, error) { return srv.Query(parsed, tc.budget) },
-			"QuerySQL": func() (*Response, error) { return srv.QuerySQL(text, tc.budget) },
+			"Query":       func() (*Response, error) { return srv.Query(parsed, tc.budget) },
+			"QuerySQLCtx": func() (*Response, error) { return srv.QuerySQLCtx(context.Background(), text, tc.budget) },
 		} {
 			resp, err := ask()
 			switch {
@@ -630,6 +660,8 @@ func TestServePagedBoundedCacheLoadsOnlyPicked(t *testing.T) {
 	if int64(r.TotalBytes()) <= budget {
 		t.Fatalf("fixture defeats the test: budget %d covers the %d-byte dataset", budget, r.TotalBytes())
 	}
+	reads := testutil.CountReads(paged.Source)
+	paged.Source = reads
 	srv, err := New(paged, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -642,9 +674,8 @@ func TestServePagedBoundedCacheLoadsOnlyPicked(t *testing.T) {
 		}
 		logicalReads += int64(resp.PartsRead)
 	}
-	parts, _ := r.IOStats()
-	if parts != logicalReads {
-		t.Fatalf("reader charged %d logical reads, responses say %d", parts, logicalReads)
+	if parts := len(reads.Reads()); int64(parts) != logicalReads {
+		t.Fatalf("the server read %d partitions, responses say %d", parts, logicalReads)
 	}
 	st := r.CacheStats()
 	if st.ResidentBytes > budget {
@@ -884,34 +915,34 @@ func retrainedSystem(t testing.TB) *core.System {
 		t.Fatal(err)
 	}
 	old := ds.Table
-	b, err := table.NewBuilder(old.Schema, old.Parts[0].Rows())
+	// The old codes, in the old order, first.
+	dict, err := table.DictFromValues(append([]string(nil), old.Dict.Values()...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range old.Dict.Values() {
-		b.Dict().Code(v) // the old codes, in the old order, first
-	}
 	version := old.Schema.ColIndex("AppInfo_Version")
 	w := len(old.Schema.Cols)
+	tbl := &table.Table{Schema: old.Schema, Dict: dict}
 	for pi, p := range append(old.Parts[:len(old.Parts):len(old.Parts)], old.Parts[:2]...) {
-		for r := 0; r < p.Rows(); r++ {
-			num, cat := make([]float64, w), make([]string, w)
-			for c, col := range old.Schema.Cols {
-				if col.IsNumeric() {
-					num[c] = p.NumCol(c)[r]
-				} else {
-					cat[c] = old.Dict.Value(p.CatCol(c)[r])
+		num, cat := make([][]float64, w), make([][]uint32, w)
+		for c, col := range old.Schema.Cols {
+			if col.IsNumeric() {
+				num[c] = slices.Clone(p.NumCol(c))
+				continue
+			}
+			cat[c] = slices.Clone(p.CatCol(c))
+			if pi >= len(old.Parts) && c == version {
+				for r := range cat[c] {
+					cat[c][r] = dict.Code(fmt.Sprintf("%s%d", swapOnlyVersion, r%5))
 				}
 			}
-			if pi >= len(old.Parts) {
-				cat[version] = fmt.Sprintf("%s%d", swapOnlyVersion, r%5)
-			}
-			if err := b.Append(num, cat); err != nil {
-				t.Fatal(err)
-			}
 		}
+		np, err := table.MakePartition(old.Schema, pi, p.Rows(), num, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.Parts = append(tbl.Parts, np)
 	}
-	tbl := b.Finish()
 	for code, v := range old.Dict.Values() {
 		if tbl.Dict.Value(uint32(code)) != v {
 			t.Fatalf("the extended dictionary moved code %d from %q to %q", code, v, tbl.Dict.Value(uint32(code)))

@@ -82,33 +82,6 @@ func (a *AKMV) hashes() []uint64 {
 // still works; the next eviction rebuilds the index.
 func (a *AKMV) Finalize() { a.sorted = nil }
 
-// Merge folds other into a, keeping the k smallest hashes of the union and
-// summing multiplicities of shared hashes.
-func (a *AKMV) Merge(other *AKMV) {
-	a.rows += other.rows
-	for h, c := range other.entries { //lint:mapiter-ok independent integer adds into disjoint keys, order-free
-		a.entries[h] += c
-	}
-	a.sorted = nil
-	if len(a.entries) > a.K {
-		for _, h := range a.hashes()[a.K:] {
-			delete(a.entries, h)
-		}
-	}
-	a.maxHash = 0
-	for h := range a.entries { //lint:mapiter-ok max over the key set is order-free
-		if h > a.maxHash {
-			a.maxHash = h
-		}
-	}
-}
-
-// Retained returns the number of hashes currently stored (≤ k).
-func (a *AKMV) Retained() int { return len(a.entries) }
-
-// Rows returns the number of values observed.
-func (a *AKMV) Rows() int64 { return a.rows }
-
 // DistinctEstimate returns the estimated number of distinct values. When
 // fewer than k hashes are retained the count is exact; otherwise the standard
 // KMV estimator (k-1)/U_(k) normalized to the hash range is used.

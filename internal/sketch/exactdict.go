@@ -1,7 +1,5 @@
 package sketch
 
-import "sort"
-
 // DefaultExactDictCap bounds how many distinct values an ExactDict tracks
 // before giving up. The paper stores all distinct values and frequencies
 // exactly for string columns with few distinct values (§3.2, "Selectivity
@@ -56,23 +54,6 @@ func (d *ExactDict) Distinct() (int, bool) {
 		return 0, false
 	}
 	return len(d.counts), true
-}
-
-// Rows returns the number of observations.
-func (d *ExactDict) Rows() int64 { return d.rows }
-
-// Codes returns the tracked codes in ascending order, or nil on overflow.
-// Sorted so that callers folding over the set stay deterministic for free.
-func (d *ExactDict) Codes() []uint32 {
-	if d.Overflow {
-		return nil
-	}
-	out := make([]uint32, 0, len(d.counts))
-	for c := range d.counts { //lint:mapiter-ok keys are sorted immediately below
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // SizeBytes returns the storage footprint: 4-byte code + 8-byte count per

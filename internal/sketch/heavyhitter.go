@@ -111,9 +111,6 @@ func (hh *HeavyHitter) Contains(id uint64) bool {
 	return false
 }
 
-// Rows returns the number of observations.
-func (hh *HeavyHitter) Rows() int64 { return hh.n }
-
 // Stats returns the count of heavy hitters and the average and max frequency
 // among them (Table 2's "# hh, avg/max freq of hh").
 func (hh *HeavyHitter) Stats() (num int, avgFreq, maxFreq float64) {

@@ -188,22 +188,6 @@ func (h *Histogram) EstimateEq(x float64) float64 {
 	return 0
 }
 
-// Min returns the smallest observed value (0 for empty histograms).
-func (h *Histogram) Min() float64 {
-	if len(h.Buckets) == 0 {
-		return 0
-	}
-	return h.Buckets[0].Lo
-}
-
-// Max returns the largest observed value (0 for empty histograms).
-func (h *Histogram) Max() float64 {
-	if len(h.Buckets) == 0 {
-		return 0
-	}
-	return h.Buckets[len(h.Buckets)-1].Hi
-}
-
 // SizeBytes returns the sealed storage footprint: two bounds and a counter
 // per bucket.
 func (h *Histogram) SizeBytes() int { return 24 * len(h.Buckets) }

@@ -73,34 +73,6 @@ func (m *Measures) Add(x float64) {
 	}
 }
 
-// Merge folds other into m.
-func (m *Measures) Merge(other *Measures) {
-	if other.Count == 0 {
-		return
-	}
-	m.Count += other.Count
-	if other.Min < m.Min {
-		m.Min = other.Min
-	}
-	if other.Max > m.Max {
-		m.Max = other.Max
-	}
-	m.Sum += other.Sum
-	m.SumSq += other.SumSq
-	if m.HasLog && other.HasLog {
-		if other.LogMin < m.LogMin {
-			m.LogMin = other.LogMin
-		}
-		if other.LogMax > m.LogMax {
-			m.LogMax = other.LogMax
-		}
-		m.LogSum += other.LogSum
-		m.LogSSq += other.LogSSq
-	} else {
-		m.HasLog = false
-	}
-}
-
 // Mean returns the average value, or 0 for an empty sketch.
 func (m *Measures) Mean() float64 {
 	if m.Count == 0 {

@@ -27,16 +27,6 @@ func Parse(src string) (*query.Query, string, error) {
 	return q, table, nil
 }
 
-// MustParse is Parse that panics on error; for static queries in tests and
-// examples.
-func MustParse(src string) *query.Query {
-	q, _, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
 	toks []token

@@ -146,8 +146,8 @@ func TestFeaturePlanMatchesFeatures(t *testing.T) {
 		want := featuresReference(ts, q)
 		features := ts.Features(q)
 		plan := ts.NewFeaturePlan(q)
-		if plan.NumParts() != len(want) || plan.Dim() != ts.Space.Dim() {
-			t.Fatalf("query %d: plan shape %dx%d, want %dx%d", qi, plan.NumParts(), plan.Dim(), len(want), ts.Space.Dim())
+		if len(plan.ts.Parts) != len(want) || plan.Dim() != ts.Space.Dim() {
+			t.Fatalf("query %d: plan shape %dx%d, want %dx%d", qi, len(plan.ts.Parts), plan.Dim(), len(want), ts.Space.Dim())
 		}
 		dst := make([]float64, plan.Dim())
 		for i := range want {
@@ -183,7 +183,7 @@ func TestFillRowZeroAllocs(t *testing.T) {
 	part := 0
 	allocs := testing.AllocsPerRun(50, func() {
 		plan.FillRow(dst, part)
-		part = (part + 1) % plan.NumParts()
+		part = (part + 1) % len(ts.Parts)
 	})
 	if allocs != 0 {
 		t.Fatalf("FillRow allocates %.0f objects per call, want 0", allocs)
@@ -202,15 +202,15 @@ func TestFeaturePlanConcurrentFill(t *testing.T) {
 	want := featuresReference(ts, q)
 	plan := ts.NewFeaturePlan(q)
 	m := plan.Dim()
-	got := make([]float64, plan.NumParts()*m)
-	done := make(chan int, plan.NumParts())
-	for i := 0; i < plan.NumParts(); i++ {
+	got := make([]float64, len(ts.Parts)*m)
+	done := make(chan int, len(ts.Parts))
+	for i := 0; i < len(ts.Parts); i++ {
 		go func(i int) {
 			plan.FillRow(got[i*m:(i+1)*m], i)
 			done <- i
 		}(i)
 	}
-	for i := 0; i < plan.NumParts(); i++ {
+	for i := 0; i < len(ts.Parts); i++ {
 		<-done
 	}
 	for i := range want {
@@ -248,11 +248,11 @@ func BenchmarkFeaturize(b *testing.B) {
 	b.Run("plan", func(b *testing.B) {
 		b.ReportAllocs()
 		plan := ts.NewFeaturePlan(q)
-		scratch := make([]float64, plan.NumParts()*plan.Dim())
+		scratch := make([]float64, len(ts.Parts)*plan.Dim())
 		m := plan.Dim()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for part := 0; part < plan.NumParts(); part++ {
+			for part := 0; part < len(ts.Parts); part++ {
 				plan.FillRow(scratch[part*m:(part+1)*m], part)
 			}
 		}

@@ -300,9 +300,6 @@ func (p *FeaturePlan) Dim() int { return p.ts.Space.Dim() }
 // The slice aliases plan state; callers must not mutate it.
 func (p *FeaturePlan) UsedCols() []bool { return p.used }
 
-// NumParts returns the partition count N.
-func (p *FeaturePlan) NumParts() int { return len(p.ts.Parts) }
-
 // FillRow writes partition part's feature vector into dst (which must have
 // length ≥ Dim()).
 func (p *FeaturePlan) FillRow(dst []float64, part int) {

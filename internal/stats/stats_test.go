@@ -198,7 +198,7 @@ func TestSelectivityUpperPerfectRecall(t *testing.T) {
 		rows := ts.Features(q)
 		_, perPart := c.GroundTruth(tbl)
 		for i, pa := range perPart {
-			hasRows := pa.NumGroups() > 0
+			hasRows := len(pa.Groups) > 0
 			if hasRows && rows[i][0] <= 0 {
 				t.Fatalf("query %v: partition %d has matching rows but selectivity_upper = %v",
 					q, i, rows[i][0])

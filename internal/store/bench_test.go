@@ -1,9 +1,11 @@
 package store
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
+	"ps3/internal/fault"
 	"ps3/internal/query"
 	"ps3/internal/table"
 )
@@ -14,7 +16,7 @@ func benchStore(b *testing.B, cacheBytes int64) (*Reader, *table.Table) {
 	b.Helper()
 	tbl := buildTable(b, 64*3200, 3200)
 	path := filepath.Join(b.TempDir(), "bench.ps3")
-	if _, err := WriteFile(path, tbl); err != nil {
+	if _, err := WriteFileFS(fault.OS, path, tbl, WriteOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	r, err := Open(path, Options{CacheBytes: cacheBytes})
@@ -90,7 +92,7 @@ func BenchmarkStorePagedEstimate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Estimate(r, sel); err != nil {
+		if _, err := c.EstimateCtx(context.Background(), r, sel); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -152,7 +152,7 @@ func TestThrashingScanAllocatesNoBlockMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := res.Estimate(tbl, sel)
+			want, err := res.EstimateCtx(context.Background(), tbl, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,22 +206,25 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stale [][]byte
-	for c := 0; c < p.Cols(); c++ {
-		if e := p.EncCol(c); e != nil && len(e.Packed) > 0 {
+	staleNum, staleCat := p.DecodedCols() // every encoded column gets its side-car
+	atLoad := make([]bool, len(staleNum)) // columns decoded at load: the partition's own, not recycled
+	for c := range staleNum {
+		e := p.EncCol(c)
+		if e != nil && len(e.Packed) > 0 {
 			stale = append(stale, e.Packed)
 		}
+		atLoad[c] = e == nil
 	}
 	if len(stale) == 0 {
 		t.Fatal("fixture block has no packed column to keep a view of")
 	}
-	staleNum, staleCat := p.DecodedCols() // every encoded column gets its side-car
 	p.Retain(1)
 	p.Release()
 	if p.EncCol(0) == nil && p.EncCol(1) == nil {
 		t.Fatal("a partition with a holder left lost its columns")
 	}
 	p.Release()
-	for c := 0; c < p.Cols(); c++ {
+	for c := range staleNum {
 		if p.EncCol(c) != nil {
 			t.Fatalf("column %d is still attached after the last release", c)
 		}
@@ -235,7 +238,7 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 	}
 	sideCars := 0
 	for c := range staleNum {
-		if p.Decoded(c) {
+		if atLoad[c] {
 			continue // decoded at load (raw categorical): the partition's own, not recycled
 		}
 		sideCars++
@@ -495,7 +498,7 @@ func TestEncodedKernelsOnBlockFinalColumn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := enc.Estimate(r, sel)
+				got, err := enc.EstimateCtx(context.Background(), r, sel)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ps3/internal/dataset"
+	"ps3/internal/fault"
 	"ps3/internal/table"
 )
 
@@ -49,7 +50,7 @@ func benchOpenFile(b testing.TB, tbl *table.Table, raw bool, cacheBytes int64) *
 	if raw {
 		err = os.WriteFile(path, writeStoreRaw(b, tbl), 0o644)
 	} else {
-		_, err = WriteFile(path, tbl)
+		_, err = WriteFileFS(fault.OS, path, tbl, WriteOptions{})
 	}
 	if err != nil {
 		b.Fatal(err)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -91,7 +92,7 @@ func TestEncFixtureCoversAllEncodings(t *testing.T) {
 			if e := p.EncCol(c); e != nil {
 				kinds[col.Name] = e.Kind
 			}
-			if p.Decoded(c) {
+			if p.EncCol(c) == nil {
 				t.Errorf("partition %d column %q is decoded at load; every encoding in this fixture is a view or a run list", pi, col.Name)
 			}
 		}
@@ -251,11 +252,11 @@ func TestEncodedVsRawQueryEquivalence(t *testing.T) {
 			label := fmt.Sprintf("query %d (%s) par %d", qi, q, par)
 			cRaw.Exec = exec.Options{Parallelism: par}
 			cEnc.Exec = exec.Options{Parallelism: par}
-			want, err := cRaw.Estimate(rawR, sel)
+			want, err := cRaw.EstimateCtx(context.Background(), rawR, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cEnc.Estimate(encR, sel)
+			got, err := cEnc.EstimateCtx(context.Background(), encR, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +304,7 @@ func TestCatPredicateEvaluatesWithoutDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Estimate(r, sel)
+		got, err := c.EstimateCtx(context.Background(), r, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +338,7 @@ func TestCatPredicateEvaluatesWithoutDecode(t *testing.T) {
 	}
 	want := cr.EvalPartition(tbl.Parts[0])
 	for touch, wantCols := range []int64{0, 1} {
-		got, err := c.Estimate(r, sel[:1])
+		got, err := c.EstimateCtx(context.Background(), r, sel[:1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +372,7 @@ func TestDecodeAdmittedOnSecondTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cr.Estimate(tbl, sel)
+	want, err := cr.EstimateCtx(context.Background(), tbl, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestDecodeAdmittedOnSecondTouch(t *testing.T) {
 		}
 		c.Exec = exec.Options{Parallelism: 1}
 		for scan, wantCols := range tc.decoded {
-			got, err := c.Estimate(r, sel)
+			got, err := c.EstimateCtx(context.Background(), r, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -423,7 +424,7 @@ func requireDecodesPerScan(t *testing.T, label string, data []byte, q *query.Que
 		c.Exec = exec.Options{Parallelism: 1}
 		for scan, wantCols := range tc.decoded {
 			evals := query.EncodedKernelEvals()
-			got, err := c.Estimate(r, sel)
+			got, err := c.EstimateCtx(context.Background(), r, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,7 +468,7 @@ func TestColumnTouchedOncePerEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cr.Estimate(tbl, sel)
+		want, err := cr.EstimateCtx(context.Background(), tbl, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,7 +525,7 @@ func TestPredicateColumnsAdmittedOnSecondTouch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cr.Estimate(tbl, sel)
+		want, err := cr.EstimateCtx(context.Background(), tbl, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -692,15 +693,15 @@ func TestNegativeZeroSurvivesStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, err := c.Estimate(src, sel)
+		ans, err := c.EstimateCtx(context.Background(), src, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ans
 	}
 	want := answer(tbl)
-	if want.NumGroups() != 6 {
-		t.Fatalf("resident answer has %d groups, want 6: 0 to 4 and −0", want.NumGroups())
+	if len(want.Groups) != 6 {
+		t.Fatalf("resident answer has %d groups, want 6: 0 to 4 and −0", len(want.Groups))
 	}
 	for _, src := range []table.PartitionSource{r, materialize(t, r)} {
 		requireSameAnswer(t, "GROUP BY v", want, answer(src))
@@ -754,7 +755,7 @@ func TestCacheAccountingMixedEncodedRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := p0.EncCol(0); e == nil || e.Kind != table.EncRawNum || p0.Decoded(0) {
+	if e := p0.EncCol(0); e == nil || e.Kind != table.EncRawNum {
 		t.Fatal("column f must be raw: a view of its block bytes, charged at decoded width")
 	}
 	if p0.EncCol(1) == nil || p0.EncCol(2) == nil {

@@ -17,7 +17,7 @@ func faultFixture(t *testing.T, rules ...*fault.Rule) (*Reader, *fault.Injector)
 	t.Helper()
 	tbl := buildTable(t, 600, 100)
 	path := filepath.Join(t.TempDir(), "t.ps3")
-	if _, err := WriteFile(path, tbl); err != nil {
+	if _, err := WriteFileFS(fault.OS, path, tbl, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(fault.OS, 1, rules...)

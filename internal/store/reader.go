@@ -59,8 +59,6 @@ type Reader struct {
 	// bytes actually stored in blocks. Equal for v1 files.
 	totalBytes int64
 	fileBytes  int64
-	// perRow is the decoded bytes per row under the schema.
-	perRow int64
 
 	// cache holds decoded partitions by index, charged EncodedSizeBytes: a
 	// compressed partition takes a proportionally smaller bite of the budget.
@@ -78,12 +76,6 @@ type Reader struct {
 	// corruptRetries counts the retry attempts (see loadBlockRetry).
 	quarantine     quarantineSet
 	corruptRetries atomic.Int64
-
-	// Logical I/O accounting (see table.PartitionSource): every Read
-	// charges here, cache hit or not; the cache's own stats track the
-	// physical loads.
-	readCount atomic.Int64
-	readBytes atomic.Int64
 }
 
 // Open opens the store file at path. The returned Reader keeps the file
@@ -186,7 +178,7 @@ func NewReaderAt(src io.ReaderAt, size int64, o Options) (*Reader, error) {
 	// perRow is hoisted out of the loop: a corrupt footer can declare
 	// thousands of columns and thousands of blocks, and re-walking the
 	// schema per block would make open quadratic in the footer size.
-	r.perRow = bytesPerRow(schema)
+	perRow := bytesPerRow(schema)
 	// v2 blocks carry a [tag][length] prefix per column; their payload
 	// length varies with the data, so only a lower bound is checkable from
 	// the footer (full structural validation happens at block decode).
@@ -196,7 +188,7 @@ func NewReaderAt(src io.ReaderAt, size int64, o Options) (*Reader, error) {
 			return nil, fmt.Errorf("store: corrupt file: partition %d has row count %d", i, b.Rows)
 		}
 		if version == formatVersion {
-			if want := r.perRow * b.Rows; b.Length != want {
+			if want := perRow * b.Rows; b.Length != want {
 				return nil, fmt.Errorf("store: corrupt file: partition %d block is %d bytes, %d rows require %d",
 					i, b.Length, b.Rows, want)
 			}
@@ -209,7 +201,7 @@ func NewReaderAt(src io.ReaderAt, size int64, o Options) (*Reader, error) {
 				i, b.Offset, b.Offset, b.Length, headerSize, footerStart)
 		}
 		r.rows += int(b.Rows)
-		r.totalBytes += r.perRow * b.Rows
+		r.totalBytes += perRow * b.Rows
 		r.fileBytes += b.Length
 		r.bufs.blocks.size = max(r.bufs.blocks.size, int(b.Length)+table.PackPad)
 		r.bufs.nums.size = max(r.bufs.nums.size, int(b.Rows))
@@ -336,9 +328,8 @@ func (r *Reader) NumRows() int { return r.rows }
 // TotalBytes.
 func (r *Reader) TotalBytes() int { return int(r.totalBytes) }
 
-// Read returns partition i, charging one logical partition read to the I/O
-// accountant and faulting the block in through the cache if it is not
-// resident. Concurrent reads of one absent partition share a single disk
+// Read returns partition i, faulting the block in through the cache if it is
+// not resident. Concurrent reads of one absent partition share a single disk
 // load.
 func (r *Reader) Read(i int) (*table.Partition, error) {
 	if i < 0 || i >= len(r.blocks) {
@@ -347,14 +338,12 @@ func (r *Reader) Read(i int) (*table.Partition, error) {
 	if err := r.quarantine.check(i); err != nil {
 		return nil, err
 	}
-	r.readCount.Add(1)
-	r.readBytes.Add(r.perRow * r.blocks[i].Rows)
 	p, _, err := r.cache.GetOrCompute(i, func() (*table.Partition, error) { return r.loadBlockRetry(i) })
 	return p, err
 }
 
-// ReadUncached returns partition i without touching the partition cache,
-// still charging the logical I/O accountant. Full-scan paths (core's
+// ReadUncached returns partition i without touching the partition cache.
+// Full-scan paths (core's
 // RunExact) read through it so that one exact scan cannot evict the
 // approximate-serving working set — the same reason Materialize bypasses
 // the cache.
@@ -365,8 +354,6 @@ func (r *Reader) ReadUncached(i int) (*table.Partition, error) {
 	if err := r.quarantine.check(i); err != nil {
 		return nil, err
 	}
-	r.readCount.Add(1)
-	r.readBytes.Add(r.perRow * r.blocks[i].Rows)
 	return r.loadBlockRetry(i)
 }
 
@@ -442,18 +429,6 @@ func (r *Reader) Health() HealthStats {
 	}
 }
 
-// ResetIO clears the logical I/O counters.
-func (r *Reader) ResetIO() {
-	r.readCount.Store(0)
-	r.readBytes.Store(0)
-}
-
-// IOStats reports logical partition reads since the last ResetIO — what
-// the query plan asked for, whether or not the cache absorbed it.
-func (r *Reader) IOStats() (parts int64, bytes int64) {
-	return r.readCount.Load(), r.readBytes.Load()
-}
-
 // CacheStats is a point-in-time snapshot of the partition cache counters.
 type CacheStats struct {
 	// Hits counts reads served from resident partitions, including reads
@@ -465,10 +440,9 @@ type CacheStats struct {
 	// Evictions counts partitions dropped to stay inside the byte budget.
 	Evictions int64 `json:"evictions"`
 	// LoadedBytes is the cumulative admitted (resident-encoded) bytes
-	// faulted in from disk — the physical footprint the cache paid for, as
-	// opposed to the logical decoded-width reads the Reader's IOStats
-	// accountant charges. For raw (v1) stores the two coincide; for encoded
-	// stores LoadedBytes is smaller by the compression ratio. Lazily
+	// faulted in from disk — the physical footprint the cache paid for. For
+	// raw (v1) stores it is the decoded width (Partition.SizeBytes); for
+	// encoded stores it is smaller by the compression ratio. Lazily
 	// decoded columns are tracked by the reader's EncodingStats, not here.
 	LoadedBytes int64 `json:"loaded_bytes"`
 	// ResidentBytes and ResidentParts describe what the cache holds now.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -10,12 +11,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"ps3/internal/fault"
 	"ps3/internal/query"
 	"ps3/internal/table"
+	"ps3/internal/testutil"
 )
 
 // buildTable returns a deterministic fixture with one numeric, one
@@ -142,9 +146,10 @@ func requireSamePartition(t *testing.T, want, got *table.Partition, pi int) {
 	if want.Rows() != got.Rows() {
 		t.Fatalf("partition %d: %d rows, want %d", pi, got.Rows(), want.Rows())
 	}
-	for c := 0; c < want.Cols(); c++ {
-		wn, gn := want.NumCol(c), got.NumCol(c)
-		wc, gc := want.CatCol(c), got.CatCol(c)
+	wantNum, wantCat := want.DecodedCols()
+	for c := range wantNum {
+		wn, gn := wantNum[c], got.NumCol(c)
+		wc, gc := wantCat[c], got.CatCol(c)
 		if len(wn) != len(gn) || len(wc) != len(gc) {
 			t.Fatalf("partition %d column %d: slice shapes differ", pi, c)
 		}
@@ -237,14 +242,6 @@ func TestIOAccountingIsLogical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	parts, bytesRead := r.IOStats()
-	if parts != 4 {
-		t.Errorf("logical reads = %d, want 4", parts)
-	}
-	want := int64(3*tbl.Parts[0].SizeBytes() + tbl.Parts[1].SizeBytes())
-	if bytesRead != want {
-		t.Errorf("logical bytes = %d, want %d", bytesRead, want)
-	}
 	st := r.CacheStats()
 	if st.Misses != 2 || st.Hits != 2 {
 		t.Errorf("cache saw %d misses / %d hits, want 2 / 2", st.Misses, st.Hits)
@@ -252,10 +249,6 @@ func TestIOAccountingIsLogical(t *testing.T) {
 	wantLoaded := encodedPartSize(t, r, 0) + encodedPartSize(t, r, 1)
 	if st.LoadedBytes != wantLoaded {
 		t.Errorf("physical bytes = %d, want %d (admitted encoded bytes)", st.LoadedBytes, wantLoaded)
-	}
-	r.ResetIO()
-	if p, b := r.IOStats(); p != 0 || b != 0 {
-		t.Error("ResetIO did not clear counters")
 	}
 }
 
@@ -524,7 +517,7 @@ func TestOpenTableFileSniffsFormats(t *testing.T) {
 	dir := t.TempDir()
 
 	v2Path := filepath.Join(dir, "v2.ps3")
-	if _, err := WriteFile(v2Path, tbl); err != nil {
+	if _, err := WriteFileFS(fault.OS, v2Path, tbl, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	v1Path := filepath.Join(dir, "v1.ps3")
@@ -622,11 +615,12 @@ func TestQueryEquivalenceStoreVsResident(t *testing.T) {
 		{Part: 0, Weight: 2.5}, {Part: 3, Weight: 1.25}, {Part: 7, Weight: 3},
 		{Part: 8, Weight: 0.5}, {Part: 13, Weight: 7},
 	}
-	want, err := cr.Estimate(tbl, sel)
+	want, err := cr.EstimateCtx(context.Background(), tbl, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cs.Estimate(r, sel)
+	src := testutil.CountReads(r)
+	got, err := cs.EstimateCtx(context.Background(), src, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,12 +638,8 @@ func TestQueryEquivalenceStoreVsResident(t *testing.T) {
 			}
 		}
 	}
-	parts, bytesRead := r.IOStats()
-	if parts != int64(len(sel)) {
-		t.Errorf("store charged %d logical reads, want %d", parts, len(sel))
-	}
-	if bytesRead <= 0 {
-		t.Error("no logical bytes charged")
+	if reads, want := src.Reads(), []int{0, 3, 7, 8, 13}; !slices.Equal(reads, want) {
+		t.Errorf("store-backed scan read partitions %v, want %v", reads, want)
 	}
 	if st := r.CacheStats(); st.LoadedBytes > int64(len(sel))*partSize {
 		t.Errorf("loaded %d physical bytes for %d picked partitions", st.LoadedBytes, len(sel))

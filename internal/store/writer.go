@@ -22,15 +22,10 @@ type WriteOptions struct {
 	Hints func(part, col int) (ColHint, bool)
 }
 
-// Write streams t to w in the paged store format (encoded column blocks)
+// WriteWith streams t to w in the paged store format (encoded column blocks)
 // and returns the number of bytes written. The stream is written strictly
 // forward — header, one block per partition, footer, trailer — so w needs
 // no seeking.
-func Write(w io.Writer, t *table.Table) (int64, error) {
-	return WriteWith(w, t, WriteOptions{})
-}
-
-// WriteWith is Write with explicit options.
 func WriteWith(w io.Writer, t *table.Table, opts WriteOptions) (int64, error) {
 	cw := &countingWriter{w: w}
 
@@ -82,13 +77,9 @@ func WriteWith(w io.Writer, t *table.Table, opts WriteOptions) (int64, error) {
 	return cw.n, nil
 }
 
-// WriteFile writes t to path in the paged store format.
-func WriteFile(path string, t *table.Table) (int64, error) {
-	return WriteFileFS(fault.OS, path, t, WriteOptions{})
-}
-
-// WriteFileFS is WriteFile with explicit options over an explicit
-// filesystem seam, so chaos tests can fail or tear the writes.
+// WriteFileFS writes t to path in the paged store format through the
+// filesystem seam fsys (fault.OS, or an injector that fails or tears the
+// writes).
 func WriteFileFS(fsys fault.FS, path string, t *table.Table, opts WriteOptions) (int64, error) {
 	f, err := fsys.Create(path)
 	if err != nil {

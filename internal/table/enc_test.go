@@ -393,7 +393,7 @@ func TestLazyDecodeMemoizedAndCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Decoded(0) || p.Decoded(1) {
+	if p.Num[0] != nil || p.Cat[1] != nil { //lint:decodebypass-ok asserts the physical representation itself
 		t.Fatal("encoded columns must stay nil in the public slices")
 	}
 	if p.EncCol(0) != forCol || p.EncCol(1) != bpCol {

@@ -183,18 +183,6 @@ func (p *Partition) CatCol(c int) []uint32 {
 	return lc.cat
 }
 
-// Cols returns the number of columns the partition holds (equal to the
-// schema's column count, counting both numeric and categorical sides).
-func (p *Partition) Cols() int { return len(p.Num) }
-
-// Decoded reports whether column c is currently held in decoded form. It is
-// the sanctioned way to assert on the physical representation (tests of the
-// store and the encoder care) without touching the raw fields, which stay
-// nil for encoded columns until NumCol/CatCol materialize them.
-func (p *Partition) Decoded(c int) bool {
-	return p.Num[c] != nil || p.Cat[c] != nil
-}
-
 // DecodedCols returns the partition's columns fully decoded, one slice per
 // schema column with data on the matching side (the form MakePartition
 // takes), for ingest's memtable and tests comparing logical contents. Encoded columns
@@ -264,8 +252,8 @@ func (p *Partition) FirstTouch(c int) *EncodedCol {
 
 // SizeBytes estimates the decoded (logical) footprint of the partition:
 // 8 bytes per numeric cell and 4 per categorical cell, whether or not a
-// column is currently held encoded. Used by the logical I/O accountant so
-// raw and encoded stores report comparable scan volumes.
+// column is currently held encoded: a source's TotalBytes, which raw and
+// encoded stores report alike.
 func (p *Partition) SizeBytes() int {
 	n := 0
 	for _, col := range p.Num {
@@ -336,15 +324,6 @@ func MakePartition(s *Schema, id, rows int, num [][]float64, cat [][]uint32) (*P
 	return &Partition{ID: id, Num: num, Cat: cat, rows: rows}, nil
 }
 
-// checkWidth verifies the row slice matches the schema width.
-func checkWidth(s *Schema, numVals []float64, catVals []uint32) error {
-	if len(numVals) != s.NumCols() || len(catVals) != s.NumCols() {
-		return fmt.Errorf("table: row width %d/%d does not match schema width %d",
-			len(numVals), len(catVals), s.NumCols())
-	}
-	return nil
-}
-
 // Builder accumulates rows into partitions of a fixed target size and
 // produces a Table. It is the ingest path: datasets append rows in arrival
 // order, and a partition is sealed (and becomes immutable) when it reaches
@@ -364,12 +343,6 @@ func NewBuilder(s *Schema, rowsPerPart int) (*Builder, error) {
 	}
 	return &Builder{schema: s, dict: NewDict(), rowsPerPart: rowsPerPart}, nil
 }
-
-// Dict exposes the builder's dictionary so generators can pre-encode values.
-func (b *Builder) Dict() *Dict { return b.dict }
-
-// Schema returns the schema rows must conform to.
-func (b *Builder) Schema() *Schema { return b.schema }
 
 // Append adds one row. num[c] is consulted for numeric columns and cat[c]
 // (a string) for categorical columns; the other entry is ignored.

@@ -93,25 +93,3 @@ func (s *Schema) ColIndex(name string) int {
 
 // Col returns the column at index i.
 func (s *Schema) Col(i int) Column { return s.Cols[i] }
-
-// NumericCols returns the indexes of all numeric (incl. date) columns.
-func (s *Schema) NumericCols() []int {
-	var out []int
-	for i, c := range s.Cols {
-		if c.IsNumeric() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// CategoricalCols returns the indexes of all categorical columns.
-func (s *Schema) CategoricalCols() []int {
-	var out []int
-	for i, c := range s.Cols {
-		if c.Kind == Categorical {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -23,16 +23,12 @@ type PartitionSource interface {
 	NumRows() int
 	// TotalBytes returns the full decoded storage footprint of the dataset.
 	TotalBytes() int
-	// Read returns partition i, charging one partition read to the I/O
-	// accountant. Resident sources cannot fail; paged sources surface disk
-	// and corruption errors here instead of panicking mid-scan. The caller
+	// Read returns partition i. Resident sources cannot fail; paged sources
+	// surface disk and corruption errors here instead of panicking mid-scan.
+	// The caller
 	// holds the partition it is given (Partition.Own): it may Release it
 	// once, after its last read of it, or never.
 	Read(i int) (*Partition, error)
-	// ResetIO clears the I/O counters.
-	ResetIO()
-	// IOStats reports partitions and bytes read since the last ResetIO.
-	IOStats() (parts int64, bytes int64)
 }
 
 // TableSchema returns the table's schema, satisfying PartitionSource (the
@@ -42,10 +38,8 @@ func (t *Table) TableSchema() *Schema { return t.Schema }
 // TableDict returns the table's dictionary, satisfying PartitionSource.
 func (t *Table) TableDict() *Dict { return t.Dict }
 
-// Read returns partition i, charging one partition read to the accountant.
-// Query execution must access partitions through Read so that experiments
-// can attribute I/O. An out-of-range index is an error, not a panic: the
-// index may come from a stale or corrupted partition selection. The caller
+// Read returns partition i. An out-of-range index is an error, not a panic:
+// the index may come from a stale or corrupted partition selection. The caller
 // becomes a holder of the partition, as with any source: that is a no-op for
 // partitions built in memory and keeps one a store reader materialized
 // (whose loader's hold the table has taken over) alive past the caller's
@@ -56,7 +50,5 @@ func (t *Table) Read(i int) (*Partition, error) {
 	}
 	p := t.Parts[i]
 	p.Retain(1)
-	t.readCount.Add(1)
-	t.readBytes.Add(int64(p.SizeBytes()))
 	return p, nil
 }

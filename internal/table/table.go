@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync/atomic"
 )
 
 // Table is a partitioned dataset: an ordered list of immutable partitions
@@ -14,10 +13,6 @@ type Table struct {
 	Schema *Schema
 	Dict   *Dict
 	Parts  []*Partition
-
-	// readCount tracks partition reads for I/O accounting.
-	readCount atomic.Int64
-	readBytes atomic.Int64
 }
 
 // NumParts returns the number of partitions.
@@ -30,17 +25,6 @@ func (t *Table) NumRows() int {
 		n += p.Rows()
 	}
 	return n
-}
-
-// ResetIO clears the I/O counters.
-func (t *Table) ResetIO() {
-	t.readCount.Store(0)
-	t.readBytes.Store(0)
-}
-
-// IOStats reports partitions and bytes read since the last ResetIO.
-func (t *Table) IOStats() (parts int64, bytes int64) {
-	return t.readCount.Load(), t.readBytes.Load()
 }
 
 // TotalBytes returns the full storage footprint of the table.

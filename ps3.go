@@ -43,22 +43,16 @@ import (
 	"io"
 
 	"ps3/internal/core"
-	"ps3/internal/diagnose"
-	"ps3/internal/metrics"
 	"ps3/internal/picker"
 	"ps3/internal/query"
 	"ps3/internal/serve"
-	"ps3/internal/sketch"
-	sqlparse "ps3/internal/sql"
 	"ps3/internal/stats"
-	"ps3/internal/store"
 	"ps3/internal/table"
 )
 
 // --- Storage substrate (internal/table) ---
 
-// Table is a partitioned columnar dataset with partition-granular access and
-// I/O accounting.
+// Table is a partitioned columnar dataset with partition-granular access.
 type Table = table.Table
 
 // Schema is an ordered list of columns.
@@ -86,10 +80,8 @@ type Dict = table.Dict
 // Partition is one immutable chunk of rows.
 type Partition = table.Partition
 
-// NewSchema builds a schema, validating column-name uniqueness.
-func NewSchema(cols ...Column) (*Schema, error) { return table.NewSchema(cols...) }
-
-// MustSchema is NewSchema that panics on error; for static schemas.
+// MustSchema builds a schema, panicking if two columns share a name; for
+// static schemas.
 func MustSchema(cols ...Column) *Schema { return table.MustSchema(cols...) }
 
 // NewBuilder returns a table builder producing partitions of rowsPerPart
@@ -99,36 +91,9 @@ func NewBuilder(s *Schema, rowsPerPart int) (*Builder, error) {
 }
 
 // PartitionSource is the seam between query execution and partition
-// storage: a fully resident *Table, or a paged StoreReader that faults
+// storage: a fully resident *Table, or a paged store reader that faults
 // picked partitions in from disk through a bounded cache.
 type PartitionSource = table.PartitionSource
-
-// --- Out-of-core paged store (internal/store) ---
-
-// StoreReader serves partitions lazily from a paged store file through a
-// concurrency-safe, byte-budgeted LRU cache. It implements PartitionSource,
-// so a store can back Compile, Estimate, OpenSnapshot and NewServer
-// directly: serving memory scales with the cache budget plus the picked
-// partitions, not the dataset.
-type StoreReader = store.Reader
-
-// StoreOptions configures a StoreReader (cache budget in bytes).
-type StoreOptions = store.Options
-
-// StoreCacheStats snapshots a store's partition-cache counters: hits,
-// misses, evictions, physical bytes loaded and resident bytes vs budget.
-type StoreCacheStats = store.CacheStats
-
-// WriteStore streams t to w in the paged store format: header, one
-// CRC32-checksummed block per partition, and a footer index of
-// offsets/lengths/row counts.
-func WriteStore(w io.Writer, t *Table) (int64, error) { return store.Write(w, t) }
-
-// WriteStoreFile writes t to path in the paged store format.
-func WriteStoreFile(path string, t *Table) (int64, error) { return store.WriteFile(path, t) }
-
-// OpenStore opens a paged store file for on-demand partition serving.
-func OpenStore(path string, o StoreOptions) (*StoreReader, error) { return store.Open(path, o) }
 
 // --- Query model (internal/query) ---
 
@@ -181,12 +146,6 @@ const (
 	OpIn = query.OpIn
 )
 
-// NewAnd returns the conjunction of preds, simplifying singletons.
-func NewAnd(preds ...Pred) Pred { return query.NewAnd(preds...) }
-
-// NewOr returns the disjunction of preds, simplifying singletons.
-func NewOr(preds ...Pred) Pred { return query.NewOr(preds...) }
-
 // Workload declares the aggregate functions, predicate columns and group-by
 // columnsets PS3 is trained for.
 type Workload = query.Workload
@@ -204,20 +163,6 @@ func NewGenerator(w Workload, src PartitionSource, seed int64) (*Generator, erro
 // WeightedPartition is one (partition, weight) choice in a sample; partial
 // answers combine as Σ wᵢ·Aᵢ (paper §2.4).
 type WeightedPartition = query.WeightedPartition
-
-// ParseSQL parses SQL text within the paper's query scope into a Query,
-// also returning the table name from the FROM clause:
-//
-//	q, _, err := ps3.ParseSQL(`SELECT region, SUM(price) FROM sales
-//	                           WHERE price > 10 GROUP BY region`)
-//
-// Supported: SUM/COUNT(*)/AVG over ±-linear expressions, FILTER (WHERE ...)
-// aggregates, AND/OR/NOT predicates over =, !=, <>, <, <=, >, >=, IN,
-// BETWEEN, and GROUP BY.
-func ParseSQL(src string) (*Query, string, error) { return sqlparse.Parse(src) }
-
-// MustParseSQL is ParseSQL that panics on error; for static queries.
-func MustParseSQL(src string) *Query { return sqlparse.MustParse(src) }
 
 // --- System facade (internal/core) ---
 
@@ -253,7 +198,7 @@ func OpenWithStats(t *Table, ts *TableStats, opts Options) (*System, error) {
 }
 
 // OpenSnapshot restores a trained System from a snapshot written with
-// System.WriteTo and binds it to src — a resident *Table, or a StoreReader
+// System.WriteTo and binds it to src — a resident *Table, or a paged store
 // for out-of-core serving where only picked partitions are ever loaded. A
 // snapshot bundles the statistics store, the trained picker (and LSS
 // baseline, if fitted) and the options, so a fresh process cold-starts with
@@ -284,7 +229,7 @@ type ServeMetrics = serve.Metrics
 // snapshot-restored) system.
 func NewServer(sys *System, cfg ServeConfig) (*Server, error) { return serve.New(sys, cfg) }
 
-// --- Statistics and metrics ---
+// --- Statistics ---
 
 // StatsOptions configures the statistics builder (histogram buckets, AKMV
 // k, heavy-hitter support, bitmap width).
@@ -293,85 +238,13 @@ type StatsOptions = stats.Options
 // TableStats is the per-partition summary-statistics store.
 type TableStats = stats.TableStats
 
-// BuildStats constructs all sketches for every partition of t directly,
-// without the System facade.
-func BuildStats(t *Table, opts StatsOptions) (*TableStats, error) { return stats.Build(t, opts) }
-
 // ReadStats deserializes a statistics store written with TableStats.WriteTo.
 // The store is fully usable for feature extraction and partition picking
 // without access to the original data — the paper's deployment model, where
 // sketches live separately from partitions (§2.3.1).
 var ReadStats = stats.ReadStats
 
-// Errors summarizes estimate quality: missed groups, average relative error
-// and absolute-error-over-true (paper §5.1.4).
-type Errors = metrics.Errors
-
-// CompareAnswers scores an estimated answer against the truth.
-func CompareAnswers(truth, est map[string][]float64) Errors { return metrics.Compare(truth, est) }
-
-// --- Sketches (internal/sketch), exposed for standalone use ---
-
-// Measures tracks min/max/moments (and log moments for positive columns).
-type Measures = sketch.Measures
-
-// Histogram is a one-pass equi-depth histogram.
-type Histogram = sketch.Histogram
-
-// AKMV is a K-minimum-values distinct-count sketch with frequencies.
-type AKMV = sketch.AKMV
-
-// HeavyHitter tracks frequent items via lossy counting.
-type HeavyHitter = sketch.HeavyHitter
-
-// NewMeasures returns a measures sketch; positive enables log moments.
-func NewMeasures(positive bool) *Measures { return sketch.NewMeasures(positive) }
-
-// NewHistogram returns an equi-depth histogram with the given bucket count.
-func NewHistogram(buckets int) *Histogram { return sketch.NewHistogram(buckets) }
-
-// NewAKMV returns an AKMV sketch keeping the k minimum hashes. Values must
-// be hashed (e.g. with Hash64) before Add: the distinct estimate assumes
-// uniformly distributed inputs.
-func NewAKMV(k int) *AKMV { return sketch.NewAKMV(k) }
-
-// Hash64 is the 64-bit mix PS3 uses to hash values into sketch space.
-func Hash64(x uint64) uint64 { return sketch.Hash64(x) }
-
-// --- Diagnostics (paper §7 "diagnostic procedures for failure cases") ---
-
-// Finding is one diagnostic result: a known PS3 failure mode that applies
-// to the query or layout under inspection.
-type Finding = diagnose.Finding
-
-// Diagnostic severities.
-const (
-	DiagInfo     = diagnose.Info
-	DiagWarn     = diagnose.Warn
-	DiagCritical = diagnose.Critical
-)
-
-// DiagnoseQuery flags the failure modes the paper documents for a query:
-// high-cardinality GROUP BY (§2.2), complex predicates (Appendix B.1),
-// highly selective predicates (§4.2), and columns outside the trained
-// workload (§2.1).
-func DiagnoseQuery(q *Query, ts *TableStats, wl Workload) []Finding {
-	return diagnose.Query(q, ts, wl, diagnose.Options{})
-}
-
-// DiagnoseLayout reports whether the data layout is effectively random for
-// the workload, in which case uniform sampling is already optimal and PS3
-// should not be used (§5.5.1, Fig 8).
-func DiagnoseLayout(ts *TableStats, wl Workload) []Finding {
-	return diagnose.Layout(ts, wl)
-}
-
 // --- Variance analysis (Appendix D) ---
-
-// HTVariance estimates the Horvitz–Thompson estimator's variance for a
-// total under uniform Poisson sampling at rate p, from the sampled units'
-// contributions (Appendix D.2, Eq 3).
-func HTVariance(values []float64, p float64) float64 { return picker.HTVariance(values, p) }
 
 // PartitionVsRowVariance compares the true estimator variance of uniform
 // partition-level vs row-level Poisson sampling at the same sampling
@@ -380,7 +253,3 @@ func HTVariance(values []float64, p float64) float64 { return picker.HTVariance(
 func PartitionVsRowVariance(partitionTotals []float64, rowValues [][]float64, p float64) (partVar, rowVar float64) {
 	return picker.PartitionVsRowVariance(partitionTotals, rowValues, p)
 }
-
-// NewHeavyHitter returns a lossy-counting sketch with the given support
-// threshold (e.g. 0.01 tracks items above 1% frequency).
-func NewHeavyHitter(support float64) *HeavyHitter { return sketch.NewHeavyHitter(support) }

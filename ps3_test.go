@@ -8,6 +8,10 @@ import (
 	"testing"
 
 	"ps3"
+	"ps3/internal/fault"
+	"ps3/internal/metrics"
+	"ps3/internal/sql"
+	"ps3/internal/store"
 )
 
 // buildSalesTable creates the README quickstart table: prices with a
@@ -86,7 +90,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if approx.FracRead > 0.26 {
 		t.Fatalf("FracRead = %v", approx.FracRead)
 	}
-	e := ps3.CompareAnswers(exact.Values, approx.Values)
+	e := metrics.Compare(exact.Values, approx.Values)
 	if e.MissedGroups > 0 {
 		t.Fatalf("missed %v of groups at 25%% budget on an easy query", e.MissedGroups)
 	}
@@ -117,7 +121,7 @@ func TestPublicAPIErrorShrinksWithBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ps3.CompareAnswers(exact.Values, res.Values).AvgRelErr
+		return metrics.Compare(exact.Values, res.Values).AvgRelErr
 	}
 	lo, hi := errAt(0.1), errAt(0.8)
 	if hi > lo+0.02 {
@@ -141,17 +145,17 @@ func TestPublicAPIRunBeforeTrainFails(t *testing.T) {
 	}
 }
 
-// TestPublicAPITableSerializationRoundTrip: a table written with
-// WriteStoreFile and reopened with OpenStore backs a restored system whose
-// exact answers equal the resident system's bit for bit.
+// TestPublicAPITableSerializationRoundTrip: a table written to a store file
+// and reopened backs a system restored with OpenSnapshot whose exact answers
+// equal the resident system's bit for bit.
 func TestPublicAPITableSerializationRoundTrip(t *testing.T) {
 	tbl := buildSalesTable(t, 1_000, 100)
 	sys := newTrainedSystem(t, tbl)
 	path := filepath.Join(t.TempDir(), "sales.ps3")
-	if _, err := ps3.WriteStoreFile(path, tbl); err != nil {
+	if _, err := store.WriteFileFS(fault.OS, path, tbl, store.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := ps3.OpenStore(path, ps3.StoreOptions{})
+	r, err := store.Open(path, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,10 @@ func TestPublicAPITableSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := ps3.MustParseSQL("SELECT region, SUM(price), COUNT(*) FROM t WHERE qty > 3 GROUP BY region")
+	q, _, err := sql.Parse("SELECT region, SUM(price), COUNT(*) FROM t WHERE qty > 3 GROUP BY region")
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := sys.RunExact(q)
 	if err != nil {
 		t.Fatal(err)
@@ -190,48 +197,14 @@ func TestPublicAPITableSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublicAPISketches(t *testing.T) {
-	m := ps3.NewMeasures(true)
-	for _, v := range []float64{1, 2, 3, 4} {
-		m.Add(v)
-	}
-	if m.Min != 1 || m.Max != 4 || math.Abs(m.Mean()-2.5) > 1e-12 {
-		t.Fatalf("measures: min %v max %v mean %v", m.Min, m.Max, m.Mean())
-	}
-
-	h := ps3.NewHistogram(4)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	h.Finalize()
-
-	a := ps3.NewAKMV(16)
-	for i := 0; i < 1000; i++ {
-		a.Add(ps3.Hash64(uint64(i % 50)))
-	}
-	est := a.DistinctEstimate()
-	if est < 25 || est > 100 {
-		t.Fatalf("AKMV estimate %v for 50 distinct", est)
-	}
-
-	hh := ps3.NewHeavyHitter(0.01)
-	for i := 0; i < 1000; i++ {
-		hh.Add(uint64(i % 3))
-	}
-	hh.Finalize()
-	if n, _, _ := hh.Stats(); n != 3 {
-		t.Fatalf("heavy hitters = %d, want 3", n)
-	}
-}
-
 func TestPublicAPIPredicateBuilders(t *testing.T) {
-	p := ps3.NewAnd(
+	p := &ps3.And{Children: []ps3.Pred{
 		&ps3.Clause{Col: "price", Op: ps3.OpGt, Num: 10},
-		ps3.NewOr(
+		&ps3.Or{Children: []ps3.Pred{
 			&ps3.Clause{Col: "region", Op: ps3.OpEq, Strs: []string{"east"}},
 			&ps3.Clause{Col: "region", Op: ps3.OpIn, Strs: []string{"west", "north"}},
-		),
-	)
+		}},
+	}}
 	if p.String() == "" {
 		t.Fatal("predicate did not render")
 	}
@@ -298,30 +271,5 @@ func TestPublicAPIOpenWithStatsValidatesShape(t *testing.T) {
 	}
 	if _, err := ps3.OpenWithStats(tblB, sysA.Stats, sysA.Opts); err == nil {
 		t.Fatal("want error binding stats to a table with a different partition count")
-	}
-}
-
-func TestPublicAPIDiagnostics(t *testing.T) {
-	tbl := buildSalesTable(t, 2_000, 100)
-	sys, err := ps3.Open(tbl, ps3.Options{Workload: ps3.Workload{
-		GroupableCols: []string{"region"},
-		PredicateCols: []string{"price", "region"},
-		AggCols:       []string{"price"},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// qty is outside the trained workload → a warn-level finding.
-	q := &ps3.Query{Aggs: []ps3.Aggregate{{Kind: ps3.Sum, Expr: ps3.Col("qty")}}}
-	fs := ps3.DiagnoseQuery(q, sys.Stats, sys.Opts.Workload)
-	if len(fs) == 0 {
-		t.Fatal("untrained column not diagnosed")
-	}
-	if fs[0].Severity != ps3.DiagWarn {
-		t.Fatalf("severity = %v, want warn", fs[0].Severity)
-	}
-	// The region-sorted layout is informative for this workload.
-	if fs := ps3.DiagnoseLayout(sys.Stats, sys.Opts.Workload); len(fs) != 0 {
-		t.Fatalf("informative layout flagged: %v", fs)
 	}
 }
