@@ -28,7 +28,9 @@ test-bench:
 
 # Race pass over the parallel execution surface: the scan engine, every
 # layer that fans out onto it (the picker's concurrently trained funnel
-# stages too: TestTrainFunnelParallelismInvariant), the concurrent serving
+# stages too: TestTrainFunnelParallelismInvariant; k-means' parallel
+# assignment sweep and the lazily built rank index in internal/cluster), the
+# concurrent serving
 # layer, the one cache
 # (internal/lru) under its compiled-query, pick and block memos, and the
 # partition itself (internal/table), whose decode memo, first-touch flag and
@@ -36,7 +38,7 @@ test-bench:
 # binary it runs with released block buffers poisoned (store.poison), so a
 # view that outlives its holder fails an equivalence suite here.
 race:
-	$(GO) test -race -count=1 ./internal/table/ ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/ ./internal/lru/ ./cmd/ps3serve/
+	$(GO) test -race -count=1 ./internal/table/ ./internal/exec/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/cluster/ ./internal/picker/ ./internal/experiments/ ./internal/serve/ ./internal/store/ ./internal/ingest/ ./internal/lru/ ./cmd/ps3serve/
 
 # Serving-layer race tests alone: N goroutines on one snapshot-restored
 # system — resident and store-backed with a thrashing partition cache —
@@ -129,11 +131,13 @@ bench-pick-smoke:
 	$(GO) test -bench 'BenchmarkPick|BenchmarkPredict|BenchmarkFunnelStage' -benchtime 1x -run '^$$' ./internal/picker/ ./internal/gbt/
 
 # One-iteration smoke of the clustering benchmarks plus the skip-fraction
-# and equivalence contracts; wired into CI next to bench-pick-smoke so the
-# bounded k-means fixtures and counters can never rot.
+# and equivalence contracts (bounded k-means, the incremental center update,
+# and the rank-index medians against sorting, bit for bit); wired into CI
+# next to bench-pick-smoke so the bounded k-means and median fixtures and
+# counters can never rot.
 bench-cluster-smoke:
-	$(GO) test -run 'TestKMeansBounded|TestPickBatchKMeansSkipsDistances' -v ./internal/cluster/ ./internal/picker/
-	$(GO) test -bench 'BenchmarkKMeans' -benchtime 1x -run '^$$' ./internal/cluster/
+	$(GO) test -run 'TestKMeansBounded|TestUpdateChangedCentersMatchesFull|TestMedianExemplarsIndexedMatchesSorted|TestRankIndexExtendedMatchesRebuilt|TestPickBatchKMeansSkipsDistances' -v ./internal/cluster/ ./internal/picker/
+	$(GO) test -bench 'BenchmarkKMeans|BenchmarkMedianExemplars' -benchtime 1x -run '^$$' ./internal/cluster/
 
 # One-iteration smoke of the ingest benchmarks plus the offline-equivalence
 # and crash-recovery contracts; wired into CI so the live-ingest fixtures

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,6 +74,8 @@ type kmScratch struct {
 	ub      []float64 // per-point upper bound on d(p, center[label])
 	lb      []float64 // n*k lower bounds on d(p, center[c]), row-major
 	d2      []float64 // seeding scratch
+	prev    []int     // the labels the centers were last computed from
+	dirty   []bool    // per center: membership changed since prev
 }
 
 var kmPool sync.Pool
@@ -95,12 +98,14 @@ func getKMScratch(n, k, dim int) *kmScratch {
 		sc.move = make([]float64, k)
 		sc.moved = make([]int, 0, k)
 		sc.half = make([]float64, k)
+		sc.dirty = make([]bool, k)
 	}
 	sc.views = sc.views[:k]
 	sc.oldView = sc.oldView[:k]
 	sc.counts = sc.counts[:k]
 	sc.move = sc.move[:k]
 	sc.half = sc.half[:k]
+	sc.dirty = sc.dirty[:k]
 	if cap(sc.ccHalf) < k*k {
 		sc.ccHalf = make([]float64, k*k)
 	}
@@ -112,9 +117,11 @@ func getKMScratch(n, k, dim int) *kmScratch {
 	if cap(sc.ub) < n {
 		sc.ub = make([]float64, n)
 		sc.d2 = make([]float64, n)
+		sc.prev = make([]int, n)
 	}
 	sc.ub = sc.ub[:n]
 	sc.d2 = sc.d2[:n]
+	sc.prev = sc.prev[:n]
 	if cap(sc.lb) < n*k {
 		sc.lb = make([]float64, n*k)
 	}
@@ -176,6 +183,10 @@ func KMeansBounded(points [][]float64, k int, rng *rand.Rand, o KMeansOpts) Assi
 	eo := exec.Options{Parallelism: o.Parallelism}
 	blocks := (n + kmBlock - 1) / kmBlock
 	boundsValid := false
+	// fullUpdate: the next center update recomputes every center. The
+	// first does, and so does the one after an update that re-seeded an
+	// empty cluster (its relabeled point left a center computed with it).
+	fullUpdate := true
 
 	if o.Strict {
 		// Strict mode replays the reference verbatim, including its real
@@ -311,7 +322,14 @@ func KMeansBounded(points [][]float64, k int, rng *rand.Rand, o KMeansOpts) Assi
 		}
 
 		copy(sc.old, sc.flat)
-		reseeded := updateCenters(points, labels, centers, sc.counts)
+		var reseeded []int
+		if fullUpdate {
+			reseeded = updateCenters(points, labels, centers, sc.counts)
+		} else {
+			reseeded = updateChangedCenters(points, labels, sc.prev, centers, sc.counts, sc.dirty)
+		}
+		copy(sc.prev, labels)
+		fullUpdate = len(reseeded) > 0
 		if len(reseeded) > 0 {
 			changed = true
 			for _, i := range reseeded {
@@ -354,6 +372,52 @@ func KMeansBounded(points [][]float64, k int, rng *rand.Rand, o KMeansOpts) Assi
 		o.Stats.add(st)
 	}
 	return Assignment{Labels: labels, K: k}
+}
+
+// updateChangedCenters is updateCenters after an update that re-seeded
+// nothing, when centers and counts hold the means and sizes of the clusters
+// of prev: it recomputes only the centers whose membership changed since. An
+// unchanged cluster would sum the same points in the same order, so its
+// center is already what updateCenters computes, bit for bit; a changed one
+// is zeroed and re-summed in point order like there. If a cluster emptied,
+// it leaves the whole update, re-seeds included, to updateCenters.
+func updateChangedCenters(points [][]float64, labels, prev []int, centers [][]float64, counts []int, dirty []bool) (reseeded []int) {
+	clear(dirty)
+	for i, l := range labels {
+		if p := prev[i]; p != l {
+			dirty[p], dirty[l] = true, true
+			counts[p]--
+			counts[l]++
+		}
+	}
+	if slices.Contains(counts, 0) {
+		return updateCenters(points, labels, centers, counts)
+	}
+	if !slices.Contains(dirty, true) {
+		return nil
+	}
+	for c, d := range dirty {
+		if d {
+			clear(centers[c])
+		}
+	}
+	for i, p := range points {
+		if c := labels[i]; dirty[c] {
+			row := centers[c]
+			for j, v := range p {
+				row[j] += v
+			}
+		}
+	}
+	for c, d := range dirty {
+		if d {
+			inv := 1 / float64(counts[c])
+			for j := range centers[c] {
+				centers[c][j] *= inv
+			}
+		}
+	}
+	return nil
 }
 
 // updateHalfDists maintains ccHalf (k×k row-major), half the pairwise

@@ -416,3 +416,62 @@ func skippedFrac(st KMeansStats) float64 {
 	}
 	return 1 - float64(st.PointDists)/float64(st.PossibleDists)
 }
+
+// TestUpdateChangedCentersMatchesFull checks the incremental center update
+// against updateCenters bit for bit over rounds that move a few points, none
+// or many, and that empty a cluster (the fallback, re-seed included).
+func TestUpdateChangedCentersMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n, k, dim = 90, 7, 11
+	points := benchFixture(n, dim, 24)
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = i % k
+	}
+	newCenters := func() [][]float64 {
+		c := make([][]float64, k)
+		for i := range c {
+			c[i] = make([]float64, dim)
+		}
+		return c
+	}
+	got, want := newCenters(), newCenters()
+	counts, wantCounts := make([]int, k), make([]int, k)
+	dirty := make([]bool, k)
+	updateCenters(points, labels, got, counts)
+	prev := append([]int(nil), labels...)
+	emptied := 0
+	for round := 0; round < 60; round++ {
+		moves := []int{0, 1, 3, n / 2}[round%4]
+		for range moves {
+			labels[rng.Intn(n)] = rng.Intn(k)
+		}
+		if round%7 == 6 { // empty cluster 2
+			for i, l := range labels {
+				if l == 2 {
+					labels[i] = 3
+				}
+			}
+		}
+		wantLabels := append([]int(nil), labels...)
+		for c := range want {
+			copy(want[c], got[c])
+		}
+		wantSeeded := updateCenters(points, wantLabels, want, wantCounts)
+		seeded := updateChangedCenters(points, labels, prev, got, counts, dirty)
+		if !reflect.DeepEqual(seeded, wantSeeded) || !reflect.DeepEqual(labels, wantLabels) {
+			t.Fatalf("round %d: re-seeds %v (labels %v), want %v (%v)", round, seeded, labels, wantSeeded, wantLabels)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(counts, wantCounts) {
+			t.Fatalf("round %d: incremental centers differ from a full update", round)
+		}
+		if len(seeded) > 0 {
+			emptied++
+			updateCenters(points, labels, got, counts) // what KMeansBounded does next
+		}
+		copy(prev, labels)
+	}
+	if emptied == 0 {
+		t.Fatal("no round emptied a cluster")
+	}
+}

@@ -179,7 +179,7 @@ func TestMedianExemplarsWeightsSumToN(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	points, _ := threeBlobs(12, rng)
 	a := KMeansBounded(points, 5, rand.New(rand.NewSource(11)), KMeansOpts{})
-	exs := MedianExemplars(points, a)
+	exs := MedianExemplars(points, a, nil)
 	var sum float64
 	for _, e := range exs {
 		if e.Point < 0 || e.Point >= len(points) {
@@ -196,7 +196,7 @@ func TestMedianExemplarBelongsToItsCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	points, _ := threeBlobs(10, rng)
 	a := HAC(points, 3, Ward)
-	exs := MedianExemplars(points, a)
+	exs := MedianExemplars(points, a, nil)
 	members := a.Members()
 	for _, e := range exs {
 		cl := a.Labels[e.Point]
@@ -210,7 +210,7 @@ func TestMedianExemplarIsClosestToMedian(t *testing.T) {
 	// One cluster with a known coordinate-wise median.
 	points := [][]float64{{0}, {1}, {2}, {3}, {100}}
 	a := Assignment{Labels: []int{0, 0, 0, 0, 0}, K: 1}
-	exs := MedianExemplars(points, a)
+	exs := MedianExemplars(points, a, nil)
 	if len(exs) != 1 {
 		t.Fatalf("got %d exemplars, want 1", len(exs))
 	}
@@ -226,7 +226,7 @@ func TestMedianExemplarIsClosestToMedian(t *testing.T) {
 func TestMedianVectorEvenCount(t *testing.T) {
 	points := [][]float64{{1, 10}, {3, 20}, {5, 30}, {7, 40}}
 	med := make([]float64, 2)
-	medianVector(points, []int{0, 1, 2, 3}, med, make([]float64, 4))
+	medianVector(points, []int{0, 1, 2, 3}, med, make([]float64, 4), nil, nil, nil)
 	want := []float64{4, 25}
 	if !reflect.DeepEqual(med, want) {
 		t.Fatalf("median = %v, want %v", med, want)
@@ -415,7 +415,7 @@ func TestExemplarWeightsAlwaysPartitionN(t *testing.T) {
 			points[i] = []float64{rng.Float64() * 10}
 		}
 		a := KMeansBounded(points, k, rng, KMeansOpts{})
-		exs := MedianExemplars(points, a)
+		exs := MedianExemplars(points, a, nil)
 		var sum float64
 		for _, e := range exs {
 			if e.Weight < 1 {

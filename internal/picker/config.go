@@ -157,10 +157,11 @@ func (c Config) clusterize(points [][]float64, k int, rng *rand.Rand, o cluster.
 	}
 }
 
-// exemplars picks one weighted representative per cluster.
-func (c Config) exemplars(points [][]float64, a cluster.Assignment, rng *rand.Rand) []cluster.Exemplar {
+// exemplars picks one weighted representative per cluster; ix (nil: none)
+// is the rank index the median exemplars may read (cluster.MedianExemplars).
+func (c Config) exemplars(points [][]float64, a cluster.Assignment, rng *rand.Rand, ix *cluster.MedianIndex) []cluster.Exemplar {
 	if c.UnbiasedExemplar {
 		return cluster.RandomExemplars(points, a, rng)
 	}
-	return cluster.MedianExemplars(points, a)
+	return cluster.MedianExemplars(points, a, ix)
 }

@@ -87,7 +87,7 @@ func ReadPicker(r io.Reader, ts *stats.TableStats) (*Picker, error) {
 		return nil, fmt.Errorf("picker: corrupt snapshot: %d thresholds for %d funnel stages",
 			len(wire.Thresholds), len(wire.Regs))
 	}
-	p := &Picker{Cfg: wire.Cfg, TS: ts, Thresholds: wire.Thresholds, Excluded: map[stats.Kind]bool{}, tables: &funnelTables{}}
+	p := &Picker{Cfg: wire.Cfg, TS: ts, Thresholds: wire.Thresholds, Excluded: map[stats.Kind]bool{}, tables: &funnelTables{}, outliers: &outlierMemo{}}
 	for stage, ms := range wire.Regs {
 		m, err := gbt.FromSnapshot(ms)
 		if err != nil {

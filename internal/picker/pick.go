@@ -1,7 +1,6 @@
 package picker
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -55,6 +54,7 @@ type pickScratch struct {
 	selNorm  []float64
 	normBuf  []float64
 	normRows [][]float64
+	medCols  []int32 // per active slot: its Normalized column, or −1 for a selectivity slot
 	// Funnel scratch: the query's named columns (by schema column index, what
 	// a stage's fold table is bound with), the scorer rebound stage by stage,
 	// and the one full-width row a stage without a fold table is walked over.
@@ -121,7 +121,7 @@ func (sc *pickScratch) setMasks(space *stats.FeatureSpace, excluded map[stats.Ki
 // partition blocks on the shared exec pool, bounded by eo.Parallelism);
 // everything else in a row is the partition's base feature or a masked
 // zero, which the funnel scores from per-binding fold tables (tables.go) and
-// cluster preparation reads from TableStats.NormBase. Zero allocations per
+// cluster preparation reads from TableStats.Normalized. Zero allocations per
 // partition in the steady state. The selection is the same at every
 // parallelism setting: estimates are filled into disjoint rows indexed by
 // partition, and the selection logic consumes them in partition order.
@@ -169,8 +169,10 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 	// 1. Outliers (§4.4): partitions with rare group-by bitmap signatures
 	// are evaluated exactly, weight 1, consuming up to OutlierBudgetFrac of
 	// the budget.
-	inliers := allParts(total)
-	if !p.Cfg.DisableOutlier {
+	var inliers []int
+	if p.Cfg.DisableOutlier {
+		inliers = allParts(total)
+	} else {
 		outliers, rest := p.findOutliers(q, total)
 		budgetCap := int(math.Floor(p.Cfg.OutlierBudgetFrac * float64(n)))
 		if len(outliers) > budgetCap {
@@ -178,11 +180,10 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 			rest = nil // recompute below
 		}
 		if rest == nil {
-			inOut := make(map[int]bool, len(outliers))
+			inOut := make([]bool, total)
 			for _, o := range outliers {
 				inOut[o] = true
 			}
-			rest = rest[:0]
 			for i := 0; i < total; i++ {
 				if !inOut[i] {
 					rest = append(rest, i)
@@ -247,92 +248,6 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 // which clustering features stop being representative (Appendix B.1).
 func tooComplex(q *query.Query, maxClauses int) bool {
 	return len(query.Clauses(q.Pred)) > maxClauses
-}
-
-// findOutliers groups partitions by their group-by-column occurrence
-// bitmaps and flags partitions in small groups (absolute < OutlierAbsSize
-// and relative < OutlierRelSize × largest). Returns (outliers sorted by
-// ascending group size, remaining partitions).
-func (p *Picker) findOutliers(q *query.Query, total int) (outliers, rest []int) {
-	if len(q.GroupBy) == 0 {
-		return nil, allParts(total)
-	}
-	// Bitmap-bearing group-by columns.
-	var cols []int
-	for _, name := range q.GroupBy {
-		ci := p.TS.Schema.ColIndex(name)
-		if ci < 0 {
-			continue
-		}
-		if _, ok := p.TS.GlobalHH[ci]; ok {
-			cols = append(cols, ci)
-		}
-	}
-	if len(cols) == 0 {
-		return nil, allParts(total)
-	}
-	// Group partitions by bitmap signature with one sort instead of a map:
-	// pairs ordered by (signature, partition) make each group a contiguous
-	// run with ascending members, exactly the membership and order the
-	// map-based grouping produced.
-	type sigPart struct {
-		sig  uint64
-		part int
-	}
-	pairs := make([]sigPart, total)
-	for i := 0; i < total; i++ {
-		var sig uint64
-		for _, ci := range cols {
-			sig = sig*1000003 + uint64(p.TS.Parts[i].Bitmap[ci]) + 1
-		}
-		pairs[i] = sigPart{sig, i}
-	}
-	slices.SortFunc(pairs, func(a, b sigPart) int {
-		if c := cmp.Compare(a.sig, b.sig); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.part, b.part)
-	})
-	type span struct{ lo, hi int } // pairs[lo:hi] is one signature group
-	var groups []span
-	largest := 0
-	for lo := 0; lo < total; {
-		hi := lo + 1
-		for hi < total && pairs[hi].sig == pairs[lo].sig {
-			hi++
-		}
-		groups = append(groups, span{lo, hi})
-		if hi-lo > largest {
-			largest = hi - lo
-		}
-		lo = hi
-	}
-	var outGroups []span
-	for _, g := range groups {
-		if n := g.hi - g.lo; n < p.Cfg.OutlierAbsSize &&
-			float64(n) < p.Cfg.OutlierRelSize*float64(largest) {
-			outGroups = append(outGroups, g)
-		}
-	}
-	slices.SortFunc(outGroups, func(a, b span) int {
-		if c := cmp.Compare(a.hi-a.lo, b.hi-b.lo); c != 0 {
-			return c
-		}
-		return cmp.Compare(pairs[a.lo].part, pairs[b.lo].part)
-	})
-	isOutlier := make([]bool, total)
-	for _, g := range outGroups {
-		for _, pr := range pairs[g.lo:g.hi] {
-			outliers = append(outliers, pr.part)
-			isOutlier[pr.part] = true
-		}
-	}
-	for i := 0; i < total; i++ {
-		if !isOutlier[i] {
-			rest = append(rest, i)
-		}
-	}
-	return outliers, rest
 }
 
 // importanceGroups runs the funnel (Algorithm 2) over the pick's
@@ -506,7 +421,9 @@ func randomSelect(group []int, ni int, rng *rand.Rand) []query.WeightedPartition
 //
 // It reads nothing from features but the four selectivity estimates, which
 // lead the row: every other unmasked slot is the partition's base feature,
-// whose normalized value is a lookup in the precomputed TableStats.NormBase.
+// whose normalized value is a lookup in the precomputed
+// TableStats.Normalized matrix, whose rank index also serves the exemplars'
+// medians of those columns.
 // So features may be a pick's selWidth-wide rows or the full rows of
 // TableStats.Features (training's feature selection), and o is the k-means
 // mode: a pick's pruned, parallel, counted sweeps, or training's Strict
@@ -515,7 +432,8 @@ func randomSelect(group []int, ni int, rng *rand.Rand) []query.WeightedPartition
 // the constant columns.
 func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rng *rand.Rand, sc *pickScratch, o cluster.KMeansOpts) []query.WeightedPartition {
 	m := p.TS.Space.Dim()
-	nb := p.TS.NormBase()
+	norm := p.TS.Normalized()
+	nb := norm.Vals
 	upper, indep, minS, maxS := p.TS.Space.SelectivitySlots()
 	selSlots := [4]int{upper, indep, minS, maxS}
 	// The four selectivity columns are per-query values: normalize them once
@@ -559,6 +477,16 @@ func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rn
 	}
 	sc.active = active
 	na := len(active)
+	// The exemplars read the medians of base columns from the rank index;
+	// the selectivity columns are the query's and are sorted.
+	medCols := slices.Grow(sc.medCols[:0], na)[:na]
+	for a, j := range active {
+		medCols[a] = j
+	}
+	for _, as := range selActive {
+		medCols[as[0]] = -1
+	}
+	sc.medCols = medCols
 	if cap(sc.normBuf) < len(group)*na {
 		sc.normBuf = make([]float64, len(group)*na)
 	}
@@ -579,7 +507,7 @@ func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rn
 		rows[k] = row
 	}
 	asg := p.Cfg.clusterize(rows, ni, rng, o)
-	exs := p.Cfg.exemplars(rows, asg, rng)
+	exs := p.Cfg.exemplars(rows, asg, rng, &cluster.MedianIndex{Ranks: norm.Ranks, Items: group, Cols: medCols})
 	out := make([]query.WeightedPartition, 0, len(exs))
 	for _, e := range exs {
 		out = append(out, query.WeightedPartition{Part: group[e.Point], Weight: e.Weight})

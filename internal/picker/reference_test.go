@@ -16,7 +16,7 @@ import (
 // constant-column compression as separate passes. It shares the selection
 // logic that has one form only (findOutliers, allocateSamples, randomSelect,
 // whole, tooComplex) with PickBatch and re-derives everything PickBatch
-// computes from its pooled 4-wide rows, its fold tables and NormBase. Every
+// computes from its pooled 4-wide rows, its fold tables and TableStats.Normalized. Every
 // PickBatch equivalence test compares against it; nothing here may follow
 // a change to the production path.
 
@@ -137,7 +137,7 @@ func (p *Picker) refClusterSelect(features [][]float64, group []int, ni int, exc
 	rows = maskKinds(p.TS.Space, rows, excluded)
 	rows = compressActive(rows)
 	asg := refClusterize(p.Cfg, rows, ni, rng)
-	exs := p.Cfg.exemplars(rows, asg, rng)
+	exs := p.Cfg.exemplars(rows, asg, rng, nil)
 	out := make([]query.WeightedPartition, 0, len(exs))
 	for _, e := range exs {
 		out = append(out, query.WeightedPartition{Part: group[e.Point], Weight: e.Weight})

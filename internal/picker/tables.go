@@ -80,10 +80,12 @@ func (p *Picker) TableBytes() int64 {
 // Rebound returns a copy of p bound to ts, a statistics store sharing p's
 // fitted feature space (stats.TableStats.ExtendedWith): the trained
 // regressors, thresholds and exclusions carry over, and the copy starts with
-// no fold tables, so it can never index the ones folded over p's store.
+// no fold tables and no outlier memo, so it can never read the ones built
+// over p's store.
 func (p *Picker) Rebound(ts *stats.TableStats) *Picker {
 	np := *p
 	np.TS = ts
 	np.tables = &funnelTables{}
+	np.outliers = &outlierMemo{}
 	return &np
 }

@@ -80,6 +80,9 @@ type Picker struct {
 	Excluded map[stats.Kind]bool
 	// tables holds the funnel's per-binding fold tables; see funnelTables.
 	tables *funnelTables
+	// outliers remembers the outlier split per group-by list; see
+	// outlierMemo.
+	outliers *outlierMemo
 }
 
 // Train fits the funnel regressors (Algorithm 4 labels, exponentially
@@ -94,7 +97,7 @@ func Train(ts *stats.TableStats, examples []Example, cfg Config, eo exec.Options
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("picker: no training examples")
 	}
-	p := &Picker{Cfg: cfg, TS: ts, Excluded: map[stats.Kind]bool{}, tables: &funnelTables{}}
+	p := &Picker{Cfg: cfg, TS: ts, Excluded: map[stats.Kind]bool{}, tables: &funnelTables{}, outliers: &outlierMemo{}}
 
 	// Fit feature normalization on the training features (Appendix B).
 	var allRows [][]float64

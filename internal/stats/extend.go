@@ -34,8 +34,10 @@ import (
 //
 // ts itself is never mutated, and the result shares no mutable state with
 // it, so serving reads against ts may proceed concurrently with the
-// extension. The lazily built normalized base matrix is not inherited; each
-// snapshot rebuilds its own on first use.
+// extension. When ts has its normalized matrix under the current scale
+// (Normalized), the result starts with its own: ts's rows copied, the new
+// rows normalized, and every rank-index column ts has built merged with the
+// new partitions, so the first pick over the extension rebuilds nothing.
 func (ts *TableStats) ExtendedWith(dict *table.Dict, parts []*table.Partition, parallelism int) (*TableStats, error) {
 	if dict == nil {
 		dict = ts.Dict
@@ -87,6 +89,12 @@ func (ts *TableStats) ExtendedWith(dict *table.Dict, parts []*table.Partition, p
 		}
 		out.Parts = append(out.Parts, ps)
 		out.fillBaseRow(out.base[(old+i)*m:(old+i+1)*m], ps)
+	}
+	if nv := ts.norm.Load(); nv != nil && sameScale(nv.scale, ts.Space.Scale) {
+		vals := make([]float64, len(out.base))
+		copy(vals, nv.Vals)
+		out.normalizeRows(vals, old)
+		out.norm.Store(&Normalized{Vals: vals, Ranks: nv.Ranks.Extended(vals, len(out.Parts)), scale: nv.scale})
 	}
 	return out, nil
 }

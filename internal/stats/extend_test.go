@@ -139,3 +139,44 @@ func TestExtendedWithRejectsMisnumberedPartition(t *testing.T) {
 		t.Fatal("partition with non-positional ID must be rejected")
 	}
 }
+
+// TestExtendedWithCarriesNormalized checks that a store extended from one
+// whose normalized matrix is built starts with its own — published before
+// any read, bit for bit the normalization of the extended base — that a
+// store extended from one without it builds it on first use instead, and
+// that a new scale replaces it.
+func TestExtendedWithCarriesNormalized(t *testing.T) {
+	ts, rest, _ := extendFixture(t, 8)
+	plain, err := ts.ExtendedWith(nil, rest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.norm.Load() != nil {
+		t.Fatal("extension of a store without a normalized matrix published one")
+	}
+	nv := ts.Normalized()
+	ext, err := ts.ExtendedWith(nil, rest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried := ext.norm.Load()
+	if carried == nil {
+		t.Fatal("extension did not carry the normalized matrix")
+	}
+	if ext.Normalized() != carried {
+		t.Fatal("the carried matrix was rebuilt on first read")
+	}
+	if fresh := plain.Normalized(); !reflect.DeepEqual(carried.Vals, fresh.Vals) {
+		t.Fatal("carried normalized matrix differs from the one built from scratch")
+	}
+	if !reflect.DeepEqual(carried.Vals[:len(nv.Vals)], nv.Vals) {
+		t.Fatal("carried rows differ from the base store's")
+	}
+	ts.Space.Scale = make([]float64, ts.Space.Dim())
+	for j := range ts.Space.Scale {
+		ts.Space.Scale[j] = 2
+	}
+	if ext.Normalized() == carried {
+		t.Fatal("a new scale kept the matrix of the old one")
+	}
+}

@@ -263,7 +263,7 @@ func (ts *TableStats) Features(q *query.Query) [][]float64 {
 //     the fill of the serving path (picker.PickBatch): the rest of a row is
 //     the partition's base feature or a masked zero, both known before the
 //     query arrives, so the funnel scores them from tables folded once per
-//     binding and cluster preparation reads them from NormBase — nobody reads
+//     binding and cluster preparation reads them from Normalized — nobody reads
 //     a copy.
 //   - FillRow writes the whole row — a base-row copy, a sweep zeroing the
 //     masked slots and the same four estimates. It is what the serving
@@ -369,7 +369,7 @@ func (fs *FeatureSpace) transform(j int, x float64) float64 {
 
 // NormalizeValue normalizes one feature slot: transform(j, x) divided by the
 // fitted scale (unit scale before Fit). A normalized row is NormalizeValue
-// applied slot by slot; TableStats.NormBase holds it for every base row.
+// applied slot by slot; TableStats.Normalized holds it for every base row.
 func (fs *FeatureSpace) NormalizeValue(j int, x float64) float64 {
 	v := fs.transform(j, x)
 	if fs.Scale != nil {

@@ -12,7 +12,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"ps3/internal/cluster"
 	"ps3/internal/exec"
 	"ps3/internal/sketch"
 	"ps3/internal/table"
@@ -97,15 +99,11 @@ type TableStats struct {
 	// only copies it and fills the query-dependent slots.
 	base []float64
 
-	// normMu guards the lazily built normalized base matrix below.
+	// norm is the normalized base matrix and its rank index under the
+	// fitted scale it was built with (Normalized); normMu serializes its
+	// builds, never its reads.
+	norm   atomic.Pointer[Normalized]
 	normMu sync.Mutex
-	// normBase is base with the fitted normalization applied elementwise —
-	// the query-independent part of a normalized feature row, cached so
-	// cluster preparation copies precomputed values instead of re-running
-	// transform()/Scale division per pick. Rebuilt if the Scale it was
-	// computed under changes (Fit runs once per training).
-	normBase      []float64
-	normBaseScale []float64
 }
 
 // Base returns the query-independent feature matrix, row-major with stride
@@ -116,31 +114,55 @@ type TableStats struct {
 // aliases the store; callers must not mutate it.
 func (ts *TableStats) Base() []float64 { return ts.base }
 
-// NormBase returns the normalized query-independent feature matrix,
-// row-major with stride Dim(): partition i's row is exactly
-// FeatureSpace.NormalizeValue of its base row, slot by slot, computed once
-// per fitted scale. Entries at the selectivity slots are the normalization
-// of zero and must be recomputed by callers from per-query values. The
-// returned slice aliases the cache; callers must not mutate it. Safe for
-// concurrent use.
-func (ts *TableStats) NormBase() []float64 {
-	m := ts.Space.Dim()
-	ts.normMu.Lock()
-	if ts.normBase == nil || !sameScale(ts.normBaseScale, ts.Space.Scale) {
-		nb := make([]float64, len(ts.base))
-		for p := 0; p < len(ts.Parts); p++ {
-			row := ts.base[p*m : (p+1)*m]
-			out := nb[p*m : (p+1)*m]
-			for j, x := range row {
-				out[j] = ts.Space.NormalizeValue(j, x)
-			}
-		}
-		ts.normBase = nb
-		ts.normBaseScale = ts.Space.Scale
+// Normalized is the query-independent feature matrix normalized under one
+// fitted scale, with a rank index over its columns. It is immutable once
+// published: readers share it without a lock.
+type Normalized struct {
+	// Vals is row-major with stride Dim(): partition i's row is exactly
+	// FeatureSpace.NormalizeValue of its base row, slot by slot. Entries at
+	// the selectivity slots are the normalization of zero and must be
+	// recomputed by callers from per-query values. Callers must not mutate
+	// it.
+	Vals []float64
+	// Ranks ranks every partition in each column of Vals (the medians of
+	// cluster.MedianExemplars); its columns are built on first use.
+	Ranks *cluster.RankIndex
+	scale []float64
+}
+
+// Normalized returns the normalized matrix under the space's current
+// scale, building it on the first call after a fit (Fit replaces the scale
+// wholesale, once per training). A store made by ExtendedWith from one that
+// already had it starts with it. Safe for concurrent use; a call that finds
+// the matrix built takes no lock.
+func (ts *TableStats) Normalized() *Normalized {
+	if nv := ts.norm.Load(); nv != nil && sameScale(nv.scale, ts.Space.Scale) {
+		return nv
 	}
-	nb := ts.normBase
-	ts.normMu.Unlock()
-	return nb
+	ts.normMu.Lock()
+	defer ts.normMu.Unlock()
+	if nv := ts.norm.Load(); nv != nil && sameScale(nv.scale, ts.Space.Scale) {
+		return nv
+	}
+	m := ts.Space.Dim()
+	nv := &Normalized{Vals: make([]float64, len(ts.base)), scale: ts.Space.Scale}
+	ts.normalizeRows(nv.Vals, 0)
+	nv.Ranks = cluster.NewRankIndex(nv.Vals, len(ts.Parts), m)
+	ts.norm.Store(nv)
+	return nv
+}
+
+// normalizeRows fills rows [from, len(ts.Parts)) of dst with the normalized
+// base rows.
+func (ts *TableStats) normalizeRows(dst []float64, from int) {
+	m := ts.Space.Dim()
+	for p := from; p < len(ts.Parts); p++ {
+		row := ts.base[p*m : (p+1)*m]
+		out := dst[p*m : (p+1)*m]
+		for j, x := range row {
+			out[j] = ts.Space.NormalizeValue(j, x)
+		}
+	}
 }
 
 // sameScale reports whether two scale slices are the same fitted scale
